@@ -36,7 +36,7 @@ import numpy as np
 from .channels import BscParams, TernaryWord, bsc_transmit
 from .codes import LinearCode, OrthonormalCode
 from .gf import GF
-from .linalg import Matrix, gf2_rank
+from .linalg import Matrix, gf2_apply, gf2_rank, pack_rows
 from .proto_outer import OuterParams, cheat_matrix_V, compressed_length, run_session
 
 
@@ -334,18 +334,9 @@ def rank_deficiency_rate(width: int, fixed_rows: int, random_rows: int,
 # -- cheating Bob against the compressed variants --------------------------
 
 
-_POP = np.array([bin(i).count("1") for i in range(1 << 16)], dtype=np.int64)
-
-
-def _parity_lut(row_masks: np.ndarray, states: np.ndarray) -> np.ndarray:
+def _parity_lut(rows: Sequence[int], states: np.ndarray) -> np.ndarray:
     """Packed GF(2) matrix-vector products: bit i = parity(rows[i] & x)."""
-    bits = _POP[states[:, None] & row_masks[None, :]] & 1
-    return (bits << np.arange(len(row_masks))[None, :]).sum(axis=1)
-
-
-def _pack_rows(m: Matrix) -> np.ndarray:
-    return np.array([sum(a << j for j, a in enumerate(row)) for row in m.rows],
-                    dtype=np.int64)
+    return gf2_apply(rows, states[:, None], int(states.max()).bit_length())
 
 
 def _entropy_bits(counts: np.ndarray) -> float:
@@ -382,10 +373,10 @@ def posterior_cell(v: Matrix, m_first: Matrix, m_second: Matrix) -> PosteriorCel
         raise ValueError("posterior audit enumerates 4^r states; r too large")
     u_len = m_first.nrows
     eye = Matrix.identity(v.field, r)
-    vrows = _pack_rows(v)
-    urows = _pack_rows(v + eye)
-    ms = _pack_rows(m_first)
-    mt = _pack_rows(m_second)
+    vrows = pack_rows(v)
+    urows = pack_rows(v + eye)
+    ms = pack_rows(m_first)
+    mt = pack_rows(m_second)
     states = np.arange(1 << r, dtype=np.int64)
     z_s = _parity_lut(urows, states)     # U s as s runs over states
     z_t = _parity_lut(vrows, states)     # V t
@@ -398,8 +389,8 @@ def posterior_cell(v: Matrix, m_first: Matrix, m_second: Matrix) -> PosteriorCel
     h_stz = _entropy_bits(counts)
     h_sz = _entropy_bits(cube.sum(axis=1).ravel())
     h_tz = _entropy_bits(cube.sum(axis=0).ravel())
-    return PosteriorCell(rank_v=gf2_rank([int(x) for x in vrows]),
-                         rank_u=gf2_rank([int(x) for x in urows]),
+    return PosteriorCell(rank_v=gf2_rank(vrows),
+                         rank_u=gf2_rank(urows),
                          entropy_first=h_stz - h_tz,
                          entropy_second=h_stz - h_sz)
 
@@ -526,10 +517,10 @@ def audit_bob_strategies(basis: OrthonormalCode, margin: float,
     eye = Matrix.identity(f, r)
     for mask in masks:
         v = cheat_matrix_V(basis.rows, mask)
-        vrows = _pack_rows(v)
-        urows = _pack_rows(v + eye)
-        rank_v = gf2_rank([int(x) for x in vrows])
-        rank_u = gf2_rank([int(x) for x in urows])
+        vrows = pack_rows(v)
+        urows = pack_rows(v + eye)
+        rank_v = gf2_rank(vrows)
+        rank_u = gf2_rank(urows)
         hist[rank_v] = hist.get(rank_v, 0) + 1
         z_s = _parity_lut(urows, states)
         z_t = _parity_lut(vrows, states)

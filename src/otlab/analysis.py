@@ -26,7 +26,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .codes import EnumerationLimit, LinearCode
-from .linalg import Matrix, pack_bits
+from .linalg import (LIMB_BITS, Matrix, gf2_apply, pack_rows, popcount,
+                     span_words)
 
 ORACLE_VIEW_LIMIT = 1 << 24
 
@@ -150,26 +151,15 @@ def _packed_codewords(code: LinearCode, limit: int) -> np.ndarray:
     k = code.dimension
     if 1 << k > limit:
         raise EnumerationLimit(f"2^{k} codewords exceed the budget {limit}")
-    rows = [pack_bits(r) for r in code.generator.rows]
-    words = np.zeros(1 << k, dtype=np.int64)
-    for i in range(k):
-        step = 1 << i
-        words[step: 2 * step] = words[:step] ^ rows[i]
-    return words
-
-
-def _popcount_table(bits: int) -> np.ndarray:
-    table = np.zeros(1 << bits, dtype=np.uint8)
-    for i in range(bits):
-        step = 1 << i
-        table[step: 2 * step] = table[:step] + 1
-    return table
+    return span_words(pack_rows(code.generator), code.length)
 
 
 def _project(words: np.ndarray, kept: Sequence[int]) -> np.ndarray:
-    proj = np.zeros_like(words)
+    """The kept positions of each packed word, as bits 0, 1, ... of an int."""
+    proj = np.zeros(len(words), dtype=np.int64)
     for t, pos in enumerate(kept):
-        proj |= ((words >> pos) & 1) << t
+        limb, bit = divmod(pos, LIMB_BITS)
+        proj |= ((words[:, limb] >> bit) & 1) << t
     return proj
 
 
@@ -227,7 +217,6 @@ def min_entropy_oracle(code: LinearCode, erasures: int, error_rate: float,
             f"{pattern_count} patterns x 2^{kept_count} outputs exceed the "
             f"oracle budget {limit}")
     words = _packed_codewords(code, limit)
-    pop = _popcount_table(kept_count)
     bound = min_entropy_bound(n, k, erasures, error_rate, alpha)
     rho = error_rate / (1.0 - error_rate)
     pattern_w = 1.0 / pattern_count
@@ -242,7 +231,7 @@ def min_entropy_oracle(code: LinearCode, erasures: int, error_rate: float,
     hist: dict[int, float] = {}
     for kept in combinations(range(n), kept_count):
         proj = _project(words, kept)
-        dist = pop[(proj[:, None] ^ z[None, :]) & ((1 << kept_count) - 1)]
+        dist = popcount(proj[:, None] ^ z[None, :], kept_count)
         like = np.power(rho, dist.astype(np.float64))
         colsum = like.sum(axis=0)
         reachable = colsum > 0.0
@@ -337,7 +326,6 @@ def fixed_weight_oracle(code: LinearCode, erasures: int, weight: int,
         raise EnumerationLimit(
             f"{total_edges} edges exceed the audit budget {limit}")
     words = _packed_codewords(code, limit)
-    pop = _popcount_table(kept_count)
     r_bits = k - kept_count + math.log2(math.comb(kept_count, weight))
 
     z = np.arange(1 << kept_count, dtype=np.int64)
@@ -347,7 +335,7 @@ def fixed_weight_oracle(code: LinearCode, erasures: int, weight: int,
     entropy_sum = 0.0
     for kept in combinations(range(n), kept_count):
         proj = _project(words, kept)
-        dist = pop[(proj[:, None] ^ z[None, :]) & ((1 << kept_count) - 1)]
+        dist = popcount(proj[:, None] ^ z[None, :], kept_count)
         deg = (dist == weight).sum(axis=0)
         if int(deg.sum()) != per_pattern_edges:
             raise AssertionError("edge count mismatch against C(n-e, w) 2^k")
@@ -414,14 +402,7 @@ def hashed_secret_entropy(code: LinearCode, erasures: int, error_rate: float,
     if pattern_count * (1 << kept_count) * (1 << k) > limit:
         raise EnumerationLimit("hashed-entropy census exceeds the budget")
     words = _packed_codewords(code, limit)
-    pop = _popcount_table(kept_count)
-    hash_rows = [pack_bits(r) for r in hash_matrix.rows]
-    classes = np.zeros(1 << k, dtype=np.int64)
-    for c in range(1 << k):
-        x = 0
-        for t, hr in enumerate(hash_rows):
-            x |= ((int(words[c]) & hr).bit_count() & 1) << t
-        classes[c] = x
+    classes = gf2_apply(pack_rows(hash_matrix), words, n)
     ind = np.zeros((1 << m, 1 << k))
     ind[classes, np.arange(1 << k)] = 1.0
 
@@ -435,7 +416,7 @@ def hashed_secret_entropy(code: LinearCode, erasures: int, error_rate: float,
     mass_below = 0.0
     for kept in combinations(range(n), kept_count):
         proj = _project(words, kept)
-        dist = pop[(proj[:, None] ^ z[None, :]) & ((1 << kept_count) - 1)]
+        dist = popcount(proj[:, None] ^ z[None, :], kept_count)
         like = np.power(rho, dist.astype(np.float64))
         colsum = like.sum(axis=0)
         reachable = colsum > 0.0

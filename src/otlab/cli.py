@@ -11,8 +11,8 @@ randomness from (seed, 1), campaign streams from (seed, 2...), so the
 worker count never changes the bytes.  Reports are canonical JSON
 validated against the schema shipped with the package.
 
-Exit codes: 0 success, 2 config error, 3 enumeration limit, 4 aborts
-dominated a run (half or more of the sessions).
+Exit codes: 0 success, 1 replay mismatch, 2 config error, 3 enumeration
+limit, 4 aborts dominated a run (half or more of the sessions).
 """
 
 from __future__ import annotations
@@ -312,7 +312,11 @@ def _normalize_run(config: dict, seed: int) -> tuple[dict, RunSetup]:
         n0 = code.length
         _require(cfg["n0"] in (None, n0),
                  f"inner code length {n0} disagrees with n0={cfg['n0']}")
-        inner_d = embedded.d if embedded is not None else None
+        if embedded is not None:
+            inner_d = code.min_distance(limit)
+            _require(inner_d == embedded.d,
+                     f"the inner code file claims d={embedded.d} in its "
+                     f"embedded audit, but the code has d={inner_d}")
     else:
         n0 = DEFAULT_N0 if cfg["n0"] is None else int(cfg["n0"])
         _require(n0 >= 2, "n0 must be at least 2")

@@ -21,10 +21,11 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .gf import GF, Field
-from .linalg import (Matrix, Vector, pack_bits, rank_and_kernel, rref,
-                     row_span_basis, unpack_bits)
+from .linalg import (Matrix, Vector, pack_rows, rank_and_kernel, rref,
+                     row_span_basis, span_words, weights)
 
 DEFAULT_ENUM_LIMIT = 1 << 24
+_SPAN_BLOCK_ROWS = 16  # min_distance spans 2^16 words at a time
 
 
 class EnumerationLimit(RuntimeError):
@@ -120,8 +121,10 @@ class LinearCode:
     def min_distance(self, limit: int = DEFAULT_ENUM_LIMIT) -> int:
         """Exact minimum distance by codeword enumeration (cached).
 
-        Binary codes walk messages in Gray-code order over packed rows;
-        the general case uses the incremental odometer of iter_codewords.
+        Binary codes span the low (at most 16) generator rows once as
+        packed words and walk that block shifted by each combination of
+        the high rows, so memory stays near 2^16 words for any k; the
+        general case uses the incremental odometer of iter_codewords.
         Raises EnumerationLimit when q^k exceeds the budget.
         """
         if self._min_distance is not None:
@@ -132,14 +135,13 @@ class LinearCode:
                 f"{q}^{k} codewords exceed the enumeration budget {limit}; "
                 "raise the limit or use sampled_distance_audit")
         if q == 2:
-            rows = [pack_bits(r) for r in self._generator.rows]
-            best = n
-            word = 0
-            for m in range(1, 1 << k):
-                word ^= rows[(m & -m).bit_length() - 1]
-                w = word.bit_count()
-                if w < best:
-                    best = w
+            rows = pack_rows(self._generator)
+            low = span_words(rows[:_SPAN_BLOCK_ROWS], n)
+            best = int(weights(low[1:], n).min())
+            # The rows are independent, so a nonzero high combination
+            # shifts the whole low block off zero.
+            for high in span_words(rows[_SPAN_BLOCK_ROWS:], n)[1:]:
+                best = min(best, int(weights(low ^ high, n).min()))
         else:
             best = n
             for word in self.iter_codewords(limit):

@@ -34,9 +34,11 @@ import numpy as np
 
 from .analysis import binary_entropy
 from .channels import ERASED, BscParams, TernaryWord, duplicate_round_trip
-from .codes import LinearCode
+from .codes import EnumerationLimit, LinearCode
 from .gf import GF
-from .linalg import Matrix, Vector, pack_bits, rank, solve_affine
+from .linalg import (LIMB_BITS, GF2Coset, Matrix, Vector, gf2_eliminate,
+                     pack_bits, pack_rows, span_words, to_limbs, unpack_bits,
+                     weights)
 
 
 class ChannelAbort(Exception):
@@ -65,17 +67,21 @@ class MLDecoder:
     """Exact maximum-likelihood decoding by codeword enumeration.
 
     Minimizes Hamming distance over the non-erased positions; a tie for
-    the minimum is a decoding failure (None).  Intended for k <= 20.
+    the minimum is a decoding failure (None).  The 2^k codewords are held
+    as packed words in one numpy array (`words`, in message order), so a
+    decode is a few vector operations.  Intended for k <= 20.
     """
 
     def __init__(self, code: LinearCode, enum_limit: int = 1 << 20):
         if code.field.degree != 1:
             raise ValueError("decoder expects a binary code")
+        k = code.dimension
+        if 1 << k > enum_limit:
+            raise EnumerationLimit(
+                f"2^{k} codewords exceed the enumeration budget {enum_limit}")
         self.code = code
-        self.words = []
-        for w in code.iter_codewords(enum_limit):
-            self.words.append(pack_bits(w))
         self.length = code.length
+        self.words = span_words(pack_rows(code.generator), code.length)
 
     def decode(self, symbols: Sequence[int]) -> Optional[Vector]:
         if len(symbols) != self.length:
@@ -87,30 +93,32 @@ class MLDecoder:
                 mask |= 1 << i
                 if s:
                     target |= 1 << i
-        best = None
-        best_dist = self.length + 1
-        tie = False
-        for w in self.words:
-            d = ((w & mask) ^ target).bit_count()
-            if d < best_dist:
-                best, best_dist, tie = w, d, False
-            elif d == best_dist:
-                tie = True
-        if tie or best is None:
+        limbs = self.words.shape[1]
+        diff = self.words & to_limbs(mask, limbs)
+        diff ^= to_limbs(target, limbs)
+        dist = weights(diff, self.length)
+        best = int(dist.argmin())
+        if np.count_nonzero(dist == dist[best]) > 1:
             return None
-        return tuple((best >> i) & 1 for i in range(self.length))
+        word = 0
+        for j, limb in enumerate(self.words[best].tolist()):
+            word |= limb << (LIMB_BITS * j)
+        return unpack_bits(word, self.length)
 
     def failure_bound(self, p: float) -> float:
         """Union bound on ML failure over BSC(p), ties counted as failures."""
         if not 0.0 <= p < 0.5:
             raise ValueError("error rate must be in [0, 1/2)")
-        counts: dict[int, int] = {}
-        for w in self.words:
-            wt = w.bit_count()
-            if wt:
-                counts[wt] = counts.get(wt, 0) + 1
+        present, first, counts = np.unique(weights(self.words, self.length),
+                                           return_index=True,
+                                           return_counts=True)
+        # Terms are added in order of each weight's first appearance in
+        # message order, which pins the rounding of the float sum.
+        order = np.argsort(first)
         total = 0.0
-        for wt, a in counts.items():
+        for wt, a in zip(present[order].tolist(), counts[order].tolist()):
+            if not wt:
+                continue
             half = (wt + 1) // 2 if wt % 2 else wt // 2
             pw = sum(math.comb(wt, j) * p ** j * (1.0 - p) ** (wt - j)
                      for j in range(half, wt + 1))
@@ -127,7 +135,8 @@ class P0Params:
     sessions reproducible at fixed rng.  security_slack, when set, turns
     on the sizing invariant m <= n0 eps (1 - h(p) - slack); leave it None
     for correctness-only runs (for instance phi = 0 demos, where no m
-    satisfies the bound).
+    satisfies the bound).  The parity check is row-reduced once, here;
+    a session eliminates only its m hash rows into it (see coset).
     """
 
     block_len: int
@@ -138,6 +147,8 @@ class P0Params:
     security_slack: Optional[float] = None
     decoder: object = None
     parity_check: Matrix = dc_field(init=False)
+    _parity_rref: tuple = dc_field(init=False, repr=False, compare=False)
+    _last_coset: tuple = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         code = self.code
@@ -152,8 +163,14 @@ class P0Params:
         dual = code.dual_basis()
         parity = Matrix(code.field, dual, ncols=code.length)
         object.__setattr__(self, "parity_check", parity)
-        if self.hash_matrix is not None:
-            self._check_hash(self.hash_matrix)
+        rows: list[int] = []
+        pivots: list[int] = []
+        gf2_eliminate(rows, pivots, pack_rows(parity), code.length)
+        object.__setattr__(self, "_parity_rref", (tuple(rows), tuple(pivots)))
+        object.__setattr__(self, "_last_coset", (None, None))
+        if (self.hash_matrix is not None
+                and self.coset(self.hash_matrix) is None):
+            raise ValueError("stacked parity/hash matrix must have full rank")
         if self.security_slack is not None:
             cap = p0_secret_length(self.block_len, self.channel.crossover,
                                    self.security_slack)
@@ -164,13 +181,29 @@ class P0Params:
         if self.decoder is None:
             object.__setattr__(self, "decoder", MLDecoder(code))
 
-    def _check_hash(self, hm: Matrix) -> None:
-        if (hm.nrows, hm.ncols) != (self.secret_bits, self.block_len):
+    def coset(self, hash_matrix: Matrix) -> Optional[GF2Coset]:
+        """The codewords with each hash value, as one reduced system.
+
+        Hash row i, tagged with bit n0 + i, is eliminated into the reduced
+        parity check; GF2Coset.sample(packed secret, rng) then draws a
+        uniform codeword whose hash is the secret.  None when the stacked
+        parity/hash matrix is not of full rank.  The last result is kept,
+        so draw_hash's full-rank test and the encoding that follows share
+        one elimination.
+        """
+        last_hash, last = self._last_coset
+        if last_hash is hash_matrix:
+            return last
+        n = self.block_len
+        if (hash_matrix.nrows, hash_matrix.ncols) != (self.secret_bits, n):
             raise ValueError("hash matrix must be m x n0")
-        stacked = self.parity_check.vstack(hm)
-        want = self.block_len - self.code.dimension + self.secret_bits
-        if rank(stacked) != want:
-            raise ValueError("stacked parity/hash matrix must have full rank")
+        rows, pivots = list(self._parity_rref[0]), list(self._parity_rref[1])
+        tagged = [r | 1 << (n + i)
+                  for i, r in enumerate(pack_rows(hash_matrix))]
+        coset = (None if gf2_eliminate(rows, pivots, tagged, n)
+                 else GF2Coset(rows, pivots, n))
+        object.__setattr__(self, "_last_coset", (hash_matrix, coset))
+        return coset
 
     def draw_hash(self, rng: np.random.Generator) -> Matrix:
         """The session hash: pinned if configured, else fresh full-rank."""
@@ -178,12 +211,10 @@ class P0Params:
             return self.hash_matrix
         f = GF(1)
         while True:
-            hm = Matrix(f, tuple(
-                tuple(int(b) for b in rng.integers(0, 2, size=self.block_len))
+            hm = Matrix._trusted(f, tuple(
+                tuple(rng.integers(0, 2, size=self.block_len).tolist())
                 for _ in range(self.secret_bits)))
-            stacked = self.parity_check.vstack(hm)
-            if rank(stacked) == (self.block_len - self.code.dimension
-                                 + self.secret_bits):
+            if self.coset(hm) is not None:
                 return hm
 
 
@@ -236,14 +267,17 @@ def p0_alice_encode(first_secret: Sequence[int], second_secret: Sequence[int],
         raise ValueError("announced sets overlap")
     if len(first_secret) != m or len(second_secret) != m:
         raise ValueError("secrets must have length m")
-    stacked = params.parity_check.vstack(hash_matrix)
-    zeros = (0,) * params.parity_check.nrows
+    if not {*first_secret, *second_secret} <= {0, 1}:
+        raise ValueError("secrets must be bit vectors")
+    coset = params.coset(hash_matrix)
+    if coset is None:
+        raise ValueError("stacked parity/hash matrix must have full rank")
 
     out = []
     for secret, positions in ((first_secret, set_first),
                               (second_secret, set_second)):
-        cw = solve_affine(stacked, zeros + tuple(secret), rng)
-        perm = tuple(int(t) for t in rng.permutation(n0))
+        cw = unpack_bits(coset.sample(pack_bits(secret), rng), n0)
+        perm = tuple(rng.permutation(n0).tolist())
         masked = tuple(cw[t] ^ sent_bits[positions[perm[t]]]
                        for t in range(n0))
         out.append((perm, masked, cw))
@@ -310,7 +344,7 @@ def p0_run(first_secret: Sequence[int], second_secret: Sequence[int],
     n0 = params.block_len
     phi = params.channel.crossover
     hash_matrix = params.draw_hash(rng)
-    sent = tuple(int(b) for b in rng.integers(0, 2, size=2 * n0))
+    sent = tuple(rng.integers(0, 2, size=2 * n0).tolist())
     word = duplicate_round_trip(sent, phi, rng)
     base = P0Transcript(
         block_len=n0, crossover=phi, secret_bits=params.secret_bits,

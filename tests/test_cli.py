@@ -15,7 +15,8 @@ import jsonschema
 import pytest
 
 from otlab.adversary import detection_rule
-from otlab.codes import LinearCode, code_to_json, cyclic_code, rs_code
+from otlab.codes import (CodeAudit, LinearCode, code_to_json, cyclic_code,
+                         rs_code)
 from otlab.gf import GF
 from otlab.linalg import Matrix
 from otlab.reports import (
@@ -276,6 +277,24 @@ def test_code_audit_embeds_and_checks_audit(tmp_path):
     lied.write_text(json.dumps(obj))
     agg = report_from(run_cli("code-audit", "--code", str(lied)))["aggregates"]
     assert agg["matches_embedded_audit"] is False
+
+
+def test_run_rechecks_embedded_inner_code_audit(tmp_path):
+    code = cyclic_code(GF(1), 15, C15_5_GEN)
+    audit = code.audit()
+    base = ("run", "--protocol", "p0", "--phi", "0.0", "--trials", "2")
+    stamped = write_code(tmp_path, "stamped.json", code, audit)
+    rep = report_from(run_cli(*base, "--code", stamped))
+    assert rep["derived"]["inner_code"]["d"] == 7
+    plain = write_code(tmp_path, "plain.json", code)
+    rep = report_from(run_cli(*base, "--code", plain))
+    assert rep["derived"]["inner_code"]["d"] is None
+    lied = write_code(tmp_path, "lied.json", code,
+                      CodeAudit(d=99, d_hat=audit.d_hat,
+                                square_dim=audit.square_dim))
+    proc = run_cli(*base, "--code", lied)
+    assert proc.returncode == 2
+    assert "d=99" in proc.stderr and proc.stdout == ""
 
 
 def test_code_audit_enum_limit_exits_3(tmp_path):

@@ -1,0 +1,227 @@
+"""Seeded cross-checks of the packed GF(2) layer against dense references.
+
+Over GF(2) `rref`, `rank`, `rank_and_kernel` and `solve_affine` run on
+packed rows; here each is compared with the dense reduction loop
+(`linalg._rref_dense`) and with the dense kernel/sampling code kept below
+as the reference.  The numpy enumeration (ML decoding, minimum distance)
+is compared with brute force over iter_codewords and with a Gray walk.
+"""
+
+import numpy as np
+import pytest
+
+from otlab.channels import ERASED, BscParams
+from otlab.codes import LinearCode, cyclic_code, random_code
+from otlab.gf import GF
+from otlab.linalg import (InconsistentSystem, Matrix, _rref_dense, gf2_apply,
+                          gf2_rank, pack_bits, pack_rows, rank,
+                          rank_and_kernel, rref, solve_affine, span_words,
+                          unpack_bits)
+from otlab.proto_p0 import MLDecoder, P0Params
+
+F2 = GF(1)
+
+
+# -- dense references --------------------------------------------------------
+
+def dense_rank_and_kernel(m):
+    red, pivots = _rref_dense(m)
+    basis = []
+    for free in range(m.ncols):
+        if free in pivots:
+            continue
+        v = [0] * m.ncols
+        v[free] = 1
+        for i, p in enumerate(pivots):
+            v[p] = red.rows[i][free]
+        basis.append(tuple(v))
+    return len(pivots), tuple(basis)
+
+
+def dense_solve_affine(m, b, rng):
+    f = m.field
+    particular = [0] * m.ncols
+    if m.nrows:
+        aug = Matrix(f, tuple(row + (bi,) for row, bi in zip(m.rows, b)))
+        red, pivots = _rref_dense(aug)
+        if m.ncols in pivots:
+            raise InconsistentSystem("no solution")
+        for i, p in enumerate(pivots):
+            particular[p] = red.rows[i][m.ncols]
+    _, kernel = dense_rank_and_kernel(m)
+    if kernel:
+        coeffs = rng.integers(0, f.order, size=len(kernel))
+        for c, kv in zip(coeffs, kernel):
+            if int(c):
+                for i, a in enumerate(kv):
+                    particular[i] ^= a
+    return tuple(particular)
+
+
+def random_binary(rng, nrows, ncols, rank_cap=None):
+    """A random binary matrix; rank_cap forces rank <= rank_cap."""
+    if rank_cap is None:
+        rows = rng.integers(0, 2, size=(nrows, ncols))
+    else:
+        rows = (rng.integers(0, 2, size=(nrows, rank_cap))
+                @ rng.integers(0, 2, size=(rank_cap, ncols))) % 2
+    return Matrix(F2, tuple(tuple(int(a) for a in r) for r in rows),
+                  ncols=ncols)
+
+
+SHAPES = [
+    (0, 5, None), (3, 0, None), (1, 1, None), (3, 8, None), (8, 3, None),
+    (6, 6, None), (12, 5, None), (5, 12, None), (7, 9, 3), (9, 7, 2),
+    (10, 10, 1), (4, 40, None), (12, 70, 8), (3, 70, None),
+]
+
+
+@pytest.mark.parametrize("nrows,ncols,cap", SHAPES)
+def test_packed_reduction_matches_dense(nrows, ncols, cap):
+    rng = np.random.default_rng(1000 + nrows * 101 + ncols)
+    for _ in range(20):
+        m = random_binary(rng, nrows, ncols, cap)
+        assert rref(m) == _rref_dense(m)
+        assert rank(m) == len(_rref_dense(m)[1])
+        assert rank_and_kernel(m) == dense_rank_and_kernel(m)
+        assert gf2_rank(pack_rows(m)) == rank(m)
+
+
+@pytest.mark.parametrize("nrows,ncols,cap", SHAPES)
+def test_packed_solve_affine_matches_dense(nrows, ncols, cap):
+    rng = np.random.default_rng(2000 + nrows * 101 + ncols)
+    inconsistent = 0
+    for trial in range(20):
+        m = random_binary(rng, nrows, ncols, cap)
+        if trial % 2:
+            b = tuple(int(a) for a in rng.integers(0, 2, size=nrows))
+        else:
+            x = tuple(int(a) for a in rng.integers(0, 2, size=ncols))
+            b = m.apply(x)
+        ours, ref = np.random.default_rng(trial), np.random.default_rng(trial)
+        try:
+            want = dense_solve_affine(m, b, ref)
+        except InconsistentSystem:
+            inconsistent += 1
+            with pytest.raises(InconsistentSystem):
+                solve_affine(m, b, ours)
+            continue
+        assert solve_affine(m, b, ours) == want
+        assert ours.bit_generator.state == ref.bit_generator.state
+    if nrows > ncols or (cap is not None and cap < nrows):
+        assert inconsistent > 0
+
+
+def test_session_coset_matches_dense_solve_of_stacked_system():
+    """One elimination of the hash rows into the reduced parity check
+    samples what solve_affine on the stacked system samples, rng and all."""
+    rng = np.random.default_rng(3000)
+    for n, k, m in ((15, 5, 3), (15, 1, 1), (20, 16, 1), (20, 16, 5),
+                    (12, 12, 4), (70, 6, 2)):
+        code = random_code(F2, n, k, rng)
+        params = P0Params(block_len=n, channel=BscParams(0.1), code=code,
+                          secret_bits=m)
+        for trial in range(10):
+            hm = params.draw_hash(rng)
+            stacked = params.parity_check.vstack(hm)
+            assert rank(stacked) == n - k + m
+            secret = tuple(int(a) for a in rng.integers(0, 2, size=m))
+            ours, ref = (np.random.default_rng(trial),
+                         np.random.default_rng(trial))
+            got = unpack_bits(params.coset(hm).sample(pack_bits(secret), ours),
+                              n)
+            zeros = (0,) * params.parity_check.nrows
+            assert got == dense_solve_affine(stacked, zeros + secret, ref)
+            assert ours.bit_generator.state == ref.bit_generator.state
+    # a hash that does not reach full stacked rank has no coset
+    deficient = Matrix(F2, params.parity_check.rows[:2], ncols=70)
+    assert params.coset(deficient) is None
+
+
+def test_span_words_and_gf2_apply_match_direct_products():
+    rng = np.random.default_rng(3100)
+    for n, k in ((9, 4), (63, 3), (64, 3), (130, 4)):
+        code = random_code(F2, n, k, rng)
+        words = span_words(pack_rows(code.generator), n)
+        packed = [pack_bits(w) for w in code.iter_codewords()]
+        got = [sum(int(limb) << (63 * j) for j, limb in enumerate(row))
+               for row in words]
+        assert got == packed
+        hm = random_binary(rng, 3, n)
+        want = [pack_bits(hm.apply(w)) for w in code.iter_codewords()]
+        assert gf2_apply(pack_rows(hm), words, n).tolist() == want
+
+
+# -- ML decoding ---------------------------------------------------------------
+
+def brute_force_decode(code, symbols):
+    best, best_dist, count = None, None, 0
+    for w in code.iter_codewords():
+        d = sum(1 for a, s in zip(w, symbols) if s != ERASED and a != s)
+        if best_dist is None or d < best_dist:
+            best, best_dist, count = w, d, 1
+        elif d == best_dist:
+            count += 1
+    return best if count == 1 else None
+
+
+@pytest.mark.parametrize("n,k", [(5, 1), (7, 4), (10, 3), (12, 6), (70, 3)])
+def test_ml_decoder_matches_brute_force(n, k):
+    rng = np.random.default_rng(4000 + n * 10 + k)
+    code = random_code(F2, n, k, rng)
+    dec = MLDecoder(code)
+    assert len(dec.words) == 1 << k
+    outcomes = set()
+    for _ in range(60):
+        symbols = tuple(int(s) for s in rng.choice(
+            (0, 1, ERASED), size=n, p=(0.4, 0.4, 0.2)))
+        want = brute_force_decode(code, symbols)
+        assert dec.decode(symbols) == want
+        outcomes.add(want is None)
+    assert dec.decode((ERASED,) * n) is None
+    if n < 20:
+        assert outcomes == {True, False}
+
+
+def test_ml_decoder_tie_and_erasure_cases():
+    rep = MLDecoder(LinearCode.from_rows(F2, ((1,) * 4,)))
+    assert rep.decode((1, 1, 0, 0)) is None            # even split ties
+    assert rep.decode((1, 1, 0, ERASED)) == (1,) * 4
+    assert rep.decode((ERASED,) * 4) is None
+    assert rep.decode((0, ERASED, ERASED, ERASED)) == (0,) * 4
+
+
+def test_failure_bound_hamming_7_4_frozen():
+    dec = MLDecoder(cyclic_code(F2, 7, (1, 1, 0, 1)))
+    assert dec.failure_bound(0.01) == 0.006230551669800001
+    assert dec.failure_bound(0.05) == 0.14907482812500003
+    assert dec.failure_bound(0.1) == 0.5648280000000001
+    assert dec.failure_bound(0.3) == 1.0
+
+
+# -- minimum distance ------------------------------------------------------------
+
+def gray_walk_distance(code):
+    rows = pack_rows(code.generator)
+    best, word = code.length, 0
+    for m in range(1, 1 << len(rows)):
+        word ^= rows[(m & -m).bit_length() - 1]
+        best = min(best, word.bit_count())
+    return best
+
+
+@pytest.mark.parametrize("n,k", [(12, 5), (16, 16), (21, 18), (24, 17),
+                                 (70, 4)])
+def test_min_distance_matches_gray_walk(n, k):
+    rng = np.random.default_rng(5000 + n * 10 + k)
+    code = random_code(F2, n, k, rng)
+    assert code.min_distance() == gray_walk_distance(code)
+
+
+def test_min_distance_finds_a_light_word_among_the_high_rows():
+    rng = np.random.default_rng(5100)
+    low = random_code(F2, 30, 16, rng).generator.rows
+    assert LinearCode.from_rows(F2, low).min_distance() > 1
+    unit = tuple(1 if j == 0 else 0 for j in range(30))
+    code = LinearCode.from_rows(F2, low + (unit,))
+    assert code.min_distance() == gray_walk_distance(code) == 1
