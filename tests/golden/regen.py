@@ -6,7 +6,9 @@ Each case is one `otlab` command line (without --out).  Its canonical
 report is checked in as `<name>.json` next to this file, and
 tests/test_golden.py regenerates every case through `otlab.cli.main` and
 byte-compares the result with the checked-in file.  The inner and outer
-code inputs live in `codes/`.
+code inputs live in `codes/`; `{tmp}` stands for a temporary directory
+that holds side outputs such as a sweep CSV, which are not part of the
+corpus.
 
 The corpus pins the exact order and size of every random draw across
 commits.  A change that alters report bytes on purpose reruns this script
@@ -16,6 +18,7 @@ in the same change, bumps `otlab.__version__` and says so in CHANGES.md.
 from __future__ import annotations
 
 import sys
+import tempfile
 from pathlib import Path
 
 GOLDEN_DIR = Path(__file__).resolve().parent
@@ -41,18 +44,29 @@ CASES = {
     "rates": ["rates", "--seed", "18"],
     "code-audit-golay": ["code-audit", "--code", "{codes}/golay.json",
                          "--seed", "19"],
+    "run-p1prime": ["run", "--protocol", "p1prime", "--phi", "0.05",
+                    "--delta", "0.25", "--trials", "3", "--seed", "20"],
+    "run-p2": ["run", "--protocol", "p2", "--q", "4", "--phi", "0.05",
+               "--n", "9", "--trials", "2", "--seed", "21"],
+    "attack-tracker-sweep": ["attack", "--strategy", "tracker", "--n", "40",
+                             "--n0", "15", "--corrupted", "40", "--trials",
+                             "200", "--sweep", "{tmp}/sweep.csv",
+                             "--sweep-grid", "0,20,40", "--seed", "22"],
 }
 
 
-def argv_for(name: str) -> list[str]:
-    """The command line of one case, with code paths made absolute."""
-    return [arg.replace("{codes}", str(CODES_DIR)) for arg in CASES[name]]
+def argv_for(name: str, tmp: str) -> list[str]:
+    """The command line of one case, with code and side-output paths made
+    absolute (side outputs go under tmp)."""
+    return [arg.replace("{codes}", str(CODES_DIR)).replace("{tmp}", tmp)
+            for arg in CASES[name]]
 
 
 def render(name: str, out_path: Path) -> int:
     """Write the case's report to out_path; returns the CLI exit code."""
     from otlab.cli import main
-    return main(argv_for(name) + ["--out", str(out_path)])
+    with tempfile.TemporaryDirectory() as tmp:
+        return main(argv_for(name, tmp) + ["--out", str(out_path)])
 
 
 def regenerate() -> int:
