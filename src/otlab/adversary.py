@@ -36,7 +36,7 @@ import numpy as np
 from .channels import BscParams, TernaryWord, bsc_transmit
 from .codes import LinearCode, OrthonormalCode
 from .gf import GF
-from .linalg import Matrix, gf2_apply, gf2_rank, pack_rows
+from .linalg import Matrix, gf2_apply, gf2_rank, pack_rows, unpack_bits
 from .proto_outer import OuterParams, cheat_matrix_V, compressed_length, run_session
 
 
@@ -156,26 +156,24 @@ def detection_campaign(rounds: int, block_len: int, phi: float,
 @dataclass(frozen=True)
 class SweepReport:
     corrupted_grid: tuple
-    means: tuple
+    points: tuple  # one DetectionReport per grid point
     slope: float
     expected_slope: float
 
 
 def detection_sweep(rounds: int, block_len: int, phi: float,
                     corrupted_grid: Sequence[int], trials: int,
-                    rng: np.random.Generator) -> SweepReport:
-    """Mean unerased count against the corruption count; the least-squares
-    slope should sit at -(1 - 2 eps)."""
-    means = []
-    for m in corrupted_grid:
-        counts = simulate_unerased_counts(rounds, block_len, phi, m, trials,
-                                          rng)
-        means.append(float(np.mean(counts)))
+                    rng: np.random.Generator, c: float = 1.0) -> SweepReport:
+    """One detection campaign per corruption count, drawn in grid order
+    from one stream; the least-squares slope of the mean unerased count
+    against the corruption count should sit at -(1 - 2 eps)."""
+    points = tuple(detection_campaign(rounds, block_len, phi, m, trials,
+                                      rng, c) for m in corrupted_grid)
     xs = np.asarray(corrupted_grid, dtype=float)
-    slope = float(np.polyfit(xs, np.asarray(means), 1)[0])
+    means = np.asarray([p.mean_unerased for p in points])
     eps = BscParams(phi).erasure_rate
     return SweepReport(corrupted_grid=tuple(int(m) for m in corrupted_grid),
-                       means=tuple(means), slope=slope,
+                       points=points, slope=float(np.polyfit(xs, means, 1)[0]),
                        expected_slope=-(1.0 - 2.0 * eps))
 
 
@@ -395,6 +393,16 @@ def posterior_cell(v: Matrix, m_first: Matrix, m_second: Matrix) -> PosteriorCel
                          entropy_second=h_stz - h_sz)
 
 
+def _draw_full_rank_rows(r: int, u_len: int,
+                         rng: np.random.Generator) -> np.ndarray:
+    """Packed rows of a uniform full-rank u_len x r binary matrix with no
+    zero row, resampled until full rank."""
+    while True:
+        rows = rng.integers(1, 1 << r, size=u_len, dtype=np.int64)
+        if gf2_rank([int(x) for x in rows]) == u_len:
+            return rows
+
+
 def _full_rank_row_sets(r: int, u_len: int) -> list[np.ndarray]:
     """All full-rank u_len x r binary matrices as packed row arrays."""
     out = []
@@ -488,13 +496,9 @@ def audit_bob_strategies(basis: OrthonormalCode, margin: float,
     else:
         if rng is None:
             raise ValueError("pair_samples needs an rng")
-
-        def draw() -> np.ndarray:
-            while True:
-                rows = rng.integers(1, 1 << r, size=u_len, dtype=np.int64)
-                if gf2_rank([int(x) for x in rows]) == u_len:
-                    return rows
-        pair_list = [(draw(), draw()) for _ in range(pair_samples)]
+        pair_list = [(_draw_full_rank_rows(r, u_len, rng),
+                      _draw_full_rank_rows(r, u_len, rng))
+                     for _ in range(pair_samples)]
 
     states = np.arange(1 << r, dtype=np.int64)
     lut_cache: dict[bytes, np.ndarray] = {}
@@ -565,12 +569,8 @@ def audit_arbitrary_v(outer_dim: int, margin: float, samples: int,
     f2 = GF(1)
 
     def draw_m() -> Matrix:
-        while True:
-            rows = [int(x) for x in
-                    rng.integers(1, 1 << r, size=u_len, dtype=np.int64)]
-            if gf2_rank(rows) == u_len:
-                return Matrix(f2, tuple(
-                    tuple((m >> j) & 1 for j in range(r)) for m in rows))
+        return Matrix(f2, tuple(unpack_bits(int(m), r)
+                                for m in _draw_full_rank_rows(r, u_len, rng)))
 
     cells = []
     hist: dict[int, int] = {}

@@ -25,6 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .channels import BscParams
 from .codes import EnumerationLimit, LinearCode
 from .linalg import (LIMB_BITS, Matrix, gf2_apply, pack_rows, popcount,
                      span_words)
@@ -43,13 +44,10 @@ def binary_entropy(p: float) -> float:
 
 def rate_p0(phi: float) -> float:
     """Secret bits per channel bit of the duplication protocol at crossover phi."""
-    if not 0.0 <= phi < 0.5:
-        raise ValueError(f"crossover must be in [0, 1/2), got {phi}")
+    channel = BscParams(phi)
     if phi == 0.0:
         return 0.0
-    eps = 2.0 * phi * (1.0 - phi)
-    p = phi * phi / (1.0 - eps)
-    return phi * (1.0 - phi) * (1.0 - binary_entropy(p))
+    return phi * (1.0 - phi) * (1.0 - binary_entropy(channel.residual_error))
 
 
 def optimize_rate_p0(tol: float = 1e-6) -> tuple[float, float]:
@@ -121,20 +119,17 @@ def rate_chain(code_rate: float, q: int, phi: Optional[float] = None,
         r0 = rate_p0(phi)
     if inner_rate is not None:
         r0 = inner_rate
-    eps = 2.0 * phi * (1.0 - phi)
-    p = phi * phi / (1.0 - eps) if phi else 0.0
+    channel = BscParams(phi)
     outer = code_rate * r0 / (q - 1)
-    return RateBreakdown(crossover=phi, erasure_rate=eps, residual_error=p,
-                         inner_rate=r0, code_rate=code_rate, q=q,
-                         outer_rate=outer, private_rate=outer / 2.0)
+    return RateBreakdown(crossover=phi, erasure_rate=channel.erasure_rate,
+                         residual_error=channel.residual_error, inner_rate=r0,
+                         code_rate=code_rate, q=q, outer_rate=outer,
+                         private_rate=outer / 2.0)
 
 
 def rate_curve(phis: Sequence[float]) -> list[tuple[float, float, float]]:
     """Rows of (phi, erasure_rate, rate) for curve export."""
-    rows = []
-    for phi in phis:
-        rows.append((phi, 2.0 * phi * (1.0 - phi), rate_p0(phi)))
-    return rows
+    return [(phi, BscParams(phi).erasure_rate, rate_p0(phi)) for phi in phis]
 
 
 def min_entropy_bound(n: int, k: int, erasures: int, error_rate: float,

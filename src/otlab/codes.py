@@ -226,14 +226,6 @@ def sampled_distance_audit(code: LinearCode, samples: int,
     return DistanceEstimate(best, samples, coverage)
 
 
-def min_distance(code: LinearCode, limit: int = DEFAULT_ENUM_LIMIT) -> int:
-    return code.min_distance(limit)
-
-
-def schur_square(code: LinearCode) -> LinearCode:
-    return code.schur_square()
-
-
 def puncture(code: LinearCode, positions: Iterable[int],
              limit: int = DEFAULT_ENUM_LIMIT) -> LinearCode:
     """Delete the given coordinates.

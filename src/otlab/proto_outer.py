@@ -64,21 +64,14 @@ def outer_offset(basis: OrthonormalCode, first_secret: Matrix,
     return basis.rows.transpose() @ (first_secret + second_secret)
 
 
-def p1_alice_setup(first_secret: Matrix, second_secret: Matrix,
-                   basis: OrthonormalCode,
-                   rng: np.random.Generator) -> tuple[Matrix, Matrix]:
-    """Binary setup: x uniform with H x = s, and y = x + H^T(s + t)."""
-    x, ys = p2_alice_setup(first_secret, second_secret, basis, rng)
-    return x, ys[0]
-
-
 def p2_alice_setup(first_secret: Matrix, second_secret: Matrix,
                    basis: OrthonormalCode,
                    rng: np.random.Generator) -> tuple[Matrix, list[Matrix]]:
-    """q-ary setup: x plus the q - 1 offsets lambda_i H^T(s + t).
+    """Alice's setup: x uniform with H x = s, plus the q - 1 offsets
+    x + lambda_i H^T(s + t).
 
-    lambda_i runs over nonzero elements in discrete-log order (so
-    lambda_1 = 1 and the q = 2 case collapses to the binary setup).
+    lambda_i runs over nonzero elements in discrete-log order, so
+    lambda_1 = 1 and over GF(2) the single offset is y = x + H^T(s + t).
     """
     f = basis.field
     r, n = basis.dimension, basis.length
@@ -111,11 +104,6 @@ def request_indices(mask: Sequence[int], want_first: bool,
         mu = field.check(u) if want_first else field.check(u) ^ 1
         out.append(0 if mu == 0 else field.dlog(mu) + 1)
     return tuple(out)
-
-
-def reconstruct(basis: OrthonormalCode, harvest: Matrix) -> Matrix:
-    """H v: collapses the harvested rounds back to one secret."""
-    return basis.rows @ harvest
 
 
 def cheat_matrix_V(rows: Matrix, mask: Sequence[int]) -> Matrix:
@@ -296,7 +284,9 @@ def run_session(params: OuterParams, first_secret: Matrix,
                 request_mask: Optional[Sequence[int]] = None) -> OuterSession:
     """One full outer session (honest parties unless a mask is forced).
 
-    With compressed=True the given secrets are the compressed ones; the
+    The single entry point of every string protocol: p1/p2 run a binary
+    or q-ary outer code, p1prime/p2prime add compression.  With
+    compressed=True the given secrets are the compressed ones; the
     compression pair is generated up front but revealed in the transcript
     event order strictly after the last inner round, which is what the
     cheating analysis relies on.
@@ -345,7 +335,7 @@ def run_session(params: OuterParams, first_secret: Matrix,
     output = None
     if not failed:
         harvest = Matrix(f, tuple(harvest_rows))
-        output = reconstruct(basis, harvest)
+        output = basis.rows @ harvest  # H v collapses the rounds
         if compressed:
             output = (pair.m_first if want_first else pair.m_second) @ output
     if compressed:
@@ -364,30 +354,3 @@ def run_session(params: OuterParams, first_secret: Matrix,
     status = next((s for s in statuses if s != "ok"), "ok")
     return OuterSession(status=status, output=output, transcript=transcript)
 
-
-def p1_run(params: OuterParams, first_secret: Matrix, second_secret: Matrix,
-           want_first: bool, rng: np.random.Generator) -> OuterSession:
-    if params.field.degree != 1:
-        raise ValueError("binary variant needs a binary outer code")
-    return run_session(params, first_secret, second_secret, want_first, rng)
-
-
-def p1prime_run(params: OuterParams, compressed_first: Matrix,
-                compressed_second: Matrix, want_first: bool,
-                rng: np.random.Generator) -> OuterSession:
-    if params.field.degree != 1:
-        raise ValueError("binary variant needs a binary outer code")
-    return run_session(params, compressed_first, compressed_second,
-                       want_first, rng, compressed=True)
-
-
-def p2_run(params: OuterParams, first_secret: Matrix, second_secret: Matrix,
-           want_first: bool, rng: np.random.Generator) -> OuterSession:
-    return run_session(params, first_secret, second_secret, want_first, rng)
-
-
-def p2prime_run(params: OuterParams, compressed_first: Matrix,
-                compressed_second: Matrix, want_first: bool,
-                rng: np.random.Generator) -> OuterSession:
-    return run_session(params, compressed_first, compressed_second,
-                       want_first, rng, compressed=True)

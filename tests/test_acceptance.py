@@ -27,8 +27,7 @@ from otlab.codes import (EnumerationLimit, LinearCode, OrthonormalCode,
 from otlab.gf import GF
 from otlab.linalg import Matrix, rank, rref
 from otlab.proto_outer import (OuterParams, cheat_matrix_V,
-                               compressed_length, p1_alice_setup,
-                               p1prime_run, p1_run, p2prime_run, p2_run,
+                               compressed_length, p2_alice_setup,
                                run_session)
 from otlab.proto_p0 import MLDecoder, P0Params, chain_access_audit, p0_run
 
@@ -134,26 +133,26 @@ def test_criterion_03_protocol_correctness():
     nine2 = OrthonormalCode(Matrix(f2, ((1,) * 9,)))
     nine4 = OrthonormalCode(Matrix(f4, ((1,) * 9,)))
     variants = {
-        "p1": (p1_run, OuterParams(basis=nine2, inner=inner1), f2, 1),
-        "p1prime": (p1prime_run,
-                    OuterParams(basis=toy_basis(f2), inner=inner1,
+        "p1": (OuterParams(basis=nine2, inner=inner1), f2, 1),
+        "p1prime": (OuterParams(basis=toy_basis(f2), inner=inner1,
                                 margin=0.25), f2, 1),
-        "p2": (p2_run, OuterParams(basis=nine4, inner=inner2), f4, 1),
-        "p2prime": (p2prime_run,
-                    OuterParams(basis=toy_basis(f4), inner=inner2,
+        "p2": (OuterParams(basis=nine4, inner=inner2), f4, 1),
+        "p2prime": (OuterParams(basis=toy_basis(f4), inner=inner2,
                                 margin=0.25), f4, 1),
     }
     exact = {}
-    for name, (runner, oparams, field, width) in variants.items():
+    for name, (oparams, field, width) in variants.items():
+        compressed = name.endswith("prime")
         nrows = (compressed_length(oparams.outer_dim, oparams.margin)
-                 if name.endswith("prime") else oparams.outer_dim)
+                 if compressed else oparams.outer_dim)
         good = 0
         for trial in range(300):
             trng = derive_rng(1004, name == "p2" or name == "p2prime",
                               name.endswith("prime"), trial)
             s = rand_secret(field, nrows, width, trng)
             t = rand_secret(field, nrows, width, trng)
-            session = runner(oparams, s, t, bool(trial % 2), trng)
+            session = run_session(oparams, s, t, bool(trial % 2), trng,
+                                  compressed=compressed)
             want = s if trial % 2 else t
             if session.status == "ok" and session.output.rows == want.rows:
                 good += 1
@@ -308,9 +307,9 @@ def test_criterion_08_reconstruction_and_cheat_matrix():
         rng = derive_rng(1008, trial)
         s = rand_secret(f, 4, 1, rng)
         t = rand_secret(f, 4, 1, rng)
-        x, y = p1_alice_setup(s, t, basis, rng)
+        x, ys = p2_alice_setup(s, t, basis, rng)
         assert (basis.rows @ x).rows == s.rows
-        assert (basis.rows @ y).rows == t.rows
+        assert (basis.rows @ ys[0]).rows == t.rows
 
     # every dual-of-square mask recovers the requested secret, m in {1, 2}
     instances = [

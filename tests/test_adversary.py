@@ -142,7 +142,7 @@ def test_detection_sweep_slope():
     grid = (0, 100, 200, 400)
     rep = detection_sweep(60, 15, 0.198, grid, 2000, rng)
     assert rep.corrupted_grid == grid
-    assert len(rep.means) == 4
+    assert len(rep.points) == 4
     eps = BscParams(0.198).erasure_rate
     assert rep.expected_slope == pytest.approx(-(1 - 2 * eps))
     assert rep.slope == pytest.approx(rep.expected_slope, rel=0.05)

@@ -5,10 +5,10 @@ import pytest
 
 from otlab.codes import (EnumerationLimit, LinearCode, OrthonormalCode,
                          code_from_json, code_to_json, cyclic_code,
-                         min_distance, orthonormalize,
-                         projection_uniformity_check, puncture, random_code,
-                         rs_code, sampled_distance_audit, schur, schur_square,
-                         search_codes, square_dual_sample)
+                         orthonormalize, projection_uniformity_check,
+                         puncture, random_code, rs_code,
+                         sampled_distance_audit, schur, search_codes,
+                         square_dual_sample)
 from otlab.gf import GF
 from otlab.linalg import Matrix, rank, rref
 
@@ -98,7 +98,6 @@ def test_min_distance_matches_naive_enumeration():
                 if 0 < w < naive:
                     naive = w
             assert code.min_distance() == naive
-            assert min_distance(code) == naive
 
 
 def test_min_distance_enumeration_limit():
@@ -121,11 +120,6 @@ def test_schur_square_matches_definitional_span():
         code = random_code(f, n, k, rng)
         assert same_code(code.schur_square(), definitional_square(code))
         checked += 1
-
-
-def test_schur_square_function_matches_method():
-    code = hamming_7_4()
-    assert same_code(schur_square(code), code.schur_square())
 
 
 def test_d_at_least_square_d_on_audited_codes():

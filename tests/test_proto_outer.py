@@ -12,9 +12,8 @@ from otlab.linalg import Matrix, rank
 from otlab.proto_outer import (CompressionPair, OuterParams, bits_to_block,
                                block_to_bits, cheat_matrix_V,
                                compress_setup, compressed_length,
-                               outer_offset, p1_alice_setup, p1prime_run,
-                               p1_run, p2_alice_setup, p2prime_run, p2_run,
-                               reconstruct, request_indices, run_session)
+                               outer_offset, p2_alice_setup,
+                               request_indices, run_session)
 from otlab.proto_p0 import P0Params
 
 C15_5_GEN = (1, 1, 1, 0, 1, 1, 0, 0, 1, 0, 1)
@@ -89,8 +88,8 @@ def test_setup_identity_when_secrets_match():
     rng = derive_rng(60)
     basis = toy_basis()
     s = rand_secret(GF(1), 4, 1, rng)
-    x, y = p1_alice_setup(s, s, basis, rng)
-    assert y.rows == x.rows
+    x, ys = p2_alice_setup(s, s, basis, rng)
+    assert ys[0].rows == x.rows
     assert (basis.rows @ x).rows == s.rows
 
 
@@ -100,7 +99,8 @@ def test_setup_candidates_carry_both_secrets():
     for _ in range(20):
         s = rand_secret(GF(1), 4, 2, rng)
         t = rand_secret(GF(1), 4, 2, rng)
-        x, y = p1_alice_setup(s, t, basis, rng)
+        x, ys = p2_alice_setup(s, t, basis, rng)
+        y = ys[0]
         assert (basis.rows @ x).rows == s.rows
         assert (basis.rows @ y).rows == t.rows
         assert (x + y).rows == outer_offset(basis, s, t).rows
@@ -229,7 +229,8 @@ def test_run_session_noiseless_recovers_chosen_secret():
     s = rand_secret(GF(1), 4, 1, rng)
     t = rand_secret(GF(1), 4, 1, rng)
     for want_first in (True, False):
-        session = p1_run(params, s, t, want_first, derive_rng(66, want_first))
+        session = run_session(params, s, t, want_first,
+                              derive_rng(66, want_first))
         assert session.status == "ok"
         want = s if want_first else t
         assert session.output.rows == want.rows
@@ -284,8 +285,8 @@ def test_run_session_qary_noiseless():
     s = rand_secret(GF(2), 2, 1, rng)
     t = rand_secret(GF(2), 2, 1, rng)
     for want_first in (True, False):
-        session = p2_run(params, s, t, want_first,
-                         derive_rng(72, want_first))
+        session = run_session(params, s, t, want_first,
+                              derive_rng(72, want_first))
         assert session.status == "ok"
         want = s if want_first else t
         assert session.output.rows == want.rows
@@ -301,8 +302,8 @@ def test_run_session_compressed_variants():
     cf = rand_secret(GF(1), 1, 1, rng)
     cs = rand_secret(GF(1), 1, 1, rng)
     for want_first in (True, False):
-        session = p1prime_run(params, cf, cs, want_first,
-                              derive_rng(74, want_first))
+        session = run_session(params, cf, cs, want_first,
+                              derive_rng(74, want_first), compressed=True)
         assert session.status == "ok"
         want = cf if want_first else cs
         assert session.output.rows == want.rows
@@ -331,9 +332,6 @@ def test_run_session_validation():
         run_session(params, s, t, True, rng, request_mask=(0, 1))
     with pytest.raises(ValueError):
         run_session(params, s, t, True, rng, compressed=True)
-    with pytest.raises(ValueError):
-        p1_run(OuterParams(basis=gf4_basis(), inner=gf4_inner()),
-               s, t, True, rng)
 
 
 def test_run_session_noisy_statuses_consistent():
