@@ -25,14 +25,14 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import jsonschema
 import numpy as np
 
 from . import __version__
 from .adversary import (audit_bob_strategies, detection_campaign,
-                        detection_rule, expected_unerased,
+                        detection_rule, detection_sweep, expected_unerased,
                         tracker_advantage_p0)
 from .analysis import optimize_rate_p0, rate_chain, rate_curve, rate_p0
 from .channels import BscParams, derive_rng
@@ -52,7 +52,6 @@ EXIT_CONFIG = 2
 EXIT_ENUM = 3
 EXIT_ABORT = 4
 
-PROTOCOLS = ("p0", "p0q", "p1", "p1prime", "p2", "p2prime")
 STRATEGIES = ("honest", "tracker", "bob")
 
 DEFAULT_N0 = 15
@@ -219,19 +218,57 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+# -- code files ---------------------------------------------------------------
+
+def _load_code(obj: dict, what: str, orthonormal: bool = False) -> tuple:
+    """(code, embedded audit) from a code file's JSON object.
+
+    With orthonormal=True the code is replaced by its orthonormal basis.
+    A malformed file, or a code with no orthonormal basis, is a config
+    error.
+    """
+    try:
+        code, embedded = code_from_json(obj)
+        return (orthonormalize(code)[0] if orthonormal else code), embedded
+    except KeyError as exc:
+        raise ConfigError(f"the {what} file has no {exc} entry") from exc
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"bad {what} file: {exc}") from exc
+
+
 # -- run subcommand ----------------------------------------------------------
+
+@dataclass(frozen=True)
+class Protocol:
+    """One row of the run subcommand's protocol table.
+
+    outer: an orthonormal outer code over 1-of-q inner transfers;
+    compressed: the primed variants.  alphabet(q, code_q) maps the
+    requested q and the outer code's field order (None without a code)
+    to the secret alphabet size, or raises ConfigError.  trial(setup,
+    rng, keep) runs one trial and returns (session, expected output,
+    channel bits, secret bits, transcript JSON or None).
+    """
+
+    outer: bool
+    compressed: bool
+    alphabet: Callable[[Optional[int], Optional[int]], int]
+    trial: Callable
+
 
 @dataclass
 class RunSetup:
-    protocol: str
+    protocol: Protocol
     inner: P0Params
     outer: Optional[OuterParams]
     q: int
-    block_syms: int
-    compressed: bool
-    sessions_per_trial: int
     transcripts: int
     inner_distance: Optional[int]
+
+    @property
+    def sessions_per_trial(self) -> int:
+        """q - 1 inner sessions per round; one round without an outer code."""
+        return (self.q - 1) * (self.outer.rounds if self.outer else 1)
 
 
 def _toy_compressed_basis(field) -> OrthonormalCode:
@@ -239,6 +276,14 @@ def _toy_compressed_basis(field) -> OrthonormalCode:
     rows = tuple(tuple(1 if j == i else 0 for j in range(4)) + (1, 1, 1, 1)
                  for i in range(4))
     return OrthonormalCode(Matrix(field, rows))
+
+
+def _compressed_length(outer_dim: int, margin: float) -> int:
+    try:
+        return compressed_length(outer_dim, margin)
+    except ValueError as exc:
+        raise ConfigError(f"{exc}; with the default 8-round outer code use "
+                          "delta = 0.25") from exc
 
 
 def _default_inner_code(n0: int, bits: int, limit: int,
@@ -255,11 +300,96 @@ def _default_inner_code(n0: int, bits: int, limit: int,
     return best, best_d
 
 
+def _alphabet_binary(q: Optional[int], code_q: Optional[int]) -> int:
+    _require(q in (None, 2) and code_q in (None, 2),
+             "p0, p1 and p1prime are binary: q and the outer code field "
+             "must have 2 elements")
+    return 2
+
+
+def _alphabet_p0q(q: Optional[int], code_q: Optional[int]) -> int:
+    q = 2 if q is None else q
+    _require(q >= 2 and (q & (q - 1)) == 0, "p0q needs q a power of two >= 2")
+    return q
+
+
+def _alphabet_qary_string(q: Optional[int], code_q: Optional[int]) -> int:
+    if code_q is not None:
+        _require(q in (None, code_q),
+                 f"outer code lives over a {code_q}-symbol field; q={q} "
+                 "disagrees")
+        return code_q
+    q = 4 if q is None else q
+    _require(q >= 4 and (q & (q - 1)) == 0,
+             "the q-ary protocols need q a power of two >= 4 "
+             "(use p1 for q = 2)")
+    return q
+
+
+def _random_bits(rng: np.random.Generator, bits: int) -> tuple:
+    return tuple(int(b) for b in rng.integers(0, 2, size=bits))
+
+
+def _p0_trial(setup: RunSetup, rng: np.random.Generator, keep: bool) -> tuple:
+    bits = setup.inner.secret_bits
+    first, second = _random_bits(rng, bits), _random_bits(rng, bits)
+    want_first = bool(rng.integers(0, 2))
+    session = p0_run(first, second, want_first, setup.inner, rng)
+    tr = session.transcript
+    return (session, first if want_first else second, tr.channel_bits, bits,
+            tr.to_json() if keep else None)
+
+
+def _p0q_trial(setup: RunSetup, rng: np.random.Generator, keep: bool) -> tuple:
+    bits = setup.inner.secret_bits
+    secrets = [_random_bits(rng, bits) for _ in range(setup.q)]
+    index = int(rng.integers(setup.q))
+    session = p0q_run(secrets, index, setup.inner, rng)
+    return (session, secrets[index], session.channel_bits, bits,
+            {"inner": [t.to_json() for t in session.transcripts]}
+            if keep else None)
+
+
+def _outer_trial(setup: RunSetup, rng: np.random.Generator,
+                 keep: bool) -> tuple:
+    params = setup.outer
+    field = params.field
+    compressed = setup.protocol.compressed
+    rows_n = (compressed_length(params.outer_dim, params.margin)
+              if compressed else params.outer_dim)
+
+    def draw() -> Matrix:
+        return Matrix(field, tuple(
+            tuple(int(a) for a in rng.integers(0, field.order,
+                                               size=params.block_syms))
+            for _ in range(rows_n)))
+
+    first, second = draw(), draw()
+    want_first = bool(rng.integers(0, 2))
+    session = run_session(params, first, second, want_first, rng,
+                          compressed=compressed)
+    tr = session.transcript
+    return (session, first if want_first else second, tr.channel_bits,
+            rows_n * params.block_syms * field.degree,
+            tr.to_json() if keep else None)
+
+
+PROTOCOLS = {
+    "p0": Protocol(False, False, _alphabet_binary, _p0_trial),
+    "p0q": Protocol(False, False, _alphabet_p0q, _p0q_trial),
+    "p1": Protocol(True, False, _alphabet_binary, _outer_trial),
+    "p1prime": Protocol(True, True, _alphabet_binary, _outer_trial),
+    "p2": Protocol(True, False, _alphabet_qary_string, _outer_trial),
+    "p2prime": Protocol(True, True, _alphabet_qary_string, _outer_trial),
+}
+
+
 def _normalize_run(config: dict, seed: int) -> tuple[dict, RunSetup]:
     cfg = _take(config, "run")
     protocol = cfg["protocol"]
     _require(protocol in PROTOCOLS,
              f"protocol must be one of {', '.join(PROTOCOLS)}")
+    spec = PROTOCOLS[protocol]
     phi = float(cfg["phi"])
     _require(0.0 <= phi < 0.5, f"phi must be in [0, 0.5), got {phi}")
     m = int(cfg["m"])
@@ -271,43 +401,22 @@ def _normalize_run(config: dict, seed: int) -> tuple[dict, RunSetup]:
     slack = float(cfg["slack"])
     _require(slack >= 0.0, "slack must be non-negative")
     limit = int(cfg["enum_limit"])
-    outerish = protocol in ("p1", "p1prime", "p2", "p2prime")
-    primed = protocol.endswith("prime")
 
-    # secret alphabet
-    if protocol in ("p0", "p0q"):
-        _require(cfg["outer_code"] is None,
-                 f"outer_code does not apply to {protocol}")
-        if protocol == "p0":
-            q = 2 if cfg["q"] is None else int(cfg["q"])
-            _require(q == 2, "p0 is a 1-of-2 transfer; q must be 2")
-        else:
-            q = 2 if cfg["q"] is None else int(cfg["q"])
-            _require(q >= 2, "p0q needs q >= 2")
-        degree = 1
-    elif protocol in ("p1", "p1prime"):
-        q = 2 if cfg["q"] is None else int(cfg["q"])
-        _require(q == 2, "the binary string protocols fix q = 2")
-        degree = 1
-    else:
-        if cfg["outer_code"] is not None:
-            degree = int(cfg["outer_code"].get("field_degree", 1))
-            q = 1 << degree
-            _require(cfg["q"] in (None, q),
-                     f"outer code lives over a {q}-symbol field; q={cfg['q']} "
-                     "disagrees")
-        else:
-            q = 4 if cfg["q"] is None else int(cfg["q"])
-            _require(q >= 4 and (q & (q - 1)) == 0,
-                     "the q-ary protocols need q a power of two >= 4 "
-                     "(use p1 for q = 2)")
-            degree = q.bit_length() - 1
+    # secret alphabet, fixed by the outer code's field when one is given
+    basis = None
+    if cfg["outer_code"] is not None:
+        _require(spec.outer, f"outer_code does not apply to {protocol}")
+        basis, _ = _load_code(cfg["outer_code"], "outer code",
+                              orthonormal=True)
+    q = spec.alphabet(None if cfg["q"] is None else int(cfg["q"]),
+                      None if basis is None else basis.field.order)
+    degree = q.bit_length() - 1 if spec.outer else 1
 
     # inner session code
-    bits = m * degree if outerish else m
+    bits = m * degree
     inner_d = None
     if cfg["code"] is not None:
-        code, embedded = code_from_json(cfg["code"])
+        code, embedded = _load_code(cfg["code"], "inner code")
         _require(code.field.degree == 1, "the inner code must be binary")
         n0 = code.length
         _require(cfg["n0"] in (None, n0),
@@ -330,113 +439,47 @@ def _normalize_run(config: dict, seed: int) -> tuple[dict, RunSetup]:
     # outer structure
     outer = None
     margin = None
-    n_resolved = cfg["n"]
-    if outerish:
-        field = GF(degree)
-        if cfg["outer_code"] is not None:
-            base, _ = code_from_json(cfg["outer_code"])
-            _require(base.field.degree == degree,
-                     "outer code field does not match the protocol field")
-            try:
-                basis, punctured = orthonormalize(base)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"outer code cannot be orthonormalized: {exc}") from exc
-            del punctured
+    if spec.outer:
+        if basis is not None:
             _require(cfg["n"] in (None, basis.length),
                      f"orthonormalized outer code runs {basis.length} rounds; "
                      f"n={cfg['n']} disagrees")
-            n_resolved = basis.length
-        elif primed:
+        elif spec.compressed:
             _require(cfg["n"] in (None, 8),
                      "the built-in compressed-variant code runs 8 rounds; "
                      "pass outer_code to change n")
-            basis = _toy_compressed_basis(field)
-            n_resolved = 8
+            basis = _toy_compressed_basis(GF(degree))
         else:
             if cfg["n"] is None:
-                n_resolved = n0 * n0
-                if n_resolved % 2 == 0:
-                    n_resolved -= 1
+                rounds = n0 * n0 if n0 % 2 else n0 * n0 - 1
             else:
-                n_resolved = int(cfg["n"])
-                _require(n_resolved >= 1, "n must be at least 1")
-                _require(n_resolved % 2 == 1,
+                rounds = int(cfg["n"])
+                _require(rounds >= 1, "n must be at least 1")
+                _require(rounds % 2 == 1,
                          "the built-in outer basis is the all-ones row, "
                          "which is orthonormal only at odd n; pass "
                          "outer_code for even lengths")
-            basis = OrthonormalCode(Matrix(field, ((1,) * n_resolved,)))
-        if primed:
+            basis = OrthonormalCode(Matrix(GF(degree), ((1,) * rounds,)))
+        if spec.compressed:
             margin = DEFAULT_DELTA if cfg["delta"] is None else float(cfg["delta"])
-            try:
-                compressed_length(basis.dimension, margin)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"{exc}; with the default 8-round outer code use "
-                    "delta = 0.25") from exc
+            _compressed_length(basis.dimension, margin)
         outer = OuterParams(basis=basis, inner=inner, block_syms=m,
                             margin=margin)
-        sessions = n_resolved * (q - 1)
-    elif protocol == "p0q":
-        sessions = q - 1
-    else:
-        sessions = 1
 
     resolved = dict(cfg)
-    resolved.update(protocol=protocol, phi=phi, n0=n0, n=n_resolved, m=m,
-                    q=q, delta=margin if primed else cfg["delta"],
+    resolved.update(protocol=protocol, phi=phi, n0=n0,
+                    n=outer.rounds if outer else cfg["n"], m=m, q=q,
+                    delta=margin if spec.compressed else cfg["delta"],
                     slack=slack, trials=trials, transcripts=transcripts)
-    setup = RunSetup(protocol=protocol, inner=inner, outer=outer, q=q,
-                     block_syms=m, compressed=primed,
-                     sessions_per_trial=sessions, transcripts=transcripts,
-                     inner_distance=inner_d)
+    setup = RunSetup(protocol=spec, inner=inner, outer=outer, q=q,
+                     transcripts=transcripts, inner_distance=inner_d)
     return resolved, setup
 
 
 def _run_trial(setup: RunSetup, seed: int, trial: int) -> dict:
     rng = derive_rng(seed, 0, trial)
-    keep_transcript = trial < setup.transcripts
-    if setup.protocol == "p0":
-        bits = setup.inner.secret_bits
-        first = tuple(int(b) for b in rng.integers(0, 2, size=bits))
-        second = tuple(int(b) for b in rng.integers(0, 2, size=bits))
-        want_first = bool(rng.integers(0, 2))
-        session = p0_run(first, second, want_first, setup.inner, rng)
-        expected = first if want_first else second
-        channel_bits = session.transcript.channel_bits
-        transcript = session.transcript.to_json() if keep_transcript else None
-        secret_bits = bits
-    elif setup.protocol == "p0q":
-        bits = setup.inner.secret_bits
-        secrets = [tuple(int(b) for b in rng.integers(0, 2, size=bits))
-                   for _ in range(setup.q)]
-        index = int(rng.integers(setup.q))
-        session = p0q_run(secrets, index, setup.inner, rng)
-        expected = secrets[index]
-        channel_bits = session.channel_bits
-        transcript = ({"inner": [t.to_json() for t in session.transcripts]}
-                      if keep_transcript else None)
-        secret_bits = bits
-    else:
-        params = setup.outer
-        field = params.field
-        rows_n = (compressed_length(params.outer_dim, params.margin)
-                  if setup.compressed else params.outer_dim)
-
-        def draw() -> Matrix:
-            return Matrix(field, tuple(
-                tuple(int(a) for a in rng.integers(0, field.order,
-                                                   size=setup.block_syms))
-                for _ in range(rows_n)))
-
-        first, second = draw(), draw()
-        want_first = bool(rng.integers(0, 2))
-        session = run_session(params, first, second, want_first, rng,
-                              compressed=setup.compressed)
-        expected = first if want_first else second
-        channel_bits = session.transcript.channel_bits
-        transcript = session.transcript.to_json() if keep_transcript else None
-        secret_bits = rows_n * setup.block_syms * field.degree
+    session, expected, channel_bits, secret_bits, transcript = \
+        setup.protocol.trial(setup, rng, trial < setup.transcripts)
     row = {
         "trial": trial,
         "status": session.status,
@@ -522,7 +565,7 @@ def cmd_run(config: dict, seed: int, workers: int = 1) -> dict:
             "field_order": setup.q,
             "compressed_len": (compressed_length(setup.outer.outer_dim,
                                                  setup.outer.margin)
-                               if setup.compressed else None),
+                               if setup.protocol.compressed else None),
         }
     aggregates = {
         "trials": trials,
@@ -596,20 +639,6 @@ def _normalize_attack(config: dict) -> dict:
     return resolved
 
 
-def _attack_basis(cfg: dict) -> OrthonormalCode:
-    if cfg["outer_code"] is not None:
-        base, _ = code_from_json(cfg["outer_code"])
-        _require(base.field.degree == 1,
-                 "the request-mask audit is binary; supply a binary code")
-        try:
-            basis, _ = orthonormalize(base)
-        except ValueError as exc:
-            raise ConfigError(
-                f"outer code cannot be orthonormalized: {exc}") from exc
-        return basis
-    return _toy_compressed_basis(GF(1))
-
-
 def cmd_attack(config: dict, seed: int) -> dict:
     cfg = _normalize_attack(config)
     strategy = cfg["strategy"]
@@ -646,23 +675,16 @@ def cmd_attack(config: dict, seed: int) -> dict:
             advantage = 0.0
         if cfg["sweep"]:
             grid = _parse_grid(cfg["sweep_grid"], n, rule.slots)
-            sweep_rng = derive_rng(seed, 4)
-            rows, rates, means = [], [], []
-            for point in grid:
-                rep = detection_campaign(n, n0, phi, point, trials,
-                                         sweep_rng, c)
-                rows.append([float(point), rep.accusation_rate,
-                             rep.ci_95[0], rep.ci_95[1]])
-                rates.append(rep.accusation_rate)
-                means.append(rep.mean_unerased)
-            slope = float(np.polyfit([float(g) for g in grid], means, 1)[0])
+            sweep = detection_sweep(n, n0, phi, grid, trials,
+                                    derive_rng(seed, 4), c)
             derived["sweep"] = {
                 "grid": grid,
-                "accusation_rates": rates,
-                "mean_unerased": means,
-                "slope": slope,
-                "expected_slope": -(1.0 - 2.0 * BscParams(phi).erasure_rate),
-                "rows": rows,
+                "accusation_rates": [p.accusation_rate for p in sweep.points],
+                "mean_unerased": [p.mean_unerased for p in sweep.points],
+                "slope": sweep.slope,
+                "expected_slope": sweep.expected_slope,
+                "rows": [[float(p.corrupted), p.accusation_rate, *p.ci_95]
+                         for p in sweep.points],
             }
         aggregates = {
             "params": {"phi": phi, "n0": n0, "n": n, "c": c,
@@ -677,18 +699,19 @@ def cmd_attack(config: dict, seed: int) -> dict:
             "ci_95": list(campaign.ci_95),
         }
     else:
-        basis = _attack_basis(cfg)
+        if cfg["outer_code"] is None:
+            basis = _toy_compressed_basis(GF(1))
+        else:
+            basis, _ = _load_code(cfg["outer_code"], "outer code",
+                                  orthonormal=True)
+            _require(basis.field.degree == 1, "the request-mask audit is "
+                     "binary; supply a binary code")
         if basis.length > 16 or basis.dimension > 14:
             raise EnumerationLimit(
                 f"request-mask audit enumerates 2^{basis.length} masks over "
                 f"a 2^{basis.dimension} posterior; supply a smaller code")
         margin = cfg["delta"]
-        try:
-            u_len = compressed_length(basis.dimension, margin)
-        except ValueError as exc:
-            raise ConfigError(
-                f"{exc}; with the default 8-round outer code use "
-                "delta = 0.25") from exc
+        u_len = _compressed_length(basis.dimension, margin)
         audit = audit_bob_strategies(basis, margin,
                                      pair_samples=cfg["pair_samples"],
                                      rng=derive_rng(seed, 5))
@@ -784,10 +807,7 @@ def cmd_code_audit(config: dict, seed: int) -> dict:
     cfg = _take(config, "code-audit")
     _require(cfg["code"] is not None, "code-audit needs --code FILE")
     limit = int(cfg["enum_limit"])
-    try:
-        code, embedded = code_from_json(cfg["code"])
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"bad code file: {exc}") from exc
+    code, embedded = _load_code(cfg["code"], "code")
     audit = code.audit(limit)
     try:
         _, punctured = orthonormalize(code)

@@ -164,6 +164,11 @@ def test_config_errors_exit_2(tmp_path):
     bad_line.write_text("phi 0.1\n")
     bad_type = tmp_path / "c.cfg"
     bad_type.write_text("phi = banana\n")
+    no_n = tmp_path / "no_n.json"
+    obj = code_to_json(all_ones_code(9))
+    del obj["n"]
+    no_n.write_text(json.dumps(obj))
+    nine = write_code(tmp_path, "nine.json", all_ones_code(9))
 
     for args, env in [
         (("run", "--config", str(bad_key)), None),
@@ -172,10 +177,17 @@ def test_config_errors_exit_2(tmp_path):
         (("run", "--config", str(tmp_path / "missing.cfg")), None),
         (("run", "--protocol", "p0", "--phi", "0.6"), None),
         (("rates",), {"OTLAB_SEED": "banana"}),
+        (("run", "--code", no_n), None),
+        (("run", "--protocol", "p1", "--outer-code", no_n), None),
+        (("attack", "--strategy", "bob", "--outer-code", no_n), None),
+        (("run", "--protocol", "p1", "--q", "4"), None),
+        (("run", "--protocol", "p2", "--q", "2"), None),
+        (("run", "--protocol", "p0", "--q", "4"), None),
+        (("run", "--protocol", "p0", "--outer-code", nine), None),
     ]:
         proc = run_cli(*args, env=env)
         assert proc.returncode == 2, (args, proc.stderr)
-        assert proc.stderr.strip()
+        assert proc.stderr.startswith("otlab: config error: "), proc.stderr
 
 
 def test_argparse_errors_exit_2():
