@@ -33,6 +33,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .analysis import wilson_interval
 from .channels import BscParams, TernaryWord, bsc_transmit
 from .codes import LinearCode, OrthonormalCode
 from .gf import GF
@@ -144,13 +145,12 @@ def detection_campaign(rounds: int, block_len: int, phi: float,
     counts = simulate_unerased_counts(rounds, block_len, phi, corrupted,
                                       trials, rng)
     accused = counts < rule.threshold
-    rate = float(np.mean(accused))
-    half = 1.96 * math.sqrt(max(rate * (1.0 - rate), 1e-12) / trials)
     return DetectionReport(
-        rule=rule, corrupted=corrupted, trials=trials, accusation_rate=rate,
+        rule=rule, corrupted=corrupted, trials=trials,
+        accusation_rate=float(np.mean(accused)),
         mean_unerased=float(np.mean(counts)),
         expected_mean=expected_unerased(rounds, block_len, phi, corrupted),
-        ci_95=(max(0.0, rate - half), min(1.0, rate + half)))
+        ci_95=wilson_interval(int(accused.sum()), trials))
 
 
 @dataclass(frozen=True)

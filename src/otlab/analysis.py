@@ -42,6 +42,24 @@ def binary_entropy(p: float) -> float:
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
 
 
+def wilson_interval(successes: int, trials: int,
+                    z: float = 1.96) -> tuple[float, float]:
+    """Wilson score interval for a binomial proportion (Wilson, JASA 1927).
+
+    Unlike the Wald interval it keeps a nonzero width when none or all of
+    the trials succeed, and it never leaves [0, 1].
+    """
+    if not 0 <= successes <= trials or trials < 1:
+        raise ValueError(f"need 0 <= successes <= trials >= 1, got "
+                         f"{successes} of {trials}")
+    p = successes / trials
+    z2 = z * z / trials
+    center = (p + z2 / 2.0) / (1.0 + z2)
+    half = (z * math.sqrt(p * (1.0 - p) / trials + z2 / (4.0 * trials))
+            / (1.0 + z2))
+    return max(0.0, center - half), min(1.0, center + half)
+
+
 def rate_p0(phi: float) -> float:
     """Secret bits per channel bit of the duplication protocol at crossover phi."""
     channel = BscParams(phi)

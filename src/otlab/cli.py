@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -34,7 +33,8 @@ from . import __version__
 from .adversary import (audit_bob_strategies, detection_campaign,
                         detection_rule, detection_sweep, expected_unerased,
                         tracker_advantage_p0)
-from .analysis import optimize_rate_p0, rate_chain, rate_curve, rate_p0
+from .analysis import (optimize_rate_p0, rate_chain, rate_curve, rate_p0,
+                       wilson_interval)
 from .channels import BscParams, derive_rng
 from .codes import (DEFAULT_ENUM_LIMIT, EnumerationLimit, LinearCode,
                     OrthonormalCode, code_from_json, orthonormalize,
@@ -526,16 +526,12 @@ def _run_all_trials(resolved: dict, setup: RunSetup, seed: int,
     return rows
 
 
-def _binomial_ci(rate: float, trials: int) -> list[float]:
-    half = 1.96 * math.sqrt(max(rate * (1.0 - rate), 0.0) / trials)
-    return [max(0.0, rate - half), min(1.0, rate + half)]
-
-
 def cmd_run(config: dict, seed: int, workers: int = 1) -> dict:
     resolved, setup = _normalize_run(config, seed)
     rows = _run_all_trials(resolved, setup, seed, workers)
     trials = len(rows)
-    success = sum(r["matched"] for r in rows) / trials
+    matched = sum(r["matched"] for r in rows)
+    success = matched / trials
     aborts = sum(r["status"] == "abort" for r in rows) / trials
     failures = sum(r["status"] == "decode_failure" for r in rows) / trials
     ok_rates = [r["observed_rate"] for r in rows if r["status"] == "ok"]
@@ -572,7 +568,7 @@ def cmd_run(config: dict, seed: int, workers: int = 1) -> dict:
         "success_rate": success,
         "abort_rate": aborts,
         "decode_failure_rate": failures,
-        "ci_95": _binomial_ci(success, trials),
+        "ci_95": list(wilson_interval(matched, trials)),
         "mean_observed_rate": (sum(ok_rates) / len(ok_rates)
                                if ok_rates else None),
         "mean_channel_bits": sum(r["channel_bits"] for r in rows) / trials,

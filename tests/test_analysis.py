@@ -10,7 +10,8 @@ from otlab.analysis import (EntropyReport, FixedWeightReport,
                             HashedEntropyReport, binary_entropy,
                             fixed_weight_oracle, hashed_secret_entropy,
                             min_entropy_bound, min_entropy_oracle,
-                            optimize_rate_p0, rate_chain, rate_curve, rate_p0)
+                            optimize_rate_p0, rate_chain, rate_curve, rate_p0,
+                            wilson_interval)
 from otlab.codes import EnumerationLimit, LinearCode, random_code
 from otlab.gf import GF
 from otlab.linalg import Matrix
@@ -28,6 +29,28 @@ def test_binary_entropy_values():
         binary_entropy(-0.1)
     with pytest.raises(ValueError):
         binary_entropy(1.1)
+
+
+def test_wilson_interval_pinned_values_and_endpoints():
+    lo, hi = wilson_interval(8, 10)
+    assert lo == pytest.approx(0.490157, abs=1e-6)
+    assert hi == pytest.approx(0.943319, abs=1e-6)
+    lo, hi = wilson_interval(10, 10)
+    assert lo == pytest.approx(0.722460, abs=1e-6)
+    assert hi == 1.0
+    # k = 0 mirrors k = n, and neither end collapses to a point
+    lo, hi = wilson_interval(0, 10)
+    assert lo == 0.0
+    assert hi == pytest.approx(1.0 - 0.722460, abs=1e-6)
+    for n in (1, 7, 200, 16000):
+        for k in (0, n):
+            lo, hi = wilson_interval(k, n)
+            assert 0.0 <= lo <= k / n <= hi <= 1.0
+            assert hi - lo > 0.0
+    with pytest.raises(ValueError):
+        wilson_interval(3, 2)
+    with pytest.raises(ValueError):
+        wilson_interval(0, 0)
 
 
 def test_rate_p0_endpoints_and_frozen_value():

@@ -77,6 +77,8 @@ def test_run_noiseless_report_and_determinism():
     assert rep["config"]["phi"] == 0.0
     agg = rep["aggregates"]
     assert agg["success_rate"] == 1.0
+    # Wilson interval for 10 of 10: it does not collapse to [1, 1]
+    assert agg["ci_95"] == [pytest.approx(0.722460, abs=1e-6), 1.0]
     assert agg["abort_rate"] == 0.0
     assert agg["decode_failure_rate"] == 0.0
     assert agg["mean_channel_bits"] == 32.0
