@@ -155,7 +155,6 @@ def detection_campaign(rounds: int, block_len: int, phi: float,
 
 @dataclass(frozen=True)
 class SweepReport:
-    corrupted_grid: tuple
     points: tuple  # one DetectionReport per grid point
     slope: float
     expected_slope: float
@@ -172,8 +171,7 @@ def detection_sweep(rounds: int, block_len: int, phi: float,
     xs = np.asarray(corrupted_grid, dtype=float)
     means = np.asarray([p.mean_unerased for p in points])
     eps = BscParams(phi).erasure_rate
-    return SweepReport(corrupted_grid=tuple(int(m) for m in corrupted_grid),
-                       points=points, slope=float(np.polyfit(xs, means, 1)[0]),
+    return SweepReport(points=points, slope=float(np.polyfit(xs, means, 1)[0]),
                        expected_slope=-(1.0 - 2.0 * eps))
 
 

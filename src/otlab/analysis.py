@@ -31,6 +31,7 @@ from .linalg import (LIMB_BITS, Matrix, gf2_apply, pack_rows, popcount,
                      span_words)
 
 ORACLE_VIEW_LIMIT = 1 << 24
+Z_95 = 1.96  # two-sided 95% normal quantile
 
 
 def binary_entropy(p: float) -> float:
@@ -42,22 +43,24 @@ def binary_entropy(p: float) -> float:
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
 
 
-def wilson_interval(successes: int, trials: int,
-                    z: float = 1.96) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion (Wilson, JASA 1927).
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion (Wilson, JASA 1927).
 
     Unlike the Wald interval it keeps a nonzero width when none or all of
-    the trials succeed, and it never leaves [0, 1].
+    the trials succeed, and it never leaves [0, 1]; at k = 0 and k = n the
+    end at the point estimate is exact, so the interval always holds it.
     """
     if not 0 <= successes <= trials or trials < 1:
         raise ValueError(f"need 0 <= successes <= trials >= 1, got "
                          f"{successes} of {trials}")
     p = successes / trials
-    z2 = z * z / trials
+    z2 = Z_95 * Z_95 / trials
     center = (p + z2 / 2.0) / (1.0 + z2)
-    half = (z * math.sqrt(p * (1.0 - p) / trials + z2 / (4.0 * trials))
+    half = (Z_95 * math.sqrt(p * (1.0 - p) / trials + z2 / (4.0 * trials))
             / (1.0 + z2))
-    return max(0.0, center - half), min(1.0, center + half)
+    lo = 0.0 if successes == 0 else max(0.0, center - half)
+    hi = 1.0 if successes == trials else min(1.0, center + half)
+    return lo, hi
 
 
 def rate_p0(phi: float) -> float:

@@ -141,8 +141,7 @@ def test_detection_sweep_slope():
     rng = derive_rng(96)
     grid = (0, 100, 200, 400)
     rep = detection_sweep(60, 15, 0.198, grid, 2000, rng)
-    assert rep.corrupted_grid == grid
-    assert len(rep.points) == 4
+    assert tuple(p.corrupted for p in rep.points) == grid
     eps = BscParams(0.198).erasure_rate
     assert rep.expected_slope == pytest.approx(-(1 - 2 * eps))
     assert rep.slope == pytest.approx(rep.expected_slope, rel=0.05)

@@ -42,7 +42,7 @@ def test_wilson_interval_pinned_values_and_endpoints():
     lo, hi = wilson_interval(0, 10)
     assert lo == 0.0
     assert hi == pytest.approx(1.0 - 0.722460, abs=1e-6)
-    for n in (1, 7, 200, 16000):
+    for n in (1, 7, 20, 200, 16000):
         for k in (0, n):
             lo, hi = wilson_interval(k, n)
             assert 0.0 <= lo <= k / n <= hi <= 1.0

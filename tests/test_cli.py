@@ -171,6 +171,8 @@ def test_config_errors_exit_2(tmp_path):
     del obj["n"]
     no_n.write_text(json.dumps(obj))
     nine = write_code(tmp_path, "nine.json", all_ones_code(9))
+    nine_gf4 = write_code(tmp_path, "nine_gf4.json",
+                          LinearCode(Matrix(GF(2), ((1,) * 9,))))
 
     for args, env in [
         (("run", "--config", str(bad_key)), None),
@@ -183,6 +185,7 @@ def test_config_errors_exit_2(tmp_path):
         (("run", "--protocol", "p1", "--outer-code", no_n), None),
         (("attack", "--strategy", "bob", "--outer-code", no_n), None),
         (("run", "--protocol", "p1", "--q", "4"), None),
+        (("run", "--protocol", "p1", "--outer-code", nine_gf4), None),
         (("run", "--protocol", "p2", "--q", "2"), None),
         (("run", "--protocol", "p0", "--q", "4"), None),
         (("run", "--protocol", "p0", "--outer-code", nine), None),
