@@ -21,12 +21,10 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
 
-import jsonschema
 import numpy as np
 
 from . import __version__
@@ -43,7 +41,8 @@ from .gf import GF
 from .linalg import Matrix
 from .proto_outer import OuterParams, compressed_length, run_session
 from .proto_p0 import P0Params, p0_run, p0_secret_length, p0q_run
-from .reports import build_report, canonical_json, write_csv, write_report
+from .reports import (ReportError, build_report, canonical_json,
+                      validate_report, write_csv, write_report)
 
 ENV_SEED = "OTLAB_SEED"
 
@@ -408,6 +407,10 @@ def _normalize_run(config: dict, seed: int) -> tuple[dict, RunSetup]:
         _require(spec.outer, f"outer_code does not apply to {protocol}")
         basis, _ = _load_code(cfg["outer_code"], "outer code",
                               orthonormal=True)
+        _require(basis.base.schur_square().dimension < basis.length,
+                 "the outer code's square spans the whole space, so its "
+                 "dual has no request mask; use a code with a smaller "
+                 "square")
     q = spec.alphabet(None if cfg["q"] is None else int(cfg["q"]),
                       None if basis is None else basis.field.order)
     degree = q.bit_length() - 1 if spec.outer else 1
@@ -519,6 +522,8 @@ def _run_all_trials(resolved: dict, setup: RunSetup, seed: int,
         if hi > lo:
             payloads.append((config_json, seed, lo, hi))
         lo = hi
+    # imported here: the pool modules add start-up time to every command
+    from concurrent.futures import ProcessPoolExecutor
     rows: list[dict] = []
     with ProcessPoolExecutor(max_workers=workers) as pool:
         for chunk in pool.map(_trial_chunk, payloads):
@@ -626,6 +631,8 @@ def _normalize_attack(config: dict) -> dict:
         corrupted = 0
     if cfg["sweep"]:
         _require(strategy == "tracker", "sweep applies to the tracker only")
+    if cfg["outer_code"] is not None:
+        _require(strategy == "bob", "outer_code applies to bob only")
     delta = cfg["delta"]
     if strategy == "bob":
         delta = 0.25 if delta is None else float(delta)
@@ -855,11 +862,10 @@ def _do_replay(args: argparse.Namespace) -> int:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{args.report} is not JSON: {exc}") from exc
     try:
-        from .reports import validate_report
         validate_report(stored)
-    except jsonschema.ValidationError as exc:
+    except ReportError as exc:
         raise ConfigError(
-            f"{args.report} is not a valid report: {exc.message}") from exc
+            f"{args.report} is not a valid report: {exc}") from exc
     command = stored["command"]
     if command not in _DISPATCH:
         raise ConfigError(f"cannot replay a {command} report")
