@@ -33,7 +33,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .analysis import wilson_interval
+# the closed-form detection rule lives in analysis; re-exported here
+from .analysis import (AccusationRule, detection_rule, expected_unerased,
+                       wilson_interval)
 from .channels import BscParams, TernaryWord, bsc_transmit
 from .codes import LinearCode, OrthonormalCode
 from .gf import GF
@@ -42,47 +44,6 @@ from .proto_outer import OuterParams, cheat_matrix_V, compressed_length, run_ses
 
 
 # -- detection of corrupted pairs -----------------------------------------
-
-
-@dataclass(frozen=True)
-class AccusationRule:
-    """Bob's unerased-count test over a whole session batch.
-
-    slots is the number of duplicated pairs observed (2 n n0 for n rounds
-    of block length n0); the threshold sits eta below the honest survival
-    rate 1 - eps, with eta = c (1 - 2 eps) / (4 n0) so that c corruptions
-    per round move the mean by twice the margin.
-    """
-
-    slots: int
-    crossover: float
-    confidence: float
-    eta: float
-    threshold: float
-    false_accusation_bound: float
-
-    def accuse(self, unerased_count: int) -> bool:
-        return unerased_count < self.threshold
-
-
-def detection_rule(rounds: int, block_len: int, phi: float,
-                   c: float = 1.0) -> AccusationRule:
-    ch = BscParams(phi)
-    eps = ch.erasure_rate
-    slots = 2 * rounds * block_len
-    eta = c * (1.0 - 2.0 * eps) / (4.0 * block_len)
-    threshold = slots * (1.0 - eps - eta)
-    bound = math.exp(-2.0 * eta * eta * slots)
-    return AccusationRule(slots=slots, crossover=phi, confidence=c, eta=eta,
-                          threshold=threshold, false_accusation_bound=bound)
-
-
-def expected_unerased(rounds: int, block_len: int, phi: float,
-                      corrupted: int) -> float:
-    """Mean surviving pairs when `corrupted` of the slots are false."""
-    eps = BscParams(phi).erasure_rate
-    slots = 2 * rounds * block_len
-    return slots * (1.0 - eps) - corrupted * (1.0 - 2.0 * eps)
 
 
 def simulate_unerased_counts(rounds: int, block_len: int, phi: float,
@@ -517,29 +478,30 @@ def audit_bob_strategies(basis: OrthonormalCode, margin: float,
     mismatches = 0
     hist: dict[int, int] = {}
     eye = Matrix.identity(f, r)
+    # a mask enters the posterior only through V, and many masks share one
+    by_v: dict[tuple, tuple] = {}
     for mask in masks:
         v = cheat_matrix_V(basis.rows, mask)
         vrows = pack_rows(v)
-        urows = pack_rows(v + eye)
-        rank_v = gf2_rank(vrows)
-        rank_u = gf2_rank(urows)
-        hist[rank_v] = hist.get(rank_v, 0) + 1
-        z_s = _parity_lut(urows, states)
-        z_t = _parity_lut(vrows, states)
-        z = z_s[:, None] ^ z_t[None, :]
-        flat = (offsets + (high | z[None, :, :])).ravel()
-        counts = np.bincount(flat, minlength=n_pairs * bins)
-        cube = counts.reshape(n_pairs, 1 << u_len, 1 << u_len, 1 << r)
-        h_stz = _row_entropies(cube.reshape(n_pairs, bins))
-        h_sz = _row_entropies(cube.sum(axis=2).reshape(n_pairs, -1))
-        h_tz = _row_entropies(cube.sum(axis=1).reshape(n_pairs, -1))
-        h_first = h_stz - h_tz
-        h_second = h_stz - h_sz
-        cell = MaskAudit(
-            mask=mask, rank_v=rank_v, rank_u=rank_u,
-            mean_first=float(h_first.mean()),
-            mean_second=float(h_second.mean()),
-            worst_cell=float(np.maximum(h_first, h_second).min()))
+        key = tuple(vrows)
+        if key not in by_v:
+            urows = pack_rows(v + eye)
+            z_s = _parity_lut(urows, states)
+            z_t = _parity_lut(vrows, states)
+            z = z_s[:, None] ^ z_t[None, :]
+            flat = (offsets + (high | z[None, :, :])).ravel()
+            counts = np.bincount(flat, minlength=n_pairs * bins)
+            cube = counts.reshape(n_pairs, 1 << u_len, 1 << u_len, 1 << r)
+            h_stz = _row_entropies(cube.reshape(n_pairs, bins))
+            h_sz = _row_entropies(cube.sum(axis=2).reshape(n_pairs, -1))
+            h_tz = _row_entropies(cube.sum(axis=1).reshape(n_pairs, -1))
+            h_first = h_stz - h_tz
+            h_second = h_stz - h_sz
+            by_v[key] = (gf2_rank(vrows), gf2_rank(urows),
+                         float(h_first.mean()), float(h_second.mean()),
+                         float(np.maximum(h_first, h_second).min()))
+        cell = MaskAudit(mask, *by_v[key])
+        hist[cell.rank_v] = hist.get(cell.rank_v, 0) + 1
         cells.append(cell)
         observed = ("second" if cell.mean_second >= cell.mean_first - tolerance
                     else "first")

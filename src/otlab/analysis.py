@@ -4,7 +4,10 @@ The rate of the duplication-based transfer is
 rate_p0(phi) = phi(1-phi) (1 - h(phi^2 / (1 - 2 phi (1 - phi)))),
 maximized near phi = 0.198.  Outer constructions multiply it by the outer
 code rate, divide by q - 1 in the q-ary chaining, and halve it again in
-the compressed ("private") variants.
+the compressed ("private") variants.  The closed-form side of the
+corrupted-pair detection (Bob's accusation threshold and the expected
+unerased count) lives here too, so `run` reports it without loading the
+adversary module.
 
 The oracles enumerate every erasure pattern and every channel output of a
 small binary code and compute exact posteriors: min-entropy of the
@@ -61,6 +64,51 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     lo = 0.0 if successes == 0 else max(0.0, center - half)
     hi = 1.0 if successes == trials else min(1.0, center + half)
     return lo, hi
+
+
+@dataclass(frozen=True)
+class AccusationRule:
+    """Bob's unerased-count test over a whole session batch.
+
+    slots is the number of duplicated pairs observed (2 n n0 for n rounds
+    of block length n0); the threshold sits eta below the honest survival
+    rate 1 - eps, with eta = c (1 - 2 eps) / (4 n0) so that c corruptions
+    per round move the mean by twice the margin.  The false-accusation
+    bound is Hoeffding's exp(-2 eta^2 slots).
+    """
+
+    slots: int
+    crossover: float
+    confidence: float
+    eta: float
+    threshold: float
+    false_accusation_bound: float
+
+    def accuse(self, unerased_count: int) -> bool:
+        return unerased_count < self.threshold
+
+
+def detection_rule(rounds: int, block_len: int, phi: float,
+                   c: float = 1.0) -> AccusationRule:
+    eps = BscParams(phi).erasure_rate
+    slots = 2 * rounds * block_len
+    eta = c * (1.0 - 2.0 * eps) / (4.0 * block_len)
+    threshold = slots * (1.0 - eps - eta)
+    bound = math.exp(-2.0 * eta * eta * slots)
+    return AccusationRule(slots=slots, crossover=phi, confidence=c, eta=eta,
+                          threshold=threshold, false_accusation_bound=bound)
+
+
+def expected_unerased(rounds: int, block_len: int, phi: float,
+                      corrupted: int) -> float:
+    """Mean surviving pairs when `corrupted` of the slots are false.
+
+    A false pair survives w.p. eps against 1 - eps for an honest one, so
+    each corruption lowers the mean by 1 - 2 eps.
+    """
+    eps = BscParams(phi).erasure_rate
+    slots = 2 * rounds * block_len
+    return slots * (1.0 - eps) - corrupted * (1.0 - 2.0 * eps)
 
 
 def rate_p0(phi: float) -> float:

@@ -106,13 +106,9 @@ def duplicate_round_trip(bits: Sequence[int], phi: float,
     if not 0.0 <= phi < 0.5:
         raise ValueError(f"crossover must be in [0, 1/2), got {phi}")
     flips = rng.random((len(bits), 2)) < phi
-    out = []
-    for b, (f1, f2) in zip(bits, flips):
-        if f1 == f2:
-            out.append(int(b) ^ int(f1))
-        else:
-            out.append(ERASED)
-    return TernaryWord(tuple(out))
+    f1, f2 = flips[:, 0], flips[:, 1]
+    sent = np.asarray(bits, dtype=np.int64)
+    return TernaryWord(tuple(np.where(f1 == f2, sent ^ f1, ERASED).tolist()))
 
 
 @dataclass(frozen=True)

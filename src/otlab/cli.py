@@ -18,6 +18,7 @@ limit, 4 aborts dominated a run (half or more of the sessions).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -28,11 +29,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import __version__
-from .adversary import (audit_bob_strategies, detection_campaign,
-                        detection_rule, detection_sweep, expected_unerased,
-                        tracker_advantage_p0)
-from .analysis import (optimize_rate_p0, rate_chain, rate_curve, rate_p0,
-                       wilson_interval)
+from .analysis import (detection_rule, expected_unerased, optimize_rate_p0,
+                       rate_chain, rate_curve, rate_p0, wilson_interval)
 from .channels import BscParams, derive_rng
 from .codes import (DEFAULT_ENUM_LIMIT, EnumerationLimit, LinearCode,
                     OrthonormalCode, code_from_json, orthonormalize,
@@ -40,7 +38,8 @@ from .codes import (DEFAULT_ENUM_LIMIT, EnumerationLimit, LinearCode,
 from .gf import GF
 from .linalg import Matrix
 from .proto_outer import OuterParams, compressed_length, run_session
-from .proto_p0 import P0Params, p0_run, p0_secret_length, p0q_run
+from .proto_p0 import (DECODER_WORD_CAP, MLDecoder, P0Params, p0_run,
+                       p0_secret_length, p0q_run)
 from .reports import (ReportError, build_report, canonical_json,
                       validate_report, write_csv, write_report)
 
@@ -407,10 +406,6 @@ def _normalize_run(config: dict, seed: int) -> tuple[dict, RunSetup]:
         _require(spec.outer, f"outer_code does not apply to {protocol}")
         basis, _ = _load_code(cfg["outer_code"], "outer code",
                               orthonormal=True)
-        _require(basis.base.schur_square().dimension < basis.length,
-                 "the outer code's square spans the whole space, so its "
-                 "dual has no request mask; use a code with a smaller "
-                 "square")
     q = spec.alphabet(None if cfg["q"] is None else int(cfg["q"]),
                       None if basis is None else basis.field.order)
     degree = q.bit_length() - 1 if spec.outer else 1
@@ -437,7 +432,8 @@ def _normalize_run(config: dict, seed: int) -> tuple[dict, RunSetup]:
                                             derive_rng(seed, 1))
     inner = P0Params(block_len=n0, channel=BscParams(phi), code=code,
                      secret_bits=bits,
-                     security_slack=slack if slack > 0 else None)
+                     security_slack=slack if slack > 0 else None,
+                     decoder=MLDecoder(code, min(limit, DECODER_WORD_CAP)))
 
     # outer structure
     outer = None
@@ -463,6 +459,10 @@ def _normalize_run(config: dict, seed: int) -> tuple[dict, RunSetup]:
                          "which is orthonormal only at odd n; pass "
                          "outer_code for even lengths")
             basis = OrthonormalCode(Matrix(GF(degree), ((1,) * rounds,)))
+        _require(basis.base.schur_square().dimension < basis.length,
+                 "the outer code's square spans the whole space, so its "
+                 "dual has no request mask; use a code with a smaller "
+                 "square")
         if spec.compressed:
             margin = DEFAULT_DELTA if cfg["delta"] is None else float(cfg["delta"])
             _compressed_length(basis.dimension, margin)
@@ -643,6 +643,10 @@ def _normalize_attack(config: dict) -> dict:
 
 
 def cmd_attack(config: dict, seed: int) -> dict:
+    # imported here: only attack runs adversaries, and every command
+    # would pay for the import at start-up
+    from .adversary import (audit_bob_strategies, detection_campaign,
+                            detection_sweep, tracker_advantage_p0)
     cfg = _normalize_attack(config)
     strategy = cfg["strategy"]
     phi, n0, n, c = cfg["phi"], cfg["n0"], cfg["n"], cfg["c"]
@@ -1049,6 +1053,7 @@ def _emit_outputs(args: argparse.Namespace, report: dict) -> None:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    gc.freeze()  # the import-time heap lives until exit; skip it at shutdown
     args = build_parser().parse_args(argv)
     try:
         if args.command == "replay":

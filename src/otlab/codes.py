@@ -125,7 +125,8 @@ class LinearCode:
         packed words and walk that block shifted by each combination of
         the high rows, so memory stays near 2^16 words for any k; the
         general case uses the incremental odometer of iter_codewords.
-        Raises EnumerationLimit when q^k exceeds the budget.
+        Raises EnumerationLimit when q^k exceeds the budget, also for the
+        whole space (k = n), whose distance 1 needs no enumeration.
         """
         if self._min_distance is not None:
             return self._min_distance
@@ -134,7 +135,9 @@ class LinearCode:
             raise EnumerationLimit(
                 f"{q}^{k} codewords exceed the enumeration budget {limit}; "
                 "raise the limit or use sampled_distance_audit")
-        if q == 2:
+        if k == n:
+            best = 1  # the whole space holds every unit vector
+        elif q == 2:
             rows = pack_rows(self._generator)
             low = span_words(rows[:_SPAN_BLOCK_ROWS], n)
             best = int(weights(low[1:], n).min())

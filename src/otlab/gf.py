@@ -17,7 +17,7 @@ e = 1 degenerates to the plain binary field {0, 1} with modulus x + 1.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 MAX_DEGREE = 8
 
@@ -135,9 +135,6 @@ class Field:
             raise ZeroDivisionError("0 has no inverse")
         return self._exp[(-self._log[a]) % (self.order - 1)]
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, k: int) -> int:
         if a == 0:
             if k == 0:
@@ -170,13 +167,6 @@ class Field:
         for a, b in zip(u, v):
             acc ^= self.mul(a, b)
         return acc
-
-    def vec_sum(self, vecs: Iterable[Sequence[int]], length: int) -> tuple:
-        acc = [0] * length
-        for v in vecs:
-            for i, a in enumerate(v):
-                acc[i] ^= a
-        return tuple(acc)
 
     # -- misc ----------------------------------------------------------
 

@@ -199,18 +199,6 @@ class Matrix:
             "entries": [a for row in self.rows for a in row],
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "Matrix":
-        from .gf import GF
-        field = GF(int(obj["field_degree"]))
-        nrows, ncols = int(obj["rows"]), int(obj["cols"])
-        entries = list(obj["entries"])
-        if len(entries) != nrows * ncols:
-            raise DimensionMismatch("entry count does not match rows*cols")
-        it = iter(entries)
-        return cls(field, tuple(tuple(next(it) for _ in range(ncols))
-                                for _ in range(nrows)))
-
 
 # -- packed GF(2) rows ------------------------------------------------------
 

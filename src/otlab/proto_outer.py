@@ -182,17 +182,13 @@ class OuterParams:
 
     The round count equals the basis length; block_syms is the number of
     field symbols moved per round, so the inner sessions must carry
-    block_syms * degree bits.  square_distance is the audited distance of
-    the square of the outer code (how many rounds a request tracker must
-    corrupt before masks stop looking uniform); it is bookkeeping here,
-    enforced by the audits, not by the run.
+    block_syms * degree bits.
     """
 
     basis: OrthonormalCode
     inner: P0Params
     block_syms: int = 1
     margin: Optional[float] = None
-    square_distance: Optional[int] = None
 
     def __post_init__(self):
         need = self.block_syms * self.basis.field.degree
@@ -216,12 +212,6 @@ class OuterParams:
     @property
     def field(self) -> Field:
         return self.basis.field
-
-    def rate_pair(self) -> tuple[float, float]:
-        """(outer code rate r/n, audited square distance ratio or nan)."""
-        ratio = (self.square_distance / self.rounds
-                 if self.square_distance is not None else float("nan"))
-        return self.outer_dim / self.rounds, ratio
 
 
 @dataclass

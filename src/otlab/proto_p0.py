@@ -41,6 +41,9 @@ from .linalg import (LIMB_BITS, GF2Coset, Matrix, Vector, gf2_eliminate,
                      weights)
 
 
+DECODER_WORD_CAP = 1 << 20  # the decoder holds every codeword in memory
+
+
 class ChannelAbort(Exception):
     """Too few cleanly received positions to fill the chosen set."""
 
@@ -72,7 +75,7 @@ class MLDecoder:
     decode is a few vector operations.  Intended for k <= 20.
     """
 
-    def __init__(self, code: LinearCode, enum_limit: int = 1 << 20):
+    def __init__(self, code: LinearCode, enum_limit: int = DECODER_WORD_CAP):
         if code.field.degree != 1:
             raise ValueError("decoder expects a binary code")
         k = code.dimension

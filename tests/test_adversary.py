@@ -17,7 +17,7 @@ from otlab.channels import BscParams, derive_rng
 from otlab.codes import LinearCode, OrthonormalCode
 from otlab.gf import GF
 from otlab.linalg import Matrix, rank
-from otlab.proto_outer import OuterParams
+from otlab.proto_outer import OuterParams, cheat_matrix_V
 from otlab.proto_p0 import P0Params
 
 # crossover with erasure rate exactly 0.3: 2 phi (1 - phi) = 0.3
@@ -304,6 +304,28 @@ def test_audit_bob_strategies_sampled_pairs_close_to_exact():
     assert abs(e.mean_second - s.mean_second) < 0.1
     with pytest.raises(ValueError):
         audit_bob_strategies(basis, 0.25, pair_samples=5)
+
+
+def test_audit_bob_strategies_cells_match_one_mask_audits():
+    """Masks sharing V share one posterior; every cell still equals the
+    audit of its mask alone (the same seed draws the same pairs), and the
+    histogram counts masks, not distinct V."""
+    rows = ((1, 0, 0, 0, 1, 1, 0, 0), (0, 1, 0, 0, 1, 1, 0, 0),
+            (0, 0, 1, 0, 0, 0, 1, 1), (0, 0, 0, 1, 0, 0, 1, 1))
+    basis = OrthonormalCode(Matrix(GF(1), rows))
+    full = audit_bob_strategies(basis, 0.25, pair_samples=3,
+                                rng=derive_rng(7))
+    assert len(full.cells) == 256
+    distinct = {cheat_matrix_V(basis.rows, c.mask).rows for c in full.cells}
+    assert len(distinct) < len(full.cells)
+    ranks: dict[int, int] = {}
+    for cell in full.cells:
+        alone = audit_bob_strategies(basis, 0.25, masks=[cell.mask],
+                                     pair_samples=3, rng=derive_rng(7))
+        assert alone.cells == (cell,)
+        ranks[cell.rank_v] = ranks.get(cell.rank_v, 0) + 1
+    assert full.rank_histogram == dict(sorted(ranks.items()))
+    assert sum(full.rank_histogram.values()) == 256
 
 
 def test_audit_bob_strategies_validation():

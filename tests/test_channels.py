@@ -111,6 +111,25 @@ def test_duplicate_round_trip_statistics():
     assert abs(wrong - survivors * p) < 5 * sig_p
 
 
+def test_duplicate_round_trip_matches_per_symbol_loop():
+    """The vectorized fold against the per-symbol reference loop."""
+    def reference(bits, phi, rng):
+        flips = rng.random((len(bits), 2)) < phi
+        out = []
+        for b, (f1, f2) in zip(bits, flips):
+            out.append(int(b) ^ int(f1) if f1 == f2 else ERASED)
+        return TernaryWord(tuple(out))
+
+    for n0 in (15, 63):
+        for seed in range(2000):
+            bits = tuple(int(b) for b in
+                         derive_rng(seed, 1).integers(0, 2, size=n0))
+            got = duplicate_round_trip(bits, 0.198, derive_rng(seed, 2))
+            want = reference(bits, 0.198, derive_rng(seed, 2))
+            assert got == want
+            assert all(type(s) is int for s in got.symbols)
+
+
 def test_duplicate_round_trip_validation():
     rng = np.random.default_rng(5)
     with pytest.raises(ValueError):

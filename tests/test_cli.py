@@ -10,9 +10,11 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from otlab import cli
 from otlab.adversary import detection_rule
 from otlab.cli import ConfigError, _normalize_run
 from otlab.codes import (CodeAudit, LinearCode, code_to_json, cyclic_code,
@@ -29,6 +31,7 @@ from otlab.reports import (
 )
 
 C15_5_GEN = (1, 1, 1, 0, 1, 1, 0, 0, 1, 0, 1)
+GOLDEN_CODES = Path(__file__).parent / "golden" / "codes"
 
 
 def run_cli(*args, env=None):
@@ -101,20 +104,25 @@ def test_run_workers_do_not_change_bytes():
 
 def test_import_leaves_out_schema_library_and_process_pool():
     # start-up pays only for what a serial command uses; the benchmark's
-    # shim finds the session modules and the dispatch table after import
-    probe = ("import json, sys, otlab.cli\n"
+    # shim finds the session modules and the dispatch table after import;
+    # main freezes the import-time heap so exit skips collecting it
+    probe = ("import contextlib, gc, io, json, sys, otlab.cli\n"
              "print(json.dumps({m: m in sys.modules for m in sys.argv[1:]}))\n"
-             "print(sorted(otlab.cli._DISPATCH))")
+             "print(sorted(otlab.cli._DISPATCH))\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    otlab.cli.main(['rates'])\n"
+             "print(gc.get_freeze_count() > 0)")
     names = ("jsonschema", "multiprocessing", "concurrent.futures.process",
-             "otlab.proto_p0", "otlab.proto_outer")
+             "otlab.adversary", "otlab.proto_p0", "otlab.proto_outer")
     proc = subprocess.run([sys.executable, "-c", probe, *names],
                           capture_output=True, text=True, check=True)
-    loaded_line, dispatch_line = proc.stdout.splitlines()
+    loaded_line, dispatch_line, frozen_line = proc.stdout.splitlines()
     assert json.loads(loaded_line) == {
         "jsonschema": False, "multiprocessing": False,
-        "concurrent.futures.process": False,
+        "concurrent.futures.process": False, "otlab.adversary": False,
         "otlab.proto_p0": True, "otlab.proto_outer": True}
     assert dispatch_line == str(["attack", "code-audit", "rates", "run"])
+    assert frozen_line == "True"
 
 
 def test_run_out_file_matches_stdout(tmp_path):
@@ -337,11 +345,33 @@ def test_run_rechecks_embedded_inner_code_audit(tmp_path):
 
 def test_run_rejects_outer_code_whose_square_fills_the_space():
     # the [15,5] cyclic code's square is all of GF(2)^15, so its dual holds
-    # no request mask; set-up refuses it before the inner code and trials
+    # no request mask; set-up refuses it before the trials
     config = {"protocol": "p1",
               "outer_code": code_to_json(cyclic_code(GF(1), 15, C15_5_GEN))}
     with pytest.raises(ConfigError, match="square spans the whole space"):
         _normalize_run(config, seed=0)
+
+
+@pytest.mark.parametrize("protocol", ["p1", "p2"])
+def test_run_rejects_built_in_outer_basis_whose_square_fills_the_space(
+        protocol):
+    # at n = 1 the built-in all-ones basis squares to the whole space
+    with pytest.raises(ConfigError, match="square spans the whole space"):
+        _normalize_run({"protocol": protocol, "n": 1}, seed=0)
+
+
+def test_run_enum_limit_bounds_the_decoder(monkeypatch, capsys):
+    # the [20,16] code has no embedded audit, so only the decoder
+    # enumerates its 2^16 codewords; the budget stops it before any trial
+    trials = []
+    monkeypatch.setattr(cli, "_run_trial", lambda *a: trials.append(a))
+    code = cli.main(["run", "--protocol", "p0", "--code",
+                     str(GOLDEN_CODES / "wide20_16.json"),
+                     "--enum-limit", "1000", "--trials", "3"])
+    assert code == 3
+    assert trials == []
+    assert ("2^16 codewords exceed the enumeration budget 1000"
+            in capsys.readouterr().err)
 
 
 def test_code_audit_enum_limit_exits_3(tmp_path):

@@ -106,6 +106,17 @@ def test_min_distance_enumeration_limit():
         big.min_distance(limit=1 << 20)
 
 
+def test_min_distance_of_the_whole_space():
+    """k = n holds every unit vector, so d = 1; the budget still applies."""
+    rng = np.random.default_rng(13)
+    for degree, n in ((1, 23), (2, 11)):
+        f = GF(degree)
+        space = random_code(f, n, n, rng)
+        assert space.min_distance() == 1
+        with pytest.raises(EnumerationLimit):
+            random_code(f, n, n, rng).min_distance(limit=f.order ** n - 1)
+
+
 def test_schur_square_matches_definitional_span():
     """Generator-pair computation equals the span over all codeword pairs."""
     rng = np.random.default_rng(12)

@@ -79,7 +79,6 @@ def test_inverses_exhaustive():
         f = GF(degree)
         for a in f.nonzero():
             assert f.mul(a, f.inv(a)) == 1
-            assert f.div(a, a) == 1
         with pytest.raises(ZeroDivisionError):
             f.inv(0)
 
@@ -125,13 +124,12 @@ def test_dlog_of_x_is_one():
         assert GF(degree).dlog(2) == 1
 
 
-def test_dot_and_vec_sum():
+def test_dot():
     f = GF(2)
     assert f.dot((1, 2, 3), (3, 2, 1)) == f.add(f.add(f.mul(1, 3),
                                                       f.mul(2, 2)),
                                                 f.mul(3, 1))
     assert f.dot((), ()) == 0
-    assert f.vec_sum([(1, 2), (3, 0), (2, 2)], 2) == (0, 0)
     rng = np.random.default_rng(5)
     for _ in range(50):
         u = tuple(int(a) for a in rng.integers(0, 4, size=6))
@@ -151,4 +149,4 @@ def test_random_products_stay_in_range():
             c = f.mul(a, b)
             assert 0 <= c < f.order
             if a and b:
-                assert f.div(c, a) == b
+                assert f.mul(c, f.inv(a)) == b

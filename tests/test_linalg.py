@@ -171,14 +171,6 @@ def test_solve_affine_uniform_over_solution_set():
     assert chi2 < 24.3               # chi-square_{7, 0.999}
 
 
-def test_json_round_trip():
-    rng = np.random.default_rng(6)
-    for degree in (1, 3):
-        f = GF(degree)
-        m = random_matrix(f, 2, 4, rng)
-        assert Matrix.from_json(m.to_json()) == m
-
-
 def test_pickle_round_trip():
     f = GF(2)
     m = Matrix(f, ((1, 2), (3, 0)))

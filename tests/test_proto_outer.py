@@ -208,18 +208,12 @@ def test_outer_params_validation_and_properties():
     assert params.rounds == 8
     assert params.outer_dim == 4
     assert params.field is GF(1)
-    rate, ratio = params.rate_pair()
-    assert rate == pytest.approx(0.5)
-    assert ratio != ratio        # nan until a square distance is recorded
     with pytest.raises(ValueError):
         OuterParams(basis=basis, inner=binary_inner(m=1), block_syms=2)
     with pytest.raises(ValueError):
         OuterParams(basis=basis, inner=binary_inner(), block_syms=0)
     with pytest.raises(ValueError):
         OuterParams(basis=basis, inner=binary_inner(), margin=0.05)
-    scored = OuterParams(basis=basis, inner=binary_inner(),
-                         square_distance=4)
-    assert scored.rate_pair()[1] == pytest.approx(0.5)
 
 
 def test_run_session_noiseless_recovers_chosen_secret():
