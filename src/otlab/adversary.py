@@ -11,11 +11,7 @@ Three threat surfaces:
 
 * Alice uses the same corruptions as a tracker: erased slots land in
   Bob's unchosen set, so the labels of her corrupt slots leak his
-  choice.  At the string level the leak turns into a noisy view of the
-  per-round request indices, and the Bayes rule counts mask candidates
-  consistent with either choice; when fewer rounds are corrupted than
-  the distance of the square of the outer code, the projections are
-  uniform and the rule is a coin flip.
+  choice.
 
 * Bob picks an arbitrary request mask u instead of a dual-of-square
   element.  His harvest then collapses to z = U s + V t with
@@ -37,10 +33,9 @@ import numpy as np
 from .analysis import (AccusationRule, detection_rule, expected_unerased,
                        wilson_interval)
 from .channels import BscParams, TernaryWord, bsc_transmit
-from .codes import LinearCode, OrthonormalCode
-from .gf import GF
-from .linalg import Matrix, gf2_apply, gf2_rank, pack_rows, unpack_bits
-from .proto_outer import OuterParams, cheat_matrix_V, compressed_length, run_session
+from .codes import OrthonormalCode
+from .linalg import Matrix, gf2_apply, gf2_rank, pack_rows
+from .proto_outer import cheat_matrix_V, compressed_length
 
 
 # -- detection of corrupted pairs -----------------------------------------
@@ -192,100 +187,6 @@ def tracker_advantage_p0(block_len: int, phi: float, corrupted: int,
     se = float(np.std(correct) / math.sqrt(n)) if n else 0.0
     return AdvantageReport(trials=n, advantage=adv, std_error=se,
                            tie_rate=ties)
-
-
-def _dual_square_elements(code: LinearCode, limit: int = 1 << 22) -> list[tuple]:
-    from .linalg import rank_and_kernel
-
-    sq = code.schur_square()
-    _, kernel = rank_and_kernel(sq.generator)
-    dim = len(kernel)
-    f = code.field
-    if f.order ** dim > limit:
-        raise ValueError(f"dual of the square has {f.order}^{dim} elements; "
-                         "too many to enumerate")
-    elems = []
-    for coeffs in itertools.product(range(f.order), repeat=dim):
-        acc = [0] * code.length
-        for c, kv in zip(coeffs, kernel):
-            if c:
-                for i, a in enumerate(kv):
-                    acc[i] ^= f.mul(c, a)
-        elems.append(tuple(acc))
-    return elems
-
-
-def tracker_advantage_masks(code: LinearCode,
-                            corrupt_rounds: Sequence[int]) -> AdvantageReport:
-    """Exact Bayes advantage at the string level.
-
-    Grant Alice the exact request indices at the corrupted rounds.  If
-    Bob wants the first secret his indices restrict his mask u there; if
-    the second, the all-ones shift of it.  The optimal rule compares the
-    number of dual-of-square masks consistent with either reading and
-    the advantage averages the rule over all masks and both choices.
-    Exact, no sampling; raises when the dual is too large to enumerate.
-    """
-    pos = tuple(sorted(set(corrupt_rounds)))
-    if any(not 0 <= p < code.length for p in pos):
-        raise ValueError("corrupt rounds out of range")
-    elems = _dual_square_elements(code)
-    counts: dict[tuple, int] = {}
-    for u in elems:
-        proj = tuple(u[p] for p in pos)
-        counts[proj] = counts.get(proj, 0) + 1
-    shift = tuple(1 for _ in pos)
-
-    def shifted(proj: tuple) -> tuple:
-        return tuple(a ^ b for a, b in zip(proj, shift))
-
-    total = 0.0
-    ties = 0
-    for u in elems:
-        proj = tuple(u[p] for p in pos)
-        # Bob wants the first secret: observed = proj
-        n_s = counts.get(proj, 0)
-        n_t = counts.get(shifted(proj), 0)
-        total += 1.0 if n_s > n_t else (0.5 if n_s == n_t else 0.0)
-        ties += n_s == n_t
-        # Bob wants the second: observed = proj + 1
-        obs = shifted(proj)
-        n_s2 = counts.get(obs, 0)
-        n_t2 = counts.get(shifted(obs), 0)  # back to proj
-        total += 1.0 if n_t2 > n_s2 else (0.5 if n_t2 == n_s2 else 0.0)
-        ties += n_t2 == n_s2
-    n = 2 * len(elems)
-    return AdvantageReport(trials=n, advantage=total / n - 0.5, std_error=0.0,
-                           tie_rate=ties / n)
-
-
-# -- full-rank survival of stacked random matrices -------------------------
-
-
-def rank_deficiency_bound(width: int, fixed_rows: int, random_rows: int) -> float:
-    """Union bound on a uniform stack missing full rank: 2^(b + c - a)."""
-    return 2.0 ** (fixed_rows + random_rows - width)
-
-
-def rank_deficiency_rate(width: int, fixed_rows: int, random_rows: int,
-                         trials: int, rng: np.random.Generator) -> float:
-    """Monte-Carlo rate at which [I 0; C] drops below full rank.
-
-    The fixed part is the worst-case full-rank block in reduced form;
-    C is uniform.  Used to sanity-check the resample-until-full-rank
-    loops in the hash and compression draws.
-    """
-    if fixed_rows + random_rows > width:
-        raise ValueError("stack taller than wide is always deficient")
-    base = [1 << (width - 1 - i) for i in range(fixed_rows)]
-    deficient = 0
-    for _ in range(trials):
-        rows = base + [int(x) for x in
-                       rng.integers(0, 1 << width, size=random_rows,
-                                    dtype=np.int64)]
-        if gf2_rank(rows) < fixed_rows + random_rows:
-            deficient += 1
-    return deficient / trials
 
 
 # -- cheating Bob against the compressed variants --------------------------
@@ -447,10 +348,11 @@ def audit_bob_strategies(basis: OrthonormalCode, margin: float,
     else:
         masks = [tuple(int(a) & 1 for a in m) for m in masks]
     if pair_samples is None:
+        # counted before enumerating: u_len independent rows of length r
+        count = math.prod((1 << r) - (1 << i) for i in range(u_len))
+        if count > 64:
+            raise ValueError(f"{count}^2 compression pairs; pass pair_samples")
         pairs = _full_rank_row_sets(r, u_len)
-        if len(pairs) > 64:
-            raise ValueError(
-                f"{len(pairs)}^2 compression pairs; pass pair_samples")
         pair_list = [(a, b) for a in pairs for b in pairs]
     else:
         if rng is None:
@@ -514,76 +416,3 @@ def audit_bob_strategies(basis: OrthonormalCode, margin: float,
         worst_predicted=worst, slack_bits=u_len - worst,
         rank_histogram=dict(sorted(hist.items())),
         prediction_mismatches=mismatches)
-
-
-def audit_arbitrary_v(outer_dim: int, margin: float, samples: int,
-                      pairs_per_v: int, rng: np.random.Generator) -> DichotomyReport:
-    """Same posterior audit over uniform symmetric V, realizable or not.
-
-    Probes the dichotomy beyond masks of the form V(u): draws random
-    symmetric binary matrices and averages the posterior over
-    pairs_per_v random full-rank compression pairs each.
-    """
-    r = outer_dim
-    u_len = compressed_length(r, margin)
-    f2 = GF(1)
-
-    def draw_m() -> Matrix:
-        return Matrix(f2, tuple(unpack_bits(int(m), r)
-                                for m in _draw_full_rank_rows(r, u_len, rng)))
-
-    cells = []
-    hist: dict[int, int] = {}
-    mismatches = 0
-    for _ in range(samples):
-        sym = np.zeros((r, r), dtype=np.int64)
-        for i in range(r):
-            for j in range(i, r):
-                bit = int(rng.integers(0, 2))
-                sym[i, j] = bit
-                sym[j, i] = bit
-        v = Matrix(f2, tuple(tuple(int(x) for x in row) for row in sym))
-        sub = [posterior_cell(v, draw_m(), draw_m())
-               for _ in range(pairs_per_v)]
-        mean_first = sum(c.entropy_first for c in sub) / len(sub)
-        mean_second = sum(c.entropy_second for c in sub) / len(sub)
-        cell = MaskAudit(mask=(), rank_v=sub[0].rank_v, rank_u=sub[0].rank_u,
-                         mean_first=mean_first, mean_second=mean_second,
-                         worst_cell=min(c.protected for c in sub))
-        hist[cell.rank_v] = hist.get(cell.rank_v, 0) + 1
-        cells.append(cell)
-        observed = ("second" if mean_second >= mean_first - 1e-9 else "first")
-        if cell.predicted_side(r) != observed and \
-                abs(mean_first - mean_second) > 1e-9:
-            mismatches += 1
-    worst = min(c.predicted_entropy(r) for c in cells)
-    return DichotomyReport(
-        outer_dim=r, compressed_len=u_len, margin=margin, cells=tuple(cells),
-        worst_predicted=worst, slack_bits=u_len - worst,
-        rank_histogram=dict(sorted(hist.items())),
-        prediction_mismatches=mismatches)
-
-
-def bob_attack_run(params: OuterParams, request_mask: Sequence[int],
-                   rng: np.random.Generator) -> dict:
-    """Run one compressed session under a forced mask and audit it.
-
-    Returns the session plus the exact posterior of the realized
-    compression pair against that mask's V.
-    """
-    f = params.field
-    if f.degree != 1:
-        raise ValueError("attack audit is binary only")
-    u_len = compressed_length(params.outer_dim, params.margin)
-    cs = Matrix(f, tuple(
-        tuple(int(b) for b in rng.integers(0, 2, size=params.block_syms))
-        for _ in range(u_len)))
-    ct = Matrix(f, tuple(
-        tuple(int(b) for b in rng.integers(0, 2, size=params.block_syms))
-        for _ in range(u_len)))
-    session = run_session(params, cs, ct, True, rng, compressed=True,
-                          request_mask=request_mask)
-    pair = session.transcript.compression
-    cell = posterior_cell(session.transcript.v_matrix,
-                          pair.m_first, pair.m_second)
-    return {"session": session, "cell": cell}

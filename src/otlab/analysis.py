@@ -12,11 +12,10 @@ adversary module.
 The oracles enumerate every erasure pattern and every channel output of a
 small binary code and compute exact posteriors: min-entropy of the
 codeword given the view (against the linear-programming style bound
-n[R - (1 - e/n)(1 - h(p)) - alpha]), the fixed-flip-weight variant with
-its bipartite edge-degree bound, and the Shannon entropy of a hashed
-secret given the view.  They exist to crosscheck the protocol-side
-security accounting at desk scale, so they are deliberately independent
-of the protocol implementations.
+n[R - (1 - e/n)(1 - h(p)) - alpha]) and the fixed-flip-weight variant
+with its bipartite edge-degree bound.  They exist to crosscheck the
+protocol-side security accounting at desk scale, so they are deliberately
+independent of the protocol implementations.
 """
 
 from __future__ import annotations
@@ -30,8 +29,7 @@ import numpy as np
 
 from .channels import BscParams
 from .codes import EnumerationLimit, LinearCode
-from .linalg import (LIMB_BITS, Matrix, gf2_apply, pack_rows, popcount,
-                     span_words)
+from .linalg import LIMB_BITS, pack_rows, popcount, span_words
 
 ORACLE_VIEW_LIMIT = 1 << 24
 Z_95 = 1.96  # two-sided 95% normal quantile
@@ -426,76 +424,3 @@ def fixed_weight_oracle(code: LinearCode, erasures: int, weight: int,
                              max_degree=max_deg,
                              avg_min_entropy=entropy_sum / total_edges,
                              bounds=bounds)
-
-
-@dataclass(frozen=True)
-class HashedEntropyReport:
-    """Exact Shannon entropy of a hashed secret given the channel view."""
-
-    secret_bits: int
-    avg_entropy: float
-    min_entropy_view: float
-    mass_below: float
-    tolerance: float
-
-    def to_json(self) -> dict:
-        return {
-            "secret_bits": self.secret_bits,
-            "avg_entropy": self.avg_entropy,
-            "min_entropy_view": self.min_entropy_view,
-            "mass_below": self.mass_below,
-            "tolerance": self.tolerance,
-        }
-
-
-def hashed_secret_entropy(code: LinearCode, erasures: int, error_rate: float,
-                          hash_matrix: Matrix, tolerance: float,
-                          limit: int = ORACLE_VIEW_LIMIT) -> HashedEntropyReport:
-    """H(hash . codeword | view), exactly, over all views.
-
-    Reports the view-average and worst-view entropy of the m-bit hashed
-    secret and the probability mass of views whose entropy falls below
-    m - tolerance.  Same channel model as min_entropy_oracle.
-    """
-    n, k = code.length, code.dimension
-    m = hash_matrix.nrows
-    if hash_matrix.ncols != n:
-        raise ValueError("hash width must match the code length")
-    kept_count = n - erasures
-    pattern_count = math.comb(n, erasures)
-    if pattern_count * (1 << kept_count) * (1 << k) > limit:
-        raise EnumerationLimit("hashed-entropy census exceeds the budget")
-    words = _packed_codewords(code, limit)
-    classes = gf2_apply(pack_rows(hash_matrix), words, n)
-    ind = np.zeros((1 << m, 1 << k))
-    ind[classes, np.arange(1 << k)] = 1.0
-
-    rho = error_rate / (1.0 - error_rate)
-    z = np.arange(1 << kept_count, dtype=np.int64)
-    pattern_w = 1.0 / pattern_count
-    prior = 1.0 / (1 << k)
-    keep_scale = (1.0 - error_rate) ** kept_count
-    avg = 0.0
-    worst = float(m)
-    mass_below = 0.0
-    for kept in combinations(range(n), kept_count):
-        proj = _project(words, kept)
-        dist = popcount(proj[:, None] ^ z[None, :], kept_count)
-        like = np.power(rho, dist.astype(np.float64))
-        colsum = like.sum(axis=0)
-        reachable = colsum > 0.0
-        post = np.zeros_like(like)
-        post[:, reachable] = like[:, reachable] / colsum[reachable]
-        class_mass = ind @ post
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(class_mass > 0.0,
-                             -class_mass * np.log2(class_mass), 0.0)
-        ent = terms.sum(axis=0)
-        view_p = colsum * keep_scale * prior * pattern_w
-        avg += float((view_p[reachable] * ent[reachable]).sum())
-        if reachable.any():
-            worst = min(worst, float(ent[reachable].min()))
-        mass_below += float(view_p[reachable & (ent < m - tolerance)].sum())
-    return HashedEntropyReport(secret_bits=m, avg_entropy=avg,
-                               min_entropy_view=worst, mass_below=mass_below,
-                               tolerance=tolerance)

@@ -11,8 +11,9 @@ randomness from (seed, 1), campaign streams from (seed, 2...), so the
 worker count never changes the bytes.  Reports are canonical JSON
 validated against the schema shipped with the package.
 
-Exit codes: 0 success, 1 replay mismatch, 2 config error, 3 enumeration
-limit, 4 aborts dominated a run (half or more of the sessions).
+Exit codes: 0 success, 1 replay mismatch or internal error (with a
+traceback), 2 config error, 3 enumeration limit, 4 aborts dominated a run
+(half or more of the sessions).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -50,8 +51,6 @@ EXIT_CONFIG = 2
 EXIT_ENUM = 3
 EXIT_ABORT = 4
 
-STRATEGIES = ("honest", "tracker", "bob")
-
 DEFAULT_N0 = 15
 DEFAULT_PHI = 0.198
 DEFAULT_DELTA = 0.05
@@ -68,51 +67,55 @@ class ConfigError(Exception):
 _BOOL_WORDS = {"true": True, "yes": True, "on": True, "1": True,
                "false": False, "no": False, "off": False, "0": False}
 
-_KEY_TYPES = {
-    "protocol": str, "strategy": str, "sweep_grid": str,
-    "phi": float, "delta": float, "c": float, "slack": float,
-    "code_rate": float,
-    "n0": int, "n": int, "m": int, "q": int, "trials": int,
-    "transcripts": int, "corrupted": int, "enum_limit": int,
-    "curve_points": int, "pair_samples": int, "seed": int,
-    "curve": bool, "sweep": bool,
-    "code": "file", "outer_code": "file",
-}
+FILE = "FILE"  # the kind of a key that names a code file
 
-_COMMAND_KEYS = {
-    "run": ("protocol", "phi", "n0", "n", "m", "q", "delta", "c", "slack",
-            "trials", "transcripts", "code", "outer_code", "enum_limit"),
-    "attack": ("strategy", "phi", "n0", "n", "corrupted", "c", "trials",
-               "delta", "outer_code", "pair_samples", "sweep", "sweep_grid",
-               "enum_limit"),
-    "rates": ("phi", "code_rate", "q", "curve", "curve_points"),
-    "code-audit": ("code", "enum_limit"),
-}
 
-_DEFAULTS = {
-    "run": {"protocol": "p0", "phi": DEFAULT_PHI, "n0": None, "n": None,
-            "m": 1, "q": None, "delta": None, "c": DEFAULT_C, "slack": 0.0,
-            "trials": 100, "transcripts": 0, "code": None, "outer_code": None,
-            "enum_limit": DEFAULT_ENUM_LIMIT},
-    "attack": {"strategy": "tracker", "phi": DEFAULT_PHI, "n0": DEFAULT_N0,
-               "n": None, "corrupted": None, "c": DEFAULT_C, "trials": 1000,
-               "delta": None, "outer_code": None, "pair_samples": None,
-               "sweep": False, "sweep_grid": None,
-               "enum_limit": DEFAULT_ENUM_LIMIT},
-    "rates": {"phi": None, "code_rate": None, "q": None, "curve": False,
-              "curve_points": 99},
-    "code-audit": {"code": None, "enum_limit": DEFAULT_ENUM_LIMIT},
-}
+@dataclass(frozen=True)
+class Opt:
+    """A config key: kind (int, float, str, bool or FILE), default and the
+    help of its flag --key; a bool key is set by a side output's flag."""
+
+    kind: Any
+    default: Any = None
+    help: Optional[str] = None
+    metavar: Optional[str] = None
+    choices: Any = None
+
+
+@dataclass(frozen=True)
+class Output:
+    """A side file written from the report when its flag names a path;
+    key, when set, is the bool config key the flag turns on."""
+
+    flag: str
+    dest: str
+    help: str
+    write: Callable[[str, dict], None]
+    key: Optional[str] = None
+
+
+@dataclass(frozen=True)
+class Command:
+    """One subcommand, as the parser, coercion and emission all read it."""
+
+    help: str
+    keys: dict  # config key -> Opt, in the order errors list them
+    execute: Callable[[dict, int], dict]
+    summary: Callable[[dict], str]
+    outputs: tuple = ()
+
+
+def _read(path: str, what: str) -> str:
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
 
 
 def parse_config_file(path: str) -> dict:
     """Flat `key = value` lines; `#` starts a comment, blanks are skipped."""
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     out = {}
-    for ln, raw in enumerate(text.splitlines(), 1):
+    for ln, raw in enumerate(_read(path, "config file").splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -123,21 +126,15 @@ def parse_config_file(path: str) -> dict:
     return out
 
 
-def _coerce(key: str, raw):
-    kind = _KEY_TYPES.get(key)
-    if kind is None:
-        raise ConfigError(f"unknown config key `{key}`")
-    if raw is None:
-        return None
-    if kind == "file":
-        return raw  # a path string, or an inline dict from a replay
+def _coerce(key: str, kind, raw):
+    if raw is None or kind == FILE:
+        return raw  # a FILE value is a path, or an inline dict from a replay
     if not isinstance(raw, str):
         return kind(raw)
     if kind is bool:
-        word = raw.lower()
-        if word not in _BOOL_WORDS:
-            raise ConfigError(f"`{key}` expects true/false, got {raw!r}")
-        return _BOOL_WORDS[word]
+        _require(raw.lower() in _BOOL_WORDS,
+                 f"`{key}` expects true/false, got {raw!r}")
+        return _BOOL_WORDS[raw.lower()]
     try:
         return kind(raw)
     except ValueError as exc:
@@ -150,52 +147,45 @@ def _load_code_value(key: str, value):
     if value is None or isinstance(value, dict):
         return value
     try:
-        obj = json.loads(Path(value).read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read {key} file {value}: {exc}") from exc
+        obj = json.loads(_read(value, f"{key} file"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{key} file {value} is not JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{key} file {value} must hold a JSON object")
+    _require(isinstance(obj, dict),
+             f"{key} file {value} must hold a JSON object")
     return obj
 
 
 def resolve_config(command: str, file_cfg: dict,
                    flag_cfg: dict) -> tuple[dict, Optional[int]]:
-    """Merge defaults < config file < flags; load referenced code files."""
-    keys = _COMMAND_KEYS[command]
-    merged = dict(_DEFAULTS[command])
+    """Config file < flags, code files loaded; execute fills the defaults."""
+    keys = COMMANDS[command].keys
+    merged = {}
     file_seed = None
     for source in (file_cfg, flag_cfg):
         for key, value in source.items():
             if key == "seed":
-                file_seed = _coerce("seed", value)
+                file_seed = _coerce("seed", int, value)
                 continue
             if key not in keys:
                 raise ConfigError(
                     f"`{key}` is not a {command} option (valid: "
                     f"{', '.join(keys)}, seed)")
-            merged[key] = _coerce(key, value)
-    for key in ("code", "outer_code"):
-        if key in merged:
-            merged[key] = _load_code_value(key, merged[key])
+            merged[key] = _coerce(key, keys[key].kind, value)
+    for key, value in merged.items():
+        if keys[key].kind == FILE:
+            merged[key] = _load_code_value(key, value)
     return merged, file_seed
 
 
 def resolve_seed(flag_seed: Optional[int], file_seed: Optional[int]) -> int:
-    if flag_seed is not None:
-        seed = flag_seed
-    elif file_seed is not None:
-        seed = file_seed
-    elif os.environ.get(ENV_SEED):
+    seed = flag_seed if flag_seed is not None else file_seed
+    if seed is None:
+        raw = os.environ.get(ENV_SEED) or "0"
         try:
-            seed = int(os.environ[ENV_SEED])
+            seed = int(raw)
         except ValueError as exc:
             raise ConfigError(
-                f"${ENV_SEED} must be an integer, got "
-                f"{os.environ[ENV_SEED]!r}") from exc
-    else:
-        seed = 0
+                f"${ENV_SEED} must be an integer, got {raw!r}") from exc
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
     return seed
@@ -203,17 +193,31 @@ def resolve_seed(flag_seed: Optional[int], file_seed: Optional[int]) -> int:
 
 def _take(config: dict, command: str) -> dict:
     """Known keys with defaults filled; replayed extras are rejected."""
-    keys = _COMMAND_KEYS[command]
+    keys = COMMANDS[command].keys
     extra = set(config) - set(keys)
     if extra:
         raise ConfigError(
             f"unknown {command} config keys: {', '.join(sorted(extra))}")
-    return {k: config.get(k, _DEFAULTS[command][k]) for k in keys}
+    return {k: config.get(k, opt.default) for k, opt in keys.items()}
 
 
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ConfigError(message)
+
+
+def _at_least(cfg: dict, key: str, low: int) -> int:
+    value = int(cfg[key])
+    _require(value >= low, f"{key} must be at least {low}")
+    return value
+
+
+def _checked(fn: Callable, *args, **kwargs):
+    """fn(*args, **kwargs), a rejected value's ValueError as a ConfigError."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 # -- code files ---------------------------------------------------------------
@@ -288,14 +292,11 @@ def _default_inner_code(n0: int, bits: int, limit: int,
                         rng: np.random.Generator) -> tuple[LinearCode, Optional[int]]:
     if bits == 1:
         return LinearCode(Matrix(GF(1), ((1,) * n0,))), n0
-    best = None
-    best_d = -1
-    for _ in range(CODE_SEARCH_TRIES):
-        cand = random_code(GF(1), n0, bits, rng)
-        d = cand.min_distance(limit)
-        if d > best_d:
-            best, best_d = cand, d
-    return best, best_d
+    # the first of the farthest candidates; min_distance is cached
+    best = max((random_code(GF(1), n0, bits, rng)
+                for _ in range(CODE_SEARCH_TRIES)),
+               key=lambda code: code.min_distance(limit))
+    return best, best.min_distance(limit)
 
 
 def _alphabet_binary(q: Optional[int], code_q: Optional[int]) -> int:
@@ -390,10 +391,8 @@ def _normalize_run(config: dict, seed: int) -> tuple[dict, RunSetup]:
     spec = PROTOCOLS[protocol]
     phi = float(cfg["phi"])
     _require(0.0 <= phi < 0.5, f"phi must be in [0, 0.5), got {phi}")
-    m = int(cfg["m"])
-    _require(m >= 1, "m must be at least 1")
-    trials = int(cfg["trials"])
-    _require(trials >= 1, "trials must be at least 1")
+    m = _at_least(cfg, "m", 1)
+    trials = _at_least(cfg, "trials", 1)
     transcripts = int(cfg["transcripts"])
     _require(0 <= transcripts, "transcripts must be non-negative")
     slack = float(cfg["slack"])
@@ -425,13 +424,12 @@ def _normalize_run(config: dict, seed: int) -> tuple[dict, RunSetup]:
                      f"the inner code file claims d={embedded.d} in its "
                      f"embedded audit, but the code has d={inner_d}")
     else:
-        n0 = DEFAULT_N0 if cfg["n0"] is None else int(cfg["n0"])
-        _require(n0 >= 2, "n0 must be at least 2")
+        n0 = DEFAULT_N0 if cfg["n0"] is None else _at_least(cfg, "n0", 2)
         _require(bits <= n0, f"secrets of {bits} bits do not fit n0={n0}")
         code, inner_d = _default_inner_code(n0, bits, limit,
                                             derive_rng(seed, 1))
-    inner = P0Params(block_len=n0, channel=BscParams(phi), code=code,
-                     secret_bits=bits,
+    inner = _checked(P0Params, block_len=n0, channel=BscParams(phi),
+                     code=code, secret_bits=bits,
                      security_slack=slack if slack > 0 else None,
                      decoder=MLDecoder(code, min(limit, DECODER_WORD_CAP)))
 
@@ -452,8 +450,7 @@ def _normalize_run(config: dict, seed: int) -> tuple[dict, RunSetup]:
             if cfg["n"] is None:
                 rounds = n0 * n0 if n0 % 2 else n0 * n0 - 1
             else:
-                rounds = int(cfg["n"])
-                _require(rounds >= 1, "n must be at least 1")
+                rounds = _at_least(cfg, "n", 1)
                 _require(rounds % 2 == 1,
                          "the built-in outer basis is the all-ones row, "
                          "which is orthonormal only at odd n; pass "
@@ -514,21 +511,14 @@ def _run_all_trials(resolved: dict, setup: RunSetup, seed: int,
     if workers <= 1 or trials < 2 * workers:
         return [_run_trial(setup, seed, t) for t in range(trials)]
     config_json = json.dumps(resolved, sort_keys=True)
-    base, extra = divmod(trials, workers)
-    payloads = []
-    lo = 0
-    for i in range(workers):
-        hi = lo + base + (1 if i < extra else 0)
-        if hi > lo:
-            payloads.append((config_json, seed, lo, hi))
-        lo = hi
+    # contiguous chunks, none empty since trials >= 2 workers
+    payloads = [(config_json, seed, trials * i // workers,
+                 trials * (i + 1) // workers) for i in range(workers)]
     # imported here: the pool modules add start-up time to every command
     from concurrent.futures import ProcessPoolExecutor
-    rows: list[dict] = []
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        for chunk in pool.map(_trial_chunk, payloads):
-            rows.extend(chunk)
-    return rows
+        return [row for chunk in pool.map(_trial_chunk, payloads)
+                for row in chunk]
 
 
 def cmd_run(config: dict, seed: int, workers: int = 1) -> dict:
@@ -582,6 +572,31 @@ def cmd_run(config: dict, seed: int, workers: int = 1) -> dict:
                         trials=rows)
 
 
+_RUN = Command(
+    "simulate honest protocol sessions",
+    {"protocol": Opt(str, "p0", choices=PROTOCOLS),
+     "phi": Opt(float, DEFAULT_PHI, "channel crossover"),
+     "n0": Opt(int, None, "inner block length"),
+     "n": Opt(int, None, "outer rounds"),
+     "m": Opt(int, 1, "secret bits (p0/p0q) or symbols per round"),
+     "q": Opt(int, None, "secret count (p0q) or outer field order (p2)"),
+     "delta": Opt(float, None, "compression margin for the primed variants"),
+     "c": Opt(float, DEFAULT_C, "detection threshold constant"),
+     "slack": Opt(float, 0.0, "privacy-amplification sizing margin (0 = off)"),
+     "trials": Opt(int, 100),
+     "transcripts": Opt(int, 0, "embed full transcripts for the first N "
+                        "trials", "N"),
+     "code": Opt(FILE, None, "inner code JSON"),
+     "outer_code": Opt(FILE, None,
+                       "outer code JSON (orthonormalized on load)"),
+     "enum_limit": Opt(int, DEFAULT_ENUM_LIMIT)},
+    cmd_run,
+    lambda rep: ("run {protocol}: trials={trials} success={success_rate:.4f} "
+                 "abort={abort_rate:.4f} "
+                 "decode_failure={decode_failure_rate:.4f}").format(
+                     protocol=rep["config"]["protocol"], **rep["aggregates"]))
+
+
 # -- attack subcommand -------------------------------------------------------
 
 def _parse_grid(raw: Optional[str], n: int, slots: int) -> list[int]:
@@ -605,34 +620,30 @@ def _parse_grid(raw: Optional[str], n: int, slots: int) -> list[int]:
 def _normalize_attack(config: dict) -> dict:
     cfg = _take(config, "attack")
     strategy = cfg["strategy"]
-    _require(strategy in STRATEGIES,
-             f"strategy must be one of {', '.join(STRATEGIES)}")
+    _require(strategy in _ATTACKS,
+             f"strategy must be one of {', '.join(_ATTACKS)}")
     phi = float(cfg["phi"])
     _require(0.0 <= phi < 0.5, f"phi must be in [0, 0.5), got {phi}")
-    n0 = int(cfg["n0"])
-    _require(n0 >= 2, "n0 must be at least 2")
-    n = n0 * n0 if cfg["n"] is None else int(cfg["n"])
-    _require(n >= 1, "n must be at least 1")
-    trials = int(cfg["trials"])
-    _require(trials >= 1, "trials must be at least 1")
+    n0 = _at_least(cfg, "n0", 2)
+    n = n0 * n0 if cfg["n"] is None else _at_least(cfg, "n", 1)
+    trials = _at_least(cfg, "trials", 1)
     slots = 2 * n * n0
-    if strategy == "honest":
-        _require(cfg["corrupted"] in (None, 0),
-                 "honest strategy fixes corrupted = 0")
-        corrupted = 0
-    elif strategy == "tracker":
+    if strategy == "tracker":
         corrupted = n if cfg["corrupted"] is None else int(cfg["corrupted"])
         _require(0 <= corrupted <= slots,
                  f"corrupted must be in 0..{slots} (2 n n0 slots)")
     else:
         _require(cfg["corrupted"] in (None, 0),
-                 "the request-mask audit does not corrupt pairs; drop "
+                 "honest strategy fixes corrupted = 0" if strategy == "honest"
+                 else "the request-mask audit does not corrupt pairs; drop "
                  "corrupted")
         corrupted = 0
     if cfg["sweep"]:
         _require(strategy == "tracker", "sweep applies to the tracker only")
     if cfg["outer_code"] is not None:
         _require(strategy == "bob", "outer_code applies to bob only")
+    if cfg["pair_samples"] is not None:
+        _at_least(cfg, "pair_samples", 1)
     delta = cfg["delta"]
     if strategy == "bob":
         delta = 0.25 if delta is None else float(delta)
@@ -642,121 +653,174 @@ def _normalize_attack(config: dict) -> dict:
     return resolved
 
 
-def cmd_attack(config: dict, seed: int) -> dict:
-    # imported here: only attack runs adversaries, and every command
-    # would pay for the import at start-up
-    from .adversary import (audit_bob_strategies, detection_campaign,
-                            detection_sweep, tracker_advantage_p0)
-    cfg = _normalize_attack(config)
+# Each strategy returns (derived, aggregates, trial rows or None).  It
+# imports adversary itself: every command would pay for it at start-up.
+
+def _attack_detection(cfg: dict, seed: int) -> tuple:
+    """Honest and tracker: the detection campaign, the tracker's edge and
+    the optional corruption sweep."""
+    from .adversary import (detection_campaign, detection_sweep,
+                            tracker_advantage_p0)
     strategy = cfg["strategy"]
     phi, n0, n, c = cfg["phi"], cfg["n0"], cfg["n"], cfg["c"]
-    trials = cfg["trials"]
-    derived: dict = {"erasure_rate": BscParams(phi).erasure_rate}
-    trials_rows = None
+    trials, corrupted = cfg["trials"], cfg["corrupted"]
+    rule = detection_rule(n, n0, phi, c)
+    derived = {
+        "eta": rule.eta,
+        "threshold": rule.threshold,
+        "false_accusation_bound": rule.false_accusation_bound,
+        "expected_unerased_honest": expected_unerased(n, n0, phi, 0),
+        "expected_unerased": expected_unerased(n, n0, phi, corrupted),
+    }
+    campaign = detection_campaign(n, n0, phi, corrupted, trials,
+                                  derive_rng(seed, 2), c)
+    derived["campaign"] = {
+        "mean_unerased": campaign.mean_unerased,
+        "expected_mean": campaign.expected_mean,
+    }
+    advantage = 0.0
+    if strategy == "tracker":
+        per_session = min(2 * n0, (corrupted + n // 2) // n)
+        derived["per_session_corrupt"] = per_session
+        adv = tracker_advantage_p0(n0, phi, per_session, trials,
+                                   derive_rng(seed, 3))
+        advantage = adv.advantage
+        derived["advantage_std_error"] = adv.std_error
+        derived["tie_rate"] = adv.tie_rate
+    if cfg["sweep"]:
+        grid = _parse_grid(cfg["sweep_grid"], n, rule.slots)
+        sweep = detection_sweep(n, n0, phi, grid, trials,
+                                derive_rng(seed, 4), c)
+        derived["sweep"] = {
+            "grid": grid,
+            "accusation_rates": [p.accusation_rate for p in sweep.points],
+            "mean_unerased": [p.mean_unerased for p in sweep.points],
+            "slope": sweep.slope,
+            "expected_slope": sweep.expected_slope,
+            "rows": [[float(p.corrupted), p.accusation_rate, *p.ci_95]
+                     for p in sweep.points],
+        }
+    aggregates = {
+        "params": {"phi": phi, "n0": n0, "n": n, "c": c,
+                   "corrupted": corrupted, "eta": rule.eta,
+                   "threshold": rule.threshold},
+        "strategy": strategy,
+        "trials": trials,
+        "accusation_rate": campaign.accusation_rate,
+        "advantage": advantage,
+        "posterior_entropies": None,
+        "rank_V_histogram": None,
+        "ci_95": list(campaign.ci_95),
+    }
+    return derived, aggregates, None
 
-    if strategy in ("honest", "tracker"):
-        rule = detection_rule(n, n0, phi, c)
-        corrupted = cfg["corrupted"]
-        derived.update({
-            "eta": rule.eta,
-            "threshold": rule.threshold,
-            "false_accusation_bound": rule.false_accusation_bound,
-            "expected_unerased_honest": expected_unerased(n, n0, phi, 0),
-            "expected_unerased": expected_unerased(n, n0, phi, corrupted),
-        })
-        campaign = detection_campaign(n, n0, phi, corrupted, trials,
-                                      derive_rng(seed, 2), c)
-        derived["campaign"] = {
-            "mean_unerased": campaign.mean_unerased,
-            "expected_mean": campaign.expected_mean,
-        }
-        if strategy == "tracker":
-            per_session = min(2 * n0, (corrupted + n // 2) // n)
-            derived["per_session_corrupt"] = per_session
-            adv = tracker_advantage_p0(n0, phi, per_session, trials,
-                                       derive_rng(seed, 3))
-            advantage = adv.advantage
-            derived["advantage_std_error"] = adv.std_error
-            derived["tie_rate"] = adv.tie_rate
-        else:
-            advantage = 0.0
-        if cfg["sweep"]:
-            grid = _parse_grid(cfg["sweep_grid"], n, rule.slots)
-            sweep = detection_sweep(n, n0, phi, grid, trials,
-                                    derive_rng(seed, 4), c)
-            derived["sweep"] = {
-                "grid": grid,
-                "accusation_rates": [p.accusation_rate for p in sweep.points],
-                "mean_unerased": [p.mean_unerased for p in sweep.points],
-                "slope": sweep.slope,
-                "expected_slope": sweep.expected_slope,
-                "rows": [[float(p.corrupted), p.accusation_rate, *p.ci_95]
-                         for p in sweep.points],
-            }
-        aggregates = {
-            "params": {"phi": phi, "n0": n0, "n": n, "c": c,
-                       "corrupted": corrupted, "eta": rule.eta,
-                       "threshold": rule.threshold},
-            "strategy": strategy,
-            "trials": trials,
-            "accusation_rate": campaign.accusation_rate,
-            "advantage": advantage,
-            "posterior_entropies": None,
-            "rank_V_histogram": None,
-            "ci_95": list(campaign.ci_95),
-        }
+
+def _attack_bob(cfg: dict, seed: int) -> tuple:
+    """Bob's request-mask audit: every mask of the outer code against the
+    compression-pair ensemble."""
+    from .adversary import audit_bob_strategies
+    if cfg["outer_code"] is None:
+        basis = _toy_compressed_basis(GF(1))
     else:
-        if cfg["outer_code"] is None:
-            basis = _toy_compressed_basis(GF(1))
-        else:
-            basis, _ = _load_code(cfg["outer_code"], "outer code",
-                                  orthonormal=True)
-            _require(basis.field.degree == 1, "the request-mask audit is "
-                     "binary; supply a binary code")
-        if basis.length > 16 or basis.dimension > 14:
-            raise EnumerationLimit(
-                f"request-mask audit enumerates 2^{basis.length} masks over "
-                f"a 2^{basis.dimension} posterior; supply a smaller code")
-        margin = cfg["delta"]
-        u_len = _compressed_length(basis.dimension, margin)
-        audit = audit_bob_strategies(basis, margin,
-                                     pair_samples=cfg["pair_samples"],
-                                     rng=derive_rng(seed, 5))
-        trials_rows = [{
-            "mask": "".join(str(b) for b in cell.mask),
-            "rank_V": cell.rank_v,
-            "rank_U": cell.rank_u,
-            "mean_entropy_first": cell.mean_first,
-            "mean_entropy_second": cell.mean_second,
-            "predicted_side": cell.predicted_side(audit.outer_dim),
-            "predicted_entropy": cell.predicted_entropy(audit.outer_dim),
-        } for cell in audit.cells]
-        derived.update({
-            "outer_len": basis.length,
-            "outer_dim": audit.outer_dim,
-            "compressed_len": audit.compressed_len,
-            "margin": audit.margin,
-        })
-        aggregates = {
-            "params": {"phi": phi, "outer_len": basis.length,
-                       "outer_dim": audit.outer_dim, "delta": margin,
-                       "compressed_len": u_len},
-            "strategy": strategy,
-            "trials": len(audit.cells),
-            "accusation_rate": None,
-            "advantage": audit.slack_bits,
-            "posterior_entropies": {
-                "worst_predicted_bits": audit.worst_predicted,
-                "full_bits": float(audit.compressed_len),
-                "slack_bits": audit.slack_bits,
-                "prediction_mismatches": audit.prediction_mismatches,
-            },
-            "rank_V_histogram": {str(k): v
-                                 for k, v in sorted(audit.rank_histogram.items())},
-            "ci_95": None,
-        }
+        basis, _ = _load_code(cfg["outer_code"], "outer code",
+                              orthonormal=True)
+        _require(basis.field.degree == 1, "the request-mask audit is "
+                 "binary; supply a binary code")
+    n, r = basis.length, basis.dimension
+    limit = int(cfg["enum_limit"])
+    if n > 16 or r > 14 or 2 ** n * 4 ** r > limit:
+        raise EnumerationLimit(
+            f"request-mask audit enumerates 2^{n} masks x 4^{r} secret "
+            f"pairs; it needs n <= 16, r <= 14 and 2^n 4^r within the "
+            f"enumeration budget {limit}")
+    margin = cfg["delta"]
+    u_len = _compressed_length(r, margin)
+    # the audit's ValueErrors are argument checks, such as too many pairs
+    audit = _checked(audit_bob_strategies, basis, margin,
+                     pair_samples=cfg["pair_samples"],
+                     rng=derive_rng(seed, 5))
+    rows = [{
+        "mask": "".join(str(b) for b in cell.mask),
+        "rank_V": cell.rank_v,
+        "rank_U": cell.rank_u,
+        "mean_entropy_first": cell.mean_first,
+        "mean_entropy_second": cell.mean_second,
+        "predicted_side": cell.predicted_side(audit.outer_dim),
+        "predicted_entropy": cell.predicted_entropy(audit.outer_dim),
+    } for cell in audit.cells]
+    derived = {
+        "outer_len": n,
+        "outer_dim": audit.outer_dim,
+        "compressed_len": audit.compressed_len,
+        "margin": audit.margin,
+    }
+    aggregates = {
+        "params": {"phi": cfg["phi"], "outer_len": n,
+                   "outer_dim": audit.outer_dim, "delta": margin,
+                   "compressed_len": u_len},
+        "strategy": "bob",
+        "trials": len(audit.cells),
+        "accusation_rate": None,
+        "advantage": audit.slack_bits,
+        "posterior_entropies": {
+            "worst_predicted_bits": audit.worst_predicted,
+            "full_bits": float(audit.compressed_len),
+            "slack_bits": audit.slack_bits,
+            "prediction_mismatches": audit.prediction_mismatches,
+        },
+        "rank_V_histogram": {str(k): v
+                             for k, v in sorted(audit.rank_histogram.items())},
+        "ci_95": None,
+    }
+    return derived, aggregates, rows
+
+
+_ATTACKS = {"honest": _attack_detection, "tracker": _attack_detection,
+            "bob": _attack_bob}
+
+
+def cmd_attack(config: dict, seed: int) -> dict:
+    cfg = _normalize_attack(config)
+    derived, aggregates, rows = _ATTACKS[cfg["strategy"]](cfg, seed)
+    derived["erasure_rate"] = BscParams(cfg["phi"]).erasure_rate
     return build_report("attack", cfg, seed, derived, aggregates,
-                        trials=trials_rows)
+                        trials=rows)
+
+
+def _attack_summary(report: dict) -> str:
+    agg = report["aggregates"]
+    if agg["strategy"] == "bob":
+        ent = agg["posterior_entropies"]
+        return (f"attack bob: masks={agg['trials']} "
+                f"worst_predicted={ent['worst_predicted_bits']:.4f} of "
+                f"{ent['full_bits']:.0f} bits, "
+                f"mismatches={ent['prediction_mismatches']}")
+    return (f"attack {agg['strategy']}: trials={agg['trials']} "
+            f"accusation_rate={agg['accusation_rate']:.4f} "
+            f"advantage={agg['advantage']:.4f}")
+
+
+_ATTACK = Command(
+    "adversary campaigns",
+    {"strategy": Opt(str, "tracker", choices=_ATTACKS),
+     "phi": Opt(float, DEFAULT_PHI),
+     "n0": Opt(int, DEFAULT_N0),
+     "n": Opt(int, None, "sessions per campaign"),
+     "corrupted": Opt(int, None, "false pairs per campaign (tracker)", "M"),
+     "c": Opt(float, DEFAULT_C),
+     "trials": Opt(int, 1000),
+     "delta": Opt(float, None, "compression margin for the mask audit"),
+     "outer_code": Opt(FILE),
+     "pair_samples": Opt(int, None,
+                         "sample this many compression pairs per mask"),
+     "sweep": Opt(bool, False),
+     "sweep_grid": Opt(str, None, "corruption counts for the sweep",
+                       "A,B,..."),
+     "enum_limit": Opt(int, DEFAULT_ENUM_LIMIT)},
+    cmd_attack, _attack_summary,
+    (Output("--sweep", "sweep_out", "sweep corruption counts; CSV goes here",
+            lambda path, rep: write_csv(path, rep["derived"]["sweep"]["rows"]),
+            key="sweep"),))
 
 
 # -- rates subcommand --------------------------------------------------------
@@ -785,19 +849,16 @@ def cmd_rates(config: dict, seed: int) -> dict:
         "residual_error": channel.residual_error,
         "inner_rate": rate_p0(used_phi),
     }
-    table = []
-    for code_rate, q in chains:
-        breakdown = rate_chain(code_rate, q, phi=phi)
-        table.append(breakdown.to_json())
+    table = [_checked(rate_chain, code_rate, q, phi=phi).to_json()
+             for code_rate, q in chains]
     if cfg["curve"]:
-        points = int(cfg["curve_points"])
-        _require(points >= 2, "curve_points must be at least 2")
-        phis = [float(x) for x in np.linspace(0.005, 0.495, points)]
-        rows = [[p, r, r, r] for p, _, r in rate_curve(phis)]
+        points = _at_least(cfg, "curve_points", 2)
+        curve = rate_curve([float(x) for x in
+                            np.linspace(0.005, 0.495, points)])
         derived["curve"] = {
             "points": points,
-            "erasure_rates": [e for _, e, _ in rate_curve(phis)],
-            "rows": rows,
+            "erasure_rates": [e for _, e, _ in curve],
+            "rows": [[p, r, r, r] for p, _, r in curve],
         }
     aggregates = {
         "optimum": {"phi": phi_star, "rate": rate_star},
@@ -806,6 +867,28 @@ def cmd_rates(config: dict, seed: int) -> dict:
     resolved = dict(cfg)
     resolved["phi"] = phi
     return build_report("rates", resolved, seed, derived, aggregates)
+
+
+def _rates_summary(report: dict) -> str:
+    agg = report["aggregates"]
+    opt = agg["optimum"]
+    cells = ", ".join(
+        f"R(q={row['q']})={row['outer_rate']:.3e}/{row['private_rate']:.3e}"
+        for row in agg["table"])
+    return f"rates: phi*={opt['phi']:.4f} R0*={opt['rate']:.4f}; {cells}"
+
+
+_RATES = Command(
+    "achievable-rate table",
+    {"phi": Opt(float, None, "evaluate at this crossover (default: optimum)"),
+     "code_rate": Opt(float, None, "outer code rate for a single chain row"),
+     "q": Opt(int, None, "outer field order for the chain"),
+     "curve": Opt(bool, False),
+     "curve_points": Opt(int, 99)},
+    cmd_rates, _rates_summary,
+    (Output("--curve", "curve_out", "write the rate-vs-crossover CSV here",
+            lambda path, rep: write_csv(path, rep["derived"]["curve"]["rows"]),
+            key="curve"),))
 
 
 # -- code-audit subcommand ---------------------------------------------------
@@ -821,10 +904,6 @@ def cmd_code_audit(config: dict, seed: int) -> dict:
         punctures: Optional[list[int]] = [int(i) for i in punctured]
     except ValueError:
         punctures = None
-    matches = None
-    if embedded is not None:
-        matches = (embedded.d == audit.d and embedded.d_hat == audit.d_hat
-                   and embedded.square_dim == audit.square_dim)
     aggregates = {
         "n": code.length,
         "k": code.dimension,
@@ -837,7 +916,8 @@ def cmd_code_audit(config: dict, seed: int) -> dict:
         "orthonormalized": punctures is not None,
         "punctures": punctures,
         "usable_outer": audit.square_dim < code.length,
-        "matches_embedded_audit": matches,
+        "matches_embedded_audit": (None if embedded is None
+                                   else embedded == audit),
     }
     derived = {
         "enum_limit": limit,
@@ -846,23 +926,40 @@ def cmd_code_audit(config: dict, seed: int) -> dict:
     return build_report("code-audit", cfg, seed, derived, aggregates)
 
 
+def _write_audited_code(path: str, report: dict) -> None:
+    agg = report["aggregates"]
+    obj = dict(report["config"]["code"])
+    obj["audit"] = {"d": agg["d"], "d_hat": agg["d_hat"],
+                    "square_dim": agg["square_dim"]}
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+_CODE_AUDIT = Command(
+    "distances and square structure",
+    {"code": Opt(FILE, None, "code JSON to audit"),
+     "enum_limit": Opt(int, DEFAULT_ENUM_LIMIT)},
+    cmd_code_audit,
+    lambda rep: ("code-audit [{n},{k}]: d={d} d_hat={d_hat} "
+                 "square_dim={square_dim} usable={usable_outer}").format(
+                     **rep["aggregates"]),
+    (Output("--out-code", "out_code",
+            "write the code back with the audit embedded",
+            _write_audited_code),))
+
+
+COMMANDS = {"run": _RUN, "attack": _ATTACK, "rates": _RATES,
+            "code-audit": _CODE_AUDIT}
+
+# replay, and main for every command but run, call through this plain
+# dict: otbench/shim.py patches its entries to stamp the end of set-up
+_DISPATCH = {name: command.execute for name, command in COMMANDS.items()}
+
+
 # -- replay ------------------------------------------------------------------
-
-_DISPATCH = {
-    "run": cmd_run,
-    "attack": cmd_attack,
-    "rates": cmd_rates,
-    "code-audit": cmd_code_audit,
-}
-
 
 def _do_replay(args: argparse.Namespace) -> int:
     try:
-        text = Path(args.report).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read report {args.report}: {exc}") from exc
-    try:
-        stored = json.loads(text)
+        stored = json.loads(_read(args.report, "report"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{args.report} is not JSON: {exc}") from exc
     try:
@@ -871,8 +968,7 @@ def _do_replay(args: argparse.Namespace) -> int:
         raise ConfigError(
             f"{args.report} is not a valid report: {exc}") from exc
     command = stored["command"]
-    if command not in _DISPATCH:
-        raise ConfigError(f"cannot replay a {command} report")
+    _require(command in _DISPATCH, f"cannot replay a {command} report")
     fresh = _DISPATCH[command](stored["config"], stored["seed"])
     if args.out:
         write_report(args.out, fresh)
@@ -902,78 +998,28 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"otlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp: argparse.ArgumentParser) -> None:
-        sp.add_argument("--config", metavar="FILE",
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", metavar="FILE",
                         help="flat `key = value` config file")
-        sp.add_argument("--seed", type=int, metavar="N",
+    common.add_argument("--seed", type=int, metavar="N",
                         help=f"master seed (default ${ENV_SEED}, then 0)")
-        sp.add_argument("--out", metavar="FILE",
+    common.add_argument("--out", metavar="FILE",
                         help="write the JSON report here instead of stdout")
-
-    run = sub.add_parser("run", help="simulate honest protocol sessions")
-    common(run)
-    run.add_argument("--protocol", choices=PROTOCOLS)
-    run.add_argument("--phi", type=float, help="channel crossover")
-    run.add_argument("--n0", type=int, help="inner block length")
-    run.add_argument("--n", type=int, help="outer rounds")
-    run.add_argument("--m", type=int,
-                     help="secret bits (p0/p0q) or symbols per round")
-    run.add_argument("--q", type=int,
-                     help="secret count (p0q) or outer field order (p2)")
-    run.add_argument("--delta", type=float,
-                     help="compression margin for the primed variants")
-    run.add_argument("--c", type=float, help="detection threshold constant")
-    run.add_argument("--slack", type=float,
-                     help="privacy-amplification sizing margin (0 = off)")
-    run.add_argument("--trials", type=int)
-    run.add_argument("--transcripts", type=int, metavar="N",
-                     help="embed full transcripts for the first N trials")
-    run.add_argument("--code", metavar="FILE", help="inner code JSON")
-    run.add_argument("--outer-code", metavar="FILE", dest="outer_code",
-                     help="outer code JSON (orthonormalized on load)")
-    run.add_argument("--enum-limit", type=int, dest="enum_limit")
-    run.add_argument("--workers", type=int, default=1,
-                     help="trial-level process parallelism")
-
-    attack = sub.add_parser("attack", help="adversary campaigns")
-    common(attack)
-    attack.add_argument("--strategy", choices=STRATEGIES)
-    attack.add_argument("--phi", type=float)
-    attack.add_argument("--n0", type=int)
-    attack.add_argument("--n", type=int, help="sessions per campaign")
-    attack.add_argument("--corrupted", type=int, metavar="M",
-                        help="false pairs per campaign (tracker)")
-    attack.add_argument("--c", type=float)
-    attack.add_argument("--trials", type=int)
-    attack.add_argument("--delta", type=float,
-                        help="compression margin for the mask audit")
-    attack.add_argument("--pair-samples", type=int, dest="pair_samples",
-                        help="sample this many compression pairs per mask")
-    attack.add_argument("--outer-code", metavar="FILE", dest="outer_code")
-    attack.add_argument("--sweep", metavar="FILE", dest="sweep_out",
-                        help="sweep corruption counts; CSV goes here")
-    attack.add_argument("--sweep-grid", dest="sweep_grid", metavar="A,B,...",
-                        help="corruption counts for the sweep")
-    attack.add_argument("--enum-limit", type=int, dest="enum_limit")
-
-    rates = sub.add_parser("rates", help="achievable-rate table")
-    common(rates)
-    rates.add_argument("--phi", type=float,
-                       help="evaluate at this crossover (default: optimum)")
-    rates.add_argument("--code-rate", type=float, dest="code_rate",
-                       help="outer code rate for a single chain row")
-    rates.add_argument("--q", type=int, help="outer field order for the chain")
-    rates.add_argument("--curve", metavar="FILE", dest="curve_out",
-                       help="write the rate-vs-crossover CSV here")
-    rates.add_argument("--curve-points", type=int, dest="curve_points")
-
-    audit = sub.add_parser("code-audit", help="distances and square structure")
-    common(audit)
-    audit.add_argument("--code", metavar="FILE", help="code JSON to audit")
-    audit.add_argument("--enum-limit", type=int, dest="enum_limit")
-    audit.add_argument("--out-code", metavar="FILE", dest="out_code",
-                       help="write the code back with the audit embedded")
+    for name, command in COMMANDS.items():
+        sp = sub.add_parser(name, parents=[common], help=command.help)
+        for key, opt in command.keys.items():
+            if opt.kind is not bool:
+                sp.add_argument(
+                    "--" + key.replace("_", "-"),
+                    type=opt.kind if opt.kind in (int, float) else None,
+                    metavar=FILE if opt.kind == FILE else opt.metavar,
+                    choices=opt.choices, help=opt.help)
+        for output in command.outputs:
+            sp.add_argument(output.flag, dest=output.dest, metavar=FILE,
+                            help=output.help)
+    # the worker count is not config: reports do not depend on it
+    sub.choices["run"].add_argument("--workers", type=int, default=1,
+                                    help="trial-level process parallelism")
 
     replay = sub.add_parser("replay", help="re-run a report and compare")
     replay.add_argument("report", help="report JSON to reproduce")
@@ -982,74 +1028,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _flags_to_config(args: argparse.Namespace) -> dict:
-    out = {}
-    for key in _COMMAND_KEYS[args.command]:
-        if key in ("sweep", "curve"):
-            continue
-        value = getattr(args, key, None)
-        if value is not None:
-            out[key] = value
-    if getattr(args, "sweep_out", None):
-        out["sweep"] = True
-    if getattr(args, "curve_out", None):
-        out["curve"] = True
+def _flags_to_config(args: argparse.Namespace, command: Command) -> dict:
+    out = {key: getattr(args, key) for key, opt in command.keys.items()
+           if opt.kind is not bool and getattr(args, key) is not None}
+    out.update((output.key, True) for output in command.outputs
+               if output.key and getattr(args, output.dest))
     return out
 
 
-def _summary_line(report: dict) -> str:
-    command = report["command"]
-    agg = report["aggregates"]
-    if command == "run":
-        return (f"run {report['config']['protocol']}: trials={agg['trials']} "
-                f"success={agg['success_rate']:.4f} "
-                f"abort={agg['abort_rate']:.4f} "
-                f"decode_failure={agg['decode_failure_rate']:.4f}")
-    if command == "attack":
-        if agg["strategy"] == "bob":
-            ent = agg["posterior_entropies"]
-            return (f"attack bob: masks={agg['trials']} "
-                    f"worst_predicted={ent['worst_predicted_bits']:.4f} of "
-                    f"{ent['full_bits']:.0f} bits, "
-                    f"mismatches={ent['prediction_mismatches']}")
-        return (f"attack {agg['strategy']}: trials={agg['trials']} "
-                f"accusation_rate={agg['accusation_rate']:.4f} "
-                f"advantage={agg['advantage']:.4f}")
-    if command == "rates":
-        opt = agg["optimum"]
-        cells = ", ".join(
-            f"R(q={row['q']})={row['outer_rate']:.3e}/{row['private_rate']:.3e}"
-            for row in agg["table"])
-        return (f"rates: phi*={opt['phi']:.4f} R0*={opt['rate']:.4f}; "
-                f"{cells}")
-    if command == "code-audit":
-        return (f"code-audit [{agg['n']},{agg['k']}]: d={agg['d']} "
-                f"d_hat={agg['d_hat']} square_dim={agg['square_dim']} "
-                f"usable={agg['usable_outer']}")
-    return command
-
-
-def _emit_outputs(args: argparse.Namespace, report: dict) -> None:
-    if getattr(args, "out", None):
+def _emit_outputs(args: argparse.Namespace, command: Command,
+                  report: dict) -> None:
+    if args.out:
         write_report(args.out, report)
-        print(_summary_line(report))
+        print(command.summary(report))
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(canonical_json(report))
-    if getattr(args, "sweep_out", None):
-        write_csv(args.sweep_out, report["derived"]["sweep"]["rows"])
-        print(f"wrote {args.sweep_out}", file=sys.stderr)
-    if getattr(args, "curve_out", None):
-        write_csv(args.curve_out, report["derived"]["curve"]["rows"])
-        print(f"wrote {args.curve_out}", file=sys.stderr)
-    if getattr(args, "out_code", None):
-        agg = report["aggregates"]
-        obj = dict(report["config"]["code"])
-        obj["audit"] = {"d": agg["d"], "d_hat": agg["d_hat"],
-                        "square_dim": agg["square_dim"]}
-        Path(args.out_code).write_text(
-            json.dumps(obj, indent=2, sort_keys=True) + "\n")
-        print(f"wrote {args.out_code}", file=sys.stderr)
+    for output in command.outputs:
+        path = getattr(args, output.dest)
+        if path:
+            output.write(path, report)
+            print(f"wrote {path}", file=sys.stderr)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -1058,9 +1057,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         if args.command == "replay":
             return _do_replay(args)
+        command = COMMANDS[args.command]
         file_cfg = parse_config_file(args.config) if args.config else {}
         config, file_seed = resolve_config(args.command, file_cfg,
-                                           _flags_to_config(args))
+                                           _flags_to_config(args, command))
         seed = resolve_seed(args.seed, file_seed)
         if args.command == "run":
             report = cmd_run(config, seed, workers=max(1, args.workers))
@@ -1072,12 +1072,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except EnumerationLimit as exc:
         print(f"otlab: enumeration limit: {exc}", file=sys.stderr)
         return EXIT_ENUM
-    except ValueError as exc:
-        print(f"otlab: config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    _emit_outputs(args, report)
-    if (args.command == "run"
-            and report["aggregates"]["abort_rate"] >= 0.5):
+    _emit_outputs(args, command, report)
+    if args.command == "run" and report["aggregates"]["abort_rate"] >= 0.5:
         print("otlab: aborts dominated the run; see the report",
               file=sys.stderr)
         return EXIT_ABORT

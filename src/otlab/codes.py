@@ -378,43 +378,6 @@ def square_dual_sample(code: LinearCode, rng: np.random.Generator) -> Vector:
     return tuple(acc)
 
 
-@dataclass(frozen=True)
-class UniformityCheck:
-    statistic: float
-    dof: int
-    samples: int
-    cells: int
-
-
-def projection_uniformity_check(code: LinearCode, positions: Sequence[int],
-                                samples: int,
-                                rng: np.random.Generator) -> UniformityCheck:
-    """Chi-square statistic of dual-of-square samples projected on positions.
-
-    Under the uniform hypothesis the statistic is chi-square with
-    q^|positions| - 1 degrees of freedom.  Projection cells are capped at
-    2^20 and |positions| at 20.
-    """
-    q = code.field.order
-    if len(positions) > 20 or q ** len(positions) > 1 << 20:
-        raise ValueError("projection too wide to tabulate")
-    for p in positions:
-        if not 0 <= p < code.length:
-            raise ValueError(f"position {p} out of range")
-    cells = q ** len(positions)
-    counts = np.zeros(cells, dtype=np.int64)
-    for _ in range(samples):
-        u = square_dual_sample(code, rng)
-        idx = 0
-        for p in positions:
-            idx = idx * q + u[p]
-        counts[idx] += 1
-    expected = samples / cells
-    stat = float(((counts - expected) ** 2 / expected).sum()) if samples else 0.0
-    return UniformityCheck(statistic=stat, dof=cells - 1,
-                           samples=samples, cells=cells)
-
-
 def random_code(field: Field, n: int, k: int,
                 rng: np.random.Generator) -> LinearCode:
     """A uniformly random [n, k] code (full-rank generator by rejection)."""
@@ -426,30 +389,6 @@ def random_code(field: Field, n: int, k: int,
         m = Matrix(field, rows)
         if len(rref(m)[1]) == k:
             return LinearCode(m)
-
-
-@dataclass(frozen=True)
-class SearchHit:
-    code: LinearCode
-    d: int
-    d_hat: int
-
-
-def search_codes(field: Field, n: int, k: int, tries: int,
-                 rng: np.random.Generator,
-                 limit: int = DEFAULT_ENUM_LIMIT) -> list[SearchHit]:
-    """Sample random [n, k] codes and audit (d, d_hat) for each.
-
-    Returns hits sorted by d_hat then d, best first.  This is the
-    pragmatic search loop for finding codes whose square keeps a usable
-    distance; no structure is imposed on the draws.
-    """
-    hits = []
-    for _ in range(tries):
-        c = random_code(field, n, k, rng)
-        hits.append(SearchHit(c, c.min_distance(limit), c.square_distance(limit)))
-    hits.sort(key=lambda h: (h.d_hat, h.d), reverse=True)
-    return hits
 
 
 def cyclic_code(field: Field, n: int, gen_coeffs: Sequence[int]) -> LinearCode:

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from otlab.analysis import (EntropyReport, FixedWeightReport,
-                            HashedEntropyReport, binary_entropy,
-                            fixed_weight_oracle, hashed_secret_entropy,
+                            binary_entropy, fixed_weight_oracle,
                             min_entropy_bound, min_entropy_oracle,
                             optimize_rate_p0, rate_chain, rate_curve, rate_p0,
                             wilson_interval)
@@ -297,51 +296,3 @@ def test_fixed_weight_oracle_validation():
     big = LinearCode(Matrix.identity(GF(1), 24))
     with pytest.raises(EnumerationLimit):
         fixed_weight_oracle(big, 0, 12)
-
-
-def test_hashed_entropy_noiseless_view_pins_secret():
-    code = LinearCode.from_rows(GF(1), ((1, 0, 1), (0, 1, 1)))
-    h = Matrix(GF(1), ((1, 0, 0),))
-    rep = hashed_secret_entropy(code, 0, 0.0, h, tolerance=0.1)
-    assert rep.secret_bits == 1
-    assert rep.avg_entropy == pytest.approx(0.0, abs=1e-12)
-    assert rep.min_entropy_view == pytest.approx(0.0, abs=1e-12)
-    assert rep.mass_below == pytest.approx(1.0, abs=1e-12)
-
-
-def test_hashed_entropy_full_erasure_keeps_secret_uniform():
-    code = LinearCode(Matrix.identity(GF(1), 3))
-    h = Matrix(GF(1), ((1, 0, 0), (0, 1, 0)))
-    rep = hashed_secret_entropy(code, 3, 0.1, h, tolerance=0.05)
-    assert rep.secret_bits == 2
-    assert rep.avg_entropy == pytest.approx(2.0, abs=1e-12)
-    assert rep.min_entropy_view == pytest.approx(2.0, abs=1e-12)
-    assert rep.mass_below == 0.0
-
-
-def test_hashed_entropy_constant_hash_is_zero():
-    code = LinearCode(Matrix.identity(GF(1), 3))
-    h = Matrix(GF(1), ((0, 0, 0),), ncols=3)
-    rep = hashed_secret_entropy(code, 1, 0.2, h, tolerance=0.5)
-    assert rep.avg_entropy == pytest.approx(0.0, abs=1e-12)
-    assert rep.mass_below == pytest.approx(1.0, abs=1e-9)
-
-
-def test_hashed_entropy_dominates_min_entropy():
-    """Shannon entropy of the identity hash is at least avg H_inf."""
-    code = LinearCode.from_rows(GF(1), ((1, 0, 1), (0, 1, 1)))
-    h = Matrix.identity(GF(1), 3)
-    shannon = hashed_secret_entropy(code, 1, 0.2, h, tolerance=0.1)
-    minent = min_entropy_oracle(code, 1, 0.2, alpha=0.5)
-    assert shannon.avg_entropy >= minent.avg_min_entropy - 1e-12
-
-
-def test_hashed_entropy_validation_and_limit():
-    code = LinearCode.from_rows(GF(1), ((1, 0, 1), (0, 1, 1)))
-    with pytest.raises(ValueError):
-        hashed_secret_entropy(code, 0, 0.0, Matrix(GF(1), ((1, 0),)),
-                              tolerance=0.1)
-    big = LinearCode(Matrix.identity(GF(1), 22))
-    with pytest.raises(EnumerationLimit):
-        hashed_secret_entropy(big, 0, 0.1, Matrix.identity(GF(1), 22),
-                              tolerance=0.1)

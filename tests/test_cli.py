@@ -1,11 +1,18 @@
 """End-to-end checks of the command line interface.
 
-Everything here shells out to `python -m otlab`, so the tests exercise the
-real entry point: argument parsing, config merging, seed resolution, report
-emission, exit codes. Statistical behaviour is covered by the library tests;
-this file sticks to plumbing and frozen values.
+Most tests call `otlab.cli.main` in this process through `run_cli`, which
+captures stdout and stderr and turns a `SystemExit` into a return code, so
+they exercise argument parsing, config merging, seed resolution, report
+emission and exit codes without an interpreter start each.  Where a fresh
+interpreter is the subject (the import probe, `--version`, the
+`python -m otlab` entry and one exit code of each class) `run_module`
+starts a real subprocess.  Statistical behaviour is covered by the library
+tests; this file sticks to plumbing and frozen values.
 """
 
+import contextlib
+import gc
+import io
 import json
 import os
 import subprocess
@@ -32,9 +39,10 @@ from otlab.reports import (
 
 C15_5_GEN = (1, 1, 1, 0, 1, 1, 0, 0, 1, 0, 1)
 GOLDEN_CODES = Path(__file__).parent / "golden" / "codes"
+REPO = Path(__file__).resolve().parent.parent
 
 
-def run_cli(*args, env=None):
+def run_module(*args, env=None):
     """Invoke the installed module in a subprocess with a scrubbed seed env."""
     full_env = dict(os.environ)
     full_env.pop("OTLAB_SEED", None)
@@ -43,6 +51,26 @@ def run_cli(*args, env=None):
     return subprocess.run(
         [sys.executable, "-m", "otlab", *map(str, args)],
         capture_output=True, text=True, env=full_env)
+
+
+def run_cli(*args, env=None):
+    """Call `cli.main` in this process, as `run_module` would run it."""
+    saved = dict(os.environ)
+    os.environ.pop("OTLAB_SEED", None)
+    os.environ.update(env or {})
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main([str(a) for a in args])
+            except SystemExit as exc:  # argparse errors
+                code = 0 if exc.code is None else exc.code
+    finally:
+        gc.unfreeze()  # main freezes the heap for a process about to exit
+        os.environ.clear()
+        os.environ.update(saved)
+    return subprocess.CompletedProcess(args, code, out.getvalue(),
+                                       err.getvalue())
 
 
 def report_from(proc, expect_code=0):
@@ -125,6 +153,28 @@ def test_import_leaves_out_schema_library_and_process_pool():
     assert frozen_line == "True"
 
 
+@pytest.mark.parametrize("argv", [
+    ["rates"],
+    ["run", "--protocol", "p0", "--trials", "2"],
+    ["run", "--protocol", "p2prime", "--phi", "0", "--delta", "0.25",
+     "--trials", "1"],
+])
+def test_benchmark_shim_stamps_the_end_of_set_up(argv, tmp_path):
+    # otbench/shim.py runs cli.main after `import otlab.cli`, patching
+    # _DISPATCH entries and the p0_run/run_session module globals; each
+    # command must reach one of them
+    stamp = tmp_path / "stamp.json"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO / "src"), env.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "otbench" / "shim.py"), str(stamp),
+         "plain", "--", *argv],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert "t_first" in json.loads(stamp.read_text())
+
+
 def test_run_out_file_matches_stdout(tmp_path):
     out = tmp_path / "report.json"
     args = ("run", "--protocol", "p0", "--phi", "0", "--n0", "6",
@@ -140,8 +190,8 @@ def test_run_out_file_matches_stdout(tmp_path):
 
 
 def test_run_abort_dominated_exits_4():
-    proc = run_cli("run", "--protocol", "p1", "--phi", "0.49", "--n0", "6",
-                   "--trials", "10", "--seed", "0")
+    proc = run_module("run", "--protocol", "p1", "--phi", "0.49", "--n0", "6",
+                      "--trials", "10", "--seed", "0")
     rep = report_from(proc, expect_code=4)
     assert rep["aggregates"]["abort_rate"] >= 0.5
 
@@ -200,6 +250,9 @@ def test_config_errors_exit_2(tmp_path):
     nine = write_code(tmp_path, "nine.json", all_ones_code(9))
     nine_gf4 = write_code(tmp_path, "nine_gf4.json",
                           LinearCode(Matrix(GF(2), ((1,) * 9,))))
+    # 255 x 254 full-rank compression matrices: too many to enumerate
+    eye8 = write_code(tmp_path, "eye8.json",
+                      LinearCode(Matrix.identity(GF(1), 8)))
 
     for args, env in [
         (("run", "--config", str(bad_key)), None),
@@ -218,20 +271,40 @@ def test_config_errors_exit_2(tmp_path):
         (("run", "--protocol", "p2", "--q", "2"), None),
         (("run", "--protocol", "p0", "--q", "4"), None),
         (("run", "--protocol", "p0", "--outer-code", nine), None),
+        (("rates", "--code-rate", "0"), None),
+        (("rates", "--code-rate", "2"), None),
+        (("rates", "--code-rate", "0.1", "--q", "3"), None),
+        (("run", "--slack", "0.5"), None),
+        (("attack", "--strategy", "bob", "--pair-samples", "0"), None),
+        (("attack", "--strategy", "bob", "--outer-code", eye8), None),
     ]:
         proc = run_cli(*args, env=env)
         assert proc.returncode == 2, (args, proc.stderr)
         assert proc.stderr.startswith("otlab: config error: "), proc.stderr
+    # checked up front, not numpy's "need at least one array to stack"
+    proc = run_cli("attack", "--strategy", "bob", "--pair-samples", "0")
+    assert "pair_samples must be at least 1" in proc.stderr
+
+
+def test_value_error_inside_a_trial_propagates(monkeypatch):
+    # only config errors exit 2; a failing trial is a bug and keeps its
+    # traceback (exit 1 from the interpreter)
+    def failing_trial(*args):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli, "_run_trial", failing_trial)
+    with pytest.raises(ValueError, match="boom"):
+        run_cli("run", "--trials", "2")
 
 
 def test_argparse_errors_exit_2():
-    assert run_cli().returncode == 2
+    assert run_module().returncode == 2
     assert run_cli("run", "--protocol", "p9").returncode == 2
     assert run_cli("run", "--no-such-flag").returncode == 2
 
 
 def test_version_flag():
-    proc = run_cli("--version")
+    proc = run_module("--version")
     assert proc.returncode == 0
     import otlab
     assert otlab.__version__ in proc.stdout
@@ -241,7 +314,7 @@ def test_version_flag():
 
 
 def test_rates_default_table_frozen():
-    first = run_cli("rates")
+    first = run_module("rates")
     rep = report_from(first)
     opt = rep["aggregates"]["optimum"]
     assert opt["phi"] == pytest.approx(0.19385297824369357, abs=1e-12)
@@ -377,7 +450,7 @@ def test_run_enum_limit_bounds_the_decoder(monkeypatch, capsys):
 def test_code_audit_enum_limit_exits_3(tmp_path):
     path = write_code(tmp_path, "c155.json",
                       cyclic_code(GF(1), 15, C15_5_GEN))
-    proc = run_cli("code-audit", "--code", path, "--enum-limit", "20")
+    proc = run_module("code-audit", "--code", path, "--enum-limit", "20")
     assert proc.returncode == 3
     assert "enumeration" in proc.stderr.lower()
 
@@ -402,6 +475,10 @@ def test_attack_bob_rejects_oversized_basis(tmp_path):
     path = write_code(tmp_path, "c17.json", all_ones_code(17))
     proc = run_cli("attack", "--strategy", "bob", "--outer-code", path)
     assert proc.returncode == 3
+    # the toy audit's 2^8 masks x 4^4 secret pairs exceed a budget of 4
+    proc = run_cli("attack", "--strategy", "bob", "--enum-limit", "4")
+    assert proc.returncode == 3
+    assert "enumeration budget 4" in proc.stderr
 
 
 def test_attack_honest_matches_detection_rule():
@@ -460,7 +537,7 @@ def test_replay_mismatch_exits_1(tmp_path):
     rep["aggregates"]["optimum"]["rate"] = 0.5
     doctored = tmp_path / "doctored.json"
     doctored.write_text(canonical_json(rep))
-    proc = run_cli("replay", str(doctored))
+    proc = run_module("replay", str(doctored))
     assert proc.returncode == 1
     assert "aggregates" in proc.stdout + proc.stderr
 

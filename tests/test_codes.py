@@ -5,10 +5,8 @@ import pytest
 
 from otlab.codes import (EnumerationLimit, LinearCode, OrthonormalCode,
                          code_from_json, code_to_json, cyclic_code,
-                         orthonormalize, projection_uniformity_check,
-                         puncture, random_code, rs_code,
-                         sampled_distance_audit, schur, search_codes,
-                         square_dual_sample)
+                         orthonormalize, puncture, random_code, rs_code,
+                         sampled_distance_audit, schur, square_dual_sample)
 from otlab.gf import GF
 from otlab.linalg import Matrix, rank, rref
 
@@ -322,51 +320,6 @@ def test_square_dual_sample_covers_dual():
     assert len(seen) == 1 << dual_dim
 
 
-def test_projection_uniformity_below_square_distance():
-    """Projections narrower than the square's distance look uniform."""
-    rng = np.random.default_rng(21)
-    code = cyclic_code(GF(1), 15, C15_5_GEN)
-    width = min(code.square_distance() - 1, 6)
-    assert width >= 1
-    check = projection_uniformity_check(code, positions=tuple(range(width)),
-                                        samples=4000, rng=rng)
-    assert check.samples == 4000
-    assert check.cells == 2 ** width
-    # statistic ~ chi^2 with dof degrees of freedom; 5 sigma guard
-    bound = check.dof + 5 * (2 * check.dof) ** 0.5
-    assert check.statistic <= bound
-
-
-def test_projection_uniformity_detects_bias():
-    """Projecting onto the support of a square codeword shows the skew."""
-    rng = np.random.default_rng(22)
-    code = cyclic_code(GF(1), 15, C15_5_GEN)
-    sq = code.schur_square()
-    light = None
-    for word in sq.iter_codewords():
-        w = sum(1 for a in word if a)
-        if w and (light is None or w < sum(1 for a in light if a)):
-            light = word
-    support = tuple(i for i, a in enumerate(light) if a)
-    assert len(support) <= 10
-    check = projection_uniformity_check(code, positions=support,
-                                        samples=2000, rng=rng)
-    # every sample is orthogonal to the square word, so half the cells
-    # are structurally empty and the statistic blows past any quantile
-    bound = check.dof + 5 * (2 * check.dof) ** 0.5
-    assert check.statistic > bound
-
-
-def test_projection_uniformity_validates_positions():
-    rng = np.random.default_rng(33)
-    code = cyclic_code(GF(1), 15, C15_5_GEN)
-    with pytest.raises(ValueError):
-        projection_uniformity_check(code, positions=(99,), samples=10, rng=rng)
-    with pytest.raises(ValueError):
-        projection_uniformity_check(code, positions=tuple(range(21)),
-                                    samples=10, rng=rng)
-
-
 def test_code_json_round_trip():
     for code in (hamming_7_4(),
                  rs_code(GF(3), 2),
@@ -400,17 +353,6 @@ def test_random_code_full_rank_and_shape():
             code = random_code(f, n, k, rng)
             assert (code.length, code.dimension) == (n, k)
             assert rank(code.generator) == k
-
-
-def test_search_codes_orders_by_square_distance():
-    rng = np.random.default_rng(24)
-    hits = search_codes(GF(1), 9, 3, tries=30, rng=rng)
-    assert hits
-    keys = [(h.d_hat, h.d) for h in hits]
-    assert keys == sorted(keys, reverse=True)
-    for h in hits:
-        assert h.d == h.code.min_distance()
-        assert h.d_hat == h.code.square_distance()
 
 
 def test_sampled_distance_audit_bounds_true_distance():
