@@ -142,6 +142,11 @@ class AdvantageReport:
     tie_rate: float
 
 
+# trials per block of the tracker kernel: larger blocks leave the cache and
+# raise the process's peak memory, smaller ones pay more numpy calls
+TRACKER_BLOCK_ROWS = 512
+
+
 def tracker_advantage_p0(block_len: int, phi: float, corrupted: int,
                          trials: int, rng: np.random.Generator) -> AdvantageReport:
     """Alice's edge at guessing Bob's choice from corrupt-slot labels.
@@ -150,31 +155,38 @@ def tracker_advantage_p0(block_len: int, phi: float, corrupted: int,
     session and later sees which announced set each one landed in; the
     erasure-heavy set is the unchosen one, so she guesses against the
     set holding the majority of her corruptions (coin on a tie).
-    Vectorized over trials; the first-fit partition matches the honest
-    procedure exactly.
+    Vectorized over trials in blocks of TRACKER_BLOCK_ROWS, so memory is
+    about one byte per slot plus one block; the first-fit partition
+    matches the honest procedure exactly.
     """
     slots = 2 * block_len
     if not 0 <= corrupted <= slots:
         raise ValueError(f"corrupted must be in 0..{slots}")
     eps = BscParams(phi).erasure_rate
-    # erasure per slot: honest slots (first slots-corrupted) w.p. eps,
-    # corrupt slots (placed last; positions are exchangeable as honest
-    # Bob never sees which is which before erasing) w.p. 1 - eps.
-    u = rng.random(size=(trials, slots))
+    honest = slots - corrupted
+    # erasure per slot: honest slots (the first `honest`) w.p. eps, corrupt
+    # slots (placed last; positions are exchangeable as honest Bob never
+    # sees which is which before erasing) w.p. 1 - eps.  Every erasure
+    # draw precedes every shuffle key, and row blocks drawn in turn are
+    # the rows of one whole draw, so the blocks keep the stream's order.
+    cutoff = np.where(np.arange(slots) < honest, eps, 1.0 - eps)
+    blocks = [slice(i, i + TRACKER_BLOCK_ROWS)
+              for i in range(0, trials, TRACKER_BLOCK_ROWS)]
     erased = np.empty((trials, slots), dtype=bool)
-    erased[:, :slots - corrupted] = u[:, :slots - corrupted] < eps
-    erased[:, slots - corrupted:] = u[:, slots - corrupted:] < 1.0 - eps
-    # shuffle slot positions per trial so corrupt slots sit anywhere
-    perm = np.argsort(rng.random(size=(trials, slots)), axis=1)
-    corrupt_mask = np.zeros((trials, slots), dtype=bool)
-    corrupt_mask[perm >= slots - corrupted] = True
-    erased = np.take_along_axis(erased, perm, axis=1)
-    clean = ~erased
-    enough = clean.sum(axis=1) >= block_len
-    # chosen set = first block_len clean positions
-    order = np.cumsum(clean, axis=1)
-    in_chosen = clean & (order <= block_len)
-    corrupt_in_chosen = (in_chosen & corrupt_mask).sum(axis=1)
+    for b in blocks:
+        erased[b] = rng.random(erased[b].shape) < cutoff
+    enough = np.empty(trials, dtype=bool)
+    corrupt_in_chosen = np.empty(trials, dtype=np.int64)
+    row_start = np.arange(TRACKER_BLOCK_ROWS)[:, None] * slots
+    for b in blocks:
+        # shuffle slot positions per trial so corrupt slots sit anywhere
+        perm = np.argsort(rng.random(erased[b].shape), axis=1)
+        clean = ~np.take(erased[b], perm + row_start[:len(perm)])
+        enough[b] = clean.sum(axis=1) >= block_len
+        # chosen set = first block_len clean positions
+        order = np.cumsum(clean, axis=1, dtype=np.min_scalar_type(slots))
+        in_chosen = clean & (order <= block_len)
+        corrupt_in_chosen[b] = (in_chosen & (perm >= honest)).sum(axis=1)
     rest = corrupted - corrupt_in_chosen
     # guess: the set with more corruptions is the unchosen one
     correct = np.where(corrupt_in_chosen < rest, 1.0,

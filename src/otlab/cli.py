@@ -640,8 +640,11 @@ def _normalize_attack(config: dict) -> dict:
         corrupted = 0
     if cfg["sweep"]:
         _require(strategy == "tracker", "sweep applies to the tracker only")
-    if cfg["outer_code"] is not None:
-        _require(strategy == "bob", "outer_code applies to bob only")
+    if cfg["sweep_grid"] is not None:
+        _require(cfg["sweep"], "sweep_grid applies to the sweep only")
+    for key in ("outer_code", "delta", "pair_samples"):
+        if cfg[key] is not None:
+            _require(strategy == "bob", f"{key} applies to bob only")
     if cfg["pair_samples"] is not None:
         _at_least(cfg, "pair_samples", 1)
     delta = cfg["delta"]

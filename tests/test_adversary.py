@@ -1,11 +1,13 @@
 """Corruption detection, choice tracking, and the mask-posterior audits."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from otlab.adversary import (AccusationRule, audit_bob_strategies,
+from otlab.adversary import (TRACKER_BLOCK_ROWS, AccusationRule,
+                             AdvantageReport, audit_bob_strategies,
                              detection_campaign, detection_rule,
                              detection_sweep, expected_unerased,
                              posterior_cell, simulate_unerased_counts,
@@ -168,6 +170,82 @@ def test_tracker_advantage_grows_with_corruptions():
     assert large.advantage > 5 * large.std_error
     with pytest.raises(ValueError):
         tracker_advantage_p0(15, 0.198, 31, 10, rng)
+
+
+def _tracker_one_shot(block_len, phi, corrupted, trials, rng):
+    """The tracker kernel as it was before row blocks: whole-array draws."""
+    slots = 2 * block_len
+    eps = BscParams(phi).erasure_rate
+    u = rng.random(size=(trials, slots))
+    erased = np.empty((trials, slots), dtype=bool)
+    erased[:, :slots - corrupted] = u[:, :slots - corrupted] < eps
+    erased[:, slots - corrupted:] = u[:, slots - corrupted:] < 1.0 - eps
+    perm = np.argsort(rng.random(size=(trials, slots)), axis=1)
+    corrupt_mask = np.zeros((trials, slots), dtype=bool)
+    corrupt_mask[perm >= slots - corrupted] = True
+    erased = np.take_along_axis(erased, perm, axis=1)
+    clean = ~erased
+    enough = clean.sum(axis=1) >= block_len
+    order = np.cumsum(clean, axis=1)
+    in_chosen = clean & (order <= block_len)
+    corrupt_in_chosen = (in_chosen & corrupt_mask).sum(axis=1)
+    rest = corrupted - corrupt_in_chosen
+    correct = np.where(corrupt_in_chosen < rest, 1.0,
+                       np.where(corrupt_in_chosen == rest, 0.5, 0.0))
+    correct = correct[enough]
+    ties = float(np.mean(corrupt_in_chosen[enough] == rest[enough])) \
+        if enough.any() else 0.0
+    n = int(enough.sum())
+    adv = float(np.mean(correct)) - 0.5 if n else 0.0
+    se = float(np.std(correct) / math.sqrt(n)) if n else 0.0
+    return AdvantageReport(trials=n, advantage=adv, std_error=se,
+                           tie_rate=ties)
+
+
+def test_row_blocks_of_one_stream_are_one_draw():
+    """The fact the blocked tracker rests on: consecutive (a, s) and (b, s)
+    uniform draws are the rows of one (a + b, s) draw."""
+    for a, b, s in ((1, 1, 4), (3, 5, 30), (TRACKER_BLOCK_ROWS, 7, 126)):
+        whole = derive_rng(a, b).random((a + b, s))
+        rng = derive_rng(a, b)
+        assert np.array_equal(whole, np.vstack([rng.random((a, s)),
+                                                rng.random((b, s))]))
+
+
+def test_tracker_advantage_blocks_match_one_shot_reference():
+    """Same report and same stream position as the whole-array kernel, at
+    block edges, for every corruption level from none to every slot."""
+    block = TRACKER_BLOCK_ROWS
+    cases = []
+    for trials in (1, block - 1, block, block + 1, 3 * block + 7):
+        for seed in (0, 1):
+            cases += [(n0, phi, c, trials, seed)
+                      for n0 in (2, 15, 30, 63) for phi in (0.0, 0.198)
+                      for c in (0, 1, n0, 2 * n0)]
+    # the benchmark's size, each n0, phi and corruption level once
+    cases += [(n0, phi, c, 16000, 3) for n0, phi, c in
+              ((2, 0.0, 0), (15, 0.198, 1), (30, 0.198, 30), (63, 0.0, 126))]
+    cases.append((130, 0.198, 130, 3 * block + 7, 3))  # over 255 slots
+    for i, (n0, phi, c, trials, seed) in enumerate(cases):
+        got_rng, want_rng = derive_rng(seed, i), derive_rng(seed, i)
+        got = tracker_advantage_p0(n0, phi, c, trials, got_rng)
+        want = _tracker_one_shot(n0, phi, c, trials, want_rng)
+        assert got == want, (n0, phi, c, trials, seed)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("trials", [16000, 64000])
+def test_tracker_advantage_memory_is_a_byte_per_slot(trials):
+    """One bool per slot plus per-trial scalars and one block; a single
+    trials x 2 n0 array of floats or indices would break the bound."""
+    n0 = 30
+    tracemalloc.start()
+    try:
+        tracker_advantage_p0(n0, 0.198, 30, trials, derive_rng(5))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < trials * (2 * n0 + 64) + 4 * 2**20
 
 
 def test_posterior_cell_zero_v_protects_second():

@@ -11,7 +11,6 @@ tests; this file sticks to plumbing and frozen values.
 """
 
 import contextlib
-import gc
 import io
 import json
 import os
@@ -66,7 +65,6 @@ def run_cli(*args, env=None):
             except SystemExit as exc:  # argparse errors
                 code = 0 if exc.code is None else exc.code
     finally:
-        gc.unfreeze()  # main freezes the heap for a process about to exit
         os.environ.clear()
         os.environ.update(saved)
     return subprocess.CompletedProcess(args, code, out.getvalue(),
@@ -277,6 +275,9 @@ def test_config_errors_exit_2(tmp_path):
         (("run", "--slack", "0.5"), None),
         (("attack", "--strategy", "bob", "--pair-samples", "0"), None),
         (("attack", "--strategy", "bob", "--outer-code", eye8), None),
+        (("attack", "--strategy", "tracker", "--pair-samples", "5"), None),
+        (("attack", "--strategy", "honest", "--delta", "0.3"), None),
+        (("attack", "--strategy", "tracker", "--sweep-grid", "1,2"), None),
     ]:
         proc = run_cli(*args, env=env)
         assert proc.returncode == 2, (args, proc.stderr)
