@@ -52,6 +52,21 @@ CASES = {
                              "--n0", "15", "--corrupted", "40", "--trials",
                              "200", "--sweep", "{tmp}/sweep.csv",
                              "--sweep-grid", "0,20,40", "--seed", "22"],
+    # One transcript of every shape: p0 ok/decode_failure/abort, p0q with
+    # inner aborts, an outer run with a failed round ("v": null) and a
+    # compressed outer run over GF(4).
+    "run-p0-statuses": ["run", "--protocol", "p0", "--n0", "4", "--phi",
+                        "0.2", "--trials", "10", "--transcripts", "10",
+                        "--seed", "41"],
+    "run-p0q-transcripts": ["run", "--protocol", "p0q", "--q", "4", "--phi",
+                            "0.3", "--trials", "6", "--transcripts", "6",
+                            "--seed", "23"],
+    "run-p1-transcripts": ["run", "--protocol", "p1", "--phi", "0.15",
+                           "--n", "9", "--trials", "3", "--transcripts", "3",
+                           "--seed", "36"],
+    "run-p2prime-transcripts": ["run", "--protocol", "p2prime", "--phi",
+                                "0.05", "--delta", "0.25", "--trials", "2",
+                                "--transcripts", "2", "--seed", "24"],
 }
 
 

@@ -7,6 +7,7 @@ every random draw across commits.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -30,3 +31,28 @@ def test_golden_report_replays_byte_for_byte(name, tmp_path, capsys):
     assert out.read_bytes() == want, (
         f"{name} no longer reproduces its golden report; a deliberate "
         "change regenerates the corpus with tests/golden/regen.py")
+
+
+def _golden_transcripts():
+    """(protocol, q, transcript) for every transcript in the run reports."""
+    out = []
+    for name in regen.CASES:
+        report = json.loads((regen.GOLDEN_DIR / f"{name}.json").read_text())
+        if report["command"] != "run":
+            continue
+        cfg = report["config"]
+        out.extend((cfg["protocol"], cfg["q"], row["transcript"])
+                   for row in report["trials"] if "transcript" in row)
+    return out
+
+
+def test_corpus_holds_every_transcript_shape():
+    found = _golden_transcripts()
+    p0_statuses = {tr["outcome"]["status"] for proto, _, tr in found
+                   if proto == "p0"}
+    assert p0_statuses == {"ok", "abort", "decode_failure"}
+    assert any(proto == "p0q" and tr["inner"] for proto, _, tr in found)
+    outer = [(q, tr) for proto, q, tr in found
+             if proto not in ("p0", "p0q")]
+    assert any(tr["v"] is None for _, tr in outer)
+    assert any(q == 4 and tr["v"] is not None for q, tr in outer)
