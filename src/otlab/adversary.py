@@ -229,10 +229,6 @@ class PosteriorCell:
     entropy_first: float
     entropy_second: float
 
-    @property
-    def protected(self) -> float:
-        return max(self.entropy_first, self.entropy_second)
-
 
 def posterior_cell(v: Matrix, m_first: Matrix, m_second: Matrix) -> PosteriorCell:
     """Enumerate (s, t) and measure both conditional entropies exactly."""

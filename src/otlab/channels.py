@@ -81,10 +81,6 @@ class TernaryWord:
     def trace(self) -> str:
         return "".join("*" if s == ERASED else str(s) for s in self.symbols)
 
-    @classmethod
-    def from_trace(cls, text: str) -> "TernaryWord":
-        return cls(tuple(ERASED if ch == "*" else int(ch) for ch in text))
-
 
 def bsc_transmit(bits: Sequence[int], phi: float,
                  rng: np.random.Generator) -> tuple:

@@ -248,8 +248,8 @@ class Protocol:
     compressed: the primed variants.  alphabet(q, code_q) maps the
     requested q and the outer code's field order (None without a code)
     to the secret alphabet size, or raises ConfigError.  trial(setup,
-    rng, keep) runs one trial and returns (session, expected output,
-    channel bits, secret bits, transcript JSON or None).
+    rng) runs one trial and returns (session, expected output, secret
+    bits).
     """
 
     outer: bool
@@ -329,28 +329,23 @@ def _random_bits(rng: np.random.Generator, bits: int) -> tuple:
     return tuple(int(b) for b in rng.integers(0, 2, size=bits))
 
 
-def _p0_trial(setup: RunSetup, rng: np.random.Generator, keep: bool) -> tuple:
+def _p0_trial(setup: RunSetup, rng: np.random.Generator) -> tuple:
     bits = setup.inner.secret_bits
     first, second = _random_bits(rng, bits), _random_bits(rng, bits)
     want_first = bool(rng.integers(0, 2))
     session = p0_run(first, second, want_first, setup.inner, rng)
-    tr = session.transcript
-    return (session, first if want_first else second, tr.channel_bits, bits,
-            tr.to_json() if keep else None)
+    return session, first if want_first else second, bits
 
 
-def _p0q_trial(setup: RunSetup, rng: np.random.Generator, keep: bool) -> tuple:
+def _p0q_trial(setup: RunSetup, rng: np.random.Generator) -> tuple:
     bits = setup.inner.secret_bits
     secrets = [_random_bits(rng, bits) for _ in range(setup.q)]
     index = int(rng.integers(setup.q))
     session = p0q_run(secrets, index, setup.inner, rng)
-    return (session, secrets[index], session.channel_bits, bits,
-            {"inner": [t.to_json() for t in session.transcripts]}
-            if keep else None)
+    return session, secrets[index], bits
 
 
-def _outer_trial(setup: RunSetup, rng: np.random.Generator,
-                 keep: bool) -> tuple:
+def _outer_trial(setup: RunSetup, rng: np.random.Generator) -> tuple:
     params = setup.outer
     field = params.field
     compressed = setup.protocol.compressed
@@ -367,10 +362,8 @@ def _outer_trial(setup: RunSetup, rng: np.random.Generator,
     want_first = bool(rng.integers(0, 2))
     session = run_session(params, first, second, want_first, rng,
                           compressed=compressed)
-    tr = session.transcript
-    return (session, first if want_first else second, tr.channel_bits,
-            rows_n * params.block_syms * field.degree,
-            tr.to_json() if keep else None)
+    return (session, first if want_first else second,
+            rows_n * params.block_syms * field.degree)
 
 
 PROTOCOLS = {
@@ -478,17 +471,16 @@ def _normalize_run(config: dict, seed: int) -> tuple[dict, RunSetup]:
 
 def _run_trial(setup: RunSetup, seed: int, trial: int) -> dict:
     rng = derive_rng(seed, 0, trial)
-    session, expected, channel_bits, secret_bits, transcript = \
-        setup.protocol.trial(setup, rng, trial < setup.transcripts)
+    session, expected, secret_bits = setup.protocol.trial(setup, rng)
     row = {
         "trial": trial,
         "status": session.status,
         "matched": bool(session.status == "ok" and session.output == expected),
-        "channel_bits": int(channel_bits),
-        "observed_rate": 2.0 * secret_bits / channel_bits,
+        "channel_bits": session.channel_bits,
+        "observed_rate": 2.0 * secret_bits / session.channel_bits,
     }
-    if transcript is not None:
-        row["transcript"] = transcript
+    if trial < setup.transcripts:
+        row["transcript"] = session.transcript
     return row
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .gf import GF, Field
 from .linalg import (Matrix, Vector, pack_rows, rank_and_kernel, rref,
-                     row_span_basis, span_words, weights)
+                     row_span_basis, solve_affine, span_words, weights)
 
 DEFAULT_ENUM_LIMIT = 1 << 24
 _SPAN_BLOCK_ROWS = 16  # min_distance spans 2^16 words at a time
@@ -50,11 +50,9 @@ class LinearCode:
         k, n = generator.nrows, generator.ncols
         if not 1 <= k <= n:
             raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-        red, pivots = rref(generator)
-        if len(pivots) != k:
+        if len(rref(generator)[1]) != k:
             raise ValueError("generator must have full row rank")
         self._generator = generator
-        self._rref = Matrix(generator.field, red.rows[:k])
         self._min_distance: Optional[int] = None
         self._square: Optional["LinearCode"] = None
 
@@ -83,12 +81,6 @@ class LinearCode:
 
     def encode(self, message: Sequence[int]) -> Vector:
         return self._generator.left_apply(message)
-
-    def subcode(self, r: int) -> "LinearCode":
-        """The subcode spanned by the first r rows of the reduced generator."""
-        if not 1 <= r <= self.dimension:
-            raise ValueError(f"need 1 <= r <= k, got {r}")
-        return LinearCode(Matrix(self.field, self._rref.rows[:r]))
 
     def iter_codewords(self, limit: int = DEFAULT_ENUM_LIMIT):
         """Yield every codeword once (tuples), cheapest-change order."""
@@ -363,19 +355,10 @@ def square_dual_sample(code: LinearCode, rng: np.random.Generator) -> Vector:
     degenerates.
     """
     sq = code.schur_square()
-    _, kernel = rank_and_kernel(sq.generator)
-    if not kernel:
+    if sq.dimension == code.length:
         raise ValueError(
             "the square spans the full space; its dual is trivial")
-    f = code.field
-    coeffs = rng.integers(0, f.order, size=len(kernel))
-    acc = [0] * code.length
-    for c, kv in zip(coeffs, kernel):
-        c = int(c)
-        if c:
-            for i, a in enumerate(kv):
-                acc[i] ^= f.mul(c, a)
-    return tuple(acc)
+    return solve_affine(sq.generator, (0,) * sq.dimension, rng)
 
 
 def random_code(field: Field, n: int, k: int,

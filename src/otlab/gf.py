@@ -113,12 +113,6 @@ class Field:
             raise ValueError(f"{a!r} is not an element of {self}")
         return a
 
-    def elements(self) -> range:
-        return range(self.order)
-
-    def nonzero(self) -> range:
-        return range(1, self.order)
-
     # -- arithmetic ----------------------------------------------------
 
     @staticmethod

@@ -87,11 +87,6 @@ class Matrix:
                                 for i in range(n)))
 
     @classmethod
-    def zeros(cls, field: Field, nrows: int, ncols: int) -> "Matrix":
-        return cls(field, tuple((0,) * ncols for _ in range(nrows)),
-                   ncols=ncols)
-
-    @classmethod
     def from_columns(cls, field: Field, cols: Sequence[Sequence[int]]) -> "Matrix":
         return cls(field, tuple(zip(*cols))) if cols else cls(field, ())
 
@@ -156,12 +151,6 @@ class Matrix:
         width = self.ncols if self.nrows else other.ncols
         return Matrix._trusted(self.field, self.rows + other.rows, ncols=width)
 
-    def hstack(self, other: "Matrix") -> "Matrix":
-        if self.field != other.field or self.nrows != other.nrows:
-            raise DimensionMismatch("hstack shape mismatch")
-        return Matrix._trusted(self.field, tuple(a + b for a, b in
-                                                 zip(self.rows, other.rows)))
-
     def drop_columns(self, positions: Iterable[int]) -> "Matrix":
         drop = set(positions)
         keep = [j for j in range(self.ncols) if j not in drop]
@@ -169,9 +158,6 @@ class Matrix:
                                tuple(tuple(r[j] for j in keep)
                                      for r in self.rows),
                                ncols=len(keep))
-
-    def is_zero(self) -> bool:
-        return all(all(a == 0 for a in r) for r in self.rows)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Matrix) and self.field == other.field

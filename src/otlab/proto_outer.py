@@ -27,8 +27,8 @@ import numpy as np
 
 from .codes import OrthonormalCode, square_dual_sample
 from .gf import Field
-from .linalg import Matrix, Vector, rank, solve_affine
-from .proto_p0 import P0Params, p0q_run
+from .linalg import Matrix, rank, solve_affine
+from .proto_p0 import P0Params, Session, p0q_run
 
 
 def block_to_bits(block: Sequence[int], degree: int) -> tuple:
@@ -214,64 +214,10 @@ class OuterParams:
         return self.basis.field
 
 
-@dataclass
-class OuterTranscript:
-    events: list
-    mask: tuple
-    harvest: Optional[Matrix]
-    v_matrix: Matrix
-    compression: Optional[CompressionPair]
-    channel_bits: int
-    observed_rate: float
-    inner_transcripts: list
-    want_first: bool
-    statuses: list
-    block_syms: int = 1
-
-    def to_json(self, include_inner: bool = False) -> dict:
-        out = {
-            "params": {
-                "events": list(self.events),
-                "channel_bits": self.channel_bits,
-                "observed_rate": self.observed_rate,
-            },
-            "alice_view": {
-                "announced_sets": len(self.inner_transcripts),
-            },
-            "bob_view": {
-                "want_first": self.want_first,
-            },
-            "outcome": {"statuses": list(self.statuses)},
-            "outer_params": {
-                "rounds": len(self.mask),
-                "block_syms": self.block_syms,
-            },
-            "u": list(self.mask),
-            "v": (None if self.harvest is None
-                  else [list(r) for r in self.harvest.rows]),
-            "V_matrix": [list(r) for r in self.v_matrix.rows],
-            "compression": (None if self.compression is None else {
-                "M_s": self.compression.m_first.to_json(),
-                "M_t": self.compression.m_second.to_json(),
-            }),
-        }
-        if include_inner:
-            out["inner_transcripts"] = [t.to_json()
-                                        for t in self.inner_transcripts]
-        return out
-
-
-@dataclass
-class OuterSession:
-    status: str
-    output: Optional[Matrix]
-    transcript: OuterTranscript
-
-
 def run_session(params: OuterParams, first_secret: Matrix,
                 second_secret: Matrix, want_first: bool,
                 rng: np.random.Generator, compressed: bool = False,
-                request_mask: Optional[Sequence[int]] = None) -> OuterSession:
+                request_mask: Optional[Sequence[int]] = None) -> Session:
     """One full outer session (honest parties unless a mask is forced).
 
     The single entry point of every string protocol: p1/p2 run a binary
@@ -306,7 +252,6 @@ def run_session(params: OuterParams, first_secret: Matrix,
 
     harvest_rows = []
     statuses = []
-    transcripts = []
     degree = f.degree
     channel_bits = 0
     for ell in range(params.rounds):
@@ -315,15 +260,13 @@ def run_session(params: OuterParams, first_secret: Matrix,
         inner = p0q_run(blocks_bits, requests[ell], params.inner, rng)
         channel_bits += inner.channel_bits
         statuses.append(inner.status)
-        transcripts.append(inner.transcripts)
         harvest_rows.append(None if inner.output is None
                             else bits_to_block(inner.output, degree))
     events.append("rounds_complete")
 
-    failed = any(r is None for r in harvest_rows)
     harvest = None
     output = None
-    if not failed:
+    if all(r is not None for r in harvest_rows):
         harvest = Matrix(f, tuple(harvest_rows))
         output = basis.rows @ harvest  # H v collapses the rounds
         if compressed:
@@ -333,14 +276,20 @@ def run_session(params: OuterParams, first_secret: Matrix,
     secret_syms = (params.outer_dim if not compressed
                    else compressed_length(params.outer_dim, params.margin))
     secret_bits = secret_syms * params.block_syms * degree
-    transcript = OuterTranscript(
-        events=events, mask=mask, harvest=harvest,
-        v_matrix=cheat_matrix_V(basis.rows, mask), compression=pair,
-        channel_bits=channel_bits,
-        observed_rate=2.0 * secret_bits / channel_bits,
-        inner_transcripts=[t for ts in transcripts for t in ts],
-        want_first=want_first, statuses=statuses,
-        block_syms=params.block_syms)
+    transcript = {
+        "params": {"events": events, "channel_bits": channel_bits,
+                   "observed_rate": 2.0 * secret_bits / channel_bits},
+        # each round's 1-of-q transfer announces q - 1 partitions
+        "alice_view": {"announced_sets": params.rounds * (f.order - 1)},
+        "bob_view": {"want_first": want_first},
+        "outcome": {"statuses": statuses},
+        "outer_params": {"rounds": params.rounds,
+                         "block_syms": params.block_syms},
+        "u": list(mask),
+        "v": None if harvest is None else [list(r) for r in harvest.rows],
+        "V_matrix": [list(r) for r in cheat_matrix_V(basis.rows, mask).rows],
+        "compression": None if pair is None else {
+            "M_s": pair.m_first.to_json(), "M_t": pair.m_second.to_json()},
+    }
     status = next((s for s in statuses if s != "ok"), "ok")
-    return OuterSession(status=status, output=output, transcript=transcript)
-
+    return Session(status, output, channel_bits, transcript)

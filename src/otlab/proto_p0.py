@@ -305,89 +305,75 @@ def p0_bob_decode(masked: Sequence[int], word: TernaryWord,
     return hash_matrix.apply(cw), cw
 
 
-@dataclass
-class P0Transcript:
-    block_len: int
-    crossover: float
-    secret_bits: int
-    channel_bits: int
-    unerased_count: int
+@dataclass(frozen=True)
+class Session:
+    """The result of one session of any protocol.
+
+    status is "ok", "abort" or "decode_failure"; output is what Bob
+    recovered, or None.  transcript is both parties' views as the report
+    JSON that `run --transcripts` writes.
+    """
+
     status: str
-    alice_view: dict
-    bob_view: dict
-
-    def to_json(self) -> dict:
-        return {
-            "params": {
-                "block_len": self.block_len,
-                "crossover": self.crossover,
-                "secret_bits": self.secret_bits,
-                "channel_bits": self.channel_bits,
-            },
-            "alice_view": self.alice_view,
-            "bob_view": self.bob_view,
-            "outcome": {
-                "status": self.status,
-                "unerased_count": self.unerased_count,
-            },
-        }
-
-
-@dataclass
-class P0Session:
-    status: str  # "ok" | "abort" | "decode_failure"
-    output: Optional[tuple]
-    transcript: P0Transcript
+    output: Optional[object]
+    channel_bits: int
+    transcript: dict
 
 
 def p0_run(first_secret: Sequence[int], second_secret: Sequence[int],
            want_first: bool, params: P0Params,
-           rng: np.random.Generator) -> P0Session:
+           rng: np.random.Generator) -> Session:
     """One full honest session; spends 4 n0 channel bits regardless."""
     n0 = params.block_len
     phi = params.channel.crossover
     hash_matrix = params.draw_hash(rng)
     sent = tuple(rng.integers(0, 2, size=2 * n0).tolist())
     word = duplicate_round_trip(sent, phi, rng)
-    base = P0Transcript(
-        block_len=n0, crossover=phi, secret_bits=params.secret_bits,
-        channel_bits=4 * n0, unerased_count=word.unerased_count,
-        status="", alice_view={"sent_bits": list(sent)},
-        bob_view={"received": word.trace(), "want_first": want_first})
+    alice_view = {"sent_bits": list(sent)}
+    bob_view = {"received": word.trace(), "want_first": want_first}
+    status, secret = "abort", None
     try:
         set_first, set_second = p0_partition(word, n0, want_first)
     except ChannelAbort as exc:
-        base.status = "abort"
-        base.bob_view["abort_reason"] = str(exc)
-        return P0Session(status="abort", output=None, transcript=base)
-    enc = p0_alice_encode(first_secret, second_secret, set_first, set_second,
-                          sent, params, hash_matrix, rng)
-    base.alice_view.update({
-        "set_first": list(set_first), "set_second": list(set_second),
-        "perm_first": list(enc.perm_first),
-        "perm_second": list(enc.perm_second),
-        "masked_first": list(enc.masked_first),
-        "masked_second": list(enc.masked_second),
-        "codeword_first": list(enc.codeword_first),
-        "codeword_second": list(enc.codeword_second),
-        "hash_matrix": hash_matrix.to_json(),
-    })
-    masked, positions, perm = (
-        (enc.masked_first, set_first, enc.perm_first) if want_first
-        else (enc.masked_second, set_second, enc.perm_second))
-    secret, cw = p0_bob_decode(masked, word, positions, perm,
-                               params.decoder, hash_matrix)
-    base.bob_view.update({
-        "masked_first": list(enc.masked_first),
-        "masked_second": list(enc.masked_second),
-        "decoded": None if cw is None else list(cw),
-    })
-    if secret is None:
-        base.status = "decode_failure"
-        return P0Session(status="decode_failure", output=None, transcript=base)
-    base.status = "ok"
-    base.bob_view["secret"] = list(secret)
-    return P0Session(status="ok", output=secret, transcript=base)
+        bob_view["abort_reason"] = str(exc)
+    else:
+        enc = p0_alice_encode(first_secret, second_secret, set_first,
+                              set_second, sent, params, hash_matrix, rng)
+        alice_view.update({
+            "set_first": list(set_first), "set_second": list(set_second),
+            "perm_first": list(enc.perm_first),
+            "perm_second": list(enc.perm_second),
+            "masked_first": list(enc.masked_first),
+            "masked_second": list(enc.masked_second),
+            "codeword_first": list(enc.codeword_first),
+            "codeword_second": list(enc.codeword_second),
+            "hash_matrix": hash_matrix.to_json(),
+        })
+        masked, positions, perm = (
+            (enc.masked_first, set_first, enc.perm_first) if want_first
+            else (enc.masked_second, set_second, enc.perm_second))
+        secret, cw = p0_bob_decode(masked, word, positions, perm,
+                                   params.decoder, hash_matrix)
+        bob_view.update({
+            "masked_first": list(enc.masked_first),
+            "masked_second": list(enc.masked_second),
+            "decoded": None if cw is None else list(cw),
+        })
+        if secret is None:
+            status = "decode_failure"
+        else:
+            status = "ok"
+            bob_view["secret"] = list(secret)
+    transcript = {
+        "params": {"block_len": n0, "crossover": phi,
+                   "secret_bits": params.secret_bits,
+                   "channel_bits": 4 * n0},
+        "alice_view": alice_view,
+        "bob_view": bob_view,
+        "outcome": {"status": status,
+                    "unerased_count": word.unerased_count},
+    }
+    return Session(status, secret, 4 * n0, transcript)
 
 
 def chain_1_of_q(secrets: Sequence[Sequence[int]],
@@ -466,45 +452,29 @@ def chain_access_audit(q: int, m: int) -> dict[tuple, tuple]:
     return results
 
 
-@dataclass
-class P0QSession:
-    status: str
-    output: Optional[tuple]
-    channel_bits: int
-    transcripts: list
-
-
 def p0q_run(secrets: Sequence[Sequence[int]], index: int, params: P0Params,
-            rng: np.random.Generator) -> P0QSession:
+            rng: np.random.Generator) -> Session:
     """1-of-q transfer: q - 1 chained sessions, honest access pattern.
 
     Bob asks for the first element only at pair `index` (never, when he
     wants the last secret) and recombines with the pads he collected.
+    The transcript lists the inner sessions' transcripts under "inner".
     """
     q = len(secrets)
     if not 0 <= index < q:
         raise ValueError(f"index must be in 0..{q - 1}")
     pairs = chain_1_of_q(secrets, rng)
-    outputs = []
-    transcripts = []
-    worst = "ok"
-    for j, (first, second) in enumerate(pairs):
-        want_first = j == index
-        session = p0_run(first, second, want_first, params, rng)
-        transcripts.append(session.transcript)
-        outputs.append(session.output)
-        if session.status != "ok" and worst == "ok":
-            worst = session.status
+    sessions = [p0_run(first, second, j == index, params, rng)
+                for j, (first, second) in enumerate(pairs)]
+    worst = next((s.status for s in sessions if s.status != "ok"), "ok")
     channel_bits = (q - 1) * 4 * params.block_len
-    needed = range(index + 1) if index < q - 1 else range(q - 1)
-    if any(outputs[j] is None for j in needed):
-        return P0QSession(status=worst if worst != "ok" else "decode_failure",
-                          output=None, channel_bits=channel_bits,
-                          transcripts=transcripts)
-    m = params.secret_bits
-    acc = [0] * m
-    for j in needed:
-        for i, b in enumerate(outputs[j]):
+    transcript = {"inner": [s.transcript for s in sessions]}
+    needed = sessions[:index + 1] if index < q - 1 else sessions
+    if any(s.output is None for s in needed):
+        return Session(worst if worst != "ok" else "decode_failure", None,
+                       channel_bits, transcript)
+    acc = [0] * params.secret_bits
+    for s in needed:
+        for i, b in enumerate(s.output):
             acc[i] ^= b
-    return P0QSession(status=worst, output=tuple(acc),
-                      channel_bits=channel_bits, transcripts=transcripts)
+    return Session(worst, tuple(acc), channel_bits, transcript)

