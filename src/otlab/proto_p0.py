@@ -469,7 +469,7 @@ def p0q_run(secrets: Sequence[Sequence[int]], index: int, params: P0Params,
     worst = next((s.status for s in sessions if s.status != "ok"), "ok")
     channel_bits = (q - 1) * 4 * params.block_len
     transcript = {"inner": [s.transcript for s in sessions]}
-    needed = sessions[:index + 1] if index < q - 1 else sessions
+    needed = sessions[:index + 1]  # all q - 1 when index is the last
     if any(s.output is None for s in needed):
         return Session(worst if worst != "ok" else "decode_failure", None,
                        channel_bits, transcript)

@@ -33,21 +33,15 @@ def test_golden_report_replays_byte_for_byte(name, tmp_path, capsys):
         "change regenerates the corpus with tests/golden/regen.py")
 
 
-def _golden_transcripts():
-    """(protocol, q, transcript) for every transcript in the run reports."""
-    out = []
-    for name in regen.CASES:
-        report = json.loads((regen.GOLDEN_DIR / f"{name}.json").read_text())
-        if report["command"] != "run":
-            continue
-        cfg = report["config"]
-        out.extend((cfg["protocol"], cfg["q"], row["transcript"])
-                   for row in report["trials"] if "transcript" in row)
-    return out
-
 
 def test_corpus_holds_every_transcript_shape():
-    found = _golden_transcripts()
+    found = []  # (protocol, q, transcript) from every run report
+    for name in regen.CASES:
+        report = json.loads((regen.GOLDEN_DIR / f"{name}.json").read_text())
+        if report["command"] == "run":
+            cfg = report["config"]
+            found.extend((cfg["protocol"], cfg["q"], row["transcript"])
+                         for row in report["trials"] if "transcript" in row)
     p0_statuses = {tr["outcome"]["status"] for proto, _, tr in found
                    if proto == "p0"}
     assert p0_statuses == {"ok", "abort", "decode_failure"}
