@@ -29,7 +29,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-# the closed-form detection rule lives in analysis; re-exported here
 from .analysis import (AccusationRule, detection_rule, expected_unerased,
                        wilson_interval)
 from .channels import BscParams, TernaryWord, bsc_transmit
@@ -207,58 +206,6 @@ def tracker_advantage_p0(block_len: int, phi: float, corrupted: int,
 def _parity_lut(rows: Sequence[int], states: np.ndarray) -> np.ndarray:
     """Packed GF(2) matrix-vector products: bit i = parity(rows[i] & x)."""
     return gf2_apply(rows, states[:, None], int(states.max()).bit_length())
-
-
-def _entropy_bits(counts: np.ndarray) -> float:
-    total = counts.sum()
-    p = counts[counts > 0] / total
-    return float(-(p * np.log2(p)).sum())
-
-
-@dataclass(frozen=True)
-class PosteriorCell:
-    """Exact posterior entropies for one realized compression pair.
-
-    entropy_first is H(s~ | t~, z) and entropy_second is H(t~ | s~, z),
-    in bits per block column (columns are independent, so m columns
-    scale both by m).  rank_v / rank_u are the ranks of V and U = I + V.
-    """
-
-    rank_v: int
-    rank_u: int
-    entropy_first: float
-    entropy_second: float
-
-
-def posterior_cell(v: Matrix, m_first: Matrix, m_second: Matrix) -> PosteriorCell:
-    """Enumerate (s, t) and measure both conditional entropies exactly."""
-    r = v.nrows
-    if v.field.degree != 1:
-        raise ValueError("posterior audit is binary only")
-    if r > 14:
-        raise ValueError("posterior audit enumerates 4^r states; r too large")
-    u_len = m_first.nrows
-    eye = Matrix.identity(v.field, r)
-    vrows = pack_rows(v)
-    urows = pack_rows(v + eye)
-    ms = pack_rows(m_first)
-    mt = pack_rows(m_second)
-    states = np.arange(1 << r, dtype=np.int64)
-    z_s = _parity_lut(urows, states)     # U s as s runs over states
-    z_t = _parity_lut(vrows, states)     # V t
-    s_tilde = _parity_lut(ms, states)
-    t_tilde = _parity_lut(mt, states)
-    z = z_s[:, None] ^ z_t[None, :]
-    joint = ((s_tilde[:, None] << (r + u_len)) | (t_tilde[None, :] << r) | z)
-    counts = np.bincount(joint.ravel(), minlength=1 << (r + 2 * u_len))
-    cube = counts.reshape(1 << u_len, 1 << u_len, 1 << r)
-    h_stz = _entropy_bits(counts)
-    h_sz = _entropy_bits(cube.sum(axis=1).ravel())
-    h_tz = _entropy_bits(cube.sum(axis=0).ravel())
-    return PosteriorCell(rank_v=gf2_rank(vrows),
-                         rank_u=gf2_rank(urows),
-                         entropy_first=h_stz - h_tz,
-                         entropy_second=h_stz - h_sz)
 
 
 def _draw_full_rank_rows(r: int, u_len: int,

@@ -240,17 +240,6 @@ class EntropyReport:
     avg_min_entropy: float
     histogram: tuple  # (lo, hi, mass) buckets over H_inf values
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n, "k": self.k, "erasures": self.erasures,
-            "error_rate": self.error_rate, "alpha": self.alpha,
-            "bound_bits": self.bound_bits,
-            "violating_mass": self.violating_mass,
-            "views": self.views,
-            "avg_min_entropy": self.avg_min_entropy,
-            "histogram": [list(b) for b in self.histogram],
-        }
-
 
 def min_entropy_oracle(code: LinearCode, erasures: int, error_rate: float,
                        alpha: float,
@@ -345,19 +334,6 @@ class FixedWeightReport:
     max_degree: int
     avg_min_entropy: float
     bounds: tuple  # FixedWeightBound per alpha
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n, "k": self.k, "erasures": self.erasures,
-            "weight": self.weight, "r_bits": self.r_bits,
-            "r_positive": self.r_positive, "total_edges": self.total_edges,
-            "min_degree": self.min_degree, "max_degree": self.max_degree,
-            "avg_min_entropy": self.avg_min_entropy,
-            "bounds": [{"alpha": b.alpha, "threshold": b.threshold,
-                        "max_fraction": b.max_fraction,
-                        "aggregate_fraction": b.aggregate_fraction,
-                        "bound": b.bound} for b in self.bounds],
-        }
 
 
 def fixed_weight_oracle(code: LinearCode, erasures: int, weight: int,

@@ -4,9 +4,7 @@ Sending each bit twice through a BSC(phi) and post-processing the pair
 (mismatch means "erased", match keeps the common value) turns the channel
 into an erasure-plus-error channel: erasure probability
 eps = 2*phi*(1 - phi), and a surviving symbol is wrong with probability
-p = phi^2 / (1 - eps).  The pair (eps, p) is derived from phi everywhere;
-only the synthetic channel bsc_with_erasures takes them directly, for the
-oracles that need a channel with an exact erasure count.
+p = phi^2 / (1 - eps).  The pair (eps, p) is derived from phi everywhere.
 
 All randomness flows through numpy Generators.  derive_rng builds
 independent, reproducible streams from a master seed and an index path,
@@ -105,61 +103,3 @@ def duplicate_round_trip(bits: Sequence[int], phi: float,
     f1, f2 = flips[:, 0], flips[:, 1]
     sent = np.asarray(bits, dtype=np.int64)
     return TernaryWord(tuple(np.where(f1 == f2, sent ^ f1, ERASED).tolist()))
-
-
-@dataclass(frozen=True)
-class ErasureChannelParams:
-    """Synthetic channel: exactly `erasures` erasures, then BSC(error_rate)."""
-
-    length: int
-    erasures: int
-    error_rate: float
-
-    def __post_init__(self):
-        if not 0 <= self.erasures <= self.length:
-            raise ValueError("erasure count out of range")
-        if not 0.0 <= self.error_rate < 0.5:
-            raise ValueError(
-                f"error rate must be in [0, 1/2), got {self.error_rate}")
-
-
-def bsc_with_erasures(bits: Sequence[int], erasures: int, error_rate: float,
-                      rng: np.random.Generator) -> TernaryWord:
-    """Erase a uniform subset of positions, flip survivors independently.
-
-    This is the analysis channel: the erasure pattern is exactly uniform
-    over subsets of the given size, unlike the binomial pattern the
-    duplication trick produces.
-    """
-    params = ErasureChannelParams(len(bits), erasures, error_rate)
-    pattern = set(int(i) for i in
-                  rng.choice(params.length, size=erasures, replace=False))
-    flips = rng.random(params.length) < error_rate
-    out = []
-    for i, b in enumerate(bits):
-        if i in pattern:
-            out.append(ERASED)
-        else:
-            out.append(int(b) ^ int(flips[i]))
-    return TernaryWord(tuple(out))
-
-
-def false_duplicate_transmit(value: int, phi: float,
-                             rng: np.random.Generator) -> int:
-    """Outcome of sending the mismatched pair (1 - v, v) through BSC(phi).
-
-    A cheating sender who pairs complementary bits gets an erasure with
-    probability 1 - eps (the pair survives as a mismatch unless exactly
-    one flip lands), and otherwise delivers v or 1 - v with probability
-    phi(1 - phi) each.
-    """
-    if value not in (0, 1):
-        raise ValueError("value must be a bit")
-    if not 0.0 <= phi < 0.5:
-        raise ValueError(f"crossover must be in [0, 1/2), got {phi}")
-    f1, f2 = (bool(x) for x in rng.random(2) < phi)
-    first = (1 - value) ^ int(f1)
-    second = value ^ int(f2)
-    if first != second:
-        return ERASED
-    return second

@@ -37,7 +37,7 @@ from .codes import (DEFAULT_ENUM_LIMIT, EnumerationLimit, LinearCode,
                     OrthonormalCode, code_from_json, orthonormalize,
                     random_code)
 from .gf import GF
-from .linalg import Matrix
+from .linalg import Matrix, random_matrix
 from .proto_outer import OuterParams, compressed_length, run_session
 from .proto_p0 import (DECODER_WORD_CAP, MLDecoder, P0Params, p0_run,
                        p0_secret_length, p0q_run)
@@ -351,14 +351,8 @@ def _outer_trial(setup: RunSetup, rng: np.random.Generator) -> tuple:
     compressed = setup.protocol.compressed
     rows_n = (compressed_length(params.outer_dim, params.margin)
               if compressed else params.outer_dim)
-
-    def draw() -> Matrix:
-        return Matrix(field, tuple(
-            tuple(int(a) for a in rng.integers(0, field.order,
-                                               size=params.block_syms))
-            for _ in range(rows_n)))
-
-    first, second = draw(), draw()
+    first = random_matrix(field, rows_n, params.block_syms, rng)
+    second = random_matrix(field, rows_n, params.block_syms, rng)
     want_first = bool(rng.integers(0, 2))
     session = run_session(params, first, second, want_first, rng,
                           compressed=compressed)

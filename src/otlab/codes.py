@@ -21,8 +21,9 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .gf import GF, Field
-from .linalg import (Matrix, Vector, pack_rows, rank_and_kernel, rref,
-                     row_span_basis, solve_affine, span_words, weights)
+from .linalg import (Matrix, Vector, full_rank_matrix, pack_rows,
+                     rank_and_kernel, rref, row_span_basis, solve_affine,
+                     span_words, weights)
 
 DEFAULT_ENUM_LIMIT = 1 << 24
 _SPAN_BLOCK_ROWS = 16  # min_distance spans 2^16 words at a time
@@ -366,12 +367,7 @@ def random_code(field: Field, n: int, k: int,
     """A uniformly random [n, k] code (full-rank generator by rejection)."""
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    while True:
-        rows = tuple(tuple(int(a) for a in rng.integers(0, field.order, size=n))
-                     for _ in range(k))
-        m = Matrix(field, rows)
-        if len(rref(m)[1]) == k:
-            return LinearCode(m)
+    return LinearCode(full_rank_matrix(field, k, n, rng))
 
 
 def cyclic_code(field: Field, n: int, gen_coeffs: Sequence[int]) -> LinearCode:

@@ -13,7 +13,9 @@ path returns exactly what the dense loop returns and `solve_affine`
 draws the same random coefficients; the dense loop (`_rref_dense`) is
 the GF(2^e > 1) implementation and the reference the tests compare
 against.  GF2Coset keeps a reduced system so that many solutions can be
-sampled from one elimination.
+sampled from one elimination.  `random_matrix`, `full_rank_matrix` and
+`solve_columns` are the one way to draw a matrix, draw one of full row
+rank, and sample a matrix solution column by column.
 
 Codeword enumeration uses numpy: `span_words` lists every combination of
 packed rows as int64 words (63 bits to a limb, limbs on the last axis),
@@ -85,10 +87,6 @@ class Matrix:
     def identity(cls, field: Field, n: int) -> "Matrix":
         return cls(field, tuple(tuple(1 if i == j else 0 for j in range(n))
                                 for i in range(n)))
-
-    @classmethod
-    def from_columns(cls, field: Field, cols: Sequence[Sequence[int]]) -> "Matrix":
-        return cls(field, tuple(zip(*cols))) if cols else cls(field, ())
 
     # -- basic ops -------------------------------------------------------
 
@@ -410,6 +408,36 @@ def solve_affine(m: Matrix, b: Sequence[int], rng: np.random.Generator) -> Vecto
                 for i, a in enumerate(kv):
                     particular[i] ^= f.mul(c, a)
     return tuple(particular)
+
+
+def solve_columns(m: Matrix, target: Matrix,
+                  rng: np.random.Generator) -> Matrix:
+    """A uniform sample from {X : M X = target}: solve_affine on each
+    column of target, left to right."""
+    cols = [solve_affine(m, target.column(j), rng)
+            for j in range(target.ncols)]
+    return Matrix._trusted(m.field, tuple(zip(*cols)), ncols=target.ncols)
+
+
+# -- random matrices ---------------------------------------------------------
+
+def random_matrix(field: Field, nrows: int, ncols: int,
+                  rng: np.random.Generator) -> Matrix:
+    """A uniform nrows x ncols matrix: one rng.integers call per row, in
+    row order."""
+    return Matrix._trusted(field, tuple(
+        tuple(rng.integers(0, field.order, size=ncols).tolist())
+        for _ in range(nrows)), ncols=ncols)
+
+
+def full_rank_matrix(field: Field, nrows: int, ncols: int,
+                     rng: np.random.Generator) -> Matrix:
+    """A uniform nrows x ncols matrix of rank nrows: random_matrix drawn
+    again until the rank is full."""
+    while True:
+        m = random_matrix(field, nrows, ncols, rng)
+        if rank(m) == nrows:
+            return m
 
 
 # -- codeword enumeration over packed words ---------------------------------

@@ -27,7 +27,7 @@ import numpy as np
 
 from .codes import OrthonormalCode, square_dual_sample
 from .gf import Field
-from .linalg import Matrix, rank, solve_affine
+from .linalg import Matrix, full_rank_matrix, solve_columns
 from .proto_p0 import P0Params, Session, p0q_run
 
 
@@ -74,19 +74,14 @@ def p2_alice_setup(first_secret: Matrix, second_secret: Matrix,
     lambda_1 = 1 and over GF(2) the single offset is y = x + H^T(s + t).
     """
     f = basis.field
-    r, n = basis.dimension, basis.length
+    r = basis.dimension
     for s in (first_secret, second_secret):
         if s.field != f or s.nrows != r:
             raise ValueError("secrets must be outer_dim-row matrices "
                              "over the basis field")
     if first_secret.ncols != second_secret.ncols:
         raise ValueError("secrets must share a block width")
-    cols = []
-    for j in range(first_secret.ncols):
-        cols.append(solve_affine(basis.rows, first_secret.column(j), rng))
-    x = Matrix.from_columns(f, cols)
-    if x.nrows != n:
-        x = Matrix(f, x.rows, ncols=first_secret.ncols)
+    x = solve_columns(basis.rows, first_secret, rng)
     offset = outer_offset(basis, first_secret, second_secret)
     ys = [x + offset.scale(f.alpha_power(i)) for i in range(f.order - 1)]
     return x, ys
@@ -154,26 +149,11 @@ def compress_setup(compressed_first: Matrix, compressed_second: Matrix,
     if compressed_first.ncols != compressed_second.ncols:
         raise ValueError("compressed secrets must share a block width")
 
-    def draw() -> Matrix:
-        while True:
-            m = Matrix(f, tuple(
-                tuple(int(a) for a in rng.integers(0, f.order, size=outer_dim))
-                for _ in range(u_len)))
-            if rank(m) == u_len:
-                return m
-
-    m_first, m_second = draw(), draw()
-
-    def lift(mat: Matrix, target: Matrix) -> Matrix:
-        cols = [solve_affine(mat, target.column(j), rng)
-                for j in range(target.ncols)]
-        lifted = Matrix.from_columns(f, cols)
-        if lifted.nrows != outer_dim:
-            lifted = Matrix(f, lifted.rows, ncols=target.ncols)
-        return lifted
-
+    m_first = full_rank_matrix(f, u_len, outer_dim, rng)
+    m_second = full_rank_matrix(f, u_len, outer_dim, rng)
     return (CompressionPair(m_first, m_second, margin),
-            lift(m_first, compressed_first), lift(m_second, compressed_second))
+            solve_columns(m_first, compressed_first, rng),
+            solve_columns(m_second, compressed_second, rng))
 
 
 @dataclass(frozen=True)

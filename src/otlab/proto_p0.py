@@ -37,8 +37,8 @@ from .channels import ERASED, BscParams, TernaryWord, duplicate_round_trip
 from .codes import EnumerationLimit, LinearCode
 from .gf import GF
 from .linalg import (LIMB_BITS, GF2Coset, Matrix, Vector, gf2_eliminate,
-                     pack_bits, pack_rows, span_words, to_limbs, unpack_bits,
-                     weights)
+                     pack_bits, pack_rows, random_matrix, span_words,
+                     to_limbs, unpack_bits, weights)
 
 
 DECODER_WORD_CAP = 1 << 20  # the decoder holds every codeword in memory
@@ -212,11 +212,8 @@ class P0Params:
         """The session hash: pinned if configured, else fresh full-rank."""
         if self.hash_matrix is not None:
             return self.hash_matrix
-        f = GF(1)
         while True:
-            hm = Matrix._trusted(f, tuple(
-                tuple(rng.integers(0, 2, size=self.block_len).tolist())
-                for _ in range(self.secret_bits)))
+            hm = random_matrix(GF(1), self.secret_bits, self.block_len, rng)
             if self.coset(hm) is not None:
                 return hm
 

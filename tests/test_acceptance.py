@@ -25,7 +25,7 @@ from otlab.codes import (EnumerationLimit, LinearCode, OrthonormalCode,
                          cyclic_code, orthonormalize, puncture, random_code,
                          rs_code, schur)
 from otlab.gf import GF
-from otlab.linalg import Matrix, rank, rref
+from otlab.linalg import Matrix, random_matrix, rank, rref
 from otlab.proto_outer import (OuterParams, cheat_matrix_V,
                                compressed_length, p2_alice_setup,
                                run_session)
@@ -65,12 +65,6 @@ def same_code(a, b):
         return False
     aw = set(a.iter_codewords())
     return all(w in aw for w in b.iter_codewords())
-
-
-def rand_secret(field, nrows, ncols, rng):
-    return Matrix(field, tuple(
-        tuple(int(a) for a in rng.integers(0, field.order, size=ncols))
-        for _ in range(nrows)), ncols=ncols)
 
 
 def test_criterion_01_rate_optimum():
@@ -149,8 +143,8 @@ def test_criterion_03_protocol_correctness():
         for trial in range(300):
             trng = derive_rng(1004, name == "p2" or name == "p2prime",
                               name.endswith("prime"), trial)
-            s = rand_secret(field, nrows, width, trng)
-            t = rand_secret(field, nrows, width, trng)
+            s = random_matrix(field, nrows, width, trng)
+            t = random_matrix(field, nrows, width, trng)
             session = run_session(oparams, s, t, bool(trial % 2), trng,
                                   compressed=compressed)
             want = s if trial % 2 else t
@@ -305,8 +299,8 @@ def test_criterion_08_reconstruction_and_cheat_matrix():
     basis = toy_basis(f)
     for trial in range(20):
         rng = derive_rng(1008, trial)
-        s = rand_secret(f, 4, 1, rng)
-        t = rand_secret(f, 4, 1, rng)
+        s = random_matrix(f, 4, 1, rng)
+        t = random_matrix(f, 4, 1, rng)
         x, ys = p2_alice_setup(s, t, basis, rng)
         assert (basis.rows @ x).rows == s.rows
         assert (basis.rows @ ys[0]).rows == t.rows
@@ -334,8 +328,8 @@ def test_criterion_08_reconstruction_and_cheat_matrix():
                     mask = [a ^ b for a, b in zip(mask, vec)]
             for want_first in (True, False):
                 rng = derive_rng(1009, masks_run, want_first)
-                s = rand_secret(f, basis.dimension, width, rng)
-                t = rand_secret(f, basis.dimension, width, rng)
+                s = random_matrix(f, basis.dimension, width, rng)
+                t = random_matrix(f, basis.dimension, width, rng)
                 session = run_session(params, s, t, want_first, rng,
                                       request_mask=tuple(mask))
                 assert session.status == "ok"

@@ -6,12 +6,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from otlab.adversary import (TRACKER_BLOCK_ROWS, AccusationRule,
-                             AdvantageReport, audit_bob_strategies,
-                             detection_campaign, detection_rule,
-                             detection_sweep, expected_unerased,
-                             posterior_cell, simulate_unerased_counts,
+from otlab.adversary import (TRACKER_BLOCK_ROWS, AdvantageReport,
+                             audit_bob_strategies, detection_campaign,
+                             detection_sweep, simulate_unerased_counts,
                              tracker_advantage_p0, transmit_with_false_pairs)
+from otlab.analysis import detection_rule, expected_unerased
 from otlab.channels import BscParams, derive_rng
 from otlab.codes import OrthonormalCode
 from otlab.gf import GF
@@ -115,6 +114,27 @@ def test_transmit_with_false_pairs_matches_binomial_model():
     sig_c = math.sqrt(c_total * eps * (1 - eps))
     assert abs(honest_survive - h_total * (1 - eps)) < 5 * sig_h
     assert abs(corrupt_survive - c_total * eps) < 5 * sig_c
+
+
+def test_transmit_with_false_pairs_all_false_statistics():
+    """A false slot erases w.p. 1 - eps, else lands on each value w.p.
+    phi (1 - phi)."""
+    rng = derive_rng(95)
+    phi = 0.3
+    n = 200_000
+    word = transmit_with_false_pairs((1,) * n, range(n), phi, rng)
+    p_erase = 1 - BscParams(phi).erasure_rate
+    sig = math.sqrt(n * p_erase * (1 - p_erase))
+    assert abs(word.erased_count - n * p_erase) < 5 * sig
+    p_side = phi * (1 - phi)
+    sig_side = math.sqrt(n * p_side * (1 - p_side))
+    for value in (0, 1):
+        landed = word.symbols.count(value)
+        assert abs(landed - n * p_side) < 5 * sig_side
+    assert transmit_with_false_pairs((0, 1), (0, 1), 0.0,
+                                     rng).erased_count == 2
+    with pytest.raises(ValueError):
+        transmit_with_false_pairs((0,), (0,), 0.5, rng)
 
 
 def test_detection_campaign_honest_rate_below_bound():
@@ -248,40 +268,6 @@ def test_tracker_advantage_memory_is_a_byte_per_slot(trials):
     assert peak < trials * (2 * n0 + 64) + 4 * 2**20
 
 
-def test_posterior_cell_zero_v_protects_second():
-    f = GF(1)
-    v = Matrix(f, ((0, 0), (0, 0)))
-    m = Matrix(f, ((1, 0),))
-    cell = posterior_cell(v, m, m)
-    assert cell.rank_v == 0
-    assert cell.rank_u == 2
-    assert cell.entropy_first == pytest.approx(0.0, abs=1e-9)
-    assert cell.entropy_second == pytest.approx(1.0, abs=1e-9)
-    assert max(cell.entropy_first,
-               cell.entropy_second) == pytest.approx(1.0)
-
-
-def test_posterior_cell_identity_v_protects_first():
-    f = GF(1)
-    v = Matrix.identity(f, 2)
-    m = Matrix(f, ((0, 1),))
-    cell = posterior_cell(v, m, m)
-    assert cell.rank_v == 2
-    assert cell.rank_u == 0
-    assert cell.entropy_first == pytest.approx(1.0, abs=1e-9)
-    assert cell.entropy_second == pytest.approx(0.0, abs=1e-9)
-
-
-def test_posterior_cell_validation():
-    f = GF(1)
-    with pytest.raises(ValueError):
-        posterior_cell(Matrix.identity(GF(2), 2), Matrix(GF(2), ((1, 0),)),
-                       Matrix(GF(2), ((1, 0),)))
-    with pytest.raises(ValueError):
-        posterior_cell(Matrix.identity(f, 15), Matrix(f, ((1,) * 15,)),
-                       Matrix(f, ((1,) * 15,)))
-
-
 def test_audit_bob_strategies_toy_dichotomy():
     """Frozen full audit of the 8-round toy basis at margin 1/4."""
     rep = audit_bob_strategies(toy_basis(), 0.25)
@@ -319,8 +305,19 @@ def test_audit_bob_strategies_dual_masks_only():
     assert rep.slack_bits == pytest.approx(0.0, abs=1e-9)
     for cell in rep.cells:
         assert cell.rank_v == 0
+        assert cell.rank_u == 4
         assert cell.mean_first == pytest.approx(0.0, abs=1e-9)
         assert cell.mean_second == pytest.approx(1.0, abs=1e-9)
+
+
+def test_audit_bob_strategies_identity_v_protects_first():
+    """The all-ones mask gives V = H H^T = I and U = 0: z reveals t."""
+    rep = audit_bob_strategies(toy_basis(), 0.25, masks=[(1,) * 8])
+    (cell,) = rep.cells
+    assert cell.rank_v == 4
+    assert cell.rank_u == 0
+    assert cell.mean_first == pytest.approx(1.0, abs=1e-9)
+    assert cell.mean_second == pytest.approx(0.0, abs=1e-9)
 
 
 def test_audit_bob_strategies_sampled_pairs_close_to_exact():

@@ -6,8 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from otlab.analysis import (EntropyReport, FixedWeightReport,
-                            binary_entropy, fixed_weight_oracle,
+from otlab.analysis import (binary_entropy, fixed_weight_oracle,
                             min_entropy_bound, min_entropy_oracle,
                             optimize_rate_p0, rate_chain, rate_curve, rate_p0,
                             wilson_interval)

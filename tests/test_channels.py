@@ -1,12 +1,10 @@
-"""Channel simulation: BSC, duplication folding, synthetic erasures."""
+"""Channel simulation: BSC and duplication folding."""
 
 import numpy as np
 import pytest
 
-from otlab.channels import (ERASED, BscParams, ErasureChannelParams,
-                            TernaryWord, bsc_transmit, bsc_with_erasures,
-                            derive_rng, duplicate_round_trip,
-                            false_duplicate_transmit)
+from otlab.channels import (ERASED, BscParams, TernaryWord, bsc_transmit,
+                            derive_rng, duplicate_round_trip)
 
 
 def test_erased_sentinel():
@@ -133,74 +131,3 @@ def test_duplicate_round_trip_validation():
     rng = np.random.default_rng(5)
     with pytest.raises(ValueError):
         duplicate_round_trip((0, 1), 0.6, rng)
-
-
-def test_erasure_channel_params_validation():
-    ErasureChannelParams(10, 10, 0.0)
-    with pytest.raises(ValueError):
-        ErasureChannelParams(10, 11, 0.0)
-    with pytest.raises(ValueError):
-        ErasureChannelParams(10, -1, 0.0)
-    with pytest.raises(ValueError):
-        ErasureChannelParams(10, 2, 0.5)
-
-
-def test_bsc_with_erasures_exact_count():
-    rng = np.random.default_rng(6)
-    bits = tuple(int(b) for b in rng.integers(0, 2, size=50))
-    for erasures in (0, 1, 7, 25, 50):
-        w = bsc_with_erasures(bits, erasures, 0.1, rng)
-        assert w.erased_count == erasures
-        assert len(w) == 50
-
-
-def test_bsc_with_erasures_noiseless_survivors():
-    rng = np.random.default_rng(7)
-    bits = tuple(int(b) for b in rng.integers(0, 2, size=40))
-    for _ in range(20):
-        w = bsc_with_erasures(bits, 11, 0.0, rng)
-        for i in w.non_erased_indices():
-            assert w.symbols[i] == bits[i]
-
-
-def test_bsc_with_erasures_pattern_uniform():
-    """All C(4,2) = 6 erasure patterns occur equally often."""
-    rng = np.random.default_rng(8)
-    counts = {}
-    trials = 6000
-    for _ in range(trials):
-        w = bsc_with_erasures((0, 0, 0, 0), 2, 0.0, rng)
-        pat = tuple(i for i, s in enumerate(w.symbols) if s == ERASED)
-        counts[pat] = counts.get(pat, 0) + 1
-    assert len(counts) == 6
-    expected = trials / 6
-    stat = sum((c - expected) ** 2 / expected for c in counts.values())
-    # chi^2 with 5 dof, 5 sigma guard
-    assert stat < 5 + 5 * (10) ** 0.5
-
-
-def test_false_duplicate_statistics():
-    """Mismatched pairs erase with prob 1 - eps, else land either way."""
-    rng = np.random.default_rng(9)
-    phi = 0.3
-    n = 200_000
-    outcomes = [false_duplicate_transmit(1, phi, rng) for _ in range(n)]
-    p_erase = 1 - 2 * phi * (1 - phi)
-    erased = sum(1 for o in outcomes if o == ERASED)
-    sig = (n * p_erase * (1 - p_erase)) ** 0.5
-    assert abs(erased - n * p_erase) < 5 * sig
-    ones = sum(1 for o in outcomes if o == 1)
-    zeros = sum(1 for o in outcomes if o == 0)
-    p_side = phi * (1 - phi)
-    sig_side = (n * p_side * (1 - p_side)) ** 0.5
-    assert abs(ones - n * p_side) < 5 * sig_side
-    assert abs(zeros - n * p_side) < 5 * sig_side
-
-
-def test_false_duplicate_validation():
-    rng = np.random.default_rng(10)
-    with pytest.raises(ValueError):
-        false_duplicate_transmit(2, 0.1, rng)
-    with pytest.raises(ValueError):
-        false_duplicate_transmit(0, 0.5, rng)
-    assert false_duplicate_transmit(0, 0.0, rng) == ERASED

@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 from otlab import cli
-from otlab.adversary import detection_rule
+from otlab.analysis import detection_rule
 from otlab.cli import ConfigError, _normalize_run
 from otlab.codes import (CodeAudit, LinearCode, code_to_json, cyclic_code,
                          rs_code)

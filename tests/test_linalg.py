@@ -8,8 +8,8 @@ import pytest
 
 from otlab.gf import GF
 from otlab.linalg import (DimensionMismatch, InconsistentSystem, Matrix,
-                          gf2_rank, pack_bits, rank, rank_and_kernel, rref,
-                          solve_affine, unpack_bits)
+                          gf2_rank, pack_bits, random_matrix, rank,
+                          rank_and_kernel, rref, solve_affine, unpack_bits)
 
 
 def naive_matmul(a, b):
@@ -24,12 +24,6 @@ def naive_matmul(a, b):
             row.append(acc)
         out.append(tuple(row))
     return Matrix(f, tuple(out))
-
-
-def random_matrix(f, nrows, ncols, rng):
-    return Matrix(f, tuple(tuple(int(a) for a in
-                                 rng.integers(0, f.order, size=ncols))
-                           for _ in range(nrows)))
 
 
 def test_constructor_validates_shape():

@@ -5,6 +5,8 @@ packed rows; here each is compared with the dense reduction loop
 (`linalg._rref_dense`) and with the dense kernel/sampling code kept below
 as the reference.  The numpy enumeration (ML decoding, minimum distance)
 is compared with brute force over iter_codewords and with a Gray walk.
+The matrix draws and column solves are compared with the row and column
+loops they replaced.
 """
 
 import numpy as np
@@ -13,9 +15,10 @@ import pytest
 from otlab.channels import ERASED, BscParams
 from otlab.codes import LinearCode, cyclic_code, random_code
 from otlab.gf import GF
-from otlab.linalg import (InconsistentSystem, Matrix, _rref_dense, gf2_apply,
-                          gf2_rank, pack_bits, pack_rows, rank,
-                          rank_and_kernel, rref, solve_affine, span_words,
+from otlab.linalg import (InconsistentSystem, Matrix, _rref_dense,
+                          full_rank_matrix, gf2_apply, gf2_rank, pack_bits,
+                          pack_rows, random_matrix, rank, rank_and_kernel,
+                          rref, solve_affine, solve_columns, span_words,
                           unpack_bits)
 from otlab.proto_p0 import MLDecoder, P0Params
 
@@ -150,6 +153,87 @@ def test_span_words_and_gf2_apply_match_direct_products():
         hm = random_binary(rng, 3, n)
         want = [pack_bits(hm.apply(w)) for w in code.iter_codewords()]
         assert gf2_apply(pack_rows(hm), words, n).tolist() == want
+
+
+# -- random matrices and column solves -----------------------------------------
+
+def loop_full_rank(field, k, n, rng):
+    """The row-by-row rejection loop random_code ran before full_rank_matrix;
+    also returns how many draws it took."""
+    draws = 0
+    while True:
+        draws += 1
+        rows = tuple(tuple(int(a) for a in rng.integers(0, field.order, size=n))
+                     for _ in range(k))
+        m = Matrix(field, rows)
+        if len(rref(m)[1]) == k:
+            return m, draws
+
+
+def loop_solve_columns(m, target, rng):
+    """The per-column solve_affine loop of p2_alice_setup and
+    compress_setup, with its reshape guard."""
+    f = m.field
+    cols = [solve_affine(m, target.column(j), rng)
+            for j in range(target.ncols)]
+    x = Matrix(f, tuple(zip(*cols))) if cols else Matrix(f, ())
+    if x.nrows != m.ncols:
+        x = Matrix(f, x.rows, ncols=target.ncols)
+    return x
+
+
+DRAW_SHAPES = [(1, 1, 1), (1, 3, 3), (1, 4, 7), (1, 8, 8), (1, 12, 23),
+               (2, 1, 1), (2, 2, 2), (2, 3, 5), (2, 6, 6),
+               (8, 1, 1), (8, 2, 3), (8, 4, 4)]
+
+
+@pytest.mark.parametrize("degree,k,n", DRAW_SHAPES)
+def test_matrix_draws_match_the_row_loop(degree, k, n):
+    """Same matrix and same stream position as the replaced loop, for one
+    draw and for the rejection loop; small square binary shapes reject."""
+    field = GF(degree)
+    rejected = 0
+    for seed in range(60):
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        want, draws = loop_full_rank(field, k, n, ref)
+        assert full_rank_matrix(field, k, n, ours) == want
+        assert ours.bit_generator.state == ref.bit_generator.state
+        rejected += draws > 1
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = Matrix(field, tuple(
+            tuple(int(a) for a in ref.integers(0, field.order, size=n))
+            for _ in range(k)))
+        assert random_matrix(field, k, n, ours) == want
+        assert ours.bit_generator.state == ref.bit_generator.state
+    if (degree, k, n) in ((1, 3, 3), (1, 8, 8), (2, 2, 2)):
+        assert rejected > 0
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_solve_columns_matches_per_column_solve_affine(degree):
+    field = GF(degree)
+    rng = np.random.default_rng(6000 + degree)
+    inconsistent = 0
+    for trial in range(80):
+        nrows, ncols = int(rng.integers(1, 6)), int(rng.integers(1, 9))
+        width = int(rng.integers(0, 4))
+        m = random_matrix(field, nrows, ncols, rng)
+        if trial % 2:
+            target = random_matrix(field, nrows, width, rng)
+        else:
+            target = m @ random_matrix(field, ncols, width, rng)
+        ours, ref = (np.random.default_rng(trial),
+                     np.random.default_rng(trial))
+        try:
+            want = loop_solve_columns(m, target, ref)
+        except InconsistentSystem:
+            inconsistent += 1
+            with pytest.raises(InconsistentSystem):
+                solve_columns(m, target, ours)
+        else:
+            assert solve_columns(m, target, ours) == want
+        assert ours.bit_generator.state == ref.bit_generator.state
+    assert inconsistent > 0
 
 
 # -- ML decoding ---------------------------------------------------------------

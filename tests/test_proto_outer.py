@@ -2,13 +2,12 @@
 
 from itertools import product
 
-import numpy as np
 import pytest
 
 from otlab.channels import BscParams, derive_rng
 from otlab.codes import LinearCode, OrthonormalCode, cyclic_code, orthonormalize
 from otlab.gf import GF
-from otlab.linalg import Matrix, rank
+from otlab.linalg import Matrix, random_matrix, rank
 from otlab.proto_outer import (OuterParams, bits_to_block, block_to_bits,
                                cheat_matrix_V, compress_setup,
                                compressed_length, outer_offset,
@@ -40,12 +39,6 @@ def gf4_inner(phi=0.0):
     code = LinearCode.from_rows(GF(1), ((1, 0, 1, 0), (0, 1, 0, 1)))
     return P0Params(block_len=4, channel=BscParams(phi), code=code,
                     secret_bits=2)
-
-
-def rand_secret(field, rows, cols, rng):
-    return Matrix(field, tuple(
-        tuple(int(a) for a in rng.integers(0, field.order, size=cols))
-        for _ in range(rows)), ncols=cols)
 
 
 def all_square_dual_masks(basis):
@@ -86,7 +79,7 @@ def test_block_bit_serialization_is_additive():
 def test_setup_identity_when_secrets_match():
     rng = derive_rng(60)
     basis = toy_basis()
-    s = rand_secret(GF(1), 4, 1, rng)
+    s = random_matrix(GF(1), 4, 1, rng)
     x, ys = p2_alice_setup(s, s, basis, rng)
     assert ys[0].rows == x.rows
     assert (basis.rows @ x).rows == s.rows
@@ -96,8 +89,8 @@ def test_setup_candidates_carry_both_secrets():
     rng = derive_rng(61)
     basis = toy_basis()
     for _ in range(20):
-        s = rand_secret(GF(1), 4, 2, rng)
-        t = rand_secret(GF(1), 4, 2, rng)
+        s = random_matrix(GF(1), 4, 2, rng)
+        t = random_matrix(GF(1), 4, 2, rng)
         x, ys = p2_alice_setup(s, t, basis, rng)
         y = ys[0]
         assert (basis.rows @ x).rows == s.rows
@@ -109,8 +102,8 @@ def test_setup_qary_offsets_in_dlog_order():
     rng = derive_rng(62)
     f = GF(2)
     basis = gf4_basis()
-    s = rand_secret(f, 2, 1, rng)
-    t = rand_secret(f, 2, 1, rng)
+    s = random_matrix(f, 2, 1, rng)
+    t = random_matrix(f, 2, 1, rng)
     x, ys = p2_alice_setup(s, t, basis, rng)
     assert len(ys) == 3
     d = outer_offset(basis, s, t)
@@ -125,14 +118,14 @@ def test_setup_qary_offsets_in_dlog_order():
 def test_setup_validation():
     rng = derive_rng(63)
     basis = toy_basis()
-    wrong_field = rand_secret(GF(2), 4, 1, rng)
-    good = rand_secret(GF(1), 4, 1, rng)
+    wrong_field = random_matrix(GF(2), 4, 1, rng)
+    good = random_matrix(GF(1), 4, 1, rng)
     with pytest.raises(ValueError):
         p2_alice_setup(wrong_field, wrong_field, basis, rng)
     with pytest.raises(ValueError):
-        p2_alice_setup(rand_secret(GF(1), 3, 1, rng), good, basis, rng)
+        p2_alice_setup(random_matrix(GF(1), 3, 1, rng), good, basis, rng)
     with pytest.raises(ValueError):
-        p2_alice_setup(good, rand_secret(GF(1), 4, 2, rng), basis, rng)
+        p2_alice_setup(good, random_matrix(GF(1), 4, 2, rng), basis, rng)
 
 
 def test_request_indices_binary():
@@ -190,8 +183,8 @@ def test_compressed_length_values():
 def test_compress_setup_lifts_exactly():
     rng = derive_rng(64)
     f = GF(1)
-    cf = rand_secret(f, 2, 3, rng)
-    cs = rand_secret(f, 2, 3, rng)
+    cf = random_matrix(f, 2, 3, rng)
+    cs = random_matrix(f, 2, 3, rng)
     pair, s, t = compress_setup(cf, cs, 8, 0.25, rng)
     assert rank(pair.m_first) == 2
     assert rank(pair.m_second) == 2
@@ -199,7 +192,7 @@ def test_compress_setup_lifts_exactly():
     assert (pair.m_second @ t).rows == cs.rows
     assert s.nrows == 8 and t.nrows == 8
     with pytest.raises(ValueError):
-        compress_setup(rand_secret(f, 3, 3, rng), cs, 8, 0.25, rng)
+        compress_setup(random_matrix(f, 3, 3, rng), cs, 8, 0.25, rng)
 
 
 def test_outer_params_validation_and_properties():
@@ -220,8 +213,8 @@ def test_run_session_noiseless_recovers_chosen_secret():
     basis = toy_basis()
     params = OuterParams(basis=basis, inner=binary_inner())
     rng = derive_rng(65)
-    s = rand_secret(GF(1), 4, 1, rng)
-    t = rand_secret(GF(1), 4, 1, rng)
+    s = random_matrix(GF(1), 4, 1, rng)
+    t = random_matrix(GF(1), 4, 1, rng)
     for want_first in (True, False):
         session = run_session(params, s, t, want_first,
                               derive_rng(66, want_first))
@@ -243,8 +236,8 @@ def test_run_session_every_dual_mask_exact():
     basis = toy_basis()
     params = OuterParams(basis=basis, inner=binary_inner())
     rng = derive_rng(67)
-    s = rand_secret(GF(1), 4, 1, rng)
-    t = rand_secret(GF(1), 4, 1, rng)
+    s = random_matrix(GF(1), 4, 1, rng)
+    t = random_matrix(GF(1), 4, 1, rng)
     for i, mask in enumerate(all_square_dual_masks(basis)):
         for want_first in (True, False):
             session = run_session(params, s, t, want_first,
@@ -261,8 +254,8 @@ def test_run_session_non_dual_mask_follows_algebra():
     basis = toy_basis()
     params = OuterParams(basis=basis, inner=binary_inner())
     rng = derive_rng(69)
-    s = rand_secret(GF(1), 4, 1, rng)
-    t = rand_secret(GF(1), 4, 1, rng)
+    s = random_matrix(GF(1), 4, 1, rng)
+    t = random_matrix(GF(1), 4, 1, rng)
     mask = (1, 0, 0, 0, 0, 0, 0, 0)
     v = cheat_matrix_V(basis.rows, mask)
     assert any(any(row) for row in v.rows)
@@ -277,8 +270,8 @@ def test_run_session_qary_noiseless():
     basis = gf4_basis()
     params = OuterParams(basis=basis, inner=gf4_inner())
     rng = derive_rng(71)
-    s = rand_secret(GF(2), 2, 1, rng)
-    t = rand_secret(GF(2), 2, 1, rng)
+    s = random_matrix(GF(2), 2, 1, rng)
+    t = random_matrix(GF(2), 2, 1, rng)
     for want_first in (True, False):
         session = run_session(params, s, t, want_first,
                               derive_rng(72, want_first))
@@ -294,8 +287,8 @@ def test_run_session_compressed_variants():
     basis = toy_basis()
     params = OuterParams(basis=basis, inner=binary_inner(), margin=0.25)
     rng = derive_rng(73)
-    cf = rand_secret(GF(1), 1, 1, rng)
-    cs = rand_secret(GF(1), 1, 1, rng)
+    cf = random_matrix(GF(1), 1, 1, rng)
+    cs = random_matrix(GF(1), 1, 1, rng)
     for want_first in (True, False):
         session = run_session(params, cf, cs, want_first,
                               derive_rng(74, want_first), compressed=True)
@@ -319,10 +312,10 @@ def test_run_session_validation():
     basis = toy_basis()
     params = OuterParams(basis=basis, inner=binary_inner())
     rng = derive_rng(75)
-    s = rand_secret(GF(1), 4, 1, rng)
-    t = rand_secret(GF(1), 4, 1, rng)
+    s = random_matrix(GF(1), 4, 1, rng)
+    t = random_matrix(GF(1), 4, 1, rng)
     with pytest.raises(ValueError):
-        run_session(params, rand_secret(GF(1), 4, 2, rng), t, True, rng)
+        run_session(params, random_matrix(GF(1), 4, 2, rng), t, True, rng)
     with pytest.raises(ValueError):
         run_session(params, s, t, True, rng, request_mask=(0, 1))
     with pytest.raises(ValueError):
@@ -335,8 +328,8 @@ def test_run_session_noisy_statuses_consistent():
     oks = others = 0
     for trial in range(40):
         rng = derive_rng(76, trial)
-        s = rand_secret(GF(1), 4, 1, rng)
-        t = rand_secret(GF(1), 4, 1, rng)
+        s = random_matrix(GF(1), 4, 1, rng)
+        t = random_matrix(GF(1), 4, 1, rng)
         session = run_session(params, s, t, bool(trial % 2), rng)
         tr = session.transcript
         statuses = tr["outcome"]["statuses"]
@@ -357,8 +350,8 @@ def test_transcript_json_shape():
     basis = toy_basis()
     params = OuterParams(basis=basis, inner=binary_inner())
     rng = derive_rng(77)
-    s = rand_secret(GF(1), 4, 1, rng)
-    t = rand_secret(GF(1), 4, 1, rng)
+    s = random_matrix(GF(1), 4, 1, rng)
+    t = random_matrix(GF(1), 4, 1, rng)
     session = run_session(params, s, t, True, rng)
     blob = session.transcript
     assert blob["outer_params"]["rounds"] == 8
@@ -375,8 +368,8 @@ def test_disjoint_block_basis_end_to_end():
     basis = OrthonormalCode(Matrix(GF(1), rows))
     params = OuterParams(basis=basis, inner=binary_inner())
     rng = derive_rng(78)
-    s = rand_secret(GF(1), 2, 1, rng)
-    t = rand_secret(GF(1), 2, 1, rng)
+    s = random_matrix(GF(1), 2, 1, rng)
+    t = random_matrix(GF(1), 2, 1, rng)
     session = run_session(params, s, t, False, derive_rng(79))
     assert session.status == "ok"
     assert session.output.rows == t.rows
@@ -394,7 +387,7 @@ def test_orthonormalized_cyclic_square_fills_space():
     assert sq.dimension == basis.length
     params = OuterParams(basis=basis, inner=binary_inner())
     rng = derive_rng(80)
-    s = rand_secret(GF(1), 5, 1, rng)
-    t = rand_secret(GF(1), 5, 1, rng)
+    s = random_matrix(GF(1), 5, 1, rng)
+    t = random_matrix(GF(1), 5, 1, rng)
     with pytest.raises(ValueError):
         run_session(params, s, t, True, rng)
