@@ -116,27 +116,6 @@ def test_transmit_with_false_pairs_matches_binomial_model():
     assert abs(corrupt_survive - c_total * eps) < 5 * sig_c
 
 
-def test_transmit_with_false_pairs_all_false_statistics():
-    """A false slot erases w.p. 1 - eps, else lands on each value w.p.
-    phi (1 - phi)."""
-    rng = derive_rng(95)
-    phi = 0.3
-    n = 200_000
-    word = transmit_with_false_pairs((1,) * n, range(n), phi, rng)
-    p_erase = 1 - BscParams(phi).erasure_rate
-    sig = math.sqrt(n * p_erase * (1 - p_erase))
-    assert abs(word.erased_count - n * p_erase) < 5 * sig
-    p_side = phi * (1 - phi)
-    sig_side = math.sqrt(n * p_side * (1 - p_side))
-    for value in (0, 1):
-        landed = word.symbols.count(value)
-        assert abs(landed - n * p_side) < 5 * sig_side
-    assert transmit_with_false_pairs((0, 1), (0, 1), 0.0,
-                                     rng).erased_count == 2
-    with pytest.raises(ValueError):
-        transmit_with_false_pairs((0,), (0,), 0.5, rng)
-
-
 def test_detection_campaign_honest_rate_below_bound():
     rng = derive_rng(94)
     rep = detection_campaign(30, 15, 0.198, 0, 3000, rng)
@@ -310,6 +289,17 @@ def test_audit_bob_strategies_dual_masks_only():
         assert cell.mean_second == pytest.approx(1.0, abs=1e-9)
 
 
+def test_posterior_cell_zero_v_protects_second():
+    """The zero mask gives V = 0 and U = I: z reveals s, t stays hidden."""
+    rep = audit_bob_strategies(toy_basis(), 0.25, masks=[(0,) * 8])
+    (cell,) = rep.cells
+    assert cell.rank_v == 0
+    assert cell.rank_u == 4
+    assert cell.mean_first == pytest.approx(0.0, abs=1e-9)
+    assert cell.mean_second == pytest.approx(1.0, abs=1e-9)
+    assert max(cell.mean_first, cell.mean_second) == pytest.approx(1.0)
+
+
 def test_audit_bob_strategies_identity_v_protects_first():
     """The all-ones mask gives V = H H^T = I and U = 0: z reveals t."""
     rep = audit_bob_strategies(toy_basis(), 0.25, masks=[(1,) * 8])
@@ -353,6 +343,16 @@ def test_audit_bob_strategies_cells_match_one_mask_audits():
         ranks[cell.rank_v] = ranks.get(cell.rank_v, 0) + 1
     assert full.rank_histogram == dict(sorted(ranks.items()))
     assert sum(full.rank_histogram.values()) == 256
+
+
+def test_posterior_cell_validation():
+    """A one-mask audit is refused over GF(4) and just past r = 14."""
+    gf4 = OrthonormalCode(Matrix.identity(GF(2), 2))
+    with pytest.raises(ValueError, match="binary only"):
+        audit_bob_strategies(gf4, 0.25, masks=[(1, 0)])
+    r15 = OrthonormalCode(Matrix.identity(GF(1), 15))
+    with pytest.raises(ValueError, match="r too large"):
+        audit_bob_strategies(r15, 0.25, masks=[(1,) * 15])
 
 
 def test_audit_bob_strategies_validation():

@@ -1,8 +1,11 @@
-"""Channel simulation: BSC and duplication folding."""
+"""Channel simulation: BSC, duplication folding, false pairs."""
+
+import math
 
 import numpy as np
 import pytest
 
+from otlab.adversary import transmit_with_false_pairs
 from otlab.channels import (ERASED, BscParams, TernaryWord, bsc_transmit,
                             derive_rng, duplicate_round_trip)
 
@@ -131,3 +134,28 @@ def test_duplicate_round_trip_validation():
     rng = np.random.default_rng(5)
     with pytest.raises(ValueError):
         duplicate_round_trip((0, 1), 0.6, rng)
+
+
+def test_false_duplicate_statistics():
+    """Mismatched pairs erase w.p. 1 - eps, else land on each value
+    w.p. phi (1 - phi)."""
+    rng = derive_rng(95)
+    phi = 0.3
+    n = 200_000
+    word = transmit_with_false_pairs((1,) * n, range(n), phi, rng)
+    p_erase = 1 - BscParams(phi).erasure_rate
+    sig = math.sqrt(n * p_erase * (1 - p_erase))
+    assert abs(word.erased_count - n * p_erase) < 5 * sig
+    p_side = phi * (1 - phi)
+    sig_side = math.sqrt(n * p_side * (1 - p_side))
+    for value in (0, 1):
+        landed = word.symbols.count(value)
+        assert abs(landed - n * p_side) < 5 * sig_side
+
+
+def test_false_duplicate_validation():
+    rng = derive_rng(96)
+    assert transmit_with_false_pairs((0, 1), (0, 1), 0.0,
+                                     rng).erased_count == 2
+    with pytest.raises(ValueError):
+        transmit_with_false_pairs((0,), (0,), 0.5, rng)
