@@ -1,3 +1,3 @@
 """Coding-theory workbench for oblivious transfer over noisy channels."""
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

@@ -33,7 +33,7 @@ from .analysis import (AccusationRule, detection_rule, expected_unerased,
                        wilson_interval)
 from .channels import BscParams, TernaryWord, bsc_transmit
 from .codes import OrthonormalCode
-from .linalg import Matrix, gf2_apply, gf2_rank, pack_rows
+from .linalg import Matrix, full_rank_matrix, gf2_apply, gf2_rank, pack_rows
 from .proto_outer import cheat_matrix_V, compressed_length
 
 
@@ -208,16 +208,6 @@ def _parity_lut(rows: Sequence[int], states: np.ndarray) -> np.ndarray:
     return gf2_apply(rows, states[:, None], int(states.max()).bit_length())
 
 
-def _draw_full_rank_rows(r: int, u_len: int,
-                         rng: np.random.Generator) -> np.ndarray:
-    """Packed rows of a uniform full-rank u_len x r binary matrix with no
-    zero row, resampled until full rank."""
-    while True:
-        rows = rng.integers(1, 1 << r, size=u_len, dtype=np.int64)
-        if gf2_rank([int(x) for x in rows]) == u_len:
-            return rows
-
-
 def _full_rank_row_sets(r: int, u_len: int) -> list[np.ndarray]:
     """All full-rank u_len x r binary matrices as packed row arrays."""
     out = []
@@ -312,9 +302,9 @@ def audit_bob_strategies(basis: OrthonormalCode, margin: float,
     else:
         if rng is None:
             raise ValueError("pair_samples needs an rng")
-        pair_list = [(_draw_full_rank_rows(r, u_len, rng),
-                      _draw_full_rank_rows(r, u_len, rng))
-                     for _ in range(pair_samples)]
+        draws = [np.array(pack_rows(full_rank_matrix(f, u_len, r, rng)),
+                          dtype=np.int64) for _ in range(2 * pair_samples)]
+        pair_list = list(zip(draws[::2], draws[1::2]))
 
     states = np.arange(1 << r, dtype=np.int64)
     lut_cache: dict[bytes, np.ndarray] = {}

@@ -21,8 +21,10 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import math
 import os
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Optional
@@ -212,6 +214,12 @@ def _at_least(cfg: dict, key: str, low: int) -> int:
     return value
 
 
+def _check_c(cfg: dict) -> None:
+    """The detection rule's Hoeffding bound holds only for c > 0."""
+    c = float(cfg["c"])
+    _require(0.0 < c < math.inf, f"c must be positive and finite, got {c}")
+
+
 def _checked(fn: Callable, *args, **kwargs):
     """fn(*args, **kwargs), a rejected value's ValueError as a ConfigError."""
     try:
@@ -248,8 +256,7 @@ class Protocol:
     compressed: the primed variants.  alphabet(q, code_q) maps the
     requested q and the outer code's field order (None without a code)
     to the secret alphabet size, or raises ConfigError.  trial(setup,
-    rng) runs one trial and returns (session, expected output, secret
-    bits).
+    rng) runs one trial and returns (session, expected output).
     """
 
     outer: bool
@@ -266,11 +273,9 @@ class RunSetup:
     q: int
     transcripts: int
     inner_distance: Optional[int]
-
-    @property
-    def sessions_per_trial(self) -> int:
-        """q - 1 inner sessions per round; one round without an outer code."""
-        return (self.q - 1) * (self.outer.rounds if self.outer else 1)
+    sessions_per_trial: int
+    channel_bits: int  # 4 n0 per inner session, whatever each one does
+    observed_rate: float  # both secrets' bits per channel bit
 
 
 def _toy_compressed_basis(field) -> OrthonormalCode:
@@ -334,7 +339,7 @@ def _p0_trial(setup: RunSetup, rng: np.random.Generator) -> tuple:
     first, second = _random_bits(rng, bits), _random_bits(rng, bits)
     want_first = bool(rng.integers(0, 2))
     session = p0_run(first, second, want_first, setup.inner, rng)
-    return session, first if want_first else second, bits
+    return session, first if want_first else second
 
 
 def _p0q_trial(setup: RunSetup, rng: np.random.Generator) -> tuple:
@@ -342,7 +347,7 @@ def _p0q_trial(setup: RunSetup, rng: np.random.Generator) -> tuple:
     secrets = [_random_bits(rng, bits) for _ in range(setup.q)]
     index = int(rng.integers(setup.q))
     session = p0q_run(secrets, index, setup.inner, rng)
-    return session, secrets[index], bits
+    return session, secrets[index]
 
 
 def _outer_trial(setup: RunSetup, rng: np.random.Generator) -> tuple:
@@ -356,8 +361,7 @@ def _outer_trial(setup: RunSetup, rng: np.random.Generator) -> tuple:
     want_first = bool(rng.integers(0, 2))
     session = run_session(params, first, second, want_first, rng,
                           compressed=compressed)
-    return (session, first if want_first else second,
-            rows_n * params.block_syms * field.degree)
+    return session, first if want_first else second
 
 
 PROTOCOLS = {
@@ -383,7 +387,9 @@ def _normalize_run(config: dict, seed: int) -> tuple[dict, RunSetup]:
     transcripts = int(cfg["transcripts"])
     _require(0 <= transcripts, "transcripts must be non-negative")
     slack = float(cfg["slack"])
-    _require(slack >= 0.0, "slack must be non-negative")
+    _require(0.0 <= slack < math.inf,
+             f"slack must be non-negative and finite, got {slack}")
+    _check_c(cfg)
     limit = int(cfg["enum_limit"])
 
     # secret alphabet, fixed by the outer code's field when one is given
@@ -423,6 +429,7 @@ def _normalize_run(config: dict, seed: int) -> tuple[dict, RunSetup]:
     # outer structure
     outer = None
     margin = None
+    secret_bits = bits
     if spec.outer:
         if basis is not None:
             _require(cfg["n"] in (None, basis.length),
@@ -447,32 +454,36 @@ def _normalize_run(config: dict, seed: int) -> tuple[dict, RunSetup]:
                  "the outer code's square spans the whole space, so its "
                  "dual has no request mask; use a code with a smaller "
                  "square")
+        secret_rows = basis.dimension
         if spec.compressed:
             margin = DEFAULT_DELTA if cfg["delta"] is None else float(cfg["delta"])
-            _compressed_length(basis.dimension, margin)
+            secret_rows = _compressed_length(basis.dimension, margin)
         outer = OuterParams(basis=basis, inner=inner, block_syms=m,
                             margin=margin)
+        secret_bits = secret_rows * bits
 
     resolved = dict(cfg)
     resolved.update(protocol=protocol, phi=phi, n0=n0,
                     n=outer.rounds if outer else cfg["n"], m=m, q=q,
                     delta=margin if spec.compressed else cfg["delta"],
                     slack=slack, trials=trials, transcripts=transcripts)
+    # q - 1 inner sessions per round; one round without an outer code
+    sessions = (q - 1) * (outer.rounds if outer else 1)
+    channel_bits = 4 * n0 * sessions
     setup = RunSetup(protocol=spec, inner=inner, outer=outer, q=q,
-                     transcripts=transcripts, inner_distance=inner_d)
+                     transcripts=transcripts, inner_distance=inner_d,
+                     sessions_per_trial=sessions, channel_bits=channel_bits,
+                     observed_rate=2.0 * secret_bits / channel_bits)
     return resolved, setup
 
 
 def _run_trial(setup: RunSetup, seed: int, trial: int) -> dict:
     rng = derive_rng(seed, 0, trial)
-    session, expected, secret_bits = setup.protocol.trial(setup, rng)
-    row = {
-        "trial": trial,
-        "status": session.status,
-        "matched": bool(session.status == "ok" and session.output == expected),
-        "channel_bits": session.channel_bits,
-        "observed_rate": 2.0 * secret_bits / session.channel_bits,
-    }
+    session, expected = setup.protocol.trial(setup, rng)
+    outcome = session.status
+    if outcome == "ok" and session.output != expected:
+        outcome = "wrong_output"
+    row = {"trial": trial, "outcome": outcome}
     if trial < setup.transcripts:
         row["transcript"] = session.transcript
     return row
@@ -494,7 +505,7 @@ def _trial_chunk(payload: tuple) -> list[dict]:
 def _run_all_trials(resolved: dict, setup: RunSetup, seed: int,
                     workers: int) -> list[dict]:
     trials = resolved["trials"]
-    if workers <= 1 or trials < 2 * workers:
+    if workers == 1 or trials < 2 * workers:
         return [_run_trial(setup, seed, t) for t in range(trials)]
     config_json = json.dumps(resolved, sort_keys=True)
     # contiguous chunks, none empty since trials >= 2 workers
@@ -508,14 +519,11 @@ def _run_all_trials(resolved: dict, setup: RunSetup, seed: int,
 
 
 def cmd_run(config: dict, seed: int, workers: int = 1) -> dict:
+    _require(workers >= 1, f"workers must be at least 1, got {workers}")
     resolved, setup = _normalize_run(config, seed)
     rows = _run_all_trials(resolved, setup, seed, workers)
     trials = len(rows)
-    matched = sum(r["matched"] for r in rows)
-    success = matched / trials
-    aborts = sum(r["status"] == "abort" for r in rows) / trials
-    failures = sum(r["status"] == "decode_failure" for r in rows) / trials
-    ok_rates = [r["observed_rate"] for r in rows if r["status"] == "ok"]
+    counts = Counter(r["outcome"] for r in rows)
     channel = BscParams(resolved["phi"])
     rule = detection_rule(setup.sessions_per_trial, setup.inner.block_len,
                           resolved["phi"], resolved["c"])
@@ -528,6 +536,8 @@ def cmd_run(config: dict, seed: int, workers: int = 1) -> dict:
                                         resolved["phi"], resolved["slack"])
                        if resolved["slack"] > 0 else None),
         "sessions_per_trial": setup.sessions_per_trial,
+        "channel_bits": setup.channel_bits,
+        "observed_rate": setup.observed_rate,
         "eta": rule.eta,
         "threshold": rule.threshold,
         "false_accusation_bound": rule.false_accusation_bound,
@@ -546,13 +556,11 @@ def cmd_run(config: dict, seed: int, workers: int = 1) -> dict:
         }
     aggregates = {
         "trials": trials,
-        "success_rate": success,
-        "abort_rate": aborts,
-        "decode_failure_rate": failures,
-        "ci_95": list(wilson_interval(matched, trials)),
-        "mean_observed_rate": (sum(ok_rates) / len(ok_rates)
-                               if ok_rates else None),
-        "mean_channel_bits": sum(r["channel_bits"] for r in rows) / trials,
+        "success_rate": counts["ok"] / trials,
+        "wrong_output_rate": counts["wrong_output"] / trials,
+        "abort_rate": counts["abort"] / trials,
+        "decode_failure_rate": counts["decode_failure"] / trials,
+        "ci_95": list(wilson_interval(counts["ok"], trials)),
     }
     return build_report("run", resolved, seed, derived, aggregates,
                         trials=rows)
@@ -613,6 +621,7 @@ def _normalize_attack(config: dict) -> dict:
     n0 = _at_least(cfg, "n0", 2)
     n = n0 * n0 if cfg["n"] is None else _at_least(cfg, "n", 1)
     trials = _at_least(cfg, "trials", 1)
+    _check_c(cfg)
     slots = 2 * n * n0
     if strategy == "tracker":
         corrupted = n if cfg["corrupted"] is None else int(cfg["corrupted"])
@@ -1052,7 +1061,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                                            _flags_to_config(args, command))
         seed = resolve_seed(args.seed, file_seed)
         if args.command == "run":
-            report = cmd_run(config, seed, workers=max(1, args.workers))
+            report = cmd_run(config, seed, workers=args.workers)
         else:
             report = _DISPATCH[args.command](config, seed)
     except ConfigError as exc:

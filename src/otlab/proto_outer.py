@@ -233,12 +233,10 @@ def run_session(params: OuterParams, first_secret: Matrix,
     harvest_rows = []
     statuses = []
     degree = f.degree
-    channel_bits = 0
     for ell in range(params.rounds):
         candidates = [x.row(ell)] + [y.row(ell) for y in ys]
         blocks_bits = [block_to_bits(c, degree) for c in candidates]
         inner = p0q_run(blocks_bits, requests[ell], params.inner, rng)
-        channel_bits += inner.channel_bits
         statuses.append(inner.status)
         harvest_rows.append(None if inner.output is None
                             else bits_to_block(inner.output, degree))
@@ -256,6 +254,8 @@ def run_session(params: OuterParams, first_secret: Matrix,
     secret_syms = (params.outer_dim if not compressed
                    else compressed_length(params.outer_dim, params.margin))
     secret_bits = secret_syms * params.block_syms * degree
+    # each round's 1-of-q transfer runs q - 1 sessions of 4 n0 bits
+    channel_bits = params.rounds * (f.order - 1) * 4 * params.inner.block_len
     transcript = {
         "params": {"events": events, "channel_bits": channel_bits,
                    "observed_rate": 2.0 * secret_bits / channel_bits},
@@ -272,4 +272,4 @@ def run_session(params: OuterParams, first_secret: Matrix,
             "M_s": pair.m_first.to_json(), "M_t": pair.m_second.to_json()},
     }
     status = next((s for s in statuses if s != "ok"), "ok")
-    return Session(status, output, channel_bits, transcript)
+    return Session(status, output, transcript)

@@ -313,7 +313,6 @@ class Session:
 
     status: str
     output: Optional[object]
-    channel_bits: int
     transcript: dict
 
 
@@ -370,7 +369,7 @@ def p0_run(first_secret: Sequence[int], second_secret: Sequence[int],
         "outcome": {"status": status,
                     "unerased_count": word.unerased_count},
     }
-    return Session(status, secret, 4 * n0, transcript)
+    return Session(status, secret, transcript)
 
 
 def chain_1_of_q(secrets: Sequence[Sequence[int]],
@@ -464,14 +463,13 @@ def p0q_run(secrets: Sequence[Sequence[int]], index: int, params: P0Params,
     sessions = [p0_run(first, second, j == index, params, rng)
                 for j, (first, second) in enumerate(pairs)]
     worst = next((s.status for s in sessions if s.status != "ok"), "ok")
-    channel_bits = (q - 1) * 4 * params.block_len
     transcript = {"inner": [s.transcript for s in sessions]}
     needed = sessions[:index + 1]  # all q - 1 when index is the last
     if any(s.output is None for s in needed):
         return Session(worst if worst != "ok" else "decode_failure", None,
-                       channel_bits, transcript)
+                       transcript)
     acc = [0] * params.secret_bits
     for s in needed:
         for i, b in enumerate(s.output):
             acc[i] ^= b
-    return Session(worst, tuple(acc), channel_bits, transcript)
+    return Session(worst, tuple(acc), transcript)

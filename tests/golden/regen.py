@@ -58,6 +58,9 @@ CASES = {
     "run-p0-statuses": ["run", "--protocol", "p0", "--n0", "4", "--phi",
                         "0.2", "--trials", "10", "--transcripts", "10",
                         "--seed", "41"],
+    # Every trial outcome: ok, wrong_output, abort and decode_failure.
+    "run-p0-outcomes": ["run", "--protocol", "p0", "--n0", "4", "--phi",
+                        "0.3", "--trials", "20", "--seed", "41"],
     "run-p0q-transcripts": ["run", "--protocol", "p0q", "--q", "4", "--phi",
                             "0.3", "--trials", "6", "--transcripts", "6",
                             "--seed", "23"],

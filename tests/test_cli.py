@@ -111,9 +111,12 @@ def test_run_noiseless_report_and_determinism():
     assert agg["ci_95"] == [pytest.approx(0.722460, abs=1e-6), 1.0]
     assert agg["abort_rate"] == 0.0
     assert agg["decode_failure_rate"] == 0.0
-    assert agg["mean_channel_bits"] == 32.0
+    assert agg["wrong_output_rate"] == 0.0
+    assert rep["derived"]["channel_bits"] == 32
+    assert rep["derived"]["observed_rate"] == 2 / 32
     assert len(rep["trials"]) == 10
-    assert all(row["status"] == "ok" for row in rep["trials"])
+    assert all(row == {"trial": t, "outcome": "ok"}
+               for t, row in enumerate(rep["trials"]))
 
     second = run_cli(*args)
     assert second.stdout == first.stdout
@@ -285,6 +288,32 @@ def test_config_errors_exit_2(tmp_path):
     # checked up front, not numpy's "need at least one array to stack"
     proc = run_cli("attack", "--strategy", "bob", "--pair-samples", "0")
     assert "pair_samples must be at least 1" in proc.stderr
+
+
+@pytest.mark.parametrize("args, key", [
+    (("run", "--c", "nan"), "c"),
+    (("run", "--c", "inf"), "c"),
+    (("run", "--c", "-1"), "c"),
+    (("run", "--c", "0"), "c"),
+    (("attack", "--strategy", "honest", "--c", "nan"), "c"),
+    (("attack", "--strategy", "honest", "--c", "inf"), "c"),
+    (("attack", "--strategy", "honest", "--c", "-1"), "c"),
+    (("attack", "--strategy", "tracker", "--c", "0"), "c"),
+    (("run", "--slack", "inf"), "slack"),
+    (("run", "--workers", "0"), "workers"),
+    (("run", "--workers", "-2"), "workers"),
+])
+def test_config_domains_exit_2_before_any_work(args, key, monkeypatch):
+    # no trial, campaign or worker pool may start on a rejected value
+    def no_work(*args):
+        raise AssertionError("work started on a rejected config")
+
+    monkeypatch.setattr(cli, "_run_all_trials", no_work)
+    for strategy in cli._ATTACKS:
+        monkeypatch.setitem(cli._ATTACKS, strategy, no_work)
+    proc = run_cli(*args)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(f"otlab: config error: {key} must be ")
 
 
 def test_value_error_inside_a_trial_propagates(monkeypatch):

@@ -36,12 +36,15 @@ def test_golden_report_replays_byte_for_byte(name, tmp_path, capsys):
 
 def test_corpus_holds_every_transcript_shape():
     found = []  # (protocol, q, transcript) from every run report
+    outcomes = set()
     for name in regen.CASES:
         report = json.loads((regen.GOLDEN_DIR / f"{name}.json").read_text())
         if report["command"] == "run":
             cfg = report["config"]
             found.extend((cfg["protocol"], cfg["q"], row["transcript"])
                          for row in report["trials"] if "transcript" in row)
+            outcomes.update(row["outcome"] for row in report["trials"])
+    assert outcomes == {"ok", "wrong_output", "abort", "decode_failure"}
     p0_statuses = {tr["outcome"]["status"] for proto, _, tr in found
                    if proto == "p0"}
     assert p0_statuses == {"ok", "abort", "decode_failure"}

@@ -1,7 +1,11 @@
-"""Source hygiene: no module imports a name it never uses."""
+"""Source hygiene: no module imports a name it never uses, and the package
+version agrees with pyproject.toml."""
 
 import ast
+import re
 from pathlib import Path
+
+import otlab
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "otlab").glob("*.py")) + sorted(
@@ -35,3 +39,8 @@ def test_no_module_imports_an_unused_name():
              for path in SOURCES
              if (unused := unused_imports(ast.parse(path.read_text())))}
     assert found == {}
+
+
+def test_package_version_matches_pyproject():
+    text = (ROOT / "pyproject.toml").read_text()
+    assert re.findall(r'^version = "(.*)"$', text, re.M) == [otlab.__version__]

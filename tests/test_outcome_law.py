@@ -1,0 +1,89 @@
+"""The exact outcome law of an honest p0 session, against `run`.
+
+An honest Bob keeps the first n0 cleanly received positions of the 2 n0
+duplicated bits, so a session aborts exactly when fewer than n0 of them
+survive: P(abort) = P(Bin(2 n0, 1 - eps) < n0).  Without an abort he
+decodes y = c + e, where e has i.i.d. Bernoulli(p) entries (p the
+residual error of a surviving symbol).  The distances from y to the
+codewords are the weights of the coset e + C, so decoding fails exactly
+when that coset has a tied minimum weight (MacWilliams & Sloane, ch. 1):
+P(decode_failure | no abort) is the sum of p^wt(e) (1 - p)^(n0 - wt(e))
+over those e.
+
+The oracle enumerates the 2^n0 error patterns; `run`'s counts must lie
+inside both binomial tails at 1e-6.  The seeds were fixed before the
+first run.
+"""
+
+import itertools
+import math
+
+import pytest
+
+from otlab.channels import BscParams
+from otlab.cli import cmd_run
+from otlab.codes import LinearCode, code_to_json
+from otlab.gf import GF
+from otlab.linalg import Matrix
+
+TAIL = 1e-6
+
+EXTENDED_HAMMING_8_4 = ((1, 0, 0, 0, 0, 1, 1, 1),
+                        (0, 1, 0, 0, 1, 0, 1, 1),
+                        (0, 0, 1, 0, 1, 1, 0, 1),
+                        (0, 0, 0, 1, 1, 1, 1, 0))
+
+
+def p0_outcome_law(generator, phi):
+    """(P(abort), P(decode_failure)) of one honest p0 session."""
+    n0 = len(generator[0])
+    channel = BscParams(phi)
+    eps, p = channel.erasure_rate, channel.residual_error
+    p_abort = sum(math.comb(2 * n0, j) * (1 - eps) ** j * eps ** (2 * n0 - j)
+                  for j in range(n0))
+    codewords = {tuple(sum(c * row[i] for c, row in zip(coeffs, generator))
+                       % 2 for i in range(n0))
+                 for coeffs in itertools.product((0, 1),
+                                                 repeat=len(generator))}
+    p_tie = 0.0
+    for e in itertools.product((0, 1), repeat=n0):
+        weights = [sum(a ^ b for a, b in zip(e, c)) for c in codewords]
+        if weights.count(min(weights)) > 1:
+            wt = sum(e)
+            p_tie += p ** wt * (1 - p) ** (n0 - wt)
+    return p_abort, (1 - p_abort) * p_tie
+
+
+def binomial_tails(count, trials, prob):
+    """(P(X <= count), P(X >= count)) for X ~ Bin(trials, prob)."""
+    pmf = [math.exp(math.lgamma(trials + 1) - math.lgamma(k + 1)
+                    - math.lgamma(trials - k + 1) + k * math.log(prob)
+                    + (trials - k) * math.log1p(-prob))
+           for k in range(trials + 1)]
+    return sum(pmf[:count + 1]), sum(pmf[count:])
+
+
+def test_oracle_on_the_four_bit_repetition_code():
+    # a tie is exactly a weight-2 error: 6 of the 16 patterns
+    phi = 0.3
+    p = BscParams(phi).residual_error
+    p_abort, p_fail = p0_outcome_law(((1, 1, 1, 1),), phi)
+    assert p_fail == pytest.approx(
+        (1 - p_abort) * 6 * p ** 2 * (1 - p) ** 2, rel=1e-12)
+
+
+@pytest.mark.parametrize("generator, phi, trials, seed", [
+    (((1, 1, 1, 1),), 0.3, 3000, 101),
+    (EXTENDED_HAMMING_8_4, 0.15, 2000, 102),
+], ids=["repetition-4-1", "extended-hamming-8-4"])
+def test_run_rates_follow_the_exact_law(generator, phi, trials, seed):
+    code = LinearCode(Matrix(GF(1), generator))
+    report = cmd_run({"protocol": "p0", "phi": phi, "trials": trials,
+                      "code": code_to_json(code)}, seed)
+    agg = report["aggregates"]
+    p_abort, p_fail = p0_outcome_law(generator, phi)
+    for rate, prob in ((agg["abort_rate"], p_abort),
+                       (agg["decode_failure_rate"], p_fail)):
+        count = round(rate * trials)
+        low, high = binomial_tails(count, trials, prob)
+        assert min(low, high) > TAIL, (count, trials, prob)

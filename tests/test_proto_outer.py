@@ -222,7 +222,6 @@ def test_run_session_noiseless_recovers_chosen_secret():
         want = s if want_first else t
         assert session.output.rows == want.rows
         tr = session.transcript
-        assert session.channel_bits == 8 * 4 * 15
         assert tr["params"]["channel_bits"] == 8 * 4 * 15
         assert tr["params"]["observed_rate"] == pytest.approx(2 * 4 / 480)
         assert tr["params"]["events"] == ["mask_drawn", "rounds_complete"]
@@ -279,7 +278,7 @@ def test_run_session_qary_noiseless():
         want = s if want_first else t
         assert session.output.rows == want.rows
         tr = session.transcript
-        assert session.channel_bits == 3 * 3 * 4 * 4
+        assert tr["params"]["channel_bits"] == 3 * 3 * 4 * 4
         assert tr["params"]["observed_rate"] == pytest.approx(2 * 4 / 144)
 
 
@@ -373,7 +372,7 @@ def test_disjoint_block_basis_end_to_end():
     session = run_session(params, s, t, False, derive_rng(79))
     assert session.status == "ok"
     assert session.output.rows == t.rows
-    assert session.channel_bits == 6 * 60
+    assert session.transcript["params"]["channel_bits"] == 6 * 60
 
 
 def test_orthonormalized_cyclic_square_fills_space():

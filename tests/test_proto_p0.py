@@ -207,7 +207,6 @@ def test_p0_run_noiseless_exact():
         assert session.status == "ok"
         assert session.output == (s1 if want_first else s2)
         t = session.transcript
-        assert session.channel_bits == 60
         assert t["params"]["channel_bits"] == 60
         assert t["outcome"]["unerased_count"] == 30
         assert t["outcome"]["status"] == "ok"
@@ -322,8 +321,9 @@ def test_p0q_run_noiseless_all_indices():
         session = p0q_run(secrets, index, params, derive_rng(51, index))
         assert session.status == "ok"
         assert session.output == secrets[index]
-        assert session.channel_bits == 3 * 4 * 15
-        assert len(session.transcript["inner"]) == 3
+        inner = session.transcript["inner"]
+        assert len(inner) == 3
+        assert sum(tr["params"]["channel_bits"] for tr in inner) == 3 * 4 * 15
 
 
 def test_p0q_run_validation():
