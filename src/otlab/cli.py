@@ -38,7 +38,7 @@ from .channels import BscParams, derive_rng
 from .codes import (DEFAULT_ENUM_LIMIT, EnumerationLimit, LinearCode,
                     OrthonormalCode, code_from_json, orthonormalize,
                     random_code)
-from .gf import GF
+from .gf import GF, MAX_DEGREE
 from .linalg import Matrix, random_matrix
 from .proto_outer import OuterParams, compressed_length, run_session
 from .proto_p0 import (DECODER_WORD_CAP, MLDecoder, P0Params, p0_run,
@@ -71,17 +71,27 @@ _BOOL_WORDS = {"true": True, "yes": True, "on": True, "1": True,
 
 FILE = "FILE"  # the kind of a key that names a code file
 
+# the Python types each kind accepts (a bool is not a number) and its name
+_KINDS = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+          str: ((str,), "a string"), bool: ((bool,), "true or false"),
+          FILE: ((dict,), "a code JSON object")}
+
 
 @dataclass(frozen=True)
 class Opt:
     """A config key: kind (int, float, str, bool or FILE), default and the
-    help of its flag --key; a bool key is set by a side output's flag."""
+    help of its flag --key; a bool key is set by a side output's flag.
+    domain, an interval such as "[0, 0.5)", bounds a number; only names
+    the protocols or strategies that read the key (others keep its
+    default)."""
 
     kind: Any
     default: Any = None
     help: Optional[str] = None
     metavar: Optional[str] = None
     choices: Any = None
+    domain: Optional[str] = None
+    only: Optional[tuple] = None
 
 
 @dataclass(frozen=True)
@@ -98,7 +108,7 @@ class Output:
 
 @dataclass(frozen=True)
 class Command:
-    """One subcommand, as the parser, coercion and emission all read it."""
+    """One subcommand, as the parser, the checker and emission read it."""
 
     help: str
     keys: dict  # config key -> Opt, in the order errors list them
@@ -128,25 +138,9 @@ def parse_config_file(path: str) -> dict:
     return out
 
 
-def _coerce(key: str, kind, raw):
-    if raw is None or kind == FILE:
-        return raw  # a FILE value is a path, or an inline dict from a replay
-    if not isinstance(raw, str):
-        return kind(raw)
-    if kind is bool:
-        _require(raw.lower() in _BOOL_WORDS,
-                 f"`{key}` expects true/false, got {raw!r}")
-        return _BOOL_WORDS[raw.lower()]
-    try:
-        return kind(raw)
-    except ValueError as exc:
-        raise ConfigError(
-            f"`{key}` expects {kind.__name__}, got {raw!r}") from exc
-
-
 def _load_code_value(key: str, value):
     """Paths become inline code JSON so reports are self-contained."""
-    if value is None or isinstance(value, dict):
+    if not isinstance(value, str):
         return value
     try:
         obj = json.loads(_read(value, f"{key} file"))
@@ -158,66 +152,95 @@ def _load_code_value(key: str, value):
 
 
 def resolve_config(command: str, file_cfg: dict,
-                   flag_cfg: dict) -> tuple[dict, Optional[int]]:
-    """Config file < flags, code files loaded; execute fills the defaults."""
+                   flag_cfg: dict) -> tuple[dict, Optional[str]]:
+    """Config file < flags, code files loaded; execute checks the values
+    and fills the defaults.  Returns the config and the file's seed."""
     keys = COMMANDS[command].keys
-    merged = {}
-    file_seed = None
-    for source in (file_cfg, flag_cfg):
-        for key, value in source.items():
-            if key == "seed":
-                file_seed = _coerce("seed", int, value)
-                continue
-            if key not in keys:
-                raise ConfigError(
-                    f"`{key}` is not a {command} option (valid: "
-                    f"{', '.join(keys)}, seed)")
-            merged[key] = _coerce(key, keys[key].kind, value)
+    merged = {**file_cfg, **flag_cfg}
+    file_seed = merged.pop("seed", None)
     for key, value in merged.items():
-        if keys[key].kind == FILE:
+        if key in keys and keys[key].kind == FILE:
             merged[key] = _load_code_value(key, value)
     return merged, file_seed
 
 
-def resolve_seed(flag_seed: Optional[int], file_seed: Optional[int]) -> int:
-    seed = flag_seed if flag_seed is not None else file_seed
-    if seed is None:
-        raw = os.environ.get(ENV_SEED) or "0"
-        try:
-            seed = int(raw)
-        except ValueError as exc:
-            raise ConfigError(
-                f"${ENV_SEED} must be an integer, got {raw!r}") from exc
-    if seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {seed}")
+def resolve_seed(flag_seed: Optional[int], file_seed: Optional[str]) -> int:
+    """--seed, else the config file's seed, else $OTLAB_SEED, else 0."""
+    raw = next(value for value in (flag_seed, file_seed,
+                                   os.environ.get(ENV_SEED) or None, "0")
+               if value is not None)
+    try:
+        seed = int(raw)
+    except ValueError as exc:
+        raise ConfigError(f"seed must be an integer, got {raw!r}") from exc
+    _require(seed >= 0, f"seed must be non-negative, got {seed}")
     return seed
 
 
+def _domain_text(opt: Opt) -> str:
+    """An integer's "[N, inf)" reads "at least N", any other "in <domain>"."""
+    low, high = opt.domain[1:-1].split(",")
+    if opt.kind is int and opt.domain[0] == "[" and high.strip() == "inf":
+        return f"at least {low}"
+    return f"in {opt.domain}"
+
+
+def _in_domain(value, domain: str) -> bool:
+    """Whether value lies in the interval; nan lies in none."""
+    low, high = (float(end) for end in domain[1:-1].split(","))
+    return ((low <= value if domain[0] == "[" else low < value)
+            and (value <= high if domain[-1] == "]" else value < high))
+
+
+def _value(key: str, opt: Opt, raw):
+    """raw (a flag's value, a config file's string or a replayed JSON value)
+    as a value of the key's kind, in its choices and domain."""
+    types, name = _KINDS[opt.kind]
+    if raw is None and opt.default is None:
+        return None
+    if isinstance(raw, str) and opt.kind in (int, float, bool):
+        try:
+            raw = (_BOOL_WORDS[raw.lower()] if opt.kind is bool
+                   else opt.kind(raw))
+        except (KeyError, ValueError):
+            pass  # rejected as a string just below
+    _require(type(raw) in types, f"{key} must be {name}, got {raw!r}")
+    value = float(raw) if opt.kind is float else raw
+    if opt.choices is not None:
+        _require(value in opt.choices,
+                 f"{key} must be one of {', '.join(opt.choices)}, "
+                 f"got {value!r}")
+    if opt.domain is not None:
+        _require(_in_domain(value, opt.domain),
+                 f"{key} must be {_domain_text(opt)}, got {value}")
+    return value
+
+
 def _take(config: dict, command: str) -> dict:
-    """Known keys with defaults filled; replayed extras are rejected."""
+    """The one config checker, for flags, config files and replays: each
+    key filled in, typed and checked against its Opt, before any work."""
     keys = COMMANDS[command].keys
     extra = set(config) - set(keys)
     if extra:
         raise ConfigError(
-            f"unknown {command} config keys: {', '.join(sorted(extra))}")
-    return {k: config.get(k, opt.default) for k, opt in keys.items()}
+            f"unknown {command} config keys: {', '.join(sorted(extra))} "
+            f"(valid: {', '.join(keys)})")
+    cfg = {key: _value(key, opt, config.get(key, opt.default))
+           for key, opt in keys.items()}
+    # the key with choices (protocol, strategy) selects who reads the rest
+    selector = next((key for key, opt in keys.items() if opt.choices), None)
+    for key, opt in keys.items():
+        if opt.only and cfg[key] != opt.default:
+            _require(cfg[selector] in opt.only,
+                     f"{key} must be left at its default for {selector} "
+                     f"{cfg[selector]}; it is read by "
+                     f"{', '.join(opt.only)} only")
+    return cfg
 
 
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ConfigError(message)
-
-
-def _at_least(cfg: dict, key: str, low: int) -> int:
-    value = int(cfg[key])
-    _require(value >= low, f"{key} must be at least {low}")
-    return value
-
-
-def _check_c(cfg: dict) -> None:
-    """The detection rule's Hoeffding bound holds only for c > 0."""
-    c = float(cfg["c"])
-    _require(0.0 < c < math.inf, f"c must be positive and finite, got {c}")
 
 
 def _checked(fn: Callable, *args, **kwargs):
@@ -253,15 +276,14 @@ class Protocol:
     """One row of the run subcommand's protocol table.
 
     outer: an orthonormal outer code over 1-of-q inner transfers;
-    compressed: the primed variants.  alphabet(q, code_q) maps the
-    requested q and the outer code's field order (None without a code)
-    to the secret alphabet size, or raises ConfigError.  trial(setup,
-    rng) runs one trial and returns (session, expected output).
+    compressed: the primed variants; q_range: the least and greatest
+    secret alphabet size, a power of two.  trial(setup, rng) runs one
+    trial and returns (session, expected output).
     """
 
     outer: bool
     compressed: bool
-    alphabet: Callable[[Optional[int], Optional[int]], int]
+    q_range: tuple
     trial: Callable
 
 
@@ -304,32 +326,6 @@ def _default_inner_code(n0: int, bits: int, limit: int,
     return best, best.min_distance(limit)
 
 
-def _alphabet_binary(q: Optional[int], code_q: Optional[int]) -> int:
-    _require(q in (None, 2) and code_q in (None, 2),
-             "p0, p1 and p1prime are binary: q and the outer code field "
-             "must have 2 elements")
-    return 2
-
-
-def _alphabet_p0q(q: Optional[int], code_q: Optional[int]) -> int:
-    q = 2 if q is None else q
-    _require(q >= 2 and (q & (q - 1)) == 0, "p0q needs q a power of two >= 2")
-    return q
-
-
-def _alphabet_qary_string(q: Optional[int], code_q: Optional[int]) -> int:
-    if code_q is not None:
-        _require(q in (None, code_q),
-                 f"outer code lives over a {code_q}-symbol field; q={q} "
-                 "disagrees")
-        return code_q
-    q = 4 if q is None else q
-    _require(q >= 4 and (q & (q - 1)) == 0,
-             "the q-ary protocols need q a power of two >= 4 "
-             "(use p1 for q = 2)")
-    return q
-
-
 def _random_bits(rng: np.random.Generator, bits: int) -> tuple:
     return tuple(int(b) for b in rng.integers(0, 2, size=bits))
 
@@ -365,41 +361,43 @@ def _outer_trial(setup: RunSetup, rng: np.random.Generator) -> tuple:
 
 
 PROTOCOLS = {
-    "p0": Protocol(False, False, _alphabet_binary, _p0_trial),
-    "p0q": Protocol(False, False, _alphabet_p0q, _p0q_trial),
-    "p1": Protocol(True, False, _alphabet_binary, _outer_trial),
-    "p1prime": Protocol(True, True, _alphabet_binary, _outer_trial),
-    "p2": Protocol(True, False, _alphabet_qary_string, _outer_trial),
-    "p2prime": Protocol(True, True, _alphabet_qary_string, _outer_trial),
+    "p0": Protocol(False, False, (2, 2), _p0_trial),
+    "p0q": Protocol(False, False, (2, math.inf), _p0q_trial),
+    "p1": Protocol(True, False, (2, 2), _outer_trial),
+    "p1prime": Protocol(True, True, (2, 2), _outer_trial),
+    "p2": Protocol(True, False, (4, 2 ** MAX_DEGREE), _outer_trial),
+    "p2prime": Protocol(True, True, (4, 2 ** MAX_DEGREE), _outer_trial),
 }
+_OUTER = tuple(name for name, spec in PROTOCOLS.items() if spec.outer)
+_PRIMED = tuple(name for name, spec in PROTOCOLS.items() if spec.compressed)
+
+
+def _alphabet(protocol: str, q: Optional[int], code_q: Optional[int]) -> int:
+    """The secret alphabet size: q, else the outer code's field order (None
+    without a code), else the least of the protocol's q_range."""
+    _require(None in (q, code_q) or q == code_q,
+             f"outer code lives over a {code_q}-symbol field; q={q} "
+             "disagrees")
+    low, high = PROTOCOLS[protocol].q_range
+    size = q if q is not None else code_q if code_q is not None else low
+    _require(low <= size <= high and size & (size - 1) == 0,
+             f"{protocol} needs q (or an outer code's field order) a power "
+             f"of two from {low} to {high}, got {size}")
+    return size
 
 
 def _normalize_run(config: dict, seed: int) -> tuple[dict, RunSetup]:
     cfg = _take(config, "run")
-    protocol = cfg["protocol"]
-    _require(protocol in PROTOCOLS,
-             f"protocol must be one of {', '.join(PROTOCOLS)}")
-    spec = PROTOCOLS[protocol]
-    phi = float(cfg["phi"])
-    _require(0.0 <= phi < 0.5, f"phi must be in [0, 0.5), got {phi}")
-    m = _at_least(cfg, "m", 1)
-    trials = _at_least(cfg, "trials", 1)
-    transcripts = int(cfg["transcripts"])
-    _require(0 <= transcripts, "transcripts must be non-negative")
-    slack = float(cfg["slack"])
-    _require(0.0 <= slack < math.inf,
-             f"slack must be non-negative and finite, got {slack}")
-    _check_c(cfg)
-    limit = int(cfg["enum_limit"])
+    spec = PROTOCOLS[cfg["protocol"]]
+    m, slack, limit = cfg["m"], cfg["slack"], cfg["enum_limit"]
 
     # secret alphabet, fixed by the outer code's field when one is given
     basis = None
     if cfg["outer_code"] is not None:
-        _require(spec.outer, f"outer_code does not apply to {protocol}")
         basis, _ = _load_code(cfg["outer_code"], "outer code",
                               orthonormal=True)
-    q = spec.alphabet(None if cfg["q"] is None else int(cfg["q"]),
-                      None if basis is None else basis.field.order)
+    q = _alphabet(cfg["protocol"], cfg["q"],
+                  None if basis is None else basis.field.order)
     degree = q.bit_length() - 1 if spec.outer else 1
 
     # inner session code
@@ -417,11 +415,11 @@ def _normalize_run(config: dict, seed: int) -> tuple[dict, RunSetup]:
                      f"the inner code file claims d={embedded.d} in its "
                      f"embedded audit, but the code has d={inner_d}")
     else:
-        n0 = DEFAULT_N0 if cfg["n0"] is None else _at_least(cfg, "n0", 2)
+        n0 = DEFAULT_N0 if cfg["n0"] is None else cfg["n0"]
         _require(bits <= n0, f"secrets of {bits} bits do not fit n0={n0}")
         code, inner_d = _default_inner_code(n0, bits, limit,
                                             derive_rng(seed, 1))
-    inner = _checked(P0Params, block_len=n0, channel=BscParams(phi),
+    inner = _checked(P0Params, block_len=n0, channel=BscParams(cfg["phi"]),
                      code=code, secret_bits=bits,
                      security_slack=slack if slack > 0 else None,
                      decoder=MLDecoder(code, min(limit, DECODER_WORD_CAP)))
@@ -444,7 +442,7 @@ def _normalize_run(config: dict, seed: int) -> tuple[dict, RunSetup]:
             if cfg["n"] is None:
                 rounds = n0 * n0 if n0 % 2 else n0 * n0 - 1
             else:
-                rounds = _at_least(cfg, "n", 1)
+                rounds = cfg["n"]
                 _require(rounds % 2 == 1,
                          "the built-in outer basis is the all-ones row, "
                          "which is orthonormal only at odd n; pass "
@@ -456,22 +454,19 @@ def _normalize_run(config: dict, seed: int) -> tuple[dict, RunSetup]:
                  "square")
         secret_rows = basis.dimension
         if spec.compressed:
-            margin = DEFAULT_DELTA if cfg["delta"] is None else float(cfg["delta"])
+            margin = DEFAULT_DELTA if cfg["delta"] is None else cfg["delta"]
             secret_rows = _compressed_length(basis.dimension, margin)
         outer = OuterParams(basis=basis, inner=inner, block_syms=m,
                             margin=margin)
         secret_bits = secret_rows * bits
 
-    resolved = dict(cfg)
-    resolved.update(protocol=protocol, phi=phi, n0=n0,
-                    n=outer.rounds if outer else cfg["n"], m=m, q=q,
-                    delta=margin if spec.compressed else cfg["delta"],
-                    slack=slack, trials=trials, transcripts=transcripts)
+    resolved = {**cfg, "n0": n0, "n": outer.rounds if outer else None,
+                "q": q, "delta": margin}
     # q - 1 inner sessions per round; one round without an outer code
     sessions = (q - 1) * (outer.rounds if outer else 1)
     channel_bits = 4 * n0 * sessions
     setup = RunSetup(protocol=spec, inner=inner, outer=outer, q=q,
-                     transcripts=transcripts, inner_distance=inner_d,
+                     transcripts=cfg["transcripts"], inner_distance=inner_d,
                      sessions_per_trial=sessions, channel_bits=channel_bits,
                      observed_rate=2.0 * secret_bits / channel_bits)
     return resolved, setup
@@ -569,21 +564,26 @@ def cmd_run(config: dict, seed: int, workers: int = 1) -> dict:
 _RUN = Command(
     "simulate honest protocol sessions",
     {"protocol": Opt(str, "p0", choices=PROTOCOLS),
-     "phi": Opt(float, DEFAULT_PHI, "channel crossover"),
-     "n0": Opt(int, None, "inner block length"),
-     "n": Opt(int, None, "outer rounds"),
-     "m": Opt(int, 1, "secret bits (p0/p0q) or symbols per round"),
+     "phi": Opt(float, DEFAULT_PHI, "channel crossover", domain="[0, 0.5)"),
+     "n0": Opt(int, None, "inner block length", domain="[2, inf)"),
+     "n": Opt(int, None, "outer rounds", domain="[1, inf)", only=_OUTER),
+     "m": Opt(int, 1, "secret bits (p0/p0q) or symbols per round",
+              domain="[1, inf)"),
      "q": Opt(int, None, "secret count (p0q) or outer field order (p2)"),
-     "delta": Opt(float, None, "compression margin for the primed variants"),
-     "c": Opt(float, DEFAULT_C, "detection threshold constant"),
-     "slack": Opt(float, 0.0, "privacy-amplification sizing margin (0 = off)"),
-     "trials": Opt(int, 100),
+     "delta": Opt(float, None, "compression margin for the primed variants",
+                  only=_PRIMED),
+     # the detection rule's Hoeffding bound holds only for c > 0
+     "c": Opt(float, DEFAULT_C, "detection threshold constant",
+              domain="(0, inf)"),
+     "slack": Opt(float, 0.0, "privacy-amplification sizing margin (0 = off)",
+                  domain="[0, inf)"),
+     "trials": Opt(int, 100, domain="[1, inf)"),
      "transcripts": Opt(int, 0, "embed full transcripts for the first N "
-                        "trials", "N"),
+                        "trials", "N", domain="[0, inf)"),
      "code": Opt(FILE, None, "inner code JSON"),
-     "outer_code": Opt(FILE, None,
-                       "outer code JSON (orthonormalized on load)"),
-     "enum_limit": Opt(int, DEFAULT_ENUM_LIMIT)},
+     "outer_code": Opt(FILE, None, "outer code JSON (orthonormalized on load)",
+                       only=_OUTER),
+     "enum_limit": Opt(int, DEFAULT_ENUM_LIMIT, domain="[1, inf)")},
     cmd_run,
     lambda rep: ("run {protocol}: trials={trials} success={success_rate:.4f} "
                  "abort={abort_rate:.4f} "
@@ -613,18 +613,11 @@ def _parse_grid(raw: Optional[str], n: int, slots: int) -> list[int]:
 
 def _normalize_attack(config: dict) -> dict:
     cfg = _take(config, "attack")
-    strategy = cfg["strategy"]
-    _require(strategy in _ATTACKS,
-             f"strategy must be one of {', '.join(_ATTACKS)}")
-    phi = float(cfg["phi"])
-    _require(0.0 <= phi < 0.5, f"phi must be in [0, 0.5), got {phi}")
-    n0 = _at_least(cfg, "n0", 2)
-    n = n0 * n0 if cfg["n"] is None else _at_least(cfg, "n", 1)
-    trials = _at_least(cfg, "trials", 1)
-    _check_c(cfg)
+    strategy, n0 = cfg["strategy"], cfg["n0"]
+    n = n0 * n0 if cfg["n"] is None else cfg["n"]
     slots = 2 * n * n0
     if strategy == "tracker":
-        corrupted = n if cfg["corrupted"] is None else int(cfg["corrupted"])
+        corrupted = n if cfg["corrupted"] is None else cfg["corrupted"]
         _require(0 <= corrupted <= slots,
                  f"corrupted must be in 0..{slots} (2 n n0 slots)")
     else:
@@ -633,22 +626,12 @@ def _normalize_attack(config: dict) -> dict:
                  else "the request-mask audit does not corrupt pairs; drop "
                  "corrupted")
         corrupted = 0
-    if cfg["sweep"]:
-        _require(strategy == "tracker", "sweep applies to the tracker only")
-    if cfg["sweep_grid"] is not None:
-        _require(cfg["sweep"], "sweep_grid applies to the sweep only")
-    for key in ("outer_code", "delta", "pair_samples"):
-        if cfg[key] is not None:
-            _require(strategy == "bob", f"{key} applies to bob only")
-    if cfg["pair_samples"] is not None:
-        _at_least(cfg, "pair_samples", 1)
+    _require(cfg["sweep_grid"] is None or cfg["sweep"],
+             "sweep_grid applies to the sweep only")
     delta = cfg["delta"]
-    if strategy == "bob":
-        delta = 0.25 if delta is None else float(delta)
-    resolved = dict(cfg)
-    resolved.update(strategy=strategy, phi=phi, n0=n0, n=n,
-                    corrupted=corrupted, trials=trials, delta=delta)
-    return resolved
+    if strategy == "bob" and delta is None:
+        delta = 0.25
+    return {**cfg, "n": n, "corrupted": corrupted, "delta": delta}
 
 
 # Each strategy returns (derived, aggregates, trial rows or None).  It
@@ -725,7 +708,7 @@ def _attack_bob(cfg: dict, seed: int) -> tuple:
         _require(basis.field.degree == 1, "the request-mask audit is "
                  "binary; supply a binary code")
     n, r = basis.length, basis.dimension
-    limit = int(cfg["enum_limit"])
+    limit = cfg["enum_limit"]
     if n > 16 or r > 14 or 2 ** n * 4 ** r > limit:
         raise EnumerationLimit(
             f"request-mask audit enumerates 2^{n} masks x 4^{r} secret "
@@ -801,20 +784,22 @@ def _attack_summary(report: dict) -> str:
 _ATTACK = Command(
     "adversary campaigns",
     {"strategy": Opt(str, "tracker", choices=_ATTACKS),
-     "phi": Opt(float, DEFAULT_PHI),
-     "n0": Opt(int, DEFAULT_N0),
-     "n": Opt(int, None, "sessions per campaign"),
+     "phi": Opt(float, DEFAULT_PHI, domain="[0, 0.5)"),
+     "n0": Opt(int, DEFAULT_N0, domain="[2, inf)"),
+     "n": Opt(int, None, "sessions per campaign", domain="[1, inf)"),
      "corrupted": Opt(int, None, "false pairs per campaign (tracker)", "M"),
-     "c": Opt(float, DEFAULT_C),
-     "trials": Opt(int, 1000),
-     "delta": Opt(float, None, "compression margin for the mask audit"),
-     "outer_code": Opt(FILE),
+     "c": Opt(float, DEFAULT_C, domain="(0, inf)"),
+     "trials": Opt(int, 1000, domain="[1, inf)"),
+     "delta": Opt(float, None, "compression margin for the mask audit",
+                  only=("bob",)),
+     "outer_code": Opt(FILE, only=("bob",)),
      "pair_samples": Opt(int, None,
-                         "sample this many compression pairs per mask"),
-     "sweep": Opt(bool, False),
+                         "sample this many compression pairs per mask",
+                         domain="[1, inf)", only=("bob",)),
+     "sweep": Opt(bool, False, only=("tracker",)),
      "sweep_grid": Opt(str, None, "corruption counts for the sweep",
                        "A,B,..."),
-     "enum_limit": Opt(int, DEFAULT_ENUM_LIMIT)},
+     "enum_limit": Opt(int, DEFAULT_ENUM_LIMIT, domain="[1, inf)")},
     cmd_attack, _attack_summary,
     (Output("--sweep", "sweep_out", "sweep corruption counts; CSV goes here",
             lambda path, rep: write_csv(path, rep["derived"]["sweep"]["rows"]),
@@ -826,13 +811,8 @@ _ATTACK = Command(
 def cmd_rates(config: dict, seed: int) -> dict:
     cfg = _take(config, "rates")
     phi = cfg["phi"]
-    if phi is not None:
-        phi = float(phi)
-        _require(0.0 < phi < 0.5, f"phi must be in (0, 0.5), got {phi}")
     if cfg["code_rate"] is not None:
-        rate = float(cfg["code_rate"])
-        q = 2 if cfg["q"] is None else int(cfg["q"])
-        chains = [(rate, q)]
+        chains = [(cfg["code_rate"], 2 if cfg["q"] is None else cfg["q"])]
     else:
         _require(cfg["q"] is None, "q only applies together with code_rate")
         chains = [(1.0 / 1575.0, 2), (1.0 / 9.0, 16)]
@@ -850,7 +830,7 @@ def cmd_rates(config: dict, seed: int) -> dict:
     table = [_checked(rate_chain, code_rate, q, phi=phi).to_json()
              for code_rate, q in chains]
     if cfg["curve"]:
-        points = _at_least(cfg, "curve_points", 2)
+        points = cfg["curve_points"]
         curve = rate_curve([float(x) for x in
                             np.linspace(0.005, 0.495, points)])
         derived["curve"] = {
@@ -862,9 +842,7 @@ def cmd_rates(config: dict, seed: int) -> dict:
         "optimum": {"phi": phi_star, "rate": rate_star},
         "table": table,
     }
-    resolved = dict(cfg)
-    resolved["phi"] = phi
-    return build_report("rates", resolved, seed, derived, aggregates)
+    return build_report("rates", cfg, seed, derived, aggregates)
 
 
 def _rates_summary(report: dict) -> str:
@@ -878,11 +856,12 @@ def _rates_summary(report: dict) -> str:
 
 _RATES = Command(
     "achievable-rate table",
-    {"phi": Opt(float, None, "evaluate at this crossover (default: optimum)"),
+    {"phi": Opt(float, None, "evaluate at this crossover (default: optimum)",
+                domain="(0, 0.5)"),
      "code_rate": Opt(float, None, "outer code rate for a single chain row"),
      "q": Opt(int, None, "outer field order for the chain"),
      "curve": Opt(bool, False),
-     "curve_points": Opt(int, 99)},
+     "curve_points": Opt(int, 99, domain="[2, inf)")},
     cmd_rates, _rates_summary,
     (Output("--curve", "curve_out", "write the rate-vs-crossover CSV here",
             lambda path, rep: write_csv(path, rep["derived"]["curve"]["rows"]),
@@ -894,7 +873,7 @@ _RATES = Command(
 def cmd_code_audit(config: dict, seed: int) -> dict:
     cfg = _take(config, "code-audit")
     _require(cfg["code"] is not None, "code-audit needs --code FILE")
-    limit = int(cfg["enum_limit"])
+    limit = cfg["enum_limit"]
     code, embedded = _load_code(cfg["code"], "code")
     audit = code.audit(limit)
     try:
@@ -935,7 +914,7 @@ def _write_audited_code(path: str, report: dict) -> None:
 _CODE_AUDIT = Command(
     "distances and square structure",
     {"code": Opt(FILE, None, "code JSON to audit"),
-     "enum_limit": Opt(int, DEFAULT_ENUM_LIMIT)},
+     "enum_limit": Opt(int, DEFAULT_ENUM_LIMIT, domain="[1, inf)")},
     cmd_code_audit,
     lambda rep: ("code-audit [{n},{k}]: d={d} d_hat={d_hat} "
                  "square_dim={square_dim} usable={usable_outer}").format(
@@ -1007,11 +986,15 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, parents=[common], help=command.help)
         for key, opt in command.keys.items():
             if opt.kind is not bool:
+                # the help ends with the key's domain and who reads it
+                notes = [opt.help, opt.domain and _domain_text(opt),
+                         opt.only and ", ".join(opt.only) + " only"]
                 sp.add_argument(
                     "--" + key.replace("_", "-"),
                     type=opt.kind if opt.kind in (int, float) else None,
                     metavar=FILE if opt.kind == FILE else opt.metavar,
-                    choices=opt.choices, help=opt.help)
+                    choices=opt.choices,
+                    help="; ".join(note for note in notes if note) or None)
         for output in command.outputs:
             sp.add_argument(output.flag, dest=output.dest, metavar=FILE,
                             help=output.help)

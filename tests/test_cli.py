@@ -13,6 +13,7 @@ tests; this file sticks to plumbing and frozen values.
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -270,6 +271,7 @@ def test_config_errors_exit_2(tmp_path):
         (("run", "--protocol", "p1", "--q", "4"), None),
         (("run", "--protocol", "p1", "--outer-code", nine_gf4), None),
         (("run", "--protocol", "p2", "--q", "2"), None),
+        (("run", "--protocol", "p2", "--q", "512"), None),
         (("run", "--protocol", "p0", "--q", "4"), None),
         (("run", "--protocol", "p0", "--outer-code", nine), None),
         (("rates", "--code-rate", "0"), None),
@@ -281,6 +283,9 @@ def test_config_errors_exit_2(tmp_path):
         (("attack", "--strategy", "tracker", "--pair-samples", "5"), None),
         (("attack", "--strategy", "honest", "--delta", "0.3"), None),
         (("attack", "--strategy", "tracker", "--sweep-grid", "1,2"), None),
+        (("run", "--protocol", "p0", "--delta", "0.3"), None),
+        (("run", "--protocol", "p0", "--n", "5"), None),
+        (("run", "--protocol", "p0q", "--q", "4", "--delta", "0.3"), None),
     ]:
         proc = run_cli(*args, env=env)
         assert proc.returncode == 2, (args, proc.stderr)
@@ -302,6 +307,21 @@ def test_config_errors_exit_2(tmp_path):
     (("run", "--slack", "inf"), "slack"),
     (("run", "--workers", "0"), "workers"),
     (("run", "--workers", "-2"), "workers"),
+    # keys the selected protocol never reads
+    (("run", "--protocol", "p0", "--delta", "0.3"), "delta"),
+    (("run", "--protocol", "p0", "--n", "5"), "n"),
+    (("run", "--protocol", "p0q", "--q", "4", "--delta", "0.3"), "delta"),
+    # an enumeration budget is at least 1 on every command and strategy
+    (("run", "--enum-limit", "0"), "enum_limit"),
+    (("run", "--enum-limit", "-1"), "enum_limit"),
+    (("code-audit", "--code", str(GOLDEN_CODES / "golay.json"),
+      "--enum-limit", "-1"), "enum_limit"),
+    (("attack", "--strategy", "bob", "--enum-limit", "-1"), "enum_limit"),
+    (("attack", "--strategy", "honest", "--enum-limit", "0"), "enum_limit"),
+    (("attack", "--strategy", "tracker", "--enum-limit", "-1"),
+     "enum_limit"),
+    # checked whether or not --curve asks for the curve
+    (("rates", "--curve-points", "0"), "curve_points"),
 ])
 def test_config_domains_exit_2_before_any_work(args, key, monkeypatch):
     # no trial, campaign or worker pool may start on a rejected value
@@ -314,6 +334,64 @@ def test_config_domains_exit_2_before_any_work(args, key, monkeypatch):
     proc = run_cli(*args)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith(f"otlab: config error: {key} must be ")
+
+
+# numeric keys whose range depends on another key, checked where that key
+# is read: q (the protocol's q_range; rate_chain), corrupted (at most
+# 2 n n0), delta (compressed_length) and code_rate (rate_chain)
+UNDECLARED_DOMAINS = {("run", "q"), ("run", "delta"), ("attack", "corrupted"),
+                      ("attack", "delta"), ("rates", "code_rate"),
+                      ("rates", "q")}
+
+
+def just_past(bound, closed, away, kind):
+    """The nearest value of kind outside a finite bound, `away` being -1
+    below a lower bound and +1 above an upper one."""
+    if not closed:
+        return kind(bound)
+    if kind is int:
+        return int(bound) + away
+    return math.nextafter(bound, away * math.inf)
+
+
+def test_take_checks_every_numeric_key_against_its_domain():
+    # _take alone: no config is normalized, no code built, no trial run
+    # and no pool started, and no value is a large size
+    selectable = set(cli.PROTOCOLS) | set(cli._ATTACKS)
+    undeclared = set()
+    for name, command in cli.COMMANDS.items():
+        selector = next((k for k, o in command.keys.items() if o.choices),
+                        None)
+        for key, opt in command.keys.items():
+            assert set(opt.only or ()) <= selectable, (name, key)
+            if opt.kind not in (int, float):
+                continue
+            if opt.domain is None:
+                undeclared.add((name, key))
+            base = {selector: opt.only[0]} if opt.only else {}
+            for value in (math.nan, math.inf, -math.inf, -1, 0):
+                try:
+                    taken = cli._take({**base, key: value}, name)[key]
+                except ConfigError as exc:
+                    assert str(exc).startswith(f"{key} must be "), exc
+                    continue
+                # a declared domain never holds nan or an infinity
+                assert opt.domain is None or math.isfinite(value), (name, key)
+                assert taken == value or math.isnan(value), (name, key)
+            if opt.domain is None:
+                continue
+            low, high = (float(end) for end in opt.domain[1:-1].split(","))
+            for bound, closed, away in ((low, opt.domain[0] == "[", -1),
+                                        (high, opt.domain[-1] == "]", 1)):
+                if not math.isfinite(bound):
+                    continue
+                outside = just_past(bound, closed, away, opt.kind)
+                with pytest.raises(ConfigError, match=f"^{key} must be "):
+                    cli._take({**base, key: outside}, name)
+                if closed:
+                    inside = opt.kind(bound)
+                    assert cli._take({**base, key: inside}, name)[key] == inside
+    assert undeclared == UNDECLARED_DOMAINS
 
 
 def test_value_error_inside_a_trial_propagates(monkeypatch):
@@ -582,7 +660,7 @@ def test_replay_out_restores_canonical_bytes(tmp_path):
     assert fresh.read_bytes() == out.read_bytes()
 
 
-def test_replay_rejects_bad_input(tmp_path):
+def test_replay_rejects_bad_input(tmp_path, monkeypatch):
     garbled = tmp_path / "garbled.json"
     garbled.write_text("{this is not json")
     assert run_cli("replay", str(garbled)).returncode == 2
@@ -592,6 +670,26 @@ def test_replay_rejects_bad_input(tmp_path):
     assert run_cli("replay", str(wrong_shape)).returncode == 2
 
     assert run_cli("replay", str(tmp_path / "absent.json")).returncode == 2
+
+    # a replayed config meets the checker that flags meet: a bad value
+    # exits 2 naming its key, before any trial
+    fresh = tmp_path / "fresh.json"
+    assert run_cli("run", "--n0", "4", "--trials", "2",
+                   "--out", str(fresh)).returncode == 0
+    rep = json.loads(fresh.read_text())
+
+    def no_work(*args):
+        raise AssertionError("work started on a rejected config")
+
+    monkeypatch.setattr(cli, "_run_all_trials", no_work)
+    for i, (key, value) in enumerate([("trials", math.nan), ("m", None),
+                                      ("phi", None), ("trials", 2.5)]):
+        bad = tmp_path / f"bad{i}.json"
+        bad.write_text(json.dumps(
+            {**rep, "config": {**rep["config"], key: value}}))
+        proc = run_cli("replay", str(bad))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith(f"otlab: config error: {key} must be ")
 
 
 # ---------------------------------------------------------------- report helpers
