@@ -31,7 +31,7 @@ import numpy as np
 
 from .analysis import (AccusationRule, detection_rule, expected_unerased,
                        wilson_interval)
-from .channels import BscParams, TernaryWord, bsc_transmit
+from .channels import BscParams
 from .codes import OrthonormalCode
 from .linalg import Matrix, full_rank_matrix, gf2_apply, gf2_rank, pack_rows
 from .proto_outer import cheat_matrix_V, compressed_length
@@ -56,30 +56,6 @@ def simulate_unerased_counts(rounds: int, block_len: int, phi: float,
     honest = rng.binomial(slots - corrupted, 1.0 - eps, size=trials)
     false = rng.binomial(corrupted, eps, size=trials)
     return honest + false
-
-
-def transmit_with_false_pairs(bits: Sequence[int], corrupt: Sequence[int],
-                              phi: float, rng: np.random.Generator) -> TernaryWord:
-    """Channel-level reference for the binomial model.
-
-    Honest positions go through the duplicating channel; positions in
-    `corrupt` carry (1 - b, b) instead of (b, b), which after noise is
-    read as a value only when the copies collide.
-    """
-    corrupt_set = set(corrupt)
-    n = len(bits)
-    doubled = []
-    for i, b in enumerate(bits):
-        if i in corrupt_set:
-            doubled.extend((b ^ 1, b))
-        else:
-            doubled.extend((b, b))
-    received = bsc_transmit(tuple(doubled), phi, rng)
-    symbols = []
-    for i in range(n):
-        a, b = received[2 * i], received[2 * i + 1]
-        symbols.append(a if a == b else 2)
-    return TernaryWord(tuple(symbols))
 
 
 @dataclass(frozen=True)
@@ -263,11 +239,15 @@ def _row_entropies(counts: np.ndarray) -> np.ndarray:
     return -plogp.sum(axis=1)
 
 
+# entropy gaps below this are float noise, neither side better protected
+SIDE_TOLERANCE = 1e-9
+
+
 def audit_bob_strategies(basis: OrthonormalCode, margin: float,
                          masks: Optional[Sequence[Sequence[int]]] = None,
                          pair_samples: Optional[int] = None,
                          rng: Optional[np.random.Generator] = None,
-                         tolerance: float = 1e-9) -> DichotomyReport:
+                         ) -> DichotomyReport:
     """Exhaust Bob's request masks against the compression-pair ensemble.
 
     For each mask u (all 2^n by default) the audit enumerates the
@@ -350,10 +330,10 @@ def audit_bob_strategies(basis: OrthonormalCode, margin: float,
         cell = MaskAudit(mask, *by_v[key])
         hist[cell.rank_v] = hist.get(cell.rank_v, 0) + 1
         cells.append(cell)
-        observed = ("second" if cell.mean_second >= cell.mean_first - tolerance
-                    else "first")
-        if cell.predicted_side(r) != observed and \
-                abs(cell.mean_first - cell.mean_second) > tolerance:
+        first, second = cell.mean_first, cell.mean_second
+        observed = "second" if second >= first - SIDE_TOLERANCE else "first"
+        if (cell.predicted_side(r) != observed
+                and abs(first - second) > SIDE_TOLERANCE):
             mismatches += 1
     worst = min(c.predicted_entropy(r) for c in cells)
     return DichotomyReport(

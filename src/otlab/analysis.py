@@ -82,9 +82,6 @@ class AccusationRule:
     threshold: float
     false_accusation_bound: float
 
-    def accuse(self, unerased_count: int) -> bool:
-        return unerased_count < self.threshold
-
 
 def detection_rule(rounds: int, block_len: int, phi: float,
                    c: float = 1.0) -> AccusationRule:
@@ -168,8 +165,8 @@ class RateBreakdown:
         }
 
 
-def rate_chain(code_rate: float, q: int, phi: Optional[float] = None,
-               inner_rate: Optional[float] = None) -> RateBreakdown:
+def rate_chain(code_rate: float, q: int,
+               phi: Optional[float] = None) -> RateBreakdown:
     """Chain the inner rate through an outer code of rate code_rate.
 
     The outer construction spends (q - 1) inner transfers per q-ary round,
@@ -184,8 +181,6 @@ def rate_chain(code_rate: float, q: int, phi: Optional[float] = None,
         phi, r0 = optimize_rate_p0()
     else:
         r0 = rate_p0(phi)
-    if inner_rate is not None:
-        r0 = inner_rate
     channel = BscParams(phi)
     outer = code_rate * r0 / (q - 1)
     return RateBreakdown(crossover=phi, erasure_rate=channel.erasure_rate,

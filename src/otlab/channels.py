@@ -80,15 +80,6 @@ class TernaryWord:
         return "".join("*" if s == ERASED else str(s) for s in self.symbols)
 
 
-def bsc_transmit(bits: Sequence[int], phi: float,
-                 rng: np.random.Generator) -> tuple:
-    """Each bit flips independently with probability phi."""
-    if not 0.0 <= phi < 0.5:
-        raise ValueError(f"crossover must be in [0, 1/2), got {phi}")
-    flips = rng.random(len(bits)) < phi
-    return tuple(int(b) ^ int(f) for b, f in zip(bits, flips))
-
-
 def duplicate_round_trip(bits: Sequence[int], phi: float,
                          rng: np.random.Generator) -> TernaryWord:
     """Send every bit twice through BSC(phi) and fold pairs to ternary.

@@ -55,7 +55,7 @@ EXIT_ABORT = 4
 
 DEFAULT_N0 = 15
 DEFAULT_PHI = 0.198
-DEFAULT_DELTA = 0.05
+DEFAULT_DELTA = 0.25
 DEFAULT_C = 1.0
 CODE_SEARCH_TRIES = 32
 
@@ -349,14 +349,12 @@ def _p0q_trial(setup: RunSetup, rng: np.random.Generator) -> tuple:
 def _outer_trial(setup: RunSetup, rng: np.random.Generator) -> tuple:
     params = setup.outer
     field = params.field
-    compressed = setup.protocol.compressed
-    rows_n = (compressed_length(params.outer_dim, params.margin)
-              if compressed else params.outer_dim)
+    rows_n = (params.outer_dim if params.margin is None
+              else compressed_length(params.outer_dim, params.margin))
     first = random_matrix(field, rows_n, params.block_syms, rng)
     second = random_matrix(field, rows_n, params.block_syms, rng)
     want_first = bool(rng.integers(0, 2))
-    session = run_session(params, first, second, want_first, rng,
-                          compressed=compressed)
+    session = run_session(params, first, second, want_first, rng)
     return session, first if want_first else second
 
 
@@ -419,7 +417,7 @@ def _normalize_run(config: dict, seed: int) -> tuple[dict, RunSetup]:
         _require(bits <= n0, f"secrets of {bits} bits do not fit n0={n0}")
         code, inner_d = _default_inner_code(n0, bits, limit,
                                             derive_rng(seed, 1))
-    inner = _checked(P0Params, block_len=n0, channel=BscParams(cfg["phi"]),
+    inner = _checked(P0Params, channel=BscParams(cfg["phi"]),
                      code=code, secret_bits=bits,
                      security_slack=slack if slack > 0 else None,
                      decoder=MLDecoder(code, min(limit, DECODER_WORD_CAP)))
@@ -456,8 +454,7 @@ def _normalize_run(config: dict, seed: int) -> tuple[dict, RunSetup]:
         if spec.compressed:
             margin = DEFAULT_DELTA if cfg["delta"] is None else cfg["delta"]
             secret_rows = _compressed_length(basis.dimension, margin)
-        outer = OuterParams(basis=basis, inner=inner, block_syms=m,
-                            margin=margin)
+        outer = OuterParams(basis=basis, inner=inner, margin=margin)
         secret_bits = secret_rows * bits
 
     resolved = {**cfg, "n0": n0, "n": outer.rounds if outer else None,
@@ -630,7 +627,7 @@ def _normalize_attack(config: dict) -> dict:
              "sweep_grid applies to the sweep only")
     delta = cfg["delta"]
     if strategy == "bob" and delta is None:
-        delta = 0.25
+        delta = DEFAULT_DELTA
     return {**cfg, "n": n, "corrupted": corrupted, "delta": delta}
 
 

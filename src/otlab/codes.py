@@ -32,8 +32,7 @@ _SPAN_BLOCK_ROWS = 16  # min_distance spans 2^16 words at a time
 class EnumerationLimit(RuntimeError):
     """Raised when an exhaustive audit would exceed its codeword budget.
 
-    Callers can raise the limit explicitly or fall back to
-    sampled_distance_audit, which reports an estimate instead of a proof.
+    Callers can raise the limit explicitly (the commands' --enum-limit).
     """
 
 
@@ -127,7 +126,7 @@ class LinearCode:
         if q ** k > limit:
             raise EnumerationLimit(
                 f"{q}^{k} codewords exceed the enumeration budget {limit}; "
-                "raise the limit or use sampled_distance_audit")
+                "raise the limit (--enum-limit)")
         if k == n:
             best = 1  # the whole space holds every unit vector
         elif q == 2:
@@ -189,37 +188,6 @@ class CodeAudit:
     d: int
     d_hat: int
     square_dim: int
-
-
-@dataclass(frozen=True)
-class DistanceEstimate:
-    """Result of a sampling audit: an upper bound on d, not a proof.
-
-    smallest_weight is the lightest nonzero codeword seen among `samples`
-    uniform draws.  coverage is the chance that any one fixed nonzero
-    codeword shows up at least once in that many draws; when the code is
-    far larger than the sample budget, coverage is small and the estimate
-    is correspondingly weak.
-    """
-    smallest_weight: int
-    samples: int
-    coverage: float
-
-
-def sampled_distance_audit(code: LinearCode, samples: int,
-                           rng: np.random.Generator) -> DistanceEstimate:
-    f, k, n = code.field, code.dimension, code.length
-    best = n
-    for _ in range(samples):
-        while True:
-            msg = tuple(int(a) for a in rng.integers(0, f.order, size=k))
-            if any(msg):
-                break
-        w = sum(1 for a in code.encode(msg) if a)
-        best = min(best, w)
-    total = float(f.order) ** k - 1
-    coverage = 1.0 - (1.0 - 1.0 / total) ** samples
-    return DistanceEstimate(best, samples, coverage)
 
 
 def puncture(code: LinearCode, positions: Iterable[int],

@@ -160,26 +160,27 @@ def compress_setup(compressed_first: Matrix, compressed_second: Matrix,
 class OuterParams:
     """Parameters shared by the string protocols.
 
-    The round count equals the basis length; block_syms is the number of
-    field symbols moved per round, so the inner sessions must carry
-    block_syms * degree bits.
+    The round count equals the basis length; each round moves block_syms
+    field symbols, the inner sessions' bits read as GF(2^degree)
+    symbols.  A margin makes the session compressed (p1prime/p2prime).
     """
 
     basis: OrthonormalCode
     inner: P0Params
-    block_syms: int = 1
     margin: Optional[float] = None
 
     def __post_init__(self):
-        need = self.block_syms * self.basis.field.degree
-        if self.inner.secret_bits != need:
+        bits, degree = self.inner.secret_bits, self.field.degree
+        if bits % degree:
             raise ValueError(
-                f"inner sessions carry {self.inner.secret_bits} bits but "
-                f"blocks need {need}")
-        if self.block_syms < 1:
-            raise ValueError("block_syms must be positive")
+                f"inner sessions carry {bits} bits, not a whole number of "
+                f"GF(2^{degree}) symbols")
         if self.margin is not None:
             compressed_length(self.basis.dimension, self.margin)
+
+    @property
+    def block_syms(self) -> int:
+        return self.inner.secret_bits // self.field.degree
 
     @property
     def rounds(self) -> int:
@@ -196,13 +197,13 @@ class OuterParams:
 
 def run_session(params: OuterParams, first_secret: Matrix,
                 second_secret: Matrix, want_first: bool,
-                rng: np.random.Generator, compressed: bool = False,
+                rng: np.random.Generator,
                 request_mask: Optional[Sequence[int]] = None) -> Session:
     """One full outer session (honest parties unless a mask is forced).
 
     The single entry point of every string protocol: p1/p2 run a binary
-    or q-ary outer code, p1prime/p2prime add compression.  With
-    compressed=True the given secrets are the compressed ones; the
+    or q-ary outer code, p1prime/p2prime add compression.  When the params
+    carry a margin the given secrets are the compressed ones; the
     compression pair is generated up front but revealed in the transcript
     event order strictly after the last inner round, which is what the
     cheating analysis relies on.
@@ -211,12 +212,11 @@ def run_session(params: OuterParams, first_secret: Matrix,
     basis = params.basis
     if first_secret.ncols != params.block_syms:
         raise ValueError(
-            f"secrets must have block_syms={params.block_syms} columns, "
+            f"secrets must have block_syms = {params.block_syms} columns, "
             f"got {first_secret.ncols}")
     events = ["mask_drawn"]
+    compressed = params.margin is not None
     if compressed:
-        if params.margin is None:
-            raise ValueError("compressed run needs a margin")
         pair, s, t = compress_setup(first_secret, second_secret,
                                     params.outer_dim, params.margin, rng)
     else:

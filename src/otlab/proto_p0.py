@@ -133,47 +133,34 @@ class MLDecoder:
 class P0Params:
     """Session parameters for the 1-of-2 transfer.
 
-    hash_matrix = None draws a fresh uniform hash per session (resampled
-    until the stacked parity/hash matrix has full rank); pinning one makes
-    sessions reproducible at fixed rng.  security_slack, when set, turns
-    on the sizing invariant m <= n0 eps (1 - h(p) - slack); leave it None
-    for correctness-only runs (for instance phi = 0 demos, where no m
+    The block length n0 is the code length.  Each session draws a fresh
+    uniform hash (see draw_hash).  security_slack, when set, turns on the
+    sizing invariant m <= n0 eps (1 - h(p) - slack); leave it None for
+    correctness-only runs (for instance phi = 0 demos, where no m
     satisfies the bound).  The parity check is row-reduced once, here;
-    a session eliminates only its m hash rows into it (see coset).
+    a session eliminates only its m hash rows into it.
     """
 
-    block_len: int
     channel: BscParams
     code: LinearCode
     secret_bits: int
-    hash_matrix: Optional[Matrix] = None
     security_slack: Optional[float] = None
     decoder: object = None
-    parity_check: Matrix = dc_field(init=False)
     _parity_rref: tuple = dc_field(init=False, repr=False, compare=False)
-    _last_coset: tuple = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         code = self.code
         if code.field.degree != 1:
             raise ValueError("session code must be binary")
-        if code.length != self.block_len:
-            raise ValueError("code length must equal the block length")
         if not 1 <= self.secret_bits <= code.dimension:
             raise ValueError(
                 f"secret length must be in 1..k={code.dimension}, "
                 f"got {self.secret_bits}")
-        dual = code.dual_basis()
-        parity = Matrix(code.field, dual, ncols=code.length)
-        object.__setattr__(self, "parity_check", parity)
         rows: list[int] = []
         pivots: list[int] = []
-        gf2_eliminate(rows, pivots, pack_rows(parity), code.length)
+        gf2_eliminate(rows, pivots, map(pack_bits, code.dual_basis()),
+                      code.length)
         object.__setattr__(self, "_parity_rref", (tuple(rows), tuple(pivots)))
-        object.__setattr__(self, "_last_coset", (None, None))
-        if (self.hash_matrix is not None
-                and self.coset(self.hash_matrix) is None):
-            raise ValueError("stacked parity/hash matrix must have full rank")
         if self.security_slack is not None:
             cap = p0_secret_length(self.block_len, self.channel.crossover,
                                    self.security_slack)
@@ -184,38 +171,26 @@ class P0Params:
         if self.decoder is None:
             object.__setattr__(self, "decoder", MLDecoder(code))
 
-    def coset(self, hash_matrix: Matrix) -> Optional[GF2Coset]:
-        """The codewords with each hash value, as one reduced system.
+    @property
+    def block_len(self) -> int:
+        return self.code.length
 
-        Hash row i, tagged with bit n0 + i, is eliminated into the reduced
-        parity check; GF2Coset.sample(packed secret, rng) then draws a
-        uniform codeword whose hash is the secret.  None when the stacked
-        parity/hash matrix is not of full rank.  The last result is kept,
-        so draw_hash's full-rank test and the encoding that follows share
-        one elimination.
+    def draw_hash(self, rng: np.random.Generator) -> tuple[Matrix, GF2Coset]:
+        """A fresh uniform m x n0 session hash and its codeword cosets.
+
+        The hash is redrawn until the stacked parity/hash matrix has full
+        rank.  Hash row i, tagged with bit n0 + i, is eliminated into the
+        reduced parity check; coset.sample(packed secret, rng) then draws
+        a uniform codeword whose hash is the secret.
         """
-        last_hash, last = self._last_coset
-        if last_hash is hash_matrix:
-            return last
         n = self.block_len
-        if (hash_matrix.nrows, hash_matrix.ncols) != (self.secret_bits, n):
-            raise ValueError("hash matrix must be m x n0")
-        rows, pivots = list(self._parity_rref[0]), list(self._parity_rref[1])
-        tagged = [r | 1 << (n + i)
-                  for i, r in enumerate(pack_rows(hash_matrix))]
-        coset = (None if gf2_eliminate(rows, pivots, tagged, n)
-                 else GF2Coset(rows, pivots, n))
-        object.__setattr__(self, "_last_coset", (hash_matrix, coset))
-        return coset
-
-    def draw_hash(self, rng: np.random.Generator) -> Matrix:
-        """The session hash: pinned if configured, else fresh full-rank."""
-        if self.hash_matrix is not None:
-            return self.hash_matrix
         while True:
-            hm = random_matrix(GF(1), self.secret_bits, self.block_len, rng)
-            if self.coset(hm) is not None:
-                return hm
+            hash_matrix = random_matrix(GF(1), self.secret_bits, n, rng)
+            rows, pivots = map(list, self._parity_rref)
+            tagged = [r | 1 << (n + i)
+                      for i, r in enumerate(pack_rows(hash_matrix))]
+            if not gf2_eliminate(rows, pivots, tagged, n):
+                return hash_matrix, GF2Coset(rows, pivots, n)
 
 
 def p0_partition(word: TernaryWord, block_len: int,
@@ -252,13 +227,13 @@ class AliceEncoding:
 def p0_alice_encode(first_secret: Sequence[int], second_secret: Sequence[int],
                     set_first: Sequence[int], set_second: Sequence[int],
                     sent_bits: Sequence[int], params: P0Params,
-                    hash_matrix: Matrix,
+                    coset: GF2Coset,
                     rng: np.random.Generator) -> AliceEncoding:
     """Alice's response to the announced partition.
 
-    Each secret is embedded as a uniform codeword with that hash (uniform
-    coset sampling of the stacked system), then masked by the sent bits
-    at freshly permuted positions of the announced set.
+    Each secret is embedded as a uniform codeword with that hash (a
+    sample of the session's coset from draw_hash), then masked by the
+    sent bits at freshly permuted positions of the announced set.
     """
     n0, m = params.block_len, params.secret_bits
     if len(set_first) != n0 or len(set_second) != n0:
@@ -269,9 +244,6 @@ def p0_alice_encode(first_secret: Sequence[int], second_secret: Sequence[int],
         raise ValueError("secrets must have length m")
     if not {*first_secret, *second_secret} <= {0, 1}:
         raise ValueError("secrets must be bit vectors")
-    coset = params.coset(hash_matrix)
-    if coset is None:
-        raise ValueError("stacked parity/hash matrix must have full rank")
 
     out = []
     for secret, positions in ((first_secret, set_first),
@@ -322,7 +294,7 @@ def p0_run(first_secret: Sequence[int], second_secret: Sequence[int],
     """One full honest session; spends 4 n0 channel bits regardless."""
     n0 = params.block_len
     phi = params.channel.crossover
-    hash_matrix = params.draw_hash(rng)
+    hash_matrix, coset = params.draw_hash(rng)
     sent = tuple(rng.integers(0, 2, size=2 * n0).tolist())
     word = duplicate_round_trip(sent, phi, rng)
     alice_view = {"sent_bits": list(sent)}
@@ -334,7 +306,7 @@ def p0_run(first_secret: Sequence[int], second_secret: Sequence[int],
         bob_view["abort_reason"] = str(exc)
     else:
         enc = p0_alice_encode(first_secret, second_secret, set_first,
-                              set_second, sent, params, hash_matrix, rng)
+                              set_second, sent, params, coset, rng)
         alice_view.update({
             "set_first": list(set_first), "set_second": list(set_second),
             "perm_first": list(enc.perm_first),

@@ -102,7 +102,7 @@ def test_criterion_03_protocol_correctness():
     # 1-of-2 at desk scale: n0 = 15, phi = 0.1, exact ML on the [15,5] code
     code = cyclic_code(GF(1), 15, C15_5_GEN)
     channel = BscParams(0.1)
-    params = P0Params(block_len=15, channel=channel, code=code,
+    params = P0Params(channel=channel, code=code,
                       secret_bits=1)
     bound = MLDecoder(code).failure_bound(channel.residual_error)
     rng = derive_rng(1003)
@@ -119,9 +119,9 @@ def test_criterion_03_protocol_correctness():
     ok_p0 = rate >= 0.99 and bound < 0.01
 
     # the four string variants must be exact on a noiseless channel
-    inner1 = P0Params(block_len=15, channel=BscParams(0.0), code=code,
+    inner1 = P0Params(channel=BscParams(0.0), code=code,
                       secret_bits=1)
-    inner2 = P0Params(block_len=15, channel=BscParams(0.0), code=code,
+    inner2 = P0Params(channel=BscParams(0.0), code=code,
                       secret_bits=2)
     f2, f4 = GF(1), GF(2)
     nine2 = OrthonormalCode(Matrix(f2, ((1,) * 9,)))
@@ -145,8 +145,7 @@ def test_criterion_03_protocol_correctness():
                               name.endswith("prime"), trial)
             s = random_matrix(field, nrows, width, trng)
             t = random_matrix(field, nrows, width, trng)
-            session = run_session(oparams, s, t, bool(trial % 2), trng,
-                                  compressed=compressed)
+            session = run_session(oparams, s, t, bool(trial % 2), trng)
             want = s if trial % 2 else t
             if session.status == "ok" and session.output.rows == want.rows:
                 good += 1
@@ -308,17 +307,17 @@ def test_criterion_08_reconstruction_and_cheat_matrix():
     # every dual-of-square mask recovers the requested secret, m in {1, 2}
     instances = [
         (toy_basis(f),
-         P0Params(block_len=15, channel=BscParams(0.0),
+         P0Params(channel=BscParams(0.0),
                   code=cyclic_code(GF(1), 15, C15_5_GEN), secret_bits=1),
          1),
         (OrthonormalCode(Matrix(f, ((1, 1, 1, 0, 0, 0), (0, 0, 0, 1, 1, 1)))),
-         P0Params(block_len=15, channel=BscParams(0.0),
+         P0Params(channel=BscParams(0.0),
                   code=cyclic_code(GF(1), 15, C15_5_GEN), secret_bits=2),
          2),
     ]
     masks_run = 0
     for basis, inner, width in instances:
-        params = OuterParams(basis=basis, inner=inner, block_syms=width)
+        params = OuterParams(basis=basis, inner=inner)
         sq = basis.base.schur_square()
         dual = sq.dual_basis()
         for combo in product((0, 1), repeat=len(dual)):

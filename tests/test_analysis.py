@@ -107,8 +107,6 @@ def test_rate_chain_q_scaling_and_overrides():
         rb = rate_chain(0.5, q, phi=0.2)
         assert rb.outer_rate == pytest.approx(base.outer_rate / (q - 1),
                                               rel=1e-12)
-    forced = rate_chain(0.5, 2, phi=0.2, inner_rate=0.25)
-    assert forced.outer_rate == pytest.approx(0.125, rel=1e-12)
 
 
 def test_rate_chain_validation():

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from otlab.adversary import transmit_with_false_pairs
-from otlab.channels import (ERASED, BscParams, TernaryWord, bsc_transmit,
-                            derive_rng, duplicate_round_trip)
+from otlab.channels import (ERASED, BscParams, TernaryWord, derive_rng,
+                            duplicate_round_trip)
+
+from false_pairs import bsc_transmit, transmit_with_false_pairs
 
 
 def test_erased_sentinel():

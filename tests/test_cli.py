@@ -208,6 +208,14 @@ def test_run_every_protocol_noiseless():
         assert rep["aggregates"]["success_rate"] == 1.0, protocol
 
 
+def test_primed_run_default_delta_fits_the_built_in_basis():
+    # the built-in basis has outer_dim 4: delta 0.25 leaves u = 1 row
+    rep = report_from(run_cli("run", "--protocol", "p1prime", "--phi", "0",
+                              "--trials", "2"))
+    assert rep["config"]["delta"] == 0.25
+    assert rep["aggregates"]["success_rate"] == 1.0
+
+
 # ---------------------------------------------------------------- config and seeds
 
 

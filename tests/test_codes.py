@@ -6,7 +6,7 @@ import pytest
 from otlab.codes import (EnumerationLimit, LinearCode, OrthonormalCode,
                          code_from_json, code_to_json, cyclic_code,
                          orthonormalize, puncture, random_code, rs_code,
-                         sampled_distance_audit, schur, square_dual_sample)
+                         schur, square_dual_sample)
 from otlab.gf import GF
 from otlab.linalg import Matrix, rank, rref
 
@@ -353,17 +353,6 @@ def test_random_code_full_rank_and_shape():
             code = random_code(f, n, k, rng)
             assert (code.length, code.dimension) == (n, k)
             assert rank(code.generator) == k
-
-
-def test_sampled_distance_audit_bounds_true_distance():
-    rng = np.random.default_rng(25)
-    code = cyclic_code(GF(1), 15, C15_5_GEN)
-    est = sampled_distance_audit(code, samples=3000, rng=rng)
-    assert est.samples == 3000
-    assert est.smallest_weight >= code.min_distance()
-    assert 0.0 < est.coverage <= 1.0
-    # 3000 draws from a 31-codeword nonzero set should find the minimum
-    assert est.smallest_weight == 7
 
 
 def test_cyclic_code_validation_and_normalization():

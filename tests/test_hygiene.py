@@ -1,5 +1,6 @@
-"""Source hygiene: no module imports a name it never uses, and the package
-version agrees with pyproject.toml."""
+"""Source hygiene: no module imports a name it never uses, every public
+definition of the package has a reader, and the package version agrees
+with pyproject.toml."""
 
 import ast
 import re
@@ -8,8 +9,11 @@ from pathlib import Path
 import otlab
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted((ROOT / "src" / "otlab").glob("*.py")) + sorted(
-    (ROOT / "tests").rglob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "otlab").glob("*.py"))
+SOURCES = PACKAGE + sorted((ROOT / "tests").rglob("*.py"))
+# what a command runs or an acceptance criterion checks, besides the package
+READERS = sorted((ROOT / "otbench").rglob("*.py")) + [
+    ROOT / "tests" / "test_acceptance.py"]
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -27,6 +31,44 @@ def unused_imports(tree: ast.Module) -> list[str]:
             if name not in used]
 
 
+def names_read(tree: ast.AST, skip=None) -> set[str]:
+    """Every Name, Attribute and imported name in tree, outside `skip`;
+    words inside strings do not count."""
+    out = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.rsplit(".", 1)[-1])
+        stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def unread_definitions(package: dict, readers: list) -> list[str]:
+    """Public top-level functions and classes of the package modules that
+    no module names outside their own definition, the defining module
+    included."""
+    outside = set().union(*map(names_read, readers))
+    by_module = {name: names_read(tree) for name, tree in package.items()}
+    unread = []
+    for name, tree in package.items():
+        elsewhere = outside.union(*(names for other, names in by_module.items()
+                                    if other != name))
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")
+                    and node.name not in elsewhere
+                    and node.name not in names_read(tree, skip=node)):
+                unread.append(f"{name}.{node.name}")
+    return unread
+
+
 def test_unused_imports_are_found():
     tree = ast.parse("from __future__ import annotations\n"
                      "import os.path\nimport numpy as np\n"
@@ -39,6 +81,23 @@ def test_no_module_imports_an_unused_name():
              for path in SOURCES
              if (unused := unused_imports(ast.parse(path.read_text())))}
     assert found == {}
+
+
+def test_unread_definitions_are_found():
+    package = {"a": ast.parse("def used(): pass\n"
+                              "def recursive(): return recursive()\n"
+                              "def quoted(): 'quoted'\n"
+                              "class _Private: pass\n"),
+               "b": ast.parse("from a import used\n")}
+    assert unread_definitions(package, []) == ["a.recursive", "a.quoted"]
+    reader = ast.parse("import a\na.recursive")
+    assert unread_definitions(package, [reader]) == ["a.quoted"]
+
+
+def test_every_public_definition_has_a_reader():
+    package = {path.stem: ast.parse(path.read_text()) for path in PACKAGE}
+    readers = [ast.parse(path.read_text()) for path in READERS]
+    assert unread_definitions(package, readers) == []
 
 
 def test_package_version_matches_pyproject():

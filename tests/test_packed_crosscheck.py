@@ -122,23 +122,44 @@ def test_session_coset_matches_dense_solve_of_stacked_system():
     for n, k, m in ((15, 5, 3), (15, 1, 1), (20, 16, 1), (20, 16, 5),
                     (12, 12, 4), (70, 6, 2)):
         code = random_code(F2, n, k, rng)
-        params = P0Params(block_len=n, channel=BscParams(0.1), code=code,
-                          secret_bits=m)
+        parity = Matrix(F2, code.dual_basis(), ncols=n)
+        params = P0Params(channel=BscParams(0.1), code=code, secret_bits=m)
         for trial in range(10):
-            hm = params.draw_hash(rng)
-            stacked = params.parity_check.vstack(hm)
+            hm, coset = params.draw_hash(rng)
+            stacked = parity.vstack(hm)
             assert rank(stacked) == n - k + m
             secret = tuple(int(a) for a in rng.integers(0, 2, size=m))
             ours, ref = (np.random.default_rng(trial),
                          np.random.default_rng(trial))
-            got = unpack_bits(params.coset(hm).sample(pack_bits(secret), ours),
-                              n)
-            zeros = (0,) * params.parity_check.nrows
+            got = unpack_bits(coset.sample(pack_bits(secret), ours), n)
+            zeros = (0,) * parity.nrows
             assert got == dense_solve_affine(stacked, zeros + secret, ref)
             assert ours.bit_generator.state == ref.bit_generator.state
-    # a hash that does not reach full stacked rank has no coset
-    deficient = Matrix(F2, params.parity_check.rows[:2], ncols=70)
-    assert params.coset(deficient) is None
+
+
+def test_draw_hash_redraws_like_the_stacked_rank_loop():
+    """draw_hash keeps the first hash whose stacked parity/hash matrix
+    reaches rank n - k + m: the hash and the rng state match a loop of
+    random_matrix draws tested by the stacked rank.  With m = k a
+    first draw is deficient about 70% of the time."""
+    rng = np.random.default_rng(3050)
+    redraws = 0
+    for n, k in ((6, 3), (10, 4), (12, 12), (20, 5)):
+        code = random_code(F2, n, k, rng)
+        parity = Matrix(F2, code.dual_basis(), ncols=n)
+        params = P0Params(channel=BscParams(0.1), code=code, secret_bits=k)
+        for trial in range(20):
+            ours, ref = (np.random.default_rng(trial),
+                         np.random.default_rng(trial))
+            got, _ = params.draw_hash(ours)
+            while True:
+                want = random_matrix(F2, k, n, ref)
+                if rank(parity.vstack(want)) == n:  # n - k + m, m = k
+                    break
+                redraws += 1
+            assert got == want
+            assert ours.bit_generator.state == ref.bit_generator.state
+    assert redraws > 20
 
 
 def test_span_words_and_gf2_apply_match_direct_products():

@@ -30,15 +30,14 @@ def gf4_basis():
 
 
 def binary_inner(n0=15, phi=0.0, m=1):
-    return P0Params(block_len=n0, channel=BscParams(phi),
+    return P0Params(channel=BscParams(phi),
                     code=LinearCode.from_rows(GF(1), ((1,) * n0,)),
                     secret_bits=m)
 
 
 def gf4_inner(phi=0.0):
     code = LinearCode.from_rows(GF(1), ((1, 0, 1, 0), (0, 1, 0, 1)))
-    return P0Params(block_len=4, channel=BscParams(phi), code=code,
-                    secret_bits=2)
+    return P0Params(channel=BscParams(phi), code=code, secret_bits=2)
 
 
 def all_square_dual_masks(basis):
@@ -197,16 +196,23 @@ def test_compress_setup_lifts_exactly():
 
 def test_outer_params_validation_and_properties():
     basis = toy_basis()
-    params = OuterParams(basis=basis, inner=binary_inner(), block_syms=1)
+    params = OuterParams(basis=basis, inner=binary_inner())
     assert params.rounds == 8
     assert params.outer_dim == 4
     assert params.field is GF(1)
-    with pytest.raises(ValueError):
-        OuterParams(basis=basis, inner=binary_inner(m=1), block_syms=2)
-    with pytest.raises(ValueError):
-        OuterParams(basis=basis, inner=binary_inner(), block_syms=0)
+    assert params.block_syms == 1
+    wide = P0Params(channel=BscParams(0.0),
+                    code=cyclic_code(GF(1), 15, C15_5_GEN), secret_bits=3)
+    assert OuterParams(basis=basis, inner=wide).block_syms == 3
+    assert OuterParams(basis=gf4_basis(), inner=gf4_inner()).block_syms == 1
     with pytest.raises(ValueError):
         OuterParams(basis=basis, inner=binary_inner(), margin=0.05)
+
+
+def test_outer_params_rejects_a_field_wider_than_the_inner_bits():
+    # one inner bit is half a GF(4) symbol
+    with pytest.raises(ValueError, match="not a whole number"):
+        OuterParams(basis=gf4_basis(), inner=binary_inner(m=1))
 
 
 def test_run_session_noiseless_recovers_chosen_secret():
@@ -290,7 +296,7 @@ def test_run_session_compressed_variants():
     cs = random_matrix(GF(1), 1, 1, rng)
     for want_first in (True, False):
         session = run_session(params, cf, cs, want_first,
-                              derive_rng(74, want_first), compressed=True)
+                              derive_rng(74, want_first))
         assert session.status == "ok"
         want = cf if want_first else cs
         assert session.output.rows == want.rows
@@ -317,8 +323,10 @@ def test_run_session_validation():
         run_session(params, random_matrix(GF(1), 4, 2, rng), t, True, rng)
     with pytest.raises(ValueError):
         run_session(params, s, t, True, rng, request_mask=(0, 1))
+    # with a margin the secrets are the compressed ones, u = 1 row here
+    compressed = OuterParams(basis=basis, inner=binary_inner(), margin=0.25)
     with pytest.raises(ValueError):
-        run_session(params, s, t, True, rng, compressed=True)
+        run_session(compressed, s, t, True, rng)
 
 
 def test_run_session_noisy_statuses_consistent():

@@ -23,8 +23,11 @@ def rep_code(n):
 
 def make_params(n0=15, phi=0.198, m=1, code=None, **kw):
     code = code if code is not None else rep_code(n0)
-    return P0Params(block_len=n0, channel=BscParams(phi), code=code,
-                    secret_bits=m, **kw)
+    return P0Params(channel=BscParams(phi), code=code, secret_bits=m, **kw)
+
+
+def parity_check(code):
+    return Matrix(code.field, code.dual_basis(), ncols=code.length)
 
 
 def test_secret_length_frozen_values():
@@ -70,8 +73,7 @@ def test_ml_decoder_failure_bound_closed_form():
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        make_params(n0=15, code=rep_code(14))
+    assert make_params(code=rep_code(14)).block_len == 14
     with pytest.raises(ValueError):
         make_params(m=2)                     # k = 1 < m
     with pytest.raises(ValueError):
@@ -81,27 +83,19 @@ def test_params_validation():
     with pytest.raises(ValueError):
         make_params(code=code, m=4, security_slack=0.05)
     with pytest.raises(ValueError):
-        P0Params(block_len=3, channel=BscParams(0.1),
+        P0Params(channel=BscParams(0.1),
                  code=LinearCode.from_rows(GF(2), ((1, 2, 1),)),
                  secret_bits=1)
 
 
-def test_params_hash_pinning_and_rank_check():
+def test_draw_hash_reaches_full_stacked_rank():
     code = cyclic_code(GF(1), 15, C15_5_GEN)
     rng = np.random.default_rng(40)
-    free = make_params(code=code, m=3)
-    hm = free.draw_hash(rng)
-    assert (hm.nrows, hm.ncols) == (3, 15)
-    stacked = free.parity_check.vstack(hm)
-    assert rank(stacked) == 15 - 5 + 3
-    pinned = make_params(code=code, m=3, hash_matrix=hm)
-    assert pinned.draw_hash(rng) is hm
-    # a hash inside the dual span cannot reach full stacked rank
-    bad = Matrix(GF(1), free.parity_check.rows[:3], ncols=15)
-    with pytest.raises(ValueError):
-        make_params(code=code, m=3, hash_matrix=bad)
-    with pytest.raises(ValueError):
-        make_params(code=code, m=3, hash_matrix=Matrix.identity(GF(1), 3))
+    params = make_params(code=code, m=3)
+    for _ in range(20):
+        hm, _ = params.draw_hash(rng)
+        assert (hm.nrows, hm.ncols) == (3, 15)
+        assert rank(parity_check(code).vstack(hm)) == 15 - 5 + 3
 
 
 def test_partition_shapes_and_choice():
@@ -143,15 +137,15 @@ def test_encode_decode_round_trip_noiseless():
     rng = derive_rng(42, 0)
     code = cyclic_code(GF(1), 15, C15_5_GEN)
     params = make_params(phi=0.0, code=code, m=3)
-    hm = params.draw_hash(rng)
+    hm, coset = params.draw_hash(rng)
     sent = tuple(int(b) for b in rng.integers(0, 2, size=30))
     word = TernaryWord(sent)
     first, second = p0_partition(word, 15, True)
     s1, s2 = (1, 0, 1), (0, 1, 1)
-    enc = p0_alice_encode(s1, s2, first, second, sent, params, hm, rng)
+    enc = p0_alice_encode(s1, s2, first, second, sent, params, coset, rng)
     # embedded codewords carry the right hash and parity
     for cw, s in ((enc.codeword_first, s1), (enc.codeword_second, s2)):
-        assert params.parity_check.apply(cw) == (0,) * 10
+        assert parity_check(code).apply(cw) == (0,) * 10
         assert hm.apply(cw) == s
     got, cw = p0_bob_decode(enc.masked_first, word, first, enc.perm_first,
                             params.decoder, hm)
@@ -165,16 +159,17 @@ def test_encode_decode_round_trip_noiseless():
 def test_encode_validation():
     rng = derive_rng(43)
     params = make_params(phi=0.0, n0=3, code=rep_code(3))
-    hm = params.draw_hash(rng)
+    _, coset = params.draw_hash(rng)
     sent = (0,) * 6
     with pytest.raises(ValueError):
         p0_alice_encode((1,), (0,), (0, 1, 2), (2, 3, 4), sent, params,
-                        hm, rng)          # overlap
+                        coset, rng)       # overlap
     with pytest.raises(ValueError):
-        p0_alice_encode((1,), (0,), (0, 1), (2, 3, 4), sent, params, hm, rng)
+        p0_alice_encode((1,), (0,), (0, 1), (2, 3, 4), sent, params, coset,
+                        rng)
     with pytest.raises(ValueError):
         p0_alice_encode((1, 0), (0, 1), (0, 1, 2), (3, 4, 5), sent, params,
-                        hm, rng)          # secrets too long
+                        coset, rng)       # secrets too long
 
 
 def test_codeword_coset_sampling_uniform():
@@ -182,14 +177,13 @@ def test_codeword_coset_sampling_uniform():
     over the 2^(k-m) solutions of the stacked system."""
     rng = derive_rng(44)
     code = LinearCode.from_rows(GF(1), ((1, 0, 1, 0), (0, 1, 0, 1)))
-    params = P0Params(block_len=4, channel=BscParams(0.0), code=code,
-                      secret_bits=1)
-    hm = params.draw_hash(rng)
+    params = P0Params(channel=BscParams(0.0), code=code, secret_bits=1)
+    _, coset = params.draw_hash(rng)
     sent = (0,) * 8
     counts = {}
     for _ in range(2000):
         enc = p0_alice_encode((1,), (0,), (0, 1, 2, 3), (4, 5, 6, 7),
-                              sent, params, hm, rng)
+                              sent, params, coset, rng)
         counts[enc.codeword_first] = counts.get(enc.codeword_first, 0) + 1
     assert len(counts) == 2
     for c in counts.values():
