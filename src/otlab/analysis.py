@@ -23,13 +23,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .channels import BscParams
 from .codes import EnumerationLimit, LinearCode
 from .linalg import LIMB_BITS, pack_rows, popcount, span_words
+
+if TYPE_CHECKING:
+    import numpy as np
 
 ORACLE_VIEW_LIMIT = 1 << 24
 Z_95 = 1.96  # two-sided 95% normal quantile
@@ -189,6 +190,16 @@ def rate_chain(code_rate: float, q: int,
                          private_rate=outer / 2.0)
 
 
+def curve_grid(points: int) -> list[float]:
+    """`points` crossovers evenly spaced over [0.005, 0.495], ends included.
+
+    This is numpy.linspace's arithmetic (start + i * step, then the stop
+    itself last), so the floats equal np.linspace(0.005, 0.495, points).
+    """
+    step = (0.495 - 0.005) / (points - 1)
+    return [i * step + 0.005 for i in range(points - 1)] + [0.495]
+
+
 def rate_curve(phis: Sequence[float]) -> list[tuple[float, float, float]]:
     """Rows of (phi, erasure_rate, rate) for curve export."""
     return [(phi, BscParams(phi).erasure_rate, rate_p0(phi)) for phi in phis]
@@ -213,6 +224,7 @@ def _packed_codewords(code: LinearCode, limit: int) -> np.ndarray:
 
 def _project(words: np.ndarray, kept: Sequence[int]) -> np.ndarray:
     """The kept positions of each packed word, as bits 0, 1, ... of an int."""
+    import numpy as np
     proj = np.zeros(len(words), dtype=np.int64)
     for t, pos in enumerate(kept):
         limb, bit = divmod(pos, LIMB_BITS)
@@ -249,6 +261,7 @@ def min_entropy_oracle(code: LinearCode, erasures: int, error_rate: float,
     n[R - (1 - e/n)(1 - h(p)) - alpha], the view-average of H_inf, and a
     bucketed histogram.
     """
+    import numpy as np
     n, k = code.length, code.dimension
     if not 0 <= erasures <= n:
         raise ValueError("erasure count out of range")
@@ -346,6 +359,7 @@ def fixed_weight_oracle(code: LinearCode, erasures: int, weight: int,
     the measured fractions (worst pattern and aggregate) per alpha.
     r <= 0 is flagged via r_positive rather than rejected.
     """
+    import numpy as np
     n, k = code.length, code.dimension
     if not 0 <= erasures <= n:
         raise ValueError("erasure count out of range")

@@ -14,15 +14,17 @@ so per-trial and per-round streams never overlap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 ERASED = 2
 
 
 def derive_rng(master_seed: int, *key: int) -> np.random.Generator:
     """Deterministic child stream for (master_seed, key path)."""
+    import numpy as np
     return np.random.default_rng(
         np.random.SeedSequence(master_seed, spawn_key=tuple(key)))
 
@@ -88,6 +90,7 @@ def duplicate_round_trip(bits: Sequence[int], phi: float,
     become erasures.  Flip draws are a single (len, 2) block so the
     consumption order is fixed.
     """
+    import numpy as np
     if not 0.0 <= phi < 0.5:
         raise ValueError(f"crossover must be in [0, 1/2), got {phi}")
     flips = rng.random((len(bits), 2)) < phi

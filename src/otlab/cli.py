@@ -27,13 +27,12 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from . import __version__
-from .analysis import (detection_rule, expected_unerased, optimize_rate_p0,
-                       rate_chain, rate_curve, rate_p0, wilson_interval)
+from .analysis import (curve_grid, detection_rule, expected_unerased,
+                       optimize_rate_p0, rate_chain, rate_curve, rate_p0,
+                       wilson_interval)
 from .channels import BscParams, derive_rng
 from .codes import (DEFAULT_ENUM_LIMIT, EnumerationLimit, LinearCode,
                     OrthonormalCode, code_from_json, orthonormalize,
@@ -45,6 +44,9 @@ from .proto_p0 import (DECODER_WORD_CAP, MLDecoder, P0Params, p0_run,
                        p0_secret_length, p0q_run)
 from .reports import (ReportError, build_report, canonical_json,
                       validate_report, write_csv, write_report)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 ENV_SEED = "OTLAB_SEED"
 
@@ -828,8 +830,7 @@ def cmd_rates(config: dict, seed: int) -> dict:
              for code_rate, q in chains]
     if cfg["curve"]:
         points = cfg["curve_points"]
-        curve = rate_curve([float(x) for x in
-                            np.linspace(0.005, 0.495, points)])
+        curve = rate_curve(curve_grid(points))
         derived["curve"] = {
             "points": points,
             "erasure_rates": [e for _, e, _ in curve],
@@ -1030,7 +1031,9 @@ def _emit_outputs(args: argparse.Namespace, command: Command,
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    gc.freeze()  # the import-time heap lives until exit; skip it at shutdown
+    # otlab's import-time heap lives until exit: skip it at shutdown (numpy
+    # is not in it; it loads later, where a command first computes)
+    gc.freeze()
     args = build_parser().parse_args(argv)
     try:
         if args.command == "replay":

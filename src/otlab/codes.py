@@ -16,14 +16,15 @@ zero, and samplers for the dual of the square.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .gf import GF, Field
 from .linalg import (Matrix, Vector, full_rank_matrix, pack_rows,
                      rank_and_kernel, rref, row_span_basis, solve_affine,
                      span_words, weights)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_ENUM_LIMIT = 1 << 24
 _SPAN_BLOCK_ROWS = 16  # min_distance spans 2^16 words at a time

@@ -20,16 +20,19 @@ rank, and sample a matrix solution column by column.
 Codeword enumeration uses numpy: `span_words` lists every combination of
 packed rows as int64 words (63 bits to a limb, limbs on the last axis),
 `weights` counts their bits through a 16-bit table, and `gf2_apply`
-evaluates a packed matrix on every word at once.
+evaluates a packed matrix on every word at once.  numpy and the table load
+on first use, so importing this module does not import numpy.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
-
-import numpy as np
+import functools
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .gf import Field
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Vector = tuple  # length-n tuple of field elements (ints)
 
@@ -442,7 +445,9 @@ def full_rank_matrix(field: Field, nrows: int, ncols: int,
 
 # -- codeword enumeration over packed words ---------------------------------
 
+@functools.cache
 def _popcount_table() -> np.ndarray:
+    import numpy as np
     table = np.zeros(1 << 16, dtype=np.uint8)
     for i in range(16):
         step = 1 << i
@@ -451,11 +456,9 @@ def _popcount_table() -> np.ndarray:
     return table
 
 
-_POP16 = _popcount_table()
-
-
 def to_limbs(x: int, limbs: int) -> np.ndarray:
     """A packed int as an int64 array of `limbs` 63-bit limbs."""
+    import numpy as np
     mask = (1 << LIMB_BITS) - 1
     return np.array([(x >> (LIMB_BITS * j)) & mask for j in range(limbs)],
                     dtype=np.int64)
@@ -468,6 +471,7 @@ def span_words(rows: Sequence[int], width: int) -> np.ndarray:
     sum of the rows whose bit is set in j (built by doubling, so this is
     also the message-counting order of iter_codewords).
     """
+    import numpy as np
     limbs = max(1, -(-width // LIMB_BITS))
     words = np.zeros((1 << len(rows), limbs), dtype=np.int64)
     for i, r in enumerate(rows):
@@ -483,15 +487,17 @@ def popcount(a: np.ndarray, width: int = LIMB_BITS) -> np.ndarray:
     The elements must be below 2^width; they are counted 16 bits at a
     time through one lookup table.
     """
-    counts = _POP16[a & 0xFFFF]
+    table = _popcount_table()
+    counts = table[a & 0xFFFF]
     for shift in range(16, min(width, LIMB_BITS), 16):
-        counts += _POP16[(a >> shift) & 0xFFFF]
+        counts += table[(a >> shift) & 0xFFFF]
     return counts
 
 
 def weights(words: np.ndarray, width: int) -> np.ndarray:
     """Hamming weight of each packed word of `width` bits (limbs on the
     last axis), as uint8 for single-limb words."""
+    import numpy as np
     counts = popcount(words, width)
     if words.shape[-1] == 1:
         return counts[..., 0]
@@ -504,6 +510,7 @@ def gf2_apply(rows: Sequence[int], words: np.ndarray, width: int) -> np.ndarray:
     Bit i of out[j] is parity(rows[i] & words[j]); words has shape
     (N, limbs) as from span_words, and out holds N int64 values.
     """
+    import numpy as np
     limbs = words.shape[-1]
     masks = np.stack([to_limbs(int(r), limbs) for r in rows])
     parity = weights(words[:, None, :] & masks[None, :, :], width) & 1

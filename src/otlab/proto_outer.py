@@ -21,14 +21,15 @@ the rank dichotomy of the cheating analysis protects.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .codes import OrthonormalCode, square_dual_sample
 from .gf import Field
 from .linalg import Matrix, full_rank_matrix, solve_columns
 from .proto_p0 import P0Params, Session, p0q_run
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def block_to_bits(block: Sequence[int], degree: int) -> tuple:

@@ -28,9 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .analysis import binary_entropy
 from .channels import ERASED, BscParams, TernaryWord, duplicate_round_trip
@@ -39,6 +37,9 @@ from .gf import GF
 from .linalg import (LIMB_BITS, GF2Coset, Matrix, Vector, gf2_eliminate,
                      pack_bits, pack_rows, random_matrix, span_words,
                      to_limbs, unpack_bits, weights)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 DECODER_WORD_CAP = 1 << 20  # the decoder holds every codeword in memory
@@ -87,6 +88,7 @@ class MLDecoder:
         self.words = span_words(pack_rows(code.generator), code.length)
 
     def decode(self, symbols: Sequence[int]) -> Optional[Vector]:
+        import numpy as np
         if len(symbols) != self.length:
             raise ValueError("received word has the wrong length")
         mask = 0
@@ -110,6 +112,7 @@ class MLDecoder:
 
     def failure_bound(self, p: float) -> float:
         """Union bound on ML failure over BSC(p), ties counted as failures."""
+        import numpy as np
         if not 0.0 <= p < 0.5:
             raise ValueError("error rate must be in [0, 1/2)")
         present, first, counts = np.unique(weights(self.words, self.length),

@@ -6,7 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from otlab.analysis import (binary_entropy, fixed_weight_oracle,
+from otlab.analysis import (binary_entropy, curve_grid, fixed_weight_oracle,
                             min_entropy_bound, min_entropy_oracle,
                             optimize_rate_p0, rate_chain, rate_curve, rate_p0,
                             wilson_interval)
@@ -128,6 +128,14 @@ def test_rate_curve_rows():
         assert phi == want
         assert eps == pytest.approx(2 * want * (1 - want))
         assert rate == pytest.approx(rate_p0(want))
+
+
+def test_curve_grid_is_numpy_linspace_float_for_float():
+    # `rates --curve` draws its crossovers without numpy; nothing else pins
+    # these floats (the golden rates report has no curve)
+    for points in range(2, 2001):
+        want = np.linspace(0.005, 0.495, points).tolist()
+        assert curve_grid(points) == want, points
 
 
 def test_min_entropy_bound_formula():

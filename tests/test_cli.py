@@ -132,26 +132,47 @@ def test_run_workers_do_not_change_bytes():
     assert serial.stdout == parallel.stdout
 
 
-def test_import_leaves_out_schema_library_and_process_pool():
-    # start-up pays only for what a serial command uses; the benchmark's
-    # shim finds the session modules and the dispatch table after import;
-    # main freezes the import-time heap so exit skips collecting it
+def test_import_leaves_out_schema_library_and_process_pool(tmp_path):
+    # start-up pays only for what a serial command uses; numpy loads where
+    # it computes, so `rates`, `--help` and a config error never load it;
+    # the benchmark's shim finds the session modules and the dispatch table
+    # after import; main freezes the import-time heap so exit skips
+    # collecting it
     probe = ("import contextlib, gc, io, json, sys, otlab.cli\n"
-             "print(json.dumps({m: m in sys.modules for m in sys.argv[1:]}))\n"
+             "def loaded():\n"
+             "    return json.dumps({m: m in sys.modules for m in sys.argv[2:]})\n"
+             "def quiet(argv):\n"
+             "    out = io.StringIO()\n"
+             "    with contextlib.redirect_stdout(out), \\\n"
+             "            contextlib.redirect_stderr(out):\n"
+             "        try:\n"
+             "            return otlab.cli.main(argv)\n"
+             "        except SystemExit as exc:\n"
+             "            return exc.code\n"
+             "print(loaded())\n"
              "print(sorted(otlab.cli._DISPATCH))\n"
-             "with contextlib.redirect_stdout(io.StringIO()):\n"
-             "    otlab.cli.main(['rates'])\n"
+             "print(quiet(['run', '--phi', '0.7']), 'numpy' in sys.modules)\n"
+             "print(quiet(['rates', '--help']), 'numpy' in sys.modules)\n"
+             "print(quiet(['rates', '--curve', sys.argv[1]]), loaded())\n"
              "print(gc.get_freeze_count() > 0)")
-    names = ("jsonschema", "multiprocessing", "concurrent.futures.process",
-             "otlab.adversary", "otlab.proto_p0", "otlab.proto_outer")
-    proc = subprocess.run([sys.executable, "-c", probe, *names],
+    names = ("numpy", "jsonschema", "multiprocessing",
+             "concurrent.futures.process", "otlab.adversary",
+             "otlab.proto_p0", "otlab.proto_outer")
+    curve = tmp_path / "curve.csv"
+    proc = subprocess.run([sys.executable, "-c", probe, str(curve), *names],
                           capture_output=True, text=True, check=True)
-    loaded_line, dispatch_line, frozen_line = proc.stdout.splitlines()
-    assert json.loads(loaded_line) == {
-        "jsonschema": False, "multiprocessing": False,
-        "concurrent.futures.process": False, "otlab.adversary": False,
-        "otlab.proto_p0": True, "otlab.proto_outer": True}
+    (import_line, dispatch_line, config_error_line, help_line, rates_line,
+     frozen_line) = proc.stdout.splitlines()
+    want = {"numpy": False, "jsonschema": False, "multiprocessing": False,
+            "concurrent.futures.process": False, "otlab.adversary": False,
+            "otlab.proto_p0": True, "otlab.proto_outer": True}
+    assert json.loads(import_line) == want
     assert dispatch_line == str(["attack", "code-audit", "rates", "run"])
+    assert config_error_line == "2 False"
+    assert help_line == "0 False"
+    code, rates_loaded = rates_line.split(" ", 1)
+    assert code == "0" and json.loads(rates_loaded) == want
+    assert len(read_csv(curve)) == 99
     assert frozen_line == "True"
 
 

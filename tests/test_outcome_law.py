@@ -1,4 +1,4 @@
-"""The exact outcome law of an honest p0 session, against `run`.
+"""The exact outcome law of honest p0 and p0q sessions, against `run`.
 
 An honest Bob keeps the first n0 cleanly received positions of the 2 n0
 duplicated bits, so a session aborts exactly when fewer than n0 of them
@@ -9,6 +9,12 @@ codewords are the weights of the coset e + C, so decoding fails exactly
 when that coset has a tied minimum weight (MacWilliams & Sloane, ch. 1):
 P(decode_failure | no abort) is the sum of p^wt(e) (1 - p)^(n0 - wt(e))
 over those e.
+
+A p0q trial runs q - 1 independent p0 sessions and reports the status
+of the first one that is not ok.  With a = P(abort) and f =
+P(decode_failure) for one session, some session fails with probability
+1 - (1 - a - f)^(q - 1), and the first failure is an abort with
+probability a / (a + f).
 
 The oracle enumerates the 2^n0 error patterns; `run`'s counts must lie
 inside both binomial tails at 1e-6.  The seeds were fixed before the
@@ -27,6 +33,7 @@ from otlab.gf import GF
 from otlab.linalg import Matrix
 
 TAIL = 1e-6
+P0Q_SECRETS = 4
 
 EXTENDED_HAMMING_8_4 = ((1, 0, 0, 0, 0, 1, 1, 1),
                         (0, 1, 0, 0, 1, 0, 1, 1),
@@ -54,6 +61,13 @@ def p0_outcome_law(generator, phi):
     return p_abort, (1 - p_abort) * p_tie
 
 
+def p0q_outcome_law(generator, phi, q):
+    """(P(abort), P(decode_failure)) of one honest 1-of-q trial."""
+    a, f = p0_outcome_law(generator, phi)
+    some_failure = 1 - (1 - a - f) ** (q - 1)
+    return a * some_failure / (a + f), f * some_failure / (a + f)
+
+
 def binomial_tails(count, trials, prob):
     """(P(X <= count), P(X >= count)) for X ~ Bin(trials, prob)."""
     pmf = [math.exp(math.lgamma(trials + 1) - math.lgamma(k + 1)
@@ -72,18 +86,42 @@ def test_oracle_on_the_four_bit_repetition_code():
         (1 - p_abort) * 6 * p ** 2 * (1 - p) ** 2, rel=1e-12)
 
 
-@pytest.mark.parametrize("generator, phi, trials, seed", [
-    (((1, 1, 1, 1),), 0.3, 3000, 101),
-    (EXTENDED_HAMMING_8_4, 0.15, 2000, 102),
-], ids=["repetition-4-1", "extended-hamming-8-4"])
-def test_run_rates_follow_the_exact_law(generator, phi, trials, seed):
+def test_p0q_law_matches_enumerated_session_statuses():
+    # every sequence of q - 1 session statuses, weighted by its chance
+    a, f = p0_outcome_law(EXTENDED_HAMMING_8_4, 0.15)
+    for q in (2, 3, 4, 6):
+        law = {"abort": 0.0, "decode_failure": 0.0}
+        for statuses in itertools.product(("ok", "abort", "decode_failure"),
+                                          repeat=q - 1):
+            chance = math.prod({"ok": 1 - a - f, "abort": a,
+                                "decode_failure": f}[s] for s in statuses)
+            first = next((s for s in statuses if s != "ok"), "ok")
+            if first != "ok":
+                law[first] += chance
+        assert p0q_outcome_law(EXTENDED_HAMMING_8_4, 0.15, q) == pytest.approx(
+            (law["abort"], law["decode_failure"]), rel=1e-12)
+
+
+@pytest.mark.parametrize("protocol, generator, phi, trials, seed", [
+    ("p0", ((1, 1, 1, 1),), 0.3, 3000, 101),
+    ("p0", EXTENDED_HAMMING_8_4, 0.15, 2000, 102),
+    ("p0q", ((1, 1, 1, 1),), 0.3, 1000, 103),
+    ("p0q", EXTENDED_HAMMING_8_4, 0.15, 700, 104),
+], ids=["repetition-4-1", "extended-hamming-8-4", "p0q-repetition-4-1",
+        "p0q-extended-hamming-8-4"])
+def test_run_rates_follow_the_exact_law(protocol, generator, phi, trials,
+                                        seed):
     code = LinearCode(Matrix(GF(1), generator))
-    report = cmd_run({"protocol": "p0", "phi": phi, "trials": trials,
-                      "code": code_to_json(code)}, seed)
-    agg = report["aggregates"]
-    p_abort, p_fail = p0_outcome_law(generator, phi)
-    for rate, prob in ((agg["abort_rate"], p_abort),
-                       (agg["decode_failure_rate"], p_fail)):
+    config = {"protocol": protocol, "phi": phi, "trials": trials,
+              "code": code_to_json(code)}
+    if protocol == "p0q":
+        config["q"] = P0Q_SECRETS
+        law = p0q_outcome_law(generator, phi, P0Q_SECRETS)
+    else:
+        law = p0_outcome_law(generator, phi)
+    agg = cmd_run(config, seed)["aggregates"]
+    for rate, prob in zip((agg["abort_rate"], agg["decode_failure_rate"]),
+                          law):
         count = round(rate * trials)
         low, high = binomial_tails(count, trials, prob)
         assert min(low, high) > TAIL, (count, trials, prob)
