@@ -400,9 +400,10 @@ def _normalize_run(config: dict, seed: int) -> tuple[dict, RunSetup]:
                   None if basis is None else basis.field.order)
     degree = q.bit_length() - 1 if spec.outer else 1
 
-    # inner session code
+    # inner session code from a file; the default one, the session
+    # parameters and the decoder come after the outer checks
     bits = m * degree
-    inner_d = None
+    code = inner_d = None
     if cfg["code"] is not None:
         code, embedded = _load_code(cfg["code"], "inner code")
         _require(code.field.degree == 1, "the inner code must be binary")
@@ -417,17 +418,10 @@ def _normalize_run(config: dict, seed: int) -> tuple[dict, RunSetup]:
     else:
         n0 = DEFAULT_N0 if cfg["n0"] is None else cfg["n0"]
         _require(bits <= n0, f"secrets of {bits} bits do not fit n0={n0}")
-        code, inner_d = _default_inner_code(n0, bits, limit,
-                                            derive_rng(seed, 1))
-    inner = _checked(P0Params, channel=BscParams(cfg["phi"]),
-                     code=code, secret_bits=bits,
-                     security_slack=slack if slack > 0 else None,
-                     decoder=MLDecoder(code, min(limit, DECODER_WORD_CAP)))
 
     # outer structure
-    outer = None
     margin = None
-    secret_bits = bits
+    secret_rows = 1
     if spec.outer:
         if basis is not None:
             _require(cfg["n"] in (None, basis.length),
@@ -456,8 +450,18 @@ def _normalize_run(config: dict, seed: int) -> tuple[dict, RunSetup]:
         if spec.compressed:
             margin = DEFAULT_DELTA if cfg["delta"] is None else cfg["delta"]
             secret_rows = _compressed_length(basis.dimension, margin)
-        outer = OuterParams(basis=basis, inner=inner, margin=margin)
-        secret_bits = secret_rows * bits
+
+    # inner session parameters and decoder
+    if code is None:
+        code, inner_d = _default_inner_code(n0, bits, limit,
+                                            derive_rng(seed, 1))
+    inner = _checked(P0Params, channel=BscParams(cfg["phi"]),
+                     code=code, secret_bits=bits,
+                     security_slack=slack if slack > 0 else None,
+                     decoder=MLDecoder(code, min(limit, DECODER_WORD_CAP)))
+    outer = (OuterParams(basis=basis, inner=inner, margin=margin)
+             if spec.outer else None)
+    secret_bits = secret_rows * bits
 
     resolved = {**cfg, "n0": n0, "n": outer.rounds if outer else None,
                 "q": q, "delta": margin}

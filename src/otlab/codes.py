@@ -1,11 +1,12 @@
 """Linear codes over GF(2^e) and the audits the protocols depend on.
 
 A LinearCode wraps a full-row-rank generator matrix and lazily caches the
-expensive audits: minimum distance d (exhaustive enumeration up to a
-budget), the componentwise-product span ("square") of the code, and the
-square's distance d-hat.  The square governs how much an adversarial
-request mask can correlate rounds, so d and d-hat together are the
-security dial the outer protocols read.
+expensive audits: minimum distance d (an exact Brouwer-Zimmermann search
+on packed symbols, without numpy, gated by a q^k codeword budget), the
+componentwise-product span ("square") of the code, and the square's
+distance d-hat.  The square governs how much an adversarial request mask
+can correlate rounds, so d and d-hat together are the security dial the
+outer protocols read.
 
 Also here: puncturing, the inductive construction of an orthonormal row
 basis (self-orthogonal rows scaled to unit self-product, puncturing at
@@ -16,18 +17,17 @@ zero, and samplers for the dual of the square.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from operator import itemgetter
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from .gf import GF, Field
-from .linalg import (Matrix, Vector, full_rank_matrix, pack_rows,
-                     rank_and_kernel, rref, row_span_basis, solve_affine,
-                     span_words, weights)
+from .linalg import (Matrix, Vector, full_rank_matrix, rank_and_kernel,
+                     rref, row_span_basis, solve_affine)
 
 if TYPE_CHECKING:
     import numpy as np
 
 DEFAULT_ENUM_LIMIT = 1 << 24
-_SPAN_BLOCK_ROWS = 16  # min_distance spans 2^16 words at a time
 
 
 class EnumerationLimit(RuntimeError):
@@ -112,14 +112,14 @@ class LinearCode:
             yield tuple(word)
 
     def min_distance(self, limit: int = DEFAULT_ENUM_LIMIT) -> int:
-        """Exact minimum distance by codeword enumeration (cached).
+        """Exact minimum distance by the Brouwer-Zimmermann search (cached).
 
-        Binary codes span the low (at most 16) generator rows once as
-        packed words and walk that block shifted by each combination of
-        the high rows, so memory stays near 2^16 words for any k; the
-        general case uses the incremental odometer of iter_codewords.
-        Raises EnumerationLimit when q^k exceeds the budget, also for the
-        whole space (k = n), whose distance 1 needs no enumeration.
+        The search walks codewords of growing message weight over a few
+        systematic generators with disjoint new pivots (`_distance`), and
+        stops as soon as the lower bound those generators give meets the
+        lightest word found; it is exact for every field.  Raises
+        EnumerationLimit when q^k exceeds the budget, also for the whole
+        space (k = n), whose distance 1 needs no search.
         """
         if self._min_distance is not None:
             return self._min_distance
@@ -128,22 +128,8 @@ class LinearCode:
             raise EnumerationLimit(
                 f"{q}^{k} codewords exceed the enumeration budget {limit}; "
                 "raise the limit (--enum-limit)")
-        if k == n:
-            best = 1  # the whole space holds every unit vector
-        elif q == 2:
-            rows = pack_rows(self._generator)
-            low = span_words(rows[:_SPAN_BLOCK_ROWS], n)
-            best = int(weights(low[1:], n).min())
-            # The rows are independent, so a nonzero high combination
-            # shifts the whole low block off zero.
-            for high in span_words(rows[_SPAN_BLOCK_ROWS:], n)[1:]:
-                best = min(best, int(weights(low ^ high, n).min()))
-        else:
-            best = n
-            for word in self.iter_codewords(limit):
-                w = sum(1 for a in word if a)
-                if 0 < w < best:
-                    best = w
+        # the whole space holds every unit vector
+        best = 1 if k == n else _distance(self._generator)
         self._min_distance = best
         return best
 
@@ -184,6 +170,98 @@ class LinearCode:
             self._min_distance = d
 
 
+# -- minimum distance ----------------------------------------------------------
+
+def _information_sets(generator: Matrix) -> Iterator[tuple[int, Matrix]]:
+    """Systematic generators of one code whose new pivots are disjoint.
+
+    Each rref runs on the columns reordered with the ones no earlier set
+    pivoted on first, so its pivots take as many fresh columns as the rank
+    of those columns allows; the fresh pivots count as the set's `new`.
+    The reduced rows stay in the reordered coordinates, which changes no
+    weight.  Yields (new, reduced generator) per set, up to the first call
+    that adds no fresh pivot.
+    """
+    f, n = generator.field, generator.ncols
+    used: set[int] = set()
+    while len(used) < n:
+        unused = [j for j in range(n) if j not in used]
+        pick = itemgetter(*unused, *sorted(used))
+        red, pivots = rref(Matrix._trusted(
+            f, tuple(pick(r) for r in generator.rows)))
+        fresh = [unused[p] for p in pivots if p < len(unused)]
+        if not fresh:
+            return
+        used.update(fresh)
+        yield len(fresh), red
+
+
+def _distance(generator: Matrix) -> int:
+    """Minimum weight of the nonzero words of a k < n code: the
+    Brouwer-Zimmermann search (K.-H. Zimmermann 1996; M. Grassl,
+    "Searching for linear codes with large minimum distance", 2006).
+
+    A word packs symbol j into bits e j .. e j + e - 1 of one int, so
+    field addition is XOR, multiplying every symbol by x is a masked
+    shift, and the weight is the number of nonzero e-bit groups: the int
+    folded onto each group's low bit, then counted.  For w = 1, 2, ...
+    each systematic generator enumerates its words of message weight w
+    with the first coefficient 1 (scaling keeps the weight), as XORs of
+    the rows' precomputed multiples.  Every generator walks every level
+    from 1: a word missed after level w then has message weight above w
+    under each generator, hence at least w + 1 - (k - new) nonzero symbols
+    on that generator's fresh pivots.  Those columns are disjoint, so the
+    sum over generators bounds its weight, and the search stops once that
+    bound reaches the lightest word found.
+    """
+    f = generator.field
+    e, k, n, q = f.degree, generator.nrows, generator.ncols, f.order
+    low = sum(1 << (e * j) for j in range(n))
+    top = low << (e - 1)
+    spill = f.poly ^ q  # x^e reduced, added where a symbol overflows
+
+    if e == 1:
+        weight = int.bit_count
+    else:
+        def weight(x: int) -> int:
+            folded = x
+            for shift in range(1, e):
+                folded |= x >> shift
+            return (folded & low).bit_count()
+
+    def prepare(new: int, red: Matrix) -> tuple:
+        mults = []
+        for row in red.rows:
+            word = sum(a << (e * j) for j, a in enumerate(row))
+            ms = [word]  # times x^0, x^1, ..., x^(q-2): every nonzero scalar
+            for _ in range(q - 2):
+                word = ((word & ~top) << 1) ^ ((word >> (e - 1)) & low) * spill
+                ms.append(word)
+            mults.append(ms)
+        # tails[s]: every multiple of rows s.. k-1, for the last coefficient
+        tails = [[m for ms in mults[s:] for m in ms] for s in range(k + 1)]
+        return new, mults, tails
+
+    def lightest(mults: list, tails: list, w: int) -> int:
+        def walk(word: int, start: int, left: int) -> int:
+            if left == 0:
+                return weight(word)
+            if left == 1:
+                return min(map(weight, map(word.__xor__, tails[start])))
+            return min(walk(word ^ m, j + 1, left - 1)
+                       for j in range(start, k - left + 1) for m in mults[j])
+        return min(walk(mults[i][0], i + 1, w - 1) for i in range(k - w + 1))
+
+    searches = [prepare(*s) for s in _information_sets(generator)]
+    best = n
+    for w in range(1, k + 1):
+        for _, mults, tails in searches:
+            best = min(best, lightest(mults, tails, w))
+        if sum(max(0, w + 1 - (k - new)) for new, _, _ in searches) >= best:
+            break
+    return best
+
+
 @dataclass(frozen=True)
 class CodeAudit:
     d: int
@@ -196,7 +274,7 @@ def puncture(code: LinearCode, positions: Iterable[int],
     """Delete the given coordinates.
 
     Requires |positions| < d so the projection is injective on the code
-    and the dimension is preserved (checked: d is enumerated if not
+    and the dimension is preserved (checked: d is computed if not
     already cached).
     """
     pos = sorted(set(positions))

@@ -25,7 +25,8 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from .codes import OrthonormalCode, square_dual_sample
 from .gf import Field
-from .linalg import Matrix, full_rank_matrix, solve_columns
+from .linalg import (Matrix, full_rank_matrix, pack_bits, pack_rows,
+                     solve_columns)
 from .proto_p0 import P0Params, Session, p0q_run
 
 if TYPE_CHECKING:
@@ -103,10 +104,21 @@ def request_indices(mask: Sequence[int], want_first: bool,
 
 
 def cheat_matrix_V(rows: Matrix, mask: Sequence[int]) -> Matrix:
-    """V(u) with V_ij = u . (H_i * H_j); zero iff u is dual to the square."""
+    """V(u) with V_ij = u . (H_i * H_j); zero iff u is dual to the square.
+
+    Over GF(2) the rows and the mask are packed, and V_ij is the parity
+    of u & H_i & H_j.
+    """
     f = rows.field
     if len(mask) != rows.ncols:
         raise ValueError("mask length must match the basis length")
+    mask = [f.check(a) for a in mask]
+    if f.degree == 1:
+        u = pack_bits(mask)
+        packed = pack_rows(rows)
+        return Matrix._trusted(f, tuple(
+            tuple((u & hi & hj).bit_count() & 1 for hj in packed)
+            for hi in packed), ncols=rows.nrows)
     masked = Matrix(f, tuple(
         tuple(f.mul(a, u) for a, u in zip(row, mask)) for row in rows.rows))
     return rows @ masked.transpose()

@@ -134,13 +134,14 @@ def test_run_workers_do_not_change_bytes():
 
 def test_import_leaves_out_schema_library_and_process_pool(tmp_path):
     # start-up pays only for what a serial command uses; numpy loads where
-    # it computes, so `rates`, `--help` and a config error never load it;
-    # the benchmark's shim finds the session modules and the dispatch table
-    # after import; main freezes the import-time heap so exit skips
-    # collecting it
+    # it computes, so `rates`, `--help`, `code-audit` and a config error
+    # (also one in the outer structure, caught before the inner decoder is
+    # built) never load it; the benchmark's shim finds the session modules
+    # and the dispatch table after import; main freezes the import-time
+    # heap so exit skips collecting it
     probe = ("import contextlib, gc, io, json, sys, otlab.cli\n"
              "def loaded():\n"
-             "    return json.dumps({m: m in sys.modules for m in sys.argv[2:]})\n"
+             "    return json.dumps({m: m in sys.modules for m in sys.argv[3:]})\n"
              "def quiet(argv):\n"
              "    out = io.StringIO()\n"
              "    with contextlib.redirect_stdout(out), \\\n"
@@ -152,24 +153,31 @@ def test_import_leaves_out_schema_library_and_process_pool(tmp_path):
              "print(loaded())\n"
              "print(sorted(otlab.cli._DISPATCH))\n"
              "print(quiet(['run', '--phi', '0.7']), 'numpy' in sys.modules)\n"
+             "print(quiet(['run', '--protocol', 'p1', '--n', '4']),\n"
+             "      'numpy' in sys.modules)\n"
              "print(quiet(['rates', '--help']), 'numpy' in sys.modules)\n"
+             "print(quiet(['code-audit', '--code', sys.argv[2]]),\n"
+             "      'numpy' in sys.modules)\n"
              "print(quiet(['rates', '--curve', sys.argv[1]]), loaded())\n"
              "print(gc.get_freeze_count() > 0)")
     names = ("numpy", "jsonschema", "multiprocessing",
              "concurrent.futures.process", "otlab.adversary",
              "otlab.proto_p0", "otlab.proto_outer")
     curve = tmp_path / "curve.csv"
-    proc = subprocess.run([sys.executable, "-c", probe, str(curve), *names],
+    proc = subprocess.run([sys.executable, "-c", probe, str(curve),
+                           str(GOLDEN_CODES / "golay.json"), *names],
                           capture_output=True, text=True, check=True)
-    (import_line, dispatch_line, config_error_line, help_line, rates_line,
-     frozen_line) = proc.stdout.splitlines()
+    (import_line, dispatch_line, config_error_line, outer_error_line,
+     help_line, audit_line, rates_line, frozen_line) = proc.stdout.splitlines()
     want = {"numpy": False, "jsonschema": False, "multiprocessing": False,
             "concurrent.futures.process": False, "otlab.adversary": False,
             "otlab.proto_p0": True, "otlab.proto_outer": True}
     assert json.loads(import_line) == want
     assert dispatch_line == str(["attack", "code-audit", "rates", "run"])
     assert config_error_line == "2 False"
+    assert outer_error_line == "2 False"
     assert help_line == "0 False"
+    assert audit_line == "0 False"
     code, rates_loaded = rates_line.split(" ", 1)
     assert code == "0" and json.loads(rates_loaded) == want
     assert len(read_csv(curve)) == 99

@@ -3,23 +3,30 @@
 Over GF(2) `rref`, `rank`, `rank_and_kernel` and `solve_affine` run on
 packed rows; here each is compared with the dense reduction loop
 (`linalg._rref_dense`) and with the dense kernel/sampling code kept below
-as the reference.  The numpy enumeration (ML decoding, minimum distance)
-is compared with brute force over iter_codewords and with a Gray walk.
+as the reference.  The numpy enumeration of the ML decoder is compared
+with brute force over iter_codewords.  The Brouwer-Zimmermann minimum
+distance, which packs the symbols of any GF(2^e) into one int, is
+compared with the brute-force minimum over iter_codewords and with a
+Gray walk, and the packed cheat matrix V(u) with the dense product.
 The matrix draws and column solves are compared with the row and column
 loops they replaced.
 """
+
+from itertools import islice, product
 
 import numpy as np
 import pytest
 
 from otlab.channels import ERASED, BscParams
-from otlab.codes import LinearCode, cyclic_code, random_code
+from otlab.codes import (LinearCode, OrthonormalCode, cyclic_code,
+                         random_code)
 from otlab.gf import GF
 from otlab.linalg import (InconsistentSystem, Matrix, _rref_dense,
                           full_rank_matrix, gf2_apply, gf2_rank, pack_bits,
                           pack_rows, random_matrix, rank, rank_and_kernel,
                           rref, solve_affine, solve_columns, span_words,
                           unpack_bits)
+from otlab.proto_outer import cheat_matrix_V
 from otlab.proto_p0 import MLDecoder, P0Params
 
 F2 = GF(1)
@@ -330,3 +337,109 @@ def test_min_distance_finds_a_light_word_among_the_high_rows():
     unit = tuple(1 if j == 0 else 0 for j in range(30))
     code = LinearCode.from_rows(F2, low + (unit,))
     assert code.min_distance() == gray_walk_distance(code) == 1
+
+
+def brute_force_distance(code):
+    return min(sum(1 for a in w if a)
+               for w in islice(code.iter_codewords(), 1, None))
+
+
+def full_rank_code(field, rows_of, rng):
+    """LinearCode on the first draw of rows_of(rng) with full row rank."""
+    while True:
+        rows = rows_of(rng)
+        m = Matrix(field, rows)
+        if rank(m) == m.nrows:
+            return LinearCode(m)
+
+
+def systematic_twice(field, b_rows):
+    """[I_k | B | B]: past the first, every information set has rank(B)
+    fresh pivots, so with B narrower than k they are partly fresh."""
+    k = len(b_rows)
+    return LinearCode.from_rows(field, (
+        tuple(1 if j == i else 0 for j in range(k)) + tuple(b) + tuple(b)
+        for i, b in enumerate(b_rows)))
+
+
+def distance_cases(field, max_k, count, rng):
+    """Dense and sparse random codes, [I | B | B] codes with partly fresh
+    information sets, k = 1, k = n - 1, and a unit vector as the last row
+    (its d = 1 only shows beside the other rows)."""
+    q = field.order
+    for _ in range(count):
+        k = int(rng.integers(1, max_k + 1))
+        n = int(rng.integers(k + 1, k + 12))
+        yield random_code(field, n, k, rng)
+        yield systematic_twice(field, [
+            [int(a) for a in rng.integers(0, q, size=max(1, k - 2))]
+            for _ in range(k)])
+        density = float(rng.uniform(0.1, 0.4))
+        yield full_rank_code(field, lambda r: [
+            [int(a) if r.random() < density else 0
+             for a in r.integers(1, q, size=n)] for _ in range(k)], rng)
+        unit = [0] * n
+        unit[int(rng.integers(n))] = int(rng.integers(1, q))
+        yield full_rank_code(field, lambda r: [
+            [int(a) for a in r.integers(0, q, size=n)]
+            for _ in range(k - 1)] + [unit], rng)
+    for n in (2, 5, max_k + 1):
+        yield random_code(field, n, 1, rng)
+        yield random_code(field, n, n - 1, rng)
+
+
+@pytest.mark.parametrize("degree,max_k,count", [(1, 9, 60), (2, 4, 30),
+                                                (3, 3, 20)])
+def test_min_distance_matches_brute_force(degree, max_k, count):
+    field = GF(degree)
+    rng = np.random.default_rng(5200 + degree)
+    found = set()
+    for code in distance_cases(field, max_k, count, rng):
+        want = brute_force_distance(code)
+        assert code.min_distance() == want, code.generator.rows
+        found.add(want)
+    assert 1 in found and max(found) >= 4
+
+
+def test_min_distance_with_partly_fresh_information_sets():
+    # rows 0, 2 and 3 sum to 1011000|00000|00000; the later sets have 5
+    # fresh pivots of 7, so a bound that skips their low levels stops at 5
+    code = systematic_twice(F2, [
+        [int(c) for c in b] for b in ("11000", "00011", "01100", "10100",
+                                      "00110", "00101", "11111")])
+    assert brute_force_distance(code) == 3
+    assert code.min_distance() == 3
+
+
+def test_min_distance_of_golay_and_its_extension():
+    golay = cyclic_code(F2, 23, (1, 0, 1, 0, 1, 1, 1, 0, 0, 0, 1, 1))
+    extended = LinearCode.from_rows(
+        F2, (row + (sum(row) % 2,) for row in golay.generator.rows))
+    for code, d in ((golay, 7), (extended, 8)):
+        assert brute_force_distance(code) == d
+        assert code.min_distance() == d
+
+
+# -- the cheat matrix ------------------------------------------------------------
+
+def dense_cheat_matrix(basis, mask):
+    f, rows = basis.field, basis.rows.rows
+    return tuple(tuple(f.dot(hi, [f.mul(u, a) for u, a in zip(mask, hj)])
+                       for hj in rows) for hi in rows)
+
+
+@pytest.mark.parametrize("basis", [
+    # [I_4 | ones] over GF(2), the toy outer code; [I_2 | 1 1] over GF(4)
+    OrthonormalCode(Matrix(F2, tuple(
+        tuple(1 if j == i else 0 for j in range(4)) + (1, 1, 1, 1)
+        for i in range(4)))),
+    OrthonormalCode(Matrix(GF(2), ((1, 0, 1, 1), (0, 1, 1, 1)))),
+])
+def test_cheat_matrix_matches_the_dense_product(basis):
+    f = basis.field
+    for mask in product(range(f.order), repeat=basis.length):
+        v = cheat_matrix_V(basis.rows, mask)
+        assert (v.nrows, v.ncols) == (basis.dimension, basis.dimension)
+        assert v.rows == dense_cheat_matrix(basis, mask)
+    with pytest.raises(ValueError):
+        cheat_matrix_V(basis.rows, (f.order,) + (0,) * (basis.length - 1))
