@@ -33,8 +33,9 @@ from .analysis import (AccusationRule, detection_rule, expected_unerased,
                        wilson_interval)
 from .channels import BscParams
 from .codes import OrthonormalCode
-from .linalg import Matrix, full_rank_matrix, gf2_apply, gf2_rank, pack_rows
-from .proto_outer import cheat_matrix_V, compressed_length
+from .gf import GF
+from .linalg import full_rank_matrix, gf2_apply, pack, packed_rank
+from .proto_outer import cheat_rows, compressed_length
 
 
 # -- detection of corrupted pairs -----------------------------------------
@@ -188,7 +189,7 @@ def _full_rank_row_sets(r: int, u_len: int) -> list[np.ndarray]:
     """All full-rank u_len x r binary matrices as packed row arrays."""
     out = []
     for rows in itertools.product(range(1, 1 << r), repeat=u_len):
-        if gf2_rank(list(rows)) == u_len:
+        if packed_rank(GF(1), rows) == u_len:
             out.append(np.array(rows, dtype=np.int64))
     return out
 
@@ -272,6 +273,8 @@ def audit_bob_strategies(basis: OrthonormalCode, margin: float,
         masks = [tuple((x >> i) & 1 for i in range(n)) for x in range(1 << n)]
     else:
         masks = [tuple(int(a) & 1 for a in m) for m in masks]
+        if any(len(m) != n for m in masks):
+            raise ValueError("mask length must match the basis length")
     if pair_samples is None:
         # counted before enumerating: u_len independent rows of length r
         count = math.prod((1 << r) - (1 << i) for i in range(u_len))
@@ -282,7 +285,8 @@ def audit_bob_strategies(basis: OrthonormalCode, margin: float,
     else:
         if rng is None:
             raise ValueError("pair_samples needs an rng")
-        draws = [np.array(pack_rows(full_rank_matrix(f, u_len, r, rng)),
+        draws = [np.array([pack(f, row) for row in
+                           full_rank_matrix(f, u_len, r, rng).rows],
                           dtype=np.int64) for _ in range(2 * pair_samples)]
         pair_list = list(zip(draws[::2], draws[1::2]))
 
@@ -304,15 +308,14 @@ def audit_bob_strategies(basis: OrthonormalCode, margin: float,
     cells = []
     mismatches = 0
     hist: dict[int, int] = {}
-    eye = Matrix.identity(f, r)
+    packed = [pack(f, h) for h in basis.rows.rows]
     # a mask enters the posterior only through V, and many masks share one
     by_v: dict[tuple, tuple] = {}
     for mask in masks:
-        v = cheat_matrix_V(basis.rows, mask)
-        vrows = pack_rows(v)
+        vrows = cheat_rows(f, packed, pack(f, mask))
         key = tuple(vrows)
         if key not in by_v:
-            urows = pack_rows(v + eye)
+            urows = [v ^ 1 << i for i, v in enumerate(vrows)]  # V + I
             z_s = _parity_lut(urows, states)
             z_t = _parity_lut(vrows, states)
             z = z_s[:, None] ^ z_t[None, :]
@@ -324,7 +327,7 @@ def audit_bob_strategies(basis: OrthonormalCode, margin: float,
             h_tz = _row_entropies(cube.sum(axis=1).reshape(n_pairs, -1))
             h_first = h_stz - h_tz
             h_second = h_stz - h_sz
-            by_v[key] = (gf2_rank(vrows), gf2_rank(urows),
+            by_v[key] = (packed_rank(f, vrows), packed_rank(f, urows),
                          float(h_first.mean()), float(h_second.mean()),
                          float(np.maximum(h_first, h_second).min()))
         cell = MaskAudit(mask, *by_v[key])

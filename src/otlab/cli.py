@@ -304,8 +304,7 @@ class RunSetup:
 
 def _toy_compressed_basis(field) -> OrthonormalCode:
     """[I_4 | ones] has orthonormal rows over any of our fields."""
-    rows = tuple(tuple(1 if j == i else 0 for j in range(4)) + (1, 1, 1, 1)
-                 for i in range(4))
+    rows = tuple(r + (1, 1, 1, 1) for r in Matrix.identity(field, 4).rows)
     return OrthonormalCode(Matrix(field, rows))
 
 

@@ -17,12 +17,14 @@ zero, and samplers for the dual of the square.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from .gf import GF, Field
-from .linalg import (Matrix, Vector, full_rank_matrix, rank_and_kernel,
-                     rref, row_span_basis, solve_affine)
+from .linalg import (Matrix, Vector, dot, eliminate, full_rank_matrix, pack,
+                     rank, rank_and_kernel, rref, scale, solve_affine, unpack,
+                     weight)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -51,7 +53,7 @@ class LinearCode:
         k, n = generator.nrows, generator.ncols
         if not 1 <= k <= n:
             raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-        if len(rref(generator)[1]) != k:
+        if rank(generator) != k:
             raise ValueError("generator must have full row rank")
         self._generator = generator
         self._min_distance: Optional[int] = None
@@ -146,8 +148,8 @@ class LinearCode:
         rows = self._generator.rows
         prods = [schur(f, rows[i], rows[j])
                  for i in range(len(rows)) for j in range(i, len(rows))]
-        basis = row_span_basis(f, prods)
-        self._square = LinearCode(Matrix(f, basis))
+        red, pivots = rref(Matrix._trusted(f, tuple(prods)))
+        self._square = LinearCode(Matrix._trusted(f, red.rows[:len(pivots)]))
         return self._square
 
     def square_distance(self, limit: int = DEFAULT_ENUM_LIMIT) -> int:
@@ -172,28 +174,30 @@ class LinearCode:
 
 # -- minimum distance ----------------------------------------------------------
 
-def _information_sets(generator: Matrix) -> Iterator[tuple[int, Matrix]]:
+def _information_sets(generator: Matrix) -> Iterator[tuple[int, list[int]]]:
     """Systematic generators of one code whose new pivots are disjoint.
 
-    Each rref runs on the columns reordered with the ones no earlier set
-    pivoted on first, so its pivots take as many fresh columns as the rank
-    of those columns allows; the fresh pivots count as the set's `new`.
-    The reduced rows stay in the reordered coordinates, which changes no
-    weight.  Yields (new, reduced generator) per set, up to the first call
-    that adds no fresh pivot.
+    Each elimination runs on the columns reordered with the ones no
+    earlier set pivoted on first, so its pivots take as many fresh columns
+    as the rank of those columns allows; the fresh pivots count as the
+    set's `new`.  The reduced rows stay packed and in the reordered
+    coordinates, which changes no weight.  Yields (new, packed reduced
+    rows) per set, up to the first elimination that adds no fresh pivot.
     """
     f, n = generator.field, generator.ncols
     used: set[int] = set()
     while len(used) < n:
         unused = [j for j in range(n) if j not in used]
         pick = itemgetter(*unused, *sorted(used))
-        red, pivots = rref(Matrix._trusted(
-            f, tuple(pick(r) for r in generator.rows)))
+        rows: list[int] = []
+        pivots: list[int] = []
+        eliminate(f, rows, pivots,
+                  [pack(f, pick(r)) for r in generator.rows], n)
         fresh = [unused[p] for p in pivots if p < len(unused)]
         if not fresh:
             return
         used.update(fresh)
-        yield len(fresh), red
+        yield len(fresh), rows
 
 
 def _distance(generator: Matrix) -> int:
@@ -201,43 +205,25 @@ def _distance(generator: Matrix) -> int:
     Brouwer-Zimmermann search (K.-H. Zimmermann 1996; M. Grassl,
     "Searching for linear codes with large minimum distance", 2006).
 
-    A word packs symbol j into bits e j .. e j + e - 1 of one int, so
-    field addition is XOR, multiplying every symbol by x is a masked
-    shift, and the weight is the number of nonzero e-bit groups: the int
-    folded onto each group's low bit, then counted.  For w = 1, 2, ...
-    each systematic generator enumerates its words of message weight w
-    with the first coefficient 1 (scaling keeps the weight), as XORs of
-    the rows' precomputed multiples.  Every generator walks every level
-    from 1: a word missed after level w then has message weight above w
-    under each generator, hence at least w + 1 - (k - new) nonzero symbols
-    on that generator's fresh pivots.  Those columns are disjoint, so the
-    sum over generators bounds its weight, and the search stops once that
-    bound reaches the lightest word found.
+    Words are packed rows (see linalg), so field addition is XOR and the
+    weight is linalg.weight.  For w = 1, 2, ... each systematic generator
+    enumerates its words of message weight w with the first coefficient
+    1 (scaling keeps the weight), as XORs of the rows' precomputed
+    multiples.  Every generator walks every level from 1: a word missed
+    after level w then has message weight above w under each generator,
+    hence at least w + 1 - (k - new) nonzero symbols on that generator's
+    fresh pivots.  Those columns are disjoint, so the sum over generators
+    bounds its weight, and the search stops once that bound reaches the
+    lightest word found.
     """
     f = generator.field
-    e, k, n, q = f.degree, generator.nrows, generator.ncols, f.order
-    low = sum(1 << (e * j) for j in range(n))
-    top = low << (e - 1)
-    spill = f.poly ^ q  # x^e reduced, added where a symbol overflows
+    k, n = generator.nrows, generator.ncols
+    count = partial(weight, f)
 
-    if e == 1:
-        weight = int.bit_count
-    else:
-        def weight(x: int) -> int:
-            folded = x
-            for shift in range(1, e):
-                folded |= x >> shift
-            return (folded & low).bit_count()
-
-    def prepare(new: int, red: Matrix) -> tuple:
-        mults = []
-        for row in red.rows:
-            word = sum(a << (e * j) for j, a in enumerate(row))
-            ms = [word]  # times x^0, x^1, ..., x^(q-2): every nonzero scalar
-            for _ in range(q - 2):
-                word = ((word & ~top) << 1) ^ ((word >> (e - 1)) & low) * spill
-                ms.append(word)
-            mults.append(ms)
+    def prepare(new: int, rows: list[int]) -> tuple:
+        # every nonzero multiple of each row, the row itself (c = 1) first
+        mults = [[scale(f, row, c) for c in range(1, f.order)]
+                 for row in rows]
         # tails[s]: every multiple of rows s.. k-1, for the last coefficient
         tails = [[m for ms in mults[s:] for m in ms] for s in range(k + 1)]
         return new, mults, tails
@@ -245,9 +231,9 @@ def _distance(generator: Matrix) -> int:
     def lightest(mults: list, tails: list, w: int) -> int:
         def walk(word: int, start: int, left: int) -> int:
             if left == 0:
-                return weight(word)
+                return count(word)
             if left == 1:
-                return min(map(weight, map(word.__xor__, tails[start])))
+                return min(map(count, map(word.__xor__, tails[start])))
             return min(walk(word ^ m, j + 1, left - 1)
                        for j in range(start, k - left + 1) for m in mults[j])
         return min(walk(mults[i][0], i + 1, w - 1) for i in range(k - w + 1))
@@ -337,38 +323,25 @@ def orthonormalize(code: LinearCode) -> tuple[OrthonormalCode, tuple[int, ...]]:
     Returns (orthonormal code on the surviving positions, punctured
     positions in the original indexing, ascending).
     """
-    f = code.field
+    f, e, n = code.field, code.field.degree, code.length
     red, pivots = rref(code.generator)
-    brows = [list(r) for r in red.rows[:code.dimension]]
-    n = code.length
-    dropped: set[int] = set()
-    settled: list[list[int]] = []
-
-    def kept_dot(u: Sequence[int], v: Sequence[int]) -> int:
-        acc = 0
-        for i in range(n):
-            if i not in dropped:
-                acc ^= f.mul(u[i], v[i])
-        return acc
-
-    for step, brow in enumerate(brows):
-        cand = list(brow)
+    kept = (1 << e * n) - 1  # the symbols of the surviving positions
+    settled: list[int] = []
+    for step, row in enumerate(red.rows[:code.dimension]):
+        cand = pack(f, row)
         for h in settled:
-            lam = kept_dot(cand, h)
-            if lam:
-                for i in range(n):
-                    cand[i] ^= f.mul(lam, h[i])
-        nrm = kept_dot(cand, cand)
+            cand ^= scale(f, h, dot(f, cand & kept, h))
+        nrm = dot(f, cand & kept, cand)
         if nrm == 0:
-            dropped.add(pivots[step])
-            nrm = kept_dot(cand, cand)
+            kept &= ~((1 << e) - 1 << e * pivots[step])
+            nrm = dot(f, cand & kept, cand)
             if nrm == 0:
                 raise AssertionError("pivot puncture failed to fix self-product")
-        scale = f.inv(f.sqrt(nrm))
-        settled.append([f.mul(scale, a) for a in cand])
+        settled.append(scale(f, cand, f.inv(f.sqrt(nrm))))
 
-    punctured = tuple(sorted(dropped))
-    hmat = Matrix(f, tuple(tuple(r) for r in settled)).drop_columns(punctured)
+    punctured = tuple(j for j in range(n) if not kept >> e * j & 1)
+    hmat = Matrix(f, tuple(unpack(f, h, n) for h in settled)
+                  ).drop_columns(punctured)
     return OrthonormalCode(hmat), punctured
 
 

@@ -115,10 +115,6 @@ class Field:
 
     # -- arithmetic ----------------------------------------------------
 
-    @staticmethod
-    def add(a: int, b: int) -> int:
-        return a ^ b
-
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0

@@ -1,21 +1,20 @@
-"""Linear algebra over GF(2^e), with one packed layer for GF(2).
+"""Linear algebra over GF(2^e) on one packed row layer.
 
 Matrices are immutable (tuple-of-tuples storage) and carry their field.
 Row reduction uses lowest-index pivot selection so every reduced form,
 rank, kernel basis, and sampled solution is reproducible bit for bit.
 
-Over GF(2) the work runs on packed rows: a row is one Python int whose
-bit i is the entry in column i.  `rref`, `rank`, `rank_and_kernel` and
-`solve_affine` take that path whenever field.degree == 1.  The reduced
-row echelon form, the kernel basis and the particular solution with the
-free variables at zero are unique for a given row space, so the packed
-path returns exactly what the dense loop returns and `solve_affine`
-draws the same random coefficients; the dense loop (`_rref_dense`) is
-the GF(2^e > 1) implementation and the reference the tests compare
-against.  GF2Coset keeps a reduced system so that many solutions can be
-sampled from one elimination.  `random_matrix`, `full_rank_matrix` and
-`solve_columns` are the one way to draw a matrix, draw one of full row
-rank, and sample a matrix solution column by column.
+Every row operation runs on packed rows: a row over GF(2^e) is one
+Python int whose bits e j .. e j + e - 1 hold the symbol in column j, so
+over GF(2) bit j is the entry in column j.  Addition is XOR; `scale`
+multiplies every symbol by one field element with at most e masked
+shifts, `product` multiplies two words symbol by symbol, `dot` sums that
+product and `weight` counts nonzero symbols.  One elimination loop
+(`eliminate`) serves every field: `rref`, `rank`, `rank_and_kernel`,
+`solve_affine` and `solve_columns` all reduce through it, and one
+sampler (`Coset`) draws the uniform solutions, so one elimination can
+serve many right-hand sides.  `random_matrix` and `full_rank_matrix` are
+the one way to draw a matrix and to draw one of full row rank.
 
 Codeword enumeration uses numpy: `span_words` lists every combination of
 packed rows as int64 words (63 bits to a limb, limbs on the last axis),
@@ -145,13 +144,6 @@ class Matrix:
         f = self.field
         return tuple(f.dot(v, col) for col in zip(*self.rows))
 
-    def vstack(self, other: "Matrix") -> "Matrix":
-        if self.field != other.field or (self.nrows and other.nrows
-                                         and self.ncols != other.ncols):
-            raise DimensionMismatch("vstack shape mismatch")
-        width = self.ncols if self.nrows else other.ncols
-        return Matrix._trusted(self.field, self.rows + other.rows, ncols=width)
-
     def drop_columns(self, positions: Iterable[int]) -> "Matrix":
         drop = set(positions)
         keep = [j for j in range(self.ncols) if j not in drop]
@@ -187,81 +179,154 @@ class Matrix:
         }
 
 
-# -- packed GF(2) rows ------------------------------------------------------
+# -- packed rows -------------------------------------------------------------
 
-def pack_bits(bits: Sequence[int]) -> int:
-    """Pack a 0/1 sequence into an int, bit i = bits[i]."""
+def pack(field: Field, row: Sequence[int]) -> int:
+    """Pack symbols into one int: symbol j in bits e j .. e j + e - 1."""
+    e = field.degree
     acc = 0
-    for i, b in enumerate(bits):
-        if b:
-            acc |= 1 << i
+    for j, a in enumerate(row):
+        if a:
+            acc |= a << e * j
     return acc
 
 
-def unpack_bits(x: int, n: int) -> tuple:
-    return tuple((x >> i) & 1 for i in range(n))
+def unpack(field: Field, x: int, n: int) -> tuple:
+    """The first n symbols of a packed int."""
+    e, mask = field.degree, field.order - 1
+    return tuple(x >> s & mask for s in range(0, e * n, e))
 
 
-def pack_rows(m: Matrix) -> list[int]:
-    """The rows of a binary matrix as packed ints."""
-    return [pack_bits(r) for r in m.rows]
+def _low_bits(e: int, bits: int) -> int:
+    """Bit e j set for every symbol j of a word `bits` bits long."""
+    width = -(-bits // e) * e
+    return ((1 << width) - 1) // ((1 << e) - 1)
 
 
-def gf2_eliminate(rows: list[int], pivots: list[int], new: Iterable[int],
-                  ncols: int) -> list[int]:
+def scale(field: Field, x: int, c: int) -> int:
+    """Every symbol of packed x times the field element c (x for c = 1).
+
+    The sum of x times x^t over the set bits t of c.  Multiplying every
+    symbol by x is one masked shift: each symbol's top bit is cleared
+    before the shift and, where it was set, x^e reduced by the modulus is
+    added back into that symbol.
+    """
+    if c == 1:
+        return x
+    e = field.degree
+    low = _low_bits(e, x.bit_length())
+    top, spill = low << e - 1, field.poly ^ field.order
+    acc = 0
+    while True:
+        if c & 1:
+            acc ^= x
+        c >>= 1
+        if not c:
+            return acc
+        x = ((x & ~top) << 1) ^ ((x & top) >> e - 1) * spill
+
+
+def product(field: Field, a: int, b: int) -> int:
+    """Symbol-wise product of two packed words (a & b over GF(2)): bit
+    plane t of b selects the symbols of a times x^t."""
+    e, q = field.degree, field.order
+    low = _low_bits(e, max(a.bit_length(), b.bit_length()))
+    acc = 0
+    for t in range(e):
+        acc ^= scale(field, a, 1 << t) & (b >> t & low) * (q - 1)
+    return acc
+
+
+def dot(field: Field, a: int, b: int) -> int:
+    """Inner product of two packed words: the sum of their symbols'
+    products, taken one bit plane at a time as a parity."""
+    e = field.degree
+    if e == 1:
+        return (a & b).bit_count() & 1
+    x = product(field, a, b)
+    low = _low_bits(e, x.bit_length())
+    acc = 0
+    for t in range(e):
+        acc |= ((x >> t & low).bit_count() & 1) << t
+    return acc
+
+
+def weight(field: Field, x: int) -> int:
+    """Number of nonzero symbols of a packed word: each symbol's bits
+    folded onto its lowest bit, then counted."""
+    e = field.degree
+    if e == 1:
+        return x.bit_count()
+    folded = x
+    for t in range(1, e):
+        folded |= x >> t
+    return (folded & _low_bits(e, x.bit_length())).bit_count()
+
+
+def eliminate(field: Field, rows: list[int], pivots: list[int],
+              new: Iterable[int], ncols: int) -> list[int]:
     """Eliminate packed rows into a reduced echelon form, in place.
 
-    (rows, pivots) must already be reduced: row i has its lowest set bit
-    at column pivots[i], and that bit is clear in every other row.  Bits
-    at ncols and above ride along (an augmented right-hand side) but are
-    never pivots.  Each new row is reduced against the pivots; a nonzero
-    remainder joins with its lowest bit as pivot and is cleared from the
-    older rows.  This yields the lowest-index-pivot reduced form of the
-    stacked system, its rows in insertion order rather than pivot order.
-    Returns the remainders of the dependent rows (their coefficient bits
-    are zero; any bits left above ncols mean an inconsistent system).
+    (rows, pivots) must already be reduced: row i has its lowest nonzero
+    symbol, equal to 1, at column pivots[i], and that symbol is zero in
+    every other row.  Symbols at ncols and above ride along (augmented
+    right-hand sides) but are never pivots.  Each new row is reduced
+    against the pivots; a nonzero remainder is scaled to lead with 1,
+    joins with its lowest nonzero symbol as pivot and is cleared from
+    the older rows.  This yields the lowest-index-pivot reduced form of
+    the stacked system, its rows in insertion order rather than pivot
+    order.  Returns the remainders of the dependent rows (their
+    coefficient symbols are zero; any symbol left above ncols means an
+    inconsistent system).
     """
-    coeff_mask = (1 << ncols) - 1
+    e, mask = field.degree, field.order - 1
+    coeff_mask = (1 << e * ncols) - 1
     dependent = []
     for r in new:
         for row, p in zip(rows, pivots):
-            if r >> p & 1:
-                r ^= row
+            a = r >> e * p & mask
+            if a:
+                r ^= row if a == 1 else scale(field, row, a)
         coeffs = r & coeff_mask
         if not coeffs:
             dependent.append(r)
             continue
-        bit = coeffs & -coeffs
+        p = ((coeffs & -coeffs).bit_length() - 1) // e
+        lead = r >> e * p & mask
+        if lead != 1:
+            r = scale(field, r, field.inv(lead))
         for i, row in enumerate(rows):
-            if row & bit:
-                rows[i] = row ^ r
+            a = row >> e * p & mask
+            if a:
+                rows[i] = row ^ (r if a == 1 else scale(field, r, a))
         rows.append(r)
-        pivots.append(bit.bit_length() - 1)
+        pivots.append(p)
     return dependent
 
 
-def gf2_rank(rows: Sequence[int]) -> int:
-    """Rank of packed GF(2) rows."""
-    width = max((r.bit_length() for r in rows), default=0)
-    red: list[int] = []
+def packed_rank(field: Field, rows: Sequence[int]) -> int:
+    """Rank of packed rows."""
     pivots: list[int] = []
-    gf2_eliminate(red, pivots, rows, width)
+    eliminate(field, [], pivots, rows,
+              max((r.bit_length() for r in rows), default=0))
     return len(pivots)
 
 
-class GF2Coset:
+class Coset:
     """The solutions of a reduced packed system, ready for sampling.
 
-    rows/pivots come from gf2_eliminate over a consistent system whose
-    right-hand sides sit above bit ncols.  sample(select, rng) takes the
-    right-hand side of each row as the parity of its high bits masked by
-    select, so one elimination serves every right-hand side that is a
-    fixed linear function of select.
+    rows/pivots come from eliminate over a consistent system whose
+    right-hand sides sit at symbols ncols and above.  sample(select, rng)
+    takes the right-hand side of each row as the inner product of those
+    symbols with the packed select, so one elimination serves every
+    right-hand side that is a fixed linear function of select.
     """
 
-    __slots__ = ("ncols", "rows", "pivots", "free")
+    __slots__ = ("field", "ncols", "rows", "pivots", "free")
 
-    def __init__(self, rows: Sequence[int], pivots: Sequence[int], ncols: int):
+    def __init__(self, field: Field, rows: Sequence[int],
+                 pivots: Sequence[int], ncols: int):
+        self.field = field
         self.ncols = ncols
         self.rows = tuple(rows)
         self.pivots = tuple(pivots)
@@ -272,50 +337,23 @@ class GF2Coset:
         """Particular solution (free variables zero) plus a uniform kernel
         element; the kernel coefficients are one rng draw, one per free
         column in ascending order, made only when the kernel is nonzero."""
+        f = self.field
+        e = f.degree
         x = 0
         if self.free:
-            coeffs = rng.integers(0, 2, size=len(self.free)).tolist()
+            coeffs = rng.integers(0, f.order, size=len(self.free)).tolist()
             for c, j in zip(coeffs, self.free):
-                if c:
-                    x |= 1 << j
-        # Pivot bit = its row's right-hand side plus the row's entries at
-        # the chosen free columns, i.e. the parity of row & mask.
-        mask = x | (select << self.ncols)
+                x |= c << e * j
+        # Pivot symbol = its row's right-hand side plus the row's entries
+        # at the free columns times their values: the row's inner product
+        # with mask, where the pivots themselves are still zero.
+        mask = x | select << e * self.ncols
         for row, p in zip(self.rows, self.pivots):
-            x |= ((row & mask).bit_count() & 1) << p
+            x |= dot(f, row, mask) << e * p
         return x
 
 
 # -- row reduction -----------------------------------------------------------
-
-def _rref_dense(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Dense reduced row echelon form over any GF(2^e), same pivot rule."""
-    f = m.field
-    rows = [list(r) for r in m.rows]
-    pivots = []
-    pr = 0
-    for col in range(m.ncols):
-        sel = None
-        for i in range(pr, len(rows)):
-            if rows[i][col]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        rows[pr], rows[sel] = rows[sel], rows[pr]
-        inv = f.inv(rows[pr][col])
-        rows[pr] = [f.mul(inv, a) for a in rows[pr]]
-        for i in range(len(rows)):
-            if i != pr and rows[i][col]:
-                c = rows[i][col]
-                rows[i] = [a ^ f.mul(c, b) for a, b in zip(rows[i], rows[pr])]
-        pivots.append(col)
-        pr += 1
-        if pr == len(rows):
-            break
-    return (Matrix._trusted(f, tuple(tuple(r) for r in rows), ncols=m.ncols),
-            tuple(pivots))
-
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form with lowest-index pivot selection.
@@ -324,23 +362,19 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     each column, the first not-yet-used row with a nonzero entry becomes
     the pivot row; pivot rows come first in pivot order, zero rows last.
     """
-    if m.field.degree != 1:
-        return _rref_dense(m)
-    n = m.ncols
-    red: list[int] = []
+    f, n = m.field, m.ncols
+    rows: list[int] = []
     pivots: list[int] = []
-    gf2_eliminate(red, pivots, pack_rows(m), n)
+    eliminate(f, rows, pivots, [pack(f, r) for r in m.rows], n)
     order = sorted(range(len(pivots)), key=pivots.__getitem__)
-    rows = (tuple(unpack_bits(red[i], n) for i in order)
-            + ((0,) * n,) * (m.nrows - len(red)))
-    return (Matrix._trusted(m.field, rows, ncols=n),
+    red = (tuple(unpack(f, rows[i], n) for i in order)
+           + ((0,) * n,) * (m.nrows - len(rows)))
+    return (Matrix._trusted(f, red, ncols=n),
             tuple(pivots[i] for i in order))
 
 
 def rank(m: Matrix) -> int:
-    if m.field.degree != 1:
-        return len(_rref_dense(m)[1])
-    return gf2_rank(pack_rows(m))
+    return packed_rank(m.field, [pack(m.field, r) for r in m.rows])
 
 
 def rank_and_kernel(m: Matrix) -> tuple[int, tuple[Vector, ...]]:
@@ -364,15 +398,6 @@ def rank_and_kernel(m: Matrix) -> tuple[int, tuple[Vector, ...]]:
     return len(pivots), tuple(basis)
 
 
-def row_span_basis(field: Field, rows: Iterable[Sequence[int]]) -> tuple[Vector, ...]:
-    """Reduced basis (nonzero RREF rows) of the span of the given rows."""
-    m = Matrix(field, tuple(tuple(r) for r in rows))
-    if m.nrows == 0:
-        return ()
-    red, pivots = rref(m)
-    return red.rows[: len(pivots)]
-
-
 def solve_affine(m: Matrix, b: Sequence[int], rng: np.random.Generator) -> Vector:
     """A uniform sample from {v : M v = b}.
 
@@ -384,42 +409,34 @@ def solve_affine(m: Matrix, b: Sequence[int], rng: np.random.Generator) -> Vecto
     """
     if len(b) != m.nrows:
         raise DimensionMismatch(f"expected length {m.nrows}, got {len(b)}")
-    f = m.field
-    n = m.ncols
-    if f.degree == 1:
-        aug = [r | f.check(bi) << n for r, bi in zip(pack_rows(m), b)]
-        red: list[int] = []
-        pivots: list[int] = []
-        if any(gf2_eliminate(red, pivots, aug, n)):
-            raise InconsistentSystem("no solution: contradictory row")
-        return unpack_bits(GF2Coset(red, pivots, n).sample(1, rng), n)
-    particular = [0] * n
-    if m.nrows:
-        aug = Matrix(f, tuple(row + (f.check(bi),)
-                              for row, bi in zip(m.rows, b)))
-        red_m, pivots = _rref_dense(aug)
-        if n in pivots:
-            raise InconsistentSystem("no solution: contradictory row")
-        for i, p in enumerate(pivots):
-            particular[p] = red_m.rows[i][n]
-    _, kernel = rank_and_kernel(m)
-    if kernel:
-        coeffs = rng.integers(0, f.order, size=len(kernel))
-        for c, kv in zip(coeffs, kernel):
-            c = int(c)
-            if c:
-                for i, a in enumerate(kv):
-                    particular[i] ^= f.mul(c, a)
-    return tuple(particular)
+    column = Matrix(m.field, tuple((bi,) for bi in b), ncols=1)
+    return solve_columns(m, column, rng).column(0)
 
 
 def solve_columns(m: Matrix, target: Matrix,
                   rng: np.random.Generator) -> Matrix:
     """A uniform sample from {X : M X = target}: solve_affine on each
-    column of target, left to right."""
-    cols = [solve_affine(m, target.column(j), rng)
-            for j in range(target.ncols)]
-    return Matrix._trusted(m.field, tuple(zip(*cols)), ncols=target.ncols)
+    column of target, left to right, from one elimination.
+
+    The rows of M and target are packed side by side, so target column j
+    rides at symbol ncols + j and coset.sample with that symbol selected
+    draws its solution; the column is inconsistent when a dependent row
+    keeps a nonzero symbol there.
+    """
+    if target.nrows != m.nrows:
+        raise DimensionMismatch(f"expected {m.nrows} rows, got {target.nrows}")
+    f, n, e = m.field, m.ncols, m.field.degree
+    rows: list[int] = []
+    pivots: list[int] = []
+    dependent = eliminate(f, rows, pivots, [
+        pack(f, r + t) for r, t in zip(m.rows, target.rows)], n)
+    coset = Coset(f, rows, pivots, n)
+    cols = []
+    for j in range(target.ncols):
+        if any(d >> e * (n + j) & f.order - 1 for d in dependent):
+            raise InconsistentSystem("no solution: contradictory row")
+        cols.append(unpack(f, coset.sample(1 << e * j, rng), n))
+    return Matrix._trusted(f, tuple(zip(*cols)), ncols=target.ncols)
 
 
 # -- random matrices ---------------------------------------------------------

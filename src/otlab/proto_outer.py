@@ -25,8 +25,8 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from .codes import OrthonormalCode, square_dual_sample
 from .gf import Field
-from .linalg import (Matrix, full_rank_matrix, pack_bits, pack_rows,
-                     solve_columns)
+from .linalg import (Matrix, dot, full_rank_matrix, pack, product,
+                     solve_columns, unpack)
 from .proto_p0 import P0Params, Session, p0q_run
 
 if TYPE_CHECKING:
@@ -104,24 +104,26 @@ def request_indices(mask: Sequence[int], want_first: bool,
 
 
 def cheat_matrix_V(rows: Matrix, mask: Sequence[int]) -> Matrix:
-    """V(u) with V_ij = u . (H_i * H_j); zero iff u is dual to the square.
-
-    Over GF(2) the rows and the mask are packed, and V_ij is the parity
-    of u & H_i & H_j.
-    """
+    """V(u) with V_ij = u . (H_i * H_j); zero iff u is dual to the square."""
     f = rows.field
     if len(mask) != rows.ncols:
         raise ValueError("mask length must match the basis length")
-    mask = [f.check(a) for a in mask]
-    if f.degree == 1:
-        u = pack_bits(mask)
-        packed = pack_rows(rows)
-        return Matrix._trusted(f, tuple(
-            tuple((u & hi & hj).bit_count() & 1 for hj in packed)
-            for hi in packed), ncols=rows.nrows)
-    masked = Matrix(f, tuple(
-        tuple(f.mul(a, u) for a, u in zip(row, mask)) for row in rows.rows))
-    return rows @ masked.transpose()
+    u = pack(f, [f.check(a) for a in mask])
+    v = cheat_rows(f, [pack(f, h) for h in rows.rows], u)
+    return Matrix._trusted(f, tuple(unpack(f, r, rows.nrows) for r in v),
+                           ncols=rows.nrows)
+
+
+def cheat_rows(field: Field, rows: Sequence[int], mask: int) -> list[int]:
+    """The rows of V(u), packed, from the packed basis rows and mask:
+    V_ij is the inner product of u * H_i with H_j."""
+    e = field.degree
+    out = []
+    for hi in rows:
+        masked = product(field, mask, hi)
+        out.append(sum(dot(field, masked, hj) << e * j
+                       for j, hj in enumerate(rows)))
+    return out
 
 
 @dataclass(frozen=True)

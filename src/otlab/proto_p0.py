@@ -33,10 +33,8 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from .analysis import binary_entropy
 from .channels import ERASED, BscParams, TernaryWord, duplicate_round_trip
 from .codes import EnumerationLimit, LinearCode
-from .gf import GF
-from .linalg import (LIMB_BITS, GF2Coset, Matrix, Vector, gf2_eliminate,
-                     pack_bits, pack_rows, random_matrix, span_words,
-                     to_limbs, unpack_bits, weights)
+from .linalg import (LIMB_BITS, Coset, Matrix, Vector, eliminate, pack,
+                     random_matrix, span_words, to_limbs, unpack, weights)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -85,7 +83,8 @@ class MLDecoder:
                 f"2^{k} codewords exceed the enumeration budget {enum_limit}")
         self.code = code
         self.length = code.length
-        self.words = span_words(pack_rows(code.generator), code.length)
+        self.words = span_words([pack(code.field, r)
+                                 for r in code.generator.rows], code.length)
 
     def decode(self, symbols: Sequence[int]) -> Optional[Vector]:
         import numpy as np
@@ -108,7 +107,7 @@ class MLDecoder:
         word = 0
         for j, limb in enumerate(self.words[best].tolist()):
             word |= limb << (LIMB_BITS * j)
-        return unpack_bits(word, self.length)
+        return unpack(self.code.field, word, self.length)
 
     def failure_bound(self, p: float) -> float:
         """Union bound on ML failure over BSC(p), ties counted as failures."""
@@ -159,10 +158,11 @@ class P0Params:
             raise ValueError(
                 f"secret length must be in 1..k={code.dimension}, "
                 f"got {self.secret_bits}")
+        f = code.field
         rows: list[int] = []
         pivots: list[int] = []
-        gf2_eliminate(rows, pivots, map(pack_bits, code.dual_basis()),
-                      code.length)
+        eliminate(f, rows, pivots, [pack(f, r) for r in code.dual_basis()],
+                  code.length)
         object.__setattr__(self, "_parity_rref", (tuple(rows), tuple(pivots)))
         if self.security_slack is not None:
             cap = p0_secret_length(self.block_len, self.channel.crossover,
@@ -178,7 +178,7 @@ class P0Params:
     def block_len(self) -> int:
         return self.code.length
 
-    def draw_hash(self, rng: np.random.Generator) -> tuple[Matrix, GF2Coset]:
+    def draw_hash(self, rng: np.random.Generator) -> tuple[Matrix, Coset]:
         """A fresh uniform m x n0 session hash and its codeword cosets.
 
         The hash is redrawn until the stacked parity/hash matrix has full
@@ -186,14 +186,14 @@ class P0Params:
         reduced parity check; coset.sample(packed secret, rng) then draws
         a uniform codeword whose hash is the secret.
         """
-        n = self.block_len
+        f, n = self.code.field, self.block_len
         while True:
-            hash_matrix = random_matrix(GF(1), self.secret_bits, n, rng)
+            hash_matrix = random_matrix(f, self.secret_bits, n, rng)
             rows, pivots = map(list, self._parity_rref)
-            tagged = [r | 1 << (n + i)
-                      for i, r in enumerate(pack_rows(hash_matrix))]
-            if not gf2_eliminate(rows, pivots, tagged, n):
-                return hash_matrix, GF2Coset(rows, pivots, n)
+            tagged = [pack(f, r) | 1 << (n + i)
+                      for i, r in enumerate(hash_matrix.rows)]
+            if not eliminate(f, rows, pivots, tagged, n):
+                return hash_matrix, Coset(f, rows, pivots, n)
 
 
 def p0_partition(word: TernaryWord, block_len: int,
@@ -230,7 +230,7 @@ class AliceEncoding:
 def p0_alice_encode(first_secret: Sequence[int], second_secret: Sequence[int],
                     set_first: Sequence[int], set_second: Sequence[int],
                     sent_bits: Sequence[int], params: P0Params,
-                    coset: GF2Coset,
+                    coset: Coset,
                     rng: np.random.Generator) -> AliceEncoding:
     """Alice's response to the announced partition.
 
@@ -251,7 +251,8 @@ def p0_alice_encode(first_secret: Sequence[int], second_secret: Sequence[int],
     out = []
     for secret, positions in ((first_secret, set_first),
                               (second_secret, set_second)):
-        cw = unpack_bits(coset.sample(pack_bits(secret), rng), n0)
+        cw = unpack(coset.field, coset.sample(pack(coset.field, secret), rng),
+                    n0)
         perm = tuple(rng.permutation(n0).tolist())
         masked = tuple(cw[t] ^ sent_bits[positions[perm[t]]]
                        for t in range(n0))

@@ -32,7 +32,7 @@ def test_binary_field_is_plain_bits():
     f = GF(1)
     assert f.order == 2
     assert f.mul(1, 1) == 1
-    assert f.add(1, 1) == 0
+    assert 1 ^ 1 == 0  # addition is XOR
     assert f.inv(1) == 1
 
 
@@ -55,17 +55,13 @@ def test_check_rejects_out_of_range():
 def exhaustive_field_axioms(f):
     els = list(range(f.order))
     for a in els:
-        assert f.add(a, 0) == a
         assert f.mul(a, 1) == a
         assert f.mul(a, 0) == 0
-        assert f.add(a, a) == 0
     for a in els:
         for b in els:
-            assert f.add(a, b) == f.add(b, a)
             assert f.mul(a, b) == f.mul(b, a)
             for c in els:
-                assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b),
-                                                      f.mul(a, c))
+                assert f.mul(a, b ^ c) == f.mul(a, b) ^ f.mul(a, c)
                 assert f.mul(a, f.mul(b, c)) == f.mul(f.mul(a, b), c)
 
 
@@ -126,17 +122,16 @@ def test_dlog_of_x_is_one():
 
 def test_dot():
     f = GF(2)
-    assert f.dot((1, 2, 3), (3, 2, 1)) == f.add(f.add(f.mul(1, 3),
-                                                      f.mul(2, 2)),
-                                                f.mul(3, 1))
+    assert f.dot((1, 2, 3), (3, 2, 1)) == (f.mul(1, 3) ^ f.mul(2, 2)
+                                           ^ f.mul(3, 1))
     assert f.dot((), ()) == 0
     rng = np.random.default_rng(5)
     for _ in range(50):
         u = tuple(int(a) for a in rng.integers(0, 4, size=6))
         v = tuple(int(a) for a in rng.integers(0, 4, size=6))
         w = tuple(int(a) for a in rng.integers(0, 4, size=6))
-        uv = tuple(f.add(a, b) for a, b in zip(u, v))
-        assert f.add(f.dot(u, w), f.dot(v, w)) == f.dot(uv, w)
+        uv = tuple(a ^ b for a, b in zip(u, v))
+        assert f.dot(u, w) ^ f.dot(v, w) == f.dot(uv, w)
 
 
 def test_random_products_stay_in_range():

@@ -1,6 +1,6 @@
 """Source hygiene: no module imports a name it never uses, every public
-definition of the package has a reader, and the package version agrees
-with pyproject.toml."""
+definition of the package (public methods of its classes included) has a
+reader, and the package version agrees with pyproject.toml."""
 
 import ast
 import re
@@ -50,22 +50,34 @@ def names_read(tree: ast.AST, skip=None) -> set[str]:
     return out
 
 
+def public_definitions(tree: ast.Module):
+    """(qualified name, node) of each public top-level function and class
+    of a module and of each public method of its classes."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if not node.name.startswith("_"):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("_")):
+                    yield f"{node.name}.{item.name}", item
+
+
 def unread_definitions(package: dict, readers: list) -> list[str]:
-    """Public top-level functions and classes of the package modules that
-    no module names outside their own definition, the defining module
-    included."""
+    """Public definitions of the package modules that no module names
+    outside their own definition, the defining module included."""
     outside = set().union(*map(names_read, readers))
     by_module = {name: names_read(tree) for name, tree in package.items()}
     unread = []
     for name, tree in package.items():
         elsewhere = outside.union(*(names for other, names in by_module.items()
                                     if other != name))
-        for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")
-                    and node.name not in elsewhere
+        for qualified, node in public_definitions(tree):
+            if (node.name not in elsewhere
                     and node.name not in names_read(tree, skip=node)):
-                unread.append(f"{name}.{node.name}")
+                unread.append(f"{name}.{qualified}")
     return unread
 
 
@@ -92,6 +104,23 @@ def test_unread_definitions_are_found():
     assert unread_definitions(package, []) == ["a.recursive", "a.quoted"]
     reader = ast.parse("import a\na.recursive")
     assert unread_definitions(package, [reader]) == ["a.quoted"]
+
+
+def test_unread_methods_are_found():
+    package = {"a": ast.parse("class C:\n"
+                              "    def used(self): pass\n"
+                              "    def unused(self): pass\n"
+                              "    def self_only(self): self.self_only()\n"
+                              "    def _private(self): pass\n"
+                              "    @property\n"
+                              "    def shape(self): pass\n"
+                              "class _Hidden:\n"
+                              "    def dead(self): pass\n"),
+               "b": ast.parse("from a import C\nC().used()\n")}
+    assert unread_definitions(package, []) == [
+        "a.C.unused", "a.C.self_only", "a.C.shape", "a._Hidden.dead"]
+    reader = ast.parse("def f(x): return x.shape")
+    assert "a.C.shape" not in unread_definitions(package, [reader])
 
 
 def test_every_public_definition_has_a_reader():

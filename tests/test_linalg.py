@@ -1,4 +1,4 @@
-"""Dense matrix layer: reduction, kernels, affine sampling, packing."""
+"""Matrix layer: reduction, kernels, affine sampling, packed rows."""
 
 import pickle
 from collections import Counter
@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from otlab.gf import GF
-from otlab.linalg import (DimensionMismatch, InconsistentSystem, Matrix,
-                          gf2_rank, pack_bits, random_matrix, rank,
-                          rank_and_kernel, rref, solve_affine, unpack_bits)
+from otlab.linalg import (DimensionMismatch, InconsistentSystem, Matrix, dot,
+                          pack, packed_rank, product, random_matrix, rank,
+                          rank_and_kernel, rref, scale, solve_affine, unpack,
+                          weight)
 
 
 def naive_matmul(a, b):
@@ -20,7 +21,7 @@ def naive_matmul(a, b):
         for j in range(b.ncols):
             acc = 0
             for k in range(a.ncols):
-                acc = f.add(acc, f.mul(a.rows[i][k], b.rows[k][j]))
+                acc ^= f.mul(a.rows[i][k], b.rows[k][j])
             row.append(acc)
         out.append(tuple(row))
     return Matrix(f, tuple(out))
@@ -91,7 +92,7 @@ def test_stack_and_drop_columns():
     f = GF(1)
     a = Matrix(f, ((1, 0), (0, 1)))
     b = Matrix(f, ((1, 1),))
-    assert a.vstack(b).nrows == 3
+    assert Matrix(f, a.rows + b.rows).nrows == 3
     assert a.drop_columns([0]) == Matrix(f, ((0,), (1,)))
     assert a.drop_columns([]) == a
 
@@ -177,8 +178,8 @@ def test_pickle_round_trip():
 def test_pack_unpack_bits():
     for bits in range(32):
         v = tuple((bits >> i) & 1 for i in range(5))
-        assert pack_bits(v) == bits
-        assert unpack_bits(bits, 5) == v
+        assert pack(GF(1), v) == bits
+        assert unpack(GF(1), bits, 5) == v
 
 
 def test_gf2_rank_matches_matrix_rank():
@@ -186,7 +187,32 @@ def test_gf2_rank_matches_matrix_rank():
     f = GF(1)
     for _ in range(100):
         m = random_matrix(f, 4, 6, rng)
-        packed = [pack_bits(row) for row in m.rows]
-        assert gf2_rank(packed) == rank(m)
-    assert gf2_rank([]) == 0
-    assert gf2_rank([0, 0]) == 0
+        packed = [pack(f, row) for row in m.rows]
+        assert packed_rank(f, packed) == rank(m)
+    assert packed_rank(f, []) == 0
+    assert packed_rank(f, [0, 0]) == 0
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 8])
+def test_packed_symbols_match_field_arithmetic(degree):
+    """Symbol j of a packed row sits in bits e j .. e j + e - 1; scale,
+    product, dot and weight agree with Field arithmetic symbol by symbol,
+    also on the top symbol and on words shorter than their length."""
+    f = GF(degree)
+    rng = np.random.default_rng(8 + degree)
+    for n in (0, 1, 2, 7, 30):
+        for _ in range(40):
+            u = tuple(int(a) for a in rng.integers(0, f.order, size=n))
+            v = tuple(int(a) for a in rng.integers(0, f.order, size=n))
+            c = int(rng.integers(0, f.order))
+            pu, pv = pack(f, u), pack(f, v)
+            assert unpack(f, pu, n) == u
+            assert unpack(f, scale(f, pu, c), n) == tuple(f.mul(c, a)
+                                                          for a in u)
+            assert unpack(f, product(f, pu, pv), n) == tuple(
+                f.mul(a, b) for a, b in zip(u, v))
+            assert dot(f, pu, pv) == f.dot(u, v)
+            assert weight(f, pu) == sum(1 for a in u if a)
+    top = (f.order - 1,) * 3
+    assert unpack(f, scale(f, pack(f, top), f.order - 1), 3) == (
+        f.mul(f.order - 1, f.order - 1),) * 3

@@ -1,15 +1,15 @@
-"""Seeded cross-checks of the packed GF(2) layer against dense references.
+"""Seeded cross-checks of the packed row layer against dense references.
 
-Over GF(2) `rref`, `rank`, `rank_and_kernel` and `solve_affine` run on
-packed rows; here each is compared with the dense reduction loop
-(`linalg._rref_dense`) and with the dense kernel/sampling code kept below
-as the reference.  The numpy enumeration of the ML decoder is compared
+`rref`, `rank`, `rank_and_kernel` and `solve_affine` run on packed rows
+over every field GF(2^e); here each is compared, over GF(2), GF(4),
+GF(8), GF(16) and GF(256), with the dense reduction loop (`dense_rref`)
+and the dense kernel/sampling code kept below as the reference, the rng
+state included.  The numpy enumeration of the ML decoder is compared
 with brute force over iter_codewords.  The Brouwer-Zimmermann minimum
-distance, which packs the symbols of any GF(2^e) into one int, is
-compared with the brute-force minimum over iter_codewords and with a
-Gray walk, and the packed cheat matrix V(u) with the dense product.
-The matrix draws and column solves are compared with the row and column
-loops they replaced.
+distance is compared with the brute-force minimum over iter_codewords
+and with a Gray walk, and the packed cheat matrix V(u) with the dense
+product.  The matrix draws and column solves are compared with the row
+and column loops they replaced.
 """
 
 from itertools import islice, product
@@ -21,21 +21,51 @@ from otlab.channels import ERASED, BscParams
 from otlab.codes import (LinearCode, OrthonormalCode, cyclic_code,
                          random_code)
 from otlab.gf import GF
-from otlab.linalg import (InconsistentSystem, Matrix, _rref_dense,
-                          full_rank_matrix, gf2_apply, gf2_rank, pack_bits,
-                          pack_rows, random_matrix, rank, rank_and_kernel,
-                          rref, solve_affine, solve_columns, span_words,
-                          unpack_bits)
+from otlab.linalg import (InconsistentSystem, Matrix, full_rank_matrix,
+                          gf2_apply, pack, packed_rank, random_matrix, rank,
+                          rank_and_kernel, rref, solve_affine, solve_columns,
+                          span_words, unpack)
 from otlab.proto_outer import cheat_matrix_V
 from otlab.proto_p0 import MLDecoder, P0Params
 
 F2 = GF(1)
+DEGREES = (1, 2, 3, 4, 8)
 
 
 # -- dense references --------------------------------------------------------
 
+def dense_rref(m):
+    """Dense reduced row echelon form over any GF(2^e), lowest-index
+    pivots, zero rows last."""
+    f = m.field
+    rows = [list(r) for r in m.rows]
+    pivots = []
+    pr = 0
+    for col in range(m.ncols):
+        sel = None
+        for i in range(pr, len(rows)):
+            if rows[i][col]:
+                sel = i
+                break
+        if sel is None:
+            continue
+        rows[pr], rows[sel] = rows[sel], rows[pr]
+        inv = f.inv(rows[pr][col])
+        rows[pr] = [f.mul(inv, a) for a in rows[pr]]
+        for i in range(len(rows)):
+            if i != pr and rows[i][col]:
+                c = rows[i][col]
+                rows[i] = [a ^ f.mul(c, b) for a, b in zip(rows[i], rows[pr])]
+        pivots.append(col)
+        pr += 1
+        if pr == len(rows):
+            break
+    return (Matrix(f, tuple(tuple(r) for r in rows), ncols=m.ncols),
+            tuple(pivots))
+
+
 def dense_rank_and_kernel(m):
-    red, pivots = _rref_dense(m)
+    red, pivots = dense_rref(m)
     basis = []
     for free in range(m.ncols):
         if free in pivots:
@@ -53,7 +83,7 @@ def dense_solve_affine(m, b, rng):
     particular = [0] * m.ncols
     if m.nrows:
         aug = Matrix(f, tuple(row + (bi,) for row, bi in zip(m.rows, b)))
-        red, pivots = _rref_dense(aug)
+        red, pivots = dense_rref(aug)
         if m.ncols in pivots:
             raise InconsistentSystem("no solution")
         for i, p in enumerate(pivots):
@@ -62,21 +92,19 @@ def dense_solve_affine(m, b, rng):
     if kernel:
         coeffs = rng.integers(0, f.order, size=len(kernel))
         for c, kv in zip(coeffs, kernel):
-            if int(c):
-                for i, a in enumerate(kv):
-                    particular[i] ^= a
+            for i, a in enumerate(kv):
+                particular[i] ^= f.mul(int(c), a)
     return tuple(particular)
 
 
-def random_binary(rng, nrows, ncols, rank_cap=None):
-    """A random binary matrix; rank_cap forces rank <= rank_cap."""
+def random_over(field, rng, nrows, ncols, rank_cap=None):
+    """A random matrix over field; rank_cap forces rank <= rank_cap."""
+    def draw(r, c):
+        rows = rng.integers(0, field.order, size=(r, c)).tolist()
+        return Matrix(field, rows, ncols=c)
     if rank_cap is None:
-        rows = rng.integers(0, 2, size=(nrows, ncols))
-    else:
-        rows = (rng.integers(0, 2, size=(nrows, rank_cap))
-                @ rng.integers(0, 2, size=(rank_cap, ncols))) % 2
-    return Matrix(F2, tuple(tuple(int(a) for a in r) for r in rows),
-                  ncols=ncols)
+        return draw(nrows, ncols)
+    return draw(nrows, rank_cap) @ draw(rank_cap, ncols)
 
 
 SHAPES = [
@@ -88,38 +116,45 @@ SHAPES = [
 
 @pytest.mark.parametrize("nrows,ncols,cap", SHAPES)
 def test_packed_reduction_matches_dense(nrows, ncols, cap):
-    rng = np.random.default_rng(1000 + nrows * 101 + ncols)
-    for _ in range(20):
-        m = random_binary(rng, nrows, ncols, cap)
-        assert rref(m) == _rref_dense(m)
-        assert rank(m) == len(_rref_dense(m)[1])
-        assert rank_and_kernel(m) == dense_rank_and_kernel(m)
-        assert gf2_rank(pack_rows(m)) == rank(m)
+    for degree in DEGREES:
+        f = GF(degree)
+        rng = np.random.default_rng(1000 + nrows * 101 + ncols
+                                    + 7 * (degree - 1))
+        for _ in range(20):
+            m = random_over(f, rng, nrows, ncols, cap)
+            assert rref(m) == dense_rref(m)
+            assert rank(m) == len(dense_rref(m)[1])
+            assert rank_and_kernel(m) == dense_rank_and_kernel(m)
+            assert packed_rank(f, [pack(f, r) for r in m.rows]) == rank(m)
 
 
 @pytest.mark.parametrize("nrows,ncols,cap", SHAPES)
 def test_packed_solve_affine_matches_dense(nrows, ncols, cap):
-    rng = np.random.default_rng(2000 + nrows * 101 + ncols)
-    inconsistent = 0
-    for trial in range(20):
-        m = random_binary(rng, nrows, ncols, cap)
-        if trial % 2:
-            b = tuple(int(a) for a in rng.integers(0, 2, size=nrows))
-        else:
-            x = tuple(int(a) for a in rng.integers(0, 2, size=ncols))
-            b = m.apply(x)
-        ours, ref = np.random.default_rng(trial), np.random.default_rng(trial)
-        try:
-            want = dense_solve_affine(m, b, ref)
-        except InconsistentSystem:
-            inconsistent += 1
-            with pytest.raises(InconsistentSystem):
-                solve_affine(m, b, ours)
-            continue
-        assert solve_affine(m, b, ours) == want
-        assert ours.bit_generator.state == ref.bit_generator.state
-    if nrows > ncols or (cap is not None and cap < nrows):
-        assert inconsistent > 0
+    for degree in DEGREES:
+        f = GF(degree)
+        rng = np.random.default_rng(2000 + nrows * 101 + ncols
+                                    + 7 * (degree - 1))
+        inconsistent = 0
+        for trial in range(20):
+            m = random_over(f, rng, nrows, ncols, cap)
+            if trial % 2:
+                b = tuple(int(a) for a in rng.integers(0, f.order, size=nrows))
+            else:
+                x = tuple(int(a) for a in rng.integers(0, f.order, size=ncols))
+                b = m.apply(x)
+            ours, ref = (np.random.default_rng(trial),
+                         np.random.default_rng(trial))
+            try:
+                want = dense_solve_affine(m, b, ref)
+            except InconsistentSystem:
+                inconsistent += 1
+                with pytest.raises(InconsistentSystem):
+                    solve_affine(m, b, ours)
+            else:
+                assert solve_affine(m, b, ours) == want
+            assert ours.bit_generator.state == ref.bit_generator.state
+        if nrows > ncols or (cap is not None and cap < nrows):
+            assert inconsistent > 0
 
 
 def test_session_coset_matches_dense_solve_of_stacked_system():
@@ -133,12 +168,12 @@ def test_session_coset_matches_dense_solve_of_stacked_system():
         params = P0Params(channel=BscParams(0.1), code=code, secret_bits=m)
         for trial in range(10):
             hm, coset = params.draw_hash(rng)
-            stacked = parity.vstack(hm)
+            stacked = Matrix(F2, parity.rows + hm.rows)
             assert rank(stacked) == n - k + m
             secret = tuple(int(a) for a in rng.integers(0, 2, size=m))
             ours, ref = (np.random.default_rng(trial),
                          np.random.default_rng(trial))
-            got = unpack_bits(coset.sample(pack_bits(secret), ours), n)
+            got = unpack(F2, coset.sample(pack(F2, secret), ours), n)
             zeros = (0,) * parity.nrows
             assert got == dense_solve_affine(stacked, zeros + secret, ref)
             assert ours.bit_generator.state == ref.bit_generator.state
@@ -161,7 +196,7 @@ def test_draw_hash_redraws_like_the_stacked_rank_loop():
             got, _ = params.draw_hash(ours)
             while True:
                 want = random_matrix(F2, k, n, ref)
-                if rank(parity.vstack(want)) == n:  # n - k + m, m = k
+                if rank(Matrix(F2, parity.rows + want.rows)) == n:  # m = k
                     break
                 redraws += 1
             assert got == want
@@ -173,14 +208,15 @@ def test_span_words_and_gf2_apply_match_direct_products():
     rng = np.random.default_rng(3100)
     for n, k in ((9, 4), (63, 3), (64, 3), (130, 4)):
         code = random_code(F2, n, k, rng)
-        words = span_words(pack_rows(code.generator), n)
-        packed = [pack_bits(w) for w in code.iter_codewords()]
+        words = span_words([pack(F2, r) for r in code.generator.rows], n)
+        packed = [pack(F2, w) for w in code.iter_codewords()]
         got = [sum(int(limb) << (63 * j) for j, limb in enumerate(row))
                for row in words]
         assert got == packed
-        hm = random_binary(rng, 3, n)
-        want = [pack_bits(hm.apply(w)) for w in code.iter_codewords()]
-        assert gf2_apply(pack_rows(hm), words, n).tolist() == want
+        hm = random_over(F2, rng, 3, n)
+        want = [pack(F2, hm.apply(w)) for w in code.iter_codewords()]
+        assert gf2_apply([pack(F2, r) for r in hm.rows], words,
+                         n).tolist() == want
 
 
 # -- random matrices and column solves -----------------------------------------
@@ -237,7 +273,7 @@ def test_matrix_draws_match_the_row_loop(degree, k, n):
         assert rejected > 0
 
 
-@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 8])
 def test_solve_columns_matches_per_column_solve_affine(degree):
     field = GF(degree)
     rng = np.random.default_rng(6000 + degree)
@@ -262,6 +298,13 @@ def test_solve_columns_matches_per_column_solve_affine(degree):
             assert solve_columns(m, target, ours) == want
         assert ours.bit_generator.state == ref.bit_generator.state
     assert inconsistent > 0
+    # a consistent column drawn, then an inconsistent one stops the solve
+    m = Matrix(field, ((1, 1, 0), (1, 1, 0)))
+    ours, ref = np.random.default_rng(9), np.random.default_rng(9)
+    solve_affine(m, (1, 1), ref)
+    with pytest.raises(InconsistentSystem):
+        solve_columns(m, Matrix(field, ((1, 0), (1, 1))), ours)
+    assert ours.bit_generator.state == ref.bit_generator.state
 
 
 # -- ML decoding ---------------------------------------------------------------
@@ -314,7 +357,7 @@ def test_failure_bound_hamming_7_4_frozen():
 # -- minimum distance ------------------------------------------------------------
 
 def gray_walk_distance(code):
-    rows = pack_rows(code.generator)
+    rows = [pack(F2, r) for r in code.generator.rows]
     best, word = code.length, 0
     for m in range(1, 1 << len(rows)):
         word ^= rows[(m & -m).bit_length() - 1]
@@ -429,11 +472,13 @@ def dense_cheat_matrix(basis, mask):
 
 
 @pytest.mark.parametrize("basis", [
-    # [I_4 | ones] over GF(2), the toy outer code; [I_2 | 1 1] over GF(4)
+    # [I_4 | ones] over GF(2), the toy outer code; [I_2 | a a] over GF(4)
+    # and GF(8), orthonormal since a a + a a = 0 in characteristic 2
     OrthonormalCode(Matrix(F2, tuple(
         tuple(1 if j == i else 0 for j in range(4)) + (1, 1, 1, 1)
         for i in range(4)))),
     OrthonormalCode(Matrix(GF(2), ((1, 0, 1, 1), (0, 1, 1, 1)))),
+    OrthonormalCode(Matrix(GF(3), ((1, 0, 3, 3), (0, 1, 5, 5)))),
 ])
 def test_cheat_matrix_matches_the_dense_product(basis):
     f = basis.field

@@ -95,7 +95,8 @@ def test_draw_hash_reaches_full_stacked_rank():
     for _ in range(20):
         hm, _ = params.draw_hash(rng)
         assert (hm.nrows, hm.ncols) == (3, 15)
-        assert rank(parity_check(code).vstack(hm)) == 15 - 5 + 3
+        stacked = Matrix(code.field, parity_check(code).rows + hm.rows)
+        assert rank(stacked) == 15 - 5 + 3
 
 
 def test_partition_shapes_and_choice():
