@@ -34,8 +34,8 @@ from .analysis import (AccusationRule, detection_rule, expected_unerased,
 from .channels import BscParams
 from .codes import OrthonormalCode
 from .gf import GF
-from .linalg import full_rank_matrix, gf2_apply, pack, packed_rank
-from .proto_outer import cheat_rows, compressed_length
+from .linalg import Matrix, full_rank_matrix, gf2_apply, rank
+from .proto_outer import cheat_matrix_V, compressed_length
 
 
 # -- detection of corrupted pairs -----------------------------------------
@@ -189,7 +189,7 @@ def _full_rank_row_sets(r: int, u_len: int) -> list[np.ndarray]:
     """All full-rank u_len x r binary matrices as packed row arrays."""
     out = []
     for rows in itertools.product(range(1, 1 << r), repeat=u_len):
-        if packed_rank(GF(1), rows) == u_len:
+        if rank(Matrix.from_packed(GF(1), rows, r)) == u_len:
             out.append(np.array(rows, dtype=np.int64))
     return out
 
@@ -285,8 +285,7 @@ def audit_bob_strategies(basis: OrthonormalCode, margin: float,
     else:
         if rng is None:
             raise ValueError("pair_samples needs an rng")
-        draws = [np.array([pack(f, row) for row in
-                           full_rank_matrix(f, u_len, r, rng).rows],
+        draws = [np.array(full_rank_matrix(f, u_len, r, rng).packed,
                           dtype=np.int64) for _ in range(2 * pair_samples)]
         pair_list = list(zip(draws[::2], draws[1::2]))
 
@@ -308,16 +307,14 @@ def audit_bob_strategies(basis: OrthonormalCode, margin: float,
     cells = []
     mismatches = 0
     hist: dict[int, int] = {}
-    packed = [pack(f, h) for h in basis.rows.rows]
     # a mask enters the posterior only through V, and many masks share one
     by_v: dict[tuple, tuple] = {}
     for mask in masks:
-        vrows = cheat_rows(f, packed, pack(f, mask))
-        key = tuple(vrows)
-        if key not in by_v:
-            urows = [v ^ 1 << i for i, v in enumerate(vrows)]  # V + I
-            z_s = _parity_lut(urows, states)
-            z_t = _parity_lut(vrows, states)
+        v = cheat_matrix_V(basis.rows, mask)
+        if v.packed not in by_v:
+            u = v + Matrix.identity(f, r)
+            z_s = _parity_lut(u.packed, states)
+            z_t = _parity_lut(v.packed, states)
             z = z_s[:, None] ^ z_t[None, :]
             flat = (offsets + (high | z[None, :, :])).ravel()
             counts = np.bincount(flat, minlength=n_pairs * bins)
@@ -327,10 +324,10 @@ def audit_bob_strategies(basis: OrthonormalCode, margin: float,
             h_tz = _row_entropies(cube.sum(axis=1).reshape(n_pairs, -1))
             h_first = h_stz - h_tz
             h_second = h_stz - h_sz
-            by_v[key] = (packed_rank(f, vrows), packed_rank(f, urows),
-                         float(h_first.mean()), float(h_second.mean()),
-                         float(np.maximum(h_first, h_second).min()))
-        cell = MaskAudit(mask, *by_v[key])
+            by_v[v.packed] = (rank(v), rank(u),
+                              float(h_first.mean()), float(h_second.mean()),
+                              float(np.maximum(h_first, h_second).min()))
+        cell = MaskAudit(mask, *by_v[v.packed])
         hist[cell.rank_v] = hist.get(cell.rank_v, 0) + 1
         cells.append(cell)
         first, second = cell.mean_first, cell.mean_second

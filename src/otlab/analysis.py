@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from .channels import BscParams
 from .codes import EnumerationLimit, LinearCode
-from .linalg import LIMB_BITS, pack, popcount, span_words
+from .linalg import LIMB_BITS, popcount, span_words
 
 if TYPE_CHECKING:
     import numpy as np
@@ -219,8 +219,7 @@ def _packed_codewords(code: LinearCode, limit: int) -> np.ndarray:
     k = code.dimension
     if 1 << k > limit:
         raise EnumerationLimit(f"2^{k} codewords exceed the budget {limit}")
-    return span_words([pack(code.field, r) for r in code.generator.rows],
-                      code.length)
+    return span_words(code.generator.packed, code.length)
 
 
 def _project(words: np.ndarray, kept: Sequence[int]) -> np.ndarray:

@@ -304,7 +304,8 @@ class RunSetup:
 
 def _toy_compressed_basis(field) -> OrthonormalCode:
     """[I_4 | ones] has orthonormal rows over any of our fields."""
-    rows = tuple(r + (1, 1, 1, 1) for r in Matrix.identity(field, 4).rows)
+    rows = tuple(tuple(int(j == i) for j in range(4)) + (1, 1, 1, 1)
+                 for i in range(4))
     return OrthonormalCode(Matrix(field, rows))
 
 

@@ -18,11 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from .gf import GF, Field
-from .linalg import (Matrix, Vector, dot, eliminate, full_rank_matrix, pack,
+from .linalg import (Matrix, Vector, dot, eliminate, full_rank_matrix, product,
                      rank, rank_and_kernel, rref, scale, solve_affine, unpack,
                      weight)
 
@@ -37,13 +36,6 @@ class EnumerationLimit(RuntimeError):
 
     Callers can raise the limit explicitly (the commands' --enum-limit).
     """
-
-
-def schur(field: Field, u: Sequence[int], v: Sequence[int]) -> Vector:
-    """Componentwise product of two words."""
-    if len(u) != len(v):
-        raise ValueError("length mismatch in componentwise product")
-    return tuple(field.mul(a, b) for a, b in zip(u, v))
 
 
 class LinearCode:
@@ -82,36 +74,28 @@ class LinearCode:
     def __repr__(self) -> str:
         return f"LinearCode([{self.length},{self.dimension}] over {self.field})"
 
-    def encode(self, message: Sequence[int]) -> Vector:
-        return self._generator.left_apply(message)
-
     def iter_codewords(self, limit: int = DEFAULT_ENUM_LIMIT):
         """Yield every codeword once (tuples), cheapest-change order."""
         q, k = self.field.order, self.dimension
         if q ** k > limit:
             raise EnumerationLimit(
                 f"{q}^{k} codewords exceed the enumeration budget {limit}")
-        f = self.field
-        rows = self._generator.rows
-        word = [0] * self.length
+        f, n = self.field, self.length
+        rows = self._generator.packed
+        word = 0
         digits = [0] * k
-        yield tuple(word)
-        total = q ** k
-        for _ in range(total - 1):
+        yield unpack(f, word, n)
+        for _ in range(q ** k - 1):
             pos = 0
             while True:
                 old = digits[pos]
                 new = (old + 1) % q
                 digits[pos] = new
-                delta = old ^ new
-                row = rows[pos]
-                for i in range(self.length):
-                    if row[i]:
-                        word[i] ^= f.mul(delta, row[i])
+                word ^= scale(f, rows[pos], old ^ new)
                 if new != 0:
                     break
                 pos += 1
-            yield tuple(word)
+            yield unpack(f, word, n)
 
     def min_distance(self, limit: int = DEFAULT_ENUM_LIMIT) -> int:
         """Exact minimum distance by the Brouwer-Zimmermann search (cached).
@@ -144,19 +128,20 @@ class LinearCode:
         """
         if self._square is not None:
             return self._square
-        f = self.field
-        rows = self._generator.rows
-        prods = [schur(f, rows[i], rows[j])
+        f, n = self.field, self.length
+        rows = self._generator.packed
+        prods = [product(f, rows[i], rows[j])
                  for i in range(len(rows)) for j in range(i, len(rows))]
-        red, pivots = rref(Matrix._trusted(f, tuple(prods)))
-        self._square = LinearCode(Matrix._trusted(f, red.rows[:len(pivots)]))
+        red, pivots = rref(Matrix.from_packed(f, prods, n))
+        self._square = LinearCode(
+            Matrix.from_packed(f, red.packed[:len(pivots)], n))
         return self._square
 
     def square_distance(self, limit: int = DEFAULT_ENUM_LIMIT) -> int:
         return self.schur_square().min_distance(limit)
 
-    def dual_basis(self) -> tuple[Vector, ...]:
-        """Deterministic basis of the dual code {v : G v = 0}."""
+    def dual_basis(self) -> Matrix:
+        """Deterministic basis of the dual code {v : G v = 0}, as rows."""
         _, kernel = rank_and_kernel(self._generator)
         return kernel
 
@@ -184,15 +169,16 @@ def _information_sets(generator: Matrix) -> Iterator[tuple[int, list[int]]]:
     coordinates, which changes no weight.  Yields (new, packed reduced
     rows) per set, up to the first elimination that adds no fresh pivot.
     """
-    f, n = generator.field, generator.ncols
+    f, k, n = generator.field, generator.nrows, generator.ncols
+    columns = generator.transpose().packed
     used: set[int] = set()
     while len(used) < n:
         unused = [j for j in range(n) if j not in used]
-        pick = itemgetter(*unused, *sorted(used))
+        reordered = Matrix.from_packed(f, [
+            columns[j] for j in unused + sorted(used)], k).transpose()
         rows: list[int] = []
         pivots: list[int] = []
-        eliminate(f, rows, pivots,
-                  [pack(f, pick(r)) for r in generator.rows], n)
+        eliminate(f, rows, pivots, reordered.packed, n)
         fresh = [unused[p] for p in pivots if p < len(unused)]
         if not fresh:
             return
@@ -279,12 +265,10 @@ class OrthonormalCode:
     """A code together with a spanning row basis H satisfying H H^T = I."""
 
     def __init__(self, rows: Matrix):
-        f = rows.field
-        r = rows.nrows
-        for i in range(r):
-            for j in range(i, r):
-                want = 1 if i == j else 0
-                if f.dot(rows.rows[i], rows.rows[j]) != want:
+        f, packed = rows.field, rows.packed
+        for i, hi in enumerate(packed):
+            for j in range(i, len(packed)):
+                if dot(f, hi, packed[j]) != (i == j):
                     raise ValueError("rows are not orthonormal")
         self.rows = rows
         self.base = LinearCode(rows)
@@ -327,8 +311,7 @@ def orthonormalize(code: LinearCode) -> tuple[OrthonormalCode, tuple[int, ...]]:
     red, pivots = rref(code.generator)
     kept = (1 << e * n) - 1  # the symbols of the surviving positions
     settled: list[int] = []
-    for step, row in enumerate(red.rows[:code.dimension]):
-        cand = pack(f, row)
+    for step, cand in enumerate(red.packed[:code.dimension]):
         for h in settled:
             cand ^= scale(f, h, dot(f, cand & kept, h))
         nrm = dot(f, cand & kept, cand)
@@ -340,8 +323,7 @@ def orthonormalize(code: LinearCode) -> tuple[OrthonormalCode, tuple[int, ...]]:
         settled.append(scale(f, cand, f.inv(f.sqrt(nrm))))
 
     punctured = tuple(j for j in range(n) if not kept >> e * j & 1)
-    hmat = Matrix(f, tuple(unpack(f, h, n) for h in settled)
-                  ).drop_columns(punctured)
+    hmat = Matrix.from_packed(f, settled, n).drop_columns(punctured)
     return OrthonormalCode(hmat), punctured
 
 
@@ -429,10 +411,17 @@ def code_to_json(code: LinearCode,
     return obj
 
 
+def _integer(key: str, value) -> int:
+    """value when it is a JSON integer (an int, not a bool)."""
+    if type(value) is not int:
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def code_from_json(obj: dict) -> tuple[LinearCode, Optional[CodeAudit]]:
-    field = GF(int(obj["field_degree"]))
-    n, k = int(obj["n"]), int(obj["k"])
-    entries = list(obj["generator"])
+    field = GF(_integer("field_degree", obj["field_degree"]))
+    n, k = _integer("n", obj["n"]), _integer("k", obj["k"])
+    entries = [_integer("each generator entry", a) for a in obj["generator"]]
     if len(entries) != n * k:
         raise ValueError("generator entry count does not match n*k")
     it = iter(entries)
@@ -441,6 +430,8 @@ def code_from_json(obj: dict) -> tuple[LinearCode, Optional[CodeAudit]]:
     audit = None
     if "audit" in obj and obj["audit"] is not None:
         a = obj["audit"]
-        audit = CodeAudit(d=int(a["d"]), d_hat=int(a["d_hat"]),
-                          square_dim=int(a["square_dim"]))
+        audit = CodeAudit(d=_integer("audit d", a["d"]),
+                          d_hat=_integer("audit d_hat", a["d_hat"]),
+                          square_dim=_integer("audit square_dim",
+                                              a["square_dim"]))
     return code, audit

@@ -6,10 +6,11 @@ Addition is XOR.  The modulus for each degree is the lexicographically
 smallest primitive polynomial of that degree, found by search and cached,
 so an encoded element means the same thing in every run, file, and test.
 
-Multiplication, inversion, square roots and discrete logs go through
-exp/log tables indexed by powers of x (x is a generator of the
-multiplicative group precisely because the modulus is primitive).  With
-e <= 8 the tables have at most 255 entries.
+Inversion, powers, square roots and discrete logs go through exp/log
+tables indexed by powers of x (x is a generator of the multiplicative
+group precisely because the modulus is primitive).  With e <= 8 the
+tables have at most 255 entries.  Products of elements are taken on
+packed rows, symbol by symbol (`otlab.linalg.scale` and `product`).
 
 e = 1 degenerates to the plain binary field {0, 1} with modulus x + 1.
 """
@@ -17,7 +18,6 @@ e = 1 degenerates to the plain binary field {0, 1} with modulus x + 1.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Sequence
 
 MAX_DEGREE = 8
 
@@ -109,16 +109,12 @@ class Field:
     # -- element checks ------------------------------------------------
 
     def check(self, a: int) -> int:
-        if not isinstance(a, int) or not 0 <= a < self.order:
+        """a itself when it is an element: an int (not a bool) in 0..q-1."""
+        if type(a) is not int or not 0 <= a < self.order:
             raise ValueError(f"{a!r} is not an element of {self}")
         return a
 
     # -- arithmetic ----------------------------------------------------
-
-    def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return self._exp[(self._log[a] + self._log[b]) % (self.order - 1)]
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -149,14 +145,6 @@ class Field:
     def alpha_power(self, i: int) -> int:
         """x^i, for any integer i."""
         return self._exp[i % (self.order - 1)]
-
-    def dot(self, u: Sequence[int], v: Sequence[int]) -> int:
-        if len(u) != len(v):
-            raise ValueError("length mismatch in dot product")
-        acc = 0
-        for a, b in zip(u, v):
-            acc ^= self.mul(a, b)
-        return acc
 
     # -- misc ----------------------------------------------------------
 

@@ -1,20 +1,23 @@
 """Linear algebra over GF(2^e) on one packed row layer.
 
-Matrices are immutable (tuple-of-tuples storage) and carry their field.
-Row reduction uses lowest-index pivot selection so every reduced form,
-rank, kernel basis, and sampled solution is reproducible bit for bit.
+Matrices are immutable, carry their field and store packed rows: a row
+over GF(2^e) is one Python int whose bits e j .. e j + e - 1 hold the
+symbol in column j, so over GF(2) bit j is the entry in column j.  The
+tuple rows are unpacked only on demand (`rows`, `row`, `column`).  Row
+reduction uses lowest-index pivot selection so every reduced form, rank,
+kernel basis, and sampled solution is reproducible bit for bit.
 
-Every row operation runs on packed rows: a row over GF(2^e) is one
-Python int whose bits e j .. e j + e - 1 hold the symbol in column j, so
-over GF(2) bit j is the entry in column j.  Addition is XOR; `scale`
+Every row operation runs on packed rows.  Addition is XOR; `scale`
 multiplies every symbol by one field element with at most e masked
 shifts, `product` multiplies two words symbol by symbol, `dot` sums that
-product and `weight` counts nonzero symbols.  One elimination loop
-(`eliminate`) serves every field: `rref`, `rank`, `rank_and_kernel`,
-`solve_affine` and `solve_columns` all reduce through it, and one
-sampler (`Coset`) draws the uniform solutions, so one elimination can
-serve many right-hand sides.  `random_matrix` and `full_rank_matrix` are
-the one way to draw a matrix and to draw one of full row rank.
+product and `weight` counts nonzero symbols; a matrix product sums the
+rows of the right factor scaled by the symbols of each row of the left
+one.  One elimination loop (`eliminate`) serves every field: `rref`,
+`rank`, `rank_and_kernel`, `solve_affine` and `solve_columns` all reduce
+through it, and one sampler (`Coset`) draws the uniform solutions, so
+one elimination can serve many right-hand sides.  `random_matrix` and
+`full_rank_matrix` are the one way to draw a matrix and to draw one of
+full row rank.
 
 Codeword enumeration uses numpy: `span_words` lists every combination of
 packed rows as int64 words (63 bits to a limb, limbs on the last axis),
@@ -47,9 +50,9 @@ class InconsistentSystem(ValueError):
 
 
 class Matrix:
-    """Immutable dense matrix over a GF(2^e) field."""
+    """Immutable matrix over a GF(2^e) field, stored as packed rows."""
 
-    __slots__ = ("field", "nrows", "ncols", "rows")
+    __slots__ = ("field", "nrows", "ncols", "packed")
 
     def __init__(self, field: Field, rows: Iterable[Sequence[int]],
                  ncols: int | None = None):
@@ -65,19 +68,19 @@ class Matrix:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "nrows", len(rows))
         object.__setattr__(self, "ncols", width)
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "packed", tuple(pack(field, r) for r in rows))
 
     @classmethod
-    def _trusted(cls, field: Field, rows: tuple,
-                 ncols: int | None = None) -> "Matrix":
-        """__init__ without Field.check, for rows already known to be
-        equal-width tuples of field elements (same shape rule)."""
+    def from_packed(cls, field: Field, packed: Iterable[int],
+                    ncols: int) -> "Matrix":
+        """The matrix whose rows are the packed words, taken unchecked:
+        each must hold at most ncols symbols of the field."""
         m = object.__new__(cls)
+        packed = tuple(packed)
         object.__setattr__(m, "field", field)
-        object.__setattr__(m, "nrows", len(rows))
-        object.__setattr__(m, "ncols", len(rows[0]) if rows
-                           else (0 if ncols is None else ncols))
-        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "nrows", len(packed))
+        object.__setattr__(m, "ncols", ncols)
+        object.__setattr__(m, "packed", packed)
         return m
 
     def __setattr__(self, name, value):
@@ -87,21 +90,27 @@ class Matrix:
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        return cls(field, tuple(tuple(1 if i == j else 0 for j in range(n))
-                                for i in range(n)))
+        e = field.degree
+        return cls.from_packed(field, (1 << e * i for i in range(n)), n)
 
     # -- basic ops -------------------------------------------------------
 
+    @property
+    def rows(self) -> tuple[Vector, ...]:
+        """The rows as tuples of field elements (unpacked on each read)."""
+        return tuple(unpack(self.field, x, self.ncols) for x in self.packed)
+
     def row(self, i: int) -> Vector:
-        return self.rows[i]
+        return unpack(self.field, self.packed[i], self.ncols)
 
     def column(self, j: int) -> Vector:
-        return tuple(r[j] for r in self.rows)
+        e, mask = self.field.degree, self.field.order - 1
+        return tuple([x >> e * j & mask for x in self.packed])
 
     def transpose(self) -> "Matrix":
-        return Matrix._trusted(self.field,
-                               tuple(zip(*self.rows)) if self.rows else (),
-                               ncols=self.nrows)
+        f = self.field
+        return Matrix.from_packed(f, (pack(f, self.column(j))
+                                      for j in range(self.ncols)), self.nrows)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.field != other.field:
@@ -110,60 +119,59 @@ class Matrix:
             raise DimensionMismatch(
                 f"cannot multiply {self.nrows}x{self.ncols} by "
                 f"{other.nrows}x{other.ncols}")
-        f = self.field
-        ocols = other.transpose().rows
-        return Matrix._trusted(f, tuple(tuple(f.dot(r, c) for c in ocols)
-                                        for r in self.rows))
+        f, e, mask = self.field, self.field.degree, self.field.order - 1
+        rows = []
+        for word in self.packed:
+            # the rows of other scaled by the symbols of word, summed
+            acc = 0
+            for i, row in enumerate(other.packed):
+                a = word >> e * i & mask
+                if a:
+                    acc ^= scale(f, row, a)
+            rows.append(acc)
+        return Matrix.from_packed(f, rows, other.ncols)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if self.field != other.field:
             raise DimensionMismatch("field mismatch")
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise DimensionMismatch("shape mismatch in addition")
-        return Matrix._trusted(self.field,
-                               tuple(tuple(a ^ b for a, b in zip(r1, r2))
-                                     for r1, r2 in zip(self.rows, other.rows)))
+        return Matrix.from_packed(self.field, map(int.__xor__, self.packed,
+                                                  other.packed), self.ncols)
 
     def scale(self, c: int) -> "Matrix":
         f = self.field
         f.check(c)
-        return Matrix._trusted(f, tuple(tuple(f.mul(c, a) for a in r)
-                                        for r in self.rows))
+        return Matrix.from_packed(f, (scale(f, x, c) for x in self.packed),
+                                  self.ncols)
 
     def apply(self, v: Sequence[int]) -> Vector:
         """Matrix-vector product A v."""
         if len(v) != self.ncols:
             raise DimensionMismatch(f"expected length {self.ncols}, got {len(v)}")
         f = self.field
-        return tuple(f.dot(r, v) for r in self.rows)
-
-    def left_apply(self, v: Sequence[int]) -> Vector:
-        """Vector-matrix product v A."""
-        if len(v) != self.nrows:
-            raise DimensionMismatch(f"expected length {self.nrows}, got {len(v)}")
-        f = self.field
-        return tuple(f.dot(v, col) for col in zip(*self.rows))
+        x = pack(f, v)
+        return tuple(dot(f, r, x) for r in self.packed)
 
     def drop_columns(self, positions: Iterable[int]) -> "Matrix":
         drop = set(positions)
-        keep = [j for j in range(self.ncols) if j not in drop]
-        return Matrix._trusted(self.field,
-                               tuple(tuple(r[j] for j in keep)
-                                     for r in self.rows),
-                               ncols=len(keep))
+        cols = self.transpose().packed
+        return Matrix.from_packed(self.field, (
+            x for j, x in enumerate(cols) if j not in drop),
+            self.nrows).transpose()
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Matrix) and self.field == other.field
-                and self.rows == other.rows
+                and self.packed == other.packed
                 and self.ncols == other.ncols)
 
     def __hash__(self) -> int:
-        return hash((self.field, self.nrows, self.ncols, self.rows))
+        return hash((self.field, self.ncols, self.packed))
 
     def __reduce__(self):
         # __slots__ plus the immutability guard break the default pickle
         # path, and worker pools need to ship matrices across processes.
-        return (Matrix, (self.field, self.rows, self.ncols))
+        return (Matrix.from_packed, (self.field, self.packed, self.ncols))
 
     def __repr__(self) -> str:
         return f"Matrix({self.field}, {self.nrows}x{self.ncols})"
@@ -194,7 +202,7 @@ def pack(field: Field, row: Sequence[int]) -> int:
 def unpack(field: Field, x: int, n: int) -> tuple:
     """The first n symbols of a packed int."""
     e, mask = field.degree, field.order - 1
-    return tuple(x >> s & mask for s in range(0, e * n, e))
+    return tuple([x >> s & mask for s in range(0, e * n, e)])
 
 
 def _low_bits(e: int, bits: int) -> int:
@@ -304,14 +312,6 @@ def eliminate(field: Field, rows: list[int], pivots: list[int],
     return dependent
 
 
-def packed_rank(field: Field, rows: Sequence[int]) -> int:
-    """Rank of packed rows."""
-    pivots: list[int] = []
-    eliminate(field, [], pivots, rows,
-              max((r.bit_length() for r in rows), default=0))
-    return len(pivots)
-
-
 class Coset:
     """The solutions of a reduced packed system, ready for sampling.
 
@@ -362,40 +362,40 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     each column, the first not-yet-used row with a nonzero entry becomes
     the pivot row; pivot rows come first in pivot order, zero rows last.
     """
-    f, n = m.field, m.ncols
     rows: list[int] = []
     pivots: list[int] = []
-    eliminate(f, rows, pivots, [pack(f, r) for r in m.rows], n)
+    eliminate(m.field, rows, pivots, m.packed, m.ncols)
     order = sorted(range(len(pivots)), key=pivots.__getitem__)
-    red = (tuple(unpack(f, rows[i], n) for i in order)
-           + ((0,) * n,) * (m.nrows - len(rows)))
-    return (Matrix._trusted(f, red, ncols=n),
+    red = [rows[i] for i in order] + [0] * (m.nrows - len(rows))
+    return (Matrix.from_packed(m.field, red, m.ncols),
             tuple(pivots[i] for i in order))
 
 
 def rank(m: Matrix) -> int:
-    return packed_rank(m.field, [pack(m.field, r) for r in m.rows])
+    pivots: list[int] = []
+    eliminate(m.field, [], pivots, m.packed, m.ncols)
+    return len(pivots)
 
 
-def rank_and_kernel(m: Matrix) -> tuple[int, tuple[Vector, ...]]:
-    """Rank and a deterministic kernel basis of {v : M v = 0}.
+def rank_and_kernel(m: Matrix) -> tuple[int, Matrix]:
+    """Rank and a deterministic kernel basis of {v : M v = 0}, as the rows
+    of a matrix.
 
     One basis vector per free column, in ascending free-column order: the
     vector has 1 at its free column and the matching reduced-form entry at
     each pivot column (char 2, so no sign fix-up).
     """
     red, pivots = rref(m)
-    pivot_set = set(pivots)
+    e, mask = m.field.degree, m.field.order - 1
     basis = []
     for free in range(m.ncols):
-        if free in pivot_set:
+        if free in pivots:
             continue
-        v = [0] * m.ncols
-        v[free] = 1
-        for i, p in enumerate(pivots):
-            v[p] = red.rows[i][free]
-        basis.append(tuple(v))
-    return len(pivots), tuple(basis)
+        v = 1 << e * free
+        for row, p in zip(red.packed, pivots):
+            v |= (row >> e * free & mask) << e * p
+        basis.append(v)
+    return len(pivots), Matrix.from_packed(m.field, basis, m.ncols)
 
 
 def solve_affine(m: Matrix, b: Sequence[int], rng: np.random.Generator) -> Vector:
@@ -429,14 +429,14 @@ def solve_columns(m: Matrix, target: Matrix,
     rows: list[int] = []
     pivots: list[int] = []
     dependent = eliminate(f, rows, pivots, [
-        pack(f, r + t) for r, t in zip(m.rows, target.rows)], n)
+        r | t << e * n for r, t in zip(m.packed, target.packed)], n)
     coset = Coset(f, rows, pivots, n)
     cols = []
     for j in range(target.ncols):
         if any(d >> e * (n + j) & f.order - 1 for d in dependent):
             raise InconsistentSystem("no solution: contradictory row")
-        cols.append(unpack(f, coset.sample(1 << e * j, rng), n))
-    return Matrix._trusted(f, tuple(zip(*cols)), ncols=target.ncols)
+        cols.append(coset.sample(1 << e * j, rng))
+    return Matrix.from_packed(f, cols, n).transpose()
 
 
 # -- random matrices ---------------------------------------------------------
@@ -445,9 +445,9 @@ def random_matrix(field: Field, nrows: int, ncols: int,
                   rng: np.random.Generator) -> Matrix:
     """A uniform nrows x ncols matrix: one rng.integers call per row, in
     row order."""
-    return Matrix._trusted(field, tuple(
-        tuple(rng.integers(0, field.order, size=ncols).tolist())
-        for _ in range(nrows)), ncols=ncols)
+    return Matrix.from_packed(field, [
+        pack(field, rng.integers(0, field.order, size=ncols).tolist())
+        for _ in range(nrows)], ncols)
 
 
 def full_rank_matrix(field: Field, nrows: int, ncols: int,

@@ -25,8 +25,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from .codes import OrthonormalCode, square_dual_sample
 from .gf import Field
-from .linalg import (Matrix, dot, full_rank_matrix, pack, product,
-                     solve_columns, unpack)
+from .linalg import Matrix, dot, full_rank_matrix, pack, product, solve_columns
 from .proto_p0 import P0Params, Session, p0q_run
 
 if TYPE_CHECKING:
@@ -104,26 +103,17 @@ def request_indices(mask: Sequence[int], want_first: bool,
 
 
 def cheat_matrix_V(rows: Matrix, mask: Sequence[int]) -> Matrix:
-    """V(u) with V_ij = u . (H_i * H_j); zero iff u is dual to the square."""
-    f = rows.field
+    """V(u) with V_ij = u . (H_i * H_j), the inner product of u * H_i with
+    H_j; zero iff u is dual to the square."""
+    f, e, h = rows.field, rows.field.degree, rows.packed
     if len(mask) != rows.ncols:
         raise ValueError("mask length must match the basis length")
     u = pack(f, [f.check(a) for a in mask])
-    v = cheat_rows(f, [pack(f, h) for h in rows.rows], u)
-    return Matrix._trusted(f, tuple(unpack(f, r, rows.nrows) for r in v),
-                           ncols=rows.nrows)
-
-
-def cheat_rows(field: Field, rows: Sequence[int], mask: int) -> list[int]:
-    """The rows of V(u), packed, from the packed basis rows and mask:
-    V_ij is the inner product of u * H_i with H_j."""
-    e = field.degree
-    out = []
-    for hi in rows:
-        masked = product(field, mask, hi)
-        out.append(sum(dot(field, masked, hj) << e * j
-                       for j, hj in enumerate(rows)))
-    return out
+    v = []
+    for hi in h:
+        masked = product(f, u, hi)
+        v.append(sum(dot(f, masked, hj) << e * j for j, hj in enumerate(h)))
+    return Matrix.from_packed(f, v, rows.nrows)
 
 
 @dataclass(frozen=True)

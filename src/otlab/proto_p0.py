@@ -83,8 +83,7 @@ class MLDecoder:
                 f"2^{k} codewords exceed the enumeration budget {enum_limit}")
         self.code = code
         self.length = code.length
-        self.words = span_words([pack(code.field, r)
-                                 for r in code.generator.rows], code.length)
+        self.words = span_words(code.generator.packed, code.length)
 
     def decode(self, symbols: Sequence[int]) -> Optional[Vector]:
         import numpy as np
@@ -158,10 +157,9 @@ class P0Params:
             raise ValueError(
                 f"secret length must be in 1..k={code.dimension}, "
                 f"got {self.secret_bits}")
-        f = code.field
         rows: list[int] = []
         pivots: list[int] = []
-        eliminate(f, rows, pivots, [pack(f, r) for r in code.dual_basis()],
+        eliminate(code.field, rows, pivots, code.dual_basis().packed,
                   code.length)
         object.__setattr__(self, "_parity_rref", (tuple(rows), tuple(pivots)))
         if self.security_slack is not None:
@@ -190,8 +188,8 @@ class P0Params:
         while True:
             hash_matrix = random_matrix(f, self.secret_bits, n, rng)
             rows, pivots = map(list, self._parity_rref)
-            tagged = [pack(f, r) | 1 << (n + i)
-                      for i, r in enumerate(hash_matrix.rows)]
+            tagged = [r | 1 << (n + i)
+                      for i, r in enumerate(hash_matrix.packed)]
             if not eliminate(f, rows, pivots, tagged, n):
                 return hash_matrix, Coset(f, rows, pivots, n)
 

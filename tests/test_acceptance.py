@@ -23,13 +23,14 @@ from otlab.analysis import (fixed_weight_oracle, min_entropy_oracle,
 from otlab.channels import BscParams, derive_rng
 from otlab.codes import (EnumerationLimit, LinearCode, OrthonormalCode,
                          cyclic_code, orthonormalize, puncture, random_code,
-                         rs_code, schur)
+                         rs_code)
 from otlab.gf import GF
 from otlab.linalg import Matrix, random_matrix, rank, rref
 from otlab.proto_outer import (OuterParams, cheat_matrix_V,
                                compressed_length, p2_alice_setup,
                                run_session)
 from otlab.proto_p0 import MLDecoder, P0Params, chain_access_audit, p0_run
+from tuple_reference import schur
 
 C15_5_GEN = (1, 1, 1, 0, 1, 1, 0, 0, 1, 0, 1)
 
@@ -49,7 +50,7 @@ def toy_basis(field):
 def span_basis(field, rows, length):
     m = Matrix(field, tuple(rows), ncols=length)
     red, pivots = rref(m)
-    return [red.rows[i] for i in range(len(pivots))]
+    return list(red.rows[:len(pivots)])
 
 
 def definitional_square(code):
@@ -319,7 +320,7 @@ def test_criterion_08_reconstruction_and_cheat_matrix():
     for basis, inner, width in instances:
         params = OuterParams(basis=basis, inner=inner)
         sq = basis.base.schur_square()
-        dual = sq.dual_basis()
+        dual = sq.dual_basis().rows
         for combo in product((0, 1), repeat=len(dual)):
             mask = [0] * basis.length
             for c, vec in zip(combo, dual):

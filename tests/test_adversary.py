@@ -271,7 +271,7 @@ def test_audit_bob_strategies_dual_masks_only():
     """Masks with V = 0 leave the second secret perfectly hidden."""
     basis = toy_basis()
     sq = basis.base.schur_square()
-    dual = sq.dual_basis()
+    dual = sq.dual_basis().rows
     masks = []
     for x in range(1 << len(dual)):
         acc = [0] * 8

@@ -524,6 +524,29 @@ def test_code_audit_reed_solomon(tmp_path):
     assert agg["field_degree"] == 3
 
 
+@pytest.mark.parametrize("command", [("code-audit",),
+                                     ("run", "--protocol", "p0")])
+@pytest.mark.parametrize("change, key", [
+    # strings, floats and bools used to be coerced: a [3,1] code ran while
+    # the config recorded n = 3.9
+    ({"field_degree": "1", "n": 3.9, "k": True}, "field_degree"),
+    ({"n": 3.9}, "n"),
+    ({"k": True}, "k"),
+    ({"audit": {"d": "3", "d_hat": 3, "square_dim": 1}}, "audit d"),
+    # JSON true is not the field element 1, as 1.0 is not
+    ({"generator": [True, True, True]}, "generator"),
+    ({"generator": [1.0, 1, 1]}, "generator"),
+])
+def test_code_files_take_json_integers_only(tmp_path, command, change, key):
+    obj = {**code_to_json(all_ones_code(3)), **change}
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(obj))
+    proc = run_cli(*command, "--code", str(path))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("otlab: config error: ")
+    assert key in proc.stderr and "must be an integer" in proc.stderr
+
+
 def test_code_audit_embeds_and_checks_audit(tmp_path):
     src = write_code(tmp_path, "c155.json",
                      cyclic_code(GF(1), 15, C15_5_GEN))

@@ -6,9 +6,10 @@ import pytest
 from otlab.codes import (EnumerationLimit, LinearCode, OrthonormalCode,
                          code_from_json, code_to_json, cyclic_code,
                          orthonormalize, puncture, random_code, rs_code,
-                         schur, square_dual_sample)
+                         square_dual_sample)
 from otlab.gf import GF
-from otlab.linalg import Matrix, rank, rref
+from otlab.linalg import Matrix, pack, product, rank, rref, unpack
+from tuple_reference import mul, schur
 
 # generator polynomial of the [15,5] cyclic code used in the session-level
 # tests, low-degree coefficient first: x^10+x^8+x^5+x^4+x^2+x+1
@@ -26,7 +27,7 @@ def hamming_7_4():
 def _span_basis(field, rows, length):
     m = Matrix(field, tuple(rows), ncols=length)
     red, pivots = rref(m)
-    return [red.rows[i] for i in range(len(pivots))]
+    return list(red.rows[:len(pivots)])
 
 
 def definitional_square(code):
@@ -47,9 +48,10 @@ def same_code(a, b):
 
 def test_schur_componentwise():
     f = GF(3)
-    assert schur(f, (1, 2, 0), (3, 4, 5)) == (3, f.mul(2, 4), 0)
-    with pytest.raises(ValueError):
-        schur(f, (1,), (1, 2))
+    u, v = (1, 2, 0), (3, 4, 5)
+    want = (3, mul(f, 2, 4), 0)
+    assert schur(f, u, v) == want
+    assert unpack(f, product(f, pack(f, u), pack(f, v)), 3) == want
 
 
 def test_linear_code_validates_generator():
@@ -62,13 +64,17 @@ def test_linear_code_validates_generator():
 
 def test_encode_and_iter_codewords():
     code = hamming_7_4()
+
+    def encode(msg):
+        return (Matrix(code.field, (msg,)) @ code.generator).row(0)
+
     words = list(code.iter_codewords())
     assert len(words) == 16
     assert len(set(words)) == 16
-    assert code.encode((0, 0, 0, 0)) == (0,) * 7
+    assert encode((0, 0, 0, 0)) == (0,) * 7
     seen = set(words)
     for msg in ((1, 0, 0, 0), (1, 1, 0, 1), (0, 0, 1, 1)):
-        assert code.encode(msg) in seen
+        assert encode(msg) in seen
 
 
 def test_min_distance_known_codes():
@@ -284,7 +290,7 @@ def test_orthonormalize_cyclic_15_5():
     assert ortho.length == 15 - len(removed)
     # a message encodes to a word of the punctured code
     msg = (1, 0, 1, 1, 0)
-    word = ortho.rows.left_apply(msg)
+    word = (Matrix(GF(1), (msg,)) @ ortho.rows).row(0)
     punct = puncture(code, removed) if removed else code
     assert word in set(punct.iter_codewords())
 
@@ -293,12 +299,10 @@ def test_square_dual_sample_is_orthogonal():
     rng = np.random.default_rng(18)
     code = cyclic_code(GF(1), 15, C15_5_GEN)
     sq = code.schur_square()
-    f = code.field
     for _ in range(50):
         u = square_dual_sample(code, rng)
         assert len(u) == code.length
-        for row in sq.generator.rows:
-            assert f.dot(u, row) == 0
+        assert sq.generator.apply(u) == (0,) * sq.dimension
 
 
 def test_square_dual_sample_rejects_full_square():

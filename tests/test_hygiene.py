@@ -14,6 +14,10 @@ SOURCES = PACKAGE + sorted((ROOT / "tests").rglob("*.py"))
 # what a command runs or an acceptance criterion checks, besides the package
 READERS = sorted((ROOT / "otbench").rglob("*.py")) + [
     ROOT / "tests" / "test_acceptance.py"]
+# attribute names of builtin types: reading `x.encode` may be str.encode
+SHARED_WITH_BUILTINS = {name for t in (str, bytes, int, float, tuple, list,
+                                       dict, set)
+                        for name in dir(t) if not name.startswith("_")}
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -67,16 +71,19 @@ def public_definitions(tree: ast.Module):
 
 def unread_definitions(package: dict, readers: list) -> list[str]:
     """Public definitions of the package modules that no module names
-    outside their own definition, the defining module included."""
-    outside = set().union(*map(names_read, readers))
-    by_module = {name: names_read(tree) for name, tree in package.items()}
+    outside their own definition, the defining module included.  A method
+    whose name a builtin type shares counts as read only in the module that
+    defines its class or in a module that names the class."""
+    others = [(None, names_read(tree)) for tree in readers] + [
+        (name, names_read(tree)) for name, tree in package.items()]
     unread = []
     for name, tree in package.items():
-        elsewhere = outside.union(*(names for other, names in by_module.items()
-                                    if other != name))
         for qualified, node in public_definitions(tree):
-            if (node.name not in elsewhere
-                    and node.name not in names_read(tree, skip=node)):
+            owner = qualified.rpartition(".")[0]
+            shared = owner and node.name in SHARED_WITH_BUILTINS
+            if not (any(node.name in names and (not shared or owner in names)
+                        for other, names in others if other != name)
+                    or node.name in names_read(tree, skip=node)):
                 unread.append(f"{name}.{qualified}")
     return unread
 
@@ -121,6 +128,19 @@ def test_unread_methods_are_found():
         "a.C.unused", "a.C.self_only", "a.C.shape", "a._Hidden.dead"]
     reader = ast.parse("def f(x): return x.shape")
     assert "a.C.shape" not in unread_definitions(package, [reader])
+
+
+def test_methods_named_like_builtin_attributes_need_their_owner():
+    package = {"a": ast.parse("class _Bag:\n"
+                              "    def add(self, x): pass\n"
+                              "    def put(self, x): pass\n"
+                              "def add(x): pass\n"),
+               "b": ast.parse("s = set()\ns.add(1)\ns.put = 2\nadd(3)\n")}
+    # set.add does not read _Bag.add; the top-level add and _Bag.put, whose
+    # name no builtin type has, are read by name alone
+    assert unread_definitions(package, []) == ["a._Bag.add"]
+    reader = ast.parse("from a import _Bag\n_Bag().add(1)\n")
+    assert unread_definitions(package, [reader]) == []
 
 
 def test_every_public_definition_has_a_reader():

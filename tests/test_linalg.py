@@ -1,5 +1,6 @@
 """Matrix layer: reduction, kernels, affine sampling, packed rows."""
 
+import itertools
 import pickle
 from collections import Counter
 
@@ -8,23 +9,17 @@ import pytest
 
 from otlab.gf import GF
 from otlab.linalg import (DimensionMismatch, InconsistentSystem, Matrix, dot,
-                          pack, packed_rank, product, random_matrix, rank,
+                          pack, product, random_matrix, rank,
                           rank_and_kernel, rref, scale, solve_affine, unpack,
                           weight)
+from tuple_reference import dot as reference_dot
+from tuple_reference import mul, naive_matmul
 
 
-def naive_matmul(a, b):
-    f = a.field
-    out = []
-    for i in range(a.nrows):
-        row = []
-        for j in range(b.ncols):
-            acc = 0
-            for k in range(a.ncols):
-                acc ^= f.mul(a.rows[i][k], b.rows[k][j])
-            row.append(acc)
-        out.append(tuple(row))
-    return Matrix(f, tuple(out))
+def span(m):
+    """Every combination of the rows of m."""
+    combos = tuple(itertools.product(range(m.field.order), repeat=m.nrows))
+    return set((Matrix(m.field, combos, ncols=m.nrows) @ m).rows)
 
 
 def test_constructor_validates_shape():
@@ -83,9 +78,6 @@ def test_apply_agrees_with_matmul():
         v = tuple(int(x) for x in rng.integers(0, 4, size=5))
         col = Matrix(f, tuple((x,) for x in v))
         assert a.apply(v) == (a @ col).column(0)
-        w = tuple(int(x) for x in rng.integers(0, 4, size=3))
-        row = Matrix(f, (w,))
-        assert a.left_apply(w) == (row @ a).row(0)
 
 
 def test_stack_and_drop_columns():
@@ -104,9 +96,7 @@ def test_rref_exhaustive_2x2_binary():
         rows = ((bits & 1, (bits >> 1) & 1), ((bits >> 2) & 1, (bits >> 3) & 1))
         m = Matrix(f, rows)
         red, pivots = rref(m)
-        span = {m.left_apply((c0, c1)) for c0 in (0, 1) for c1 in (0, 1)}
-        span_red = {red.left_apply((c0, c1)) for c0 in (0, 1) for c1 in (0, 1)}
-        assert span == span_red
+        assert span(m) == span(red)
         assert rank(m) == len(pivots)
 
 
@@ -118,12 +108,11 @@ def test_rank_and_kernel_exhaustive_small():
                      for i in range(3))
         m = Matrix(f, rows)
         r, kernel = rank_and_kernel(m)
-        assert r + len(kernel) == 3
-        for v in kernel:
+        assert r + kernel.nrows == 3 and kernel.ncols == 3
+        for v in kernel.rows:
             assert m.apply(v) == (0, 0, 0)
         # kernel vectors are independent
-        km = Matrix(f, kernel, ncols=3)
-        assert rank(km) == len(kernel)
+        assert rank(kernel) == kernel.nrows
 
 
 def test_rank_over_gf4():
@@ -183,14 +172,14 @@ def test_pack_unpack_bits():
 
 
 def test_gf2_rank_matches_matrix_rank():
+    """The rank is r exactly when the rows span 2^r words."""
     rng = np.random.default_rng(7)
     f = GF(1)
     for _ in range(100):
         m = random_matrix(f, 4, 6, rng)
-        packed = [pack(f, row) for row in m.rows]
-        assert packed_rank(f, packed) == rank(m)
-    assert packed_rank(f, []) == 0
-    assert packed_rank(f, [0, 0]) == 0
+        assert len(span(m)) == 1 << rank(m)
+    assert rank(Matrix(f, (), ncols=3)) == 0
+    assert rank(Matrix(f, ((0, 0), (0, 0)))) == 0
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3, 4, 8])
@@ -207,12 +196,12 @@ def test_packed_symbols_match_field_arithmetic(degree):
             c = int(rng.integers(0, f.order))
             pu, pv = pack(f, u), pack(f, v)
             assert unpack(f, pu, n) == u
-            assert unpack(f, scale(f, pu, c), n) == tuple(f.mul(c, a)
+            assert unpack(f, scale(f, pu, c), n) == tuple(mul(f, c, a)
                                                           for a in u)
             assert unpack(f, product(f, pu, pv), n) == tuple(
-                f.mul(a, b) for a, b in zip(u, v))
-            assert dot(f, pu, pv) == f.dot(u, v)
+                mul(f, a, b) for a, b in zip(u, v))
+            assert dot(f, pu, pv) == reference_dot(f, u, v)
             assert weight(f, pu) == sum(1 for a in u if a)
     top = (f.order - 1,) * 3
     assert unpack(f, scale(f, pack(f, top), f.order - 1), 3) == (
-        f.mul(f.order - 1, f.order - 1),) * 3
+        mul(f, f.order - 1, f.order - 1),) * 3

@@ -12,6 +12,7 @@ product.  The matrix draws and column solves are compared with the row
 and column loops they replaced.
 """
 
+import pickle
 from itertools import islice, product
 
 import numpy as np
@@ -22,11 +23,12 @@ from otlab.codes import (LinearCode, OrthonormalCode, cyclic_code,
                          random_code)
 from otlab.gf import GF
 from otlab.linalg import (InconsistentSystem, Matrix, full_rank_matrix,
-                          gf2_apply, pack, packed_rank, random_matrix, rank,
+                          gf2_apply, pack, random_matrix, rank,
                           rank_and_kernel, rref, solve_affine, solve_columns,
                           span_words, unpack)
 from otlab.proto_outer import cheat_matrix_V
 from otlab.proto_p0 import MLDecoder, P0Params
+from tuple_reference import dot, mul, naive_matmul
 
 F2 = GF(1)
 DEGREES = (1, 2, 3, 4, 8)
@@ -51,11 +53,11 @@ def dense_rref(m):
             continue
         rows[pr], rows[sel] = rows[sel], rows[pr]
         inv = f.inv(rows[pr][col])
-        rows[pr] = [f.mul(inv, a) for a in rows[pr]]
+        rows[pr] = [mul(f, inv, a) for a in rows[pr]]
         for i in range(len(rows)):
             if i != pr and rows[i][col]:
                 c = rows[i][col]
-                rows[i] = [a ^ f.mul(c, b) for a, b in zip(rows[i], rows[pr])]
+                rows[i] = [a ^ mul(f, c, b) for a, b in zip(rows[i], rows[pr])]
         pivots.append(col)
         pr += 1
         if pr == len(rows):
@@ -66,6 +68,7 @@ def dense_rref(m):
 
 def dense_rank_and_kernel(m):
     red, pivots = dense_rref(m)
+    red_rows = red.rows
     basis = []
     for free in range(m.ncols):
         if free in pivots:
@@ -73,7 +76,7 @@ def dense_rank_and_kernel(m):
         v = [0] * m.ncols
         v[free] = 1
         for i, p in enumerate(pivots):
-            v[p] = red.rows[i][free]
+            v[p] = red_rows[i][free]
         basis.append(tuple(v))
     return len(pivots), tuple(basis)
 
@@ -86,14 +89,15 @@ def dense_solve_affine(m, b, rng):
         red, pivots = dense_rref(aug)
         if m.ncols in pivots:
             raise InconsistentSystem("no solution")
+        red_rows = red.rows
         for i, p in enumerate(pivots):
-            particular[p] = red.rows[i][m.ncols]
+            particular[p] = red_rows[i][m.ncols]
     _, kernel = dense_rank_and_kernel(m)
     if kernel:
         coeffs = rng.integers(0, f.order, size=len(kernel))
         for c, kv in zip(coeffs, kernel):
             for i, a in enumerate(kv):
-                particular[i] ^= f.mul(int(c), a)
+                particular[i] ^= mul(f, int(c), a)
     return tuple(particular)
 
 
@@ -124,8 +128,9 @@ def test_packed_reduction_matches_dense(nrows, ncols, cap):
             m = random_over(f, rng, nrows, ncols, cap)
             assert rref(m) == dense_rref(m)
             assert rank(m) == len(dense_rref(m)[1])
-            assert rank_and_kernel(m) == dense_rank_and_kernel(m)
-            assert packed_rank(f, [pack(f, r) for r in m.rows]) == rank(m)
+            r, kernel = rank_and_kernel(m)
+            assert kernel.ncols == ncols
+            assert (r, kernel.rows) == dense_rank_and_kernel(m)
 
 
 @pytest.mark.parametrize("nrows,ncols,cap", SHAPES)
@@ -164,7 +169,7 @@ def test_session_coset_matches_dense_solve_of_stacked_system():
     for n, k, m in ((15, 5, 3), (15, 1, 1), (20, 16, 1), (20, 16, 5),
                     (12, 12, 4), (70, 6, 2)):
         code = random_code(F2, n, k, rng)
-        parity = Matrix(F2, code.dual_basis(), ncols=n)
+        parity = code.dual_basis()
         params = P0Params(channel=BscParams(0.1), code=code, secret_bits=m)
         for trial in range(10):
             hm, coset = params.draw_hash(rng)
@@ -188,7 +193,7 @@ def test_draw_hash_redraws_like_the_stacked_rank_loop():
     redraws = 0
     for n, k in ((6, 3), (10, 4), (12, 12), (20, 5)):
         code = random_code(F2, n, k, rng)
-        parity = Matrix(F2, code.dual_basis(), ncols=n)
+        parity_rows = code.dual_basis().rows
         params = P0Params(channel=BscParams(0.1), code=code, secret_bits=k)
         for trial in range(20):
             ours, ref = (np.random.default_rng(trial),
@@ -196,7 +201,7 @@ def test_draw_hash_redraws_like_the_stacked_rank_loop():
             got, _ = params.draw_hash(ours)
             while True:
                 want = random_matrix(F2, k, n, ref)
-                if rank(Matrix(F2, parity.rows + want.rows)) == n:  # m = k
+                if rank(Matrix(F2, parity_rows + want.rows)) == n:  # m = k
                     break
                 redraws += 1
             assert got == want
@@ -208,15 +213,59 @@ def test_span_words_and_gf2_apply_match_direct_products():
     rng = np.random.default_rng(3100)
     for n, k in ((9, 4), (63, 3), (64, 3), (130, 4)):
         code = random_code(F2, n, k, rng)
-        words = span_words([pack(F2, r) for r in code.generator.rows], n)
+        words = span_words(code.generator.packed, n)
         packed = [pack(F2, w) for w in code.iter_codewords()]
         got = [sum(int(limb) << (63 * j) for j, limb in enumerate(row))
                for row in words]
         assert got == packed
         hm = random_over(F2, rng, 3, n)
         want = [pack(F2, hm.apply(w)) for w in code.iter_codewords()]
-        assert gf2_apply([pack(F2, r) for r in hm.rows], words,
-                         n).tolist() == want
+        assert gf2_apply(hm.packed, words, n).tolist() == want
+
+
+# -- packed matrix operations ---------------------------------------------------
+
+OP_SHAPES = [(0, 0), (0, 4), (3, 0), (1, 1), (3, 5), (6, 2), (4, 9)]
+
+
+@pytest.mark.parametrize("degree", DEGREES)
+def test_matrix_ops_match_tuple_references(degree):
+    """Every Matrix operation on packed rows equals the same operation on
+    the unpacked tuple rows, zero-row and zero-column shapes included."""
+    f = GF(degree)
+    rng = np.random.default_rng(7000 + degree)
+    for nrows, ncols in OP_SHAPES:
+        for _ in range(6):
+            a = random_over(f, rng, nrows, ncols)
+            b = random_over(f, rng, nrows, ncols)
+            rows, brows = a.rows, b.rows
+            assert a.packed == tuple(pack(f, r) for r in rows)
+            assert Matrix(f, rows, ncols=ncols) == a
+            assert [a.row(i) for i in range(nrows)] == list(rows)
+            cols = tuple(tuple(r[j] for r in rows) for j in range(ncols))
+            assert tuple(a.column(j) for j in range(ncols)) == cols
+            assert a.transpose() == Matrix(f, cols, ncols=nrows)
+            assert (a + b).rows == tuple(tuple(x ^ y for x, y in zip(r, s))
+                                         for r, s in zip(rows, brows))
+            for c in (0, 1, int(rng.integers(f.order))):
+                assert a.scale(c) == Matrix(f, tuple(
+                    tuple(mul(f, c, x) for x in r) for r in rows), ncols=ncols)
+            v = tuple(rng.integers(0, f.order, size=ncols).tolist())
+            assert a.apply(v) == tuple(dot(f, r, v) for r in rows)
+            for width in (0, 3):
+                other = random_over(f, rng, ncols, width)
+                got = a @ other
+                assert (got.nrows, got.ncols) == (nrows, width)
+                assert got == naive_matmul(a, other)
+            drop = {j for j in range(ncols) if rng.random() < 0.4}
+            assert a.drop_columns(drop) == Matrix(f, tuple(
+                tuple(x for j, x in enumerate(r) if j not in drop)
+                for r in rows), ncols=ncols - len(drop))
+            back = pickle.loads(pickle.dumps(a))
+            assert back == a and (back.nrows, back.ncols) == (nrows, ncols)
+    for n in range(5):
+        assert Matrix.identity(f, n) == Matrix(f, tuple(
+            tuple(int(i == j) for j in range(n)) for i in range(n)), ncols=n)
 
 
 # -- random matrices and column solves -----------------------------------------
@@ -236,14 +285,12 @@ def loop_full_rank(field, k, n, rng):
 
 def loop_solve_columns(m, target, rng):
     """The per-column solve_affine loop of p2_alice_setup and
-    compress_setup, with its reshape guard."""
-    f = m.field
+    compress_setup: an m.ncols x target.ncols solution, also when either
+    is zero."""
     cols = [solve_affine(m, target.column(j), rng)
             for j in range(target.ncols)]
-    x = Matrix(f, tuple(zip(*cols))) if cols else Matrix(f, ())
-    if x.nrows != m.ncols:
-        x = Matrix(f, x.rows, ncols=target.ncols)
-    return x
+    return Matrix(m.field, tuple(zip(*cols)) if cols else ((),) * m.ncols,
+                  ncols=target.ncols)
 
 
 DRAW_SHAPES = [(1, 1, 1), (1, 3, 3), (1, 4, 7), (1, 8, 8), (1, 12, 23),
@@ -295,7 +342,9 @@ def test_solve_columns_matches_per_column_solve_affine(degree):
             with pytest.raises(InconsistentSystem):
                 solve_columns(m, target, ours)
         else:
-            assert solve_columns(m, target, ours) == want
+            got = solve_columns(m, target, ours)
+            assert got == want
+            assert m @ got == target
         assert ours.bit_generator.state == ref.bit_generator.state
     assert inconsistent > 0
     # a consistent column drawn, then an inconsistent one stops the solve
@@ -357,7 +406,7 @@ def test_failure_bound_hamming_7_4_frozen():
 # -- minimum distance ------------------------------------------------------------
 
 def gray_walk_distance(code):
-    rows = [pack(F2, r) for r in code.generator.rows]
+    rows = code.generator.packed
     best, word = code.length, 0
     for m in range(1, 1 << len(rows)):
         word ^= rows[(m & -m).bit_length() - 1]
@@ -467,7 +516,7 @@ def test_min_distance_of_golay_and_its_extension():
 
 def dense_cheat_matrix(basis, mask):
     f, rows = basis.field, basis.rows.rows
-    return tuple(tuple(f.dot(hi, [f.mul(u, a) for u, a in zip(mask, hj)])
+    return tuple(tuple(dot(f, hi, [mul(f, u, a) for u, a in zip(mask, hj)])
                        for hj in rows) for hi in rows)
 
 

@@ -13,6 +13,7 @@ from otlab.proto_outer import (OuterParams, bits_to_block, block_to_bits,
                                compressed_length, outer_offset,
                                p2_alice_setup, request_indices, run_session)
 from otlab.proto_p0 import P0Params
+from tuple_reference import mul
 
 C15_5_GEN = (1, 1, 1, 0, 1, 1, 0, 0, 1, 0, 1)
 
@@ -42,14 +43,14 @@ def gf4_inner(phi=0.0):
 
 def all_square_dual_masks(basis):
     sq = basis.base.schur_square()
-    dual = sq.dual_basis()
+    dual = sq.dual_basis().rows
     f = basis.field
     masks = set()
     for combo in product(range(f.order), repeat=len(dual)):
         acc = [0] * basis.length
         for c, vec in zip(combo, dual):
             for i, a in enumerate(vec):
-                acc[i] ^= f.mul(c, a)
+                acc[i] ^= mul(f, c, a)
         masks.add(tuple(acc))
     return sorted(masks)
 

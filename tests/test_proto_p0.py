@@ -27,7 +27,7 @@ def make_params(n0=15, phi=0.198, m=1, code=None, **kw):
 
 
 def parity_check(code):
-    return Matrix(code.field, code.dual_basis(), ncols=code.length)
+    return code.dual_basis()
 
 
 def test_secret_length_frozen_values():

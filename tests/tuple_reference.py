@@ -1,0 +1,55 @@
+"""Tuple arithmetic over GF(2^e): the symbol-by-symbol references that
+the packed rows of `otlab.linalg` are checked against."""
+
+import functools
+
+from otlab.linalg import Matrix
+
+
+@functools.cache
+def _products(degree, poly):
+    """The multiplication table of GF(2^degree) under the modulus poly:
+    carry-less products, reduced one bit at a time."""
+    def product(a, b):
+        acc = 0
+        for t in range(degree):
+            if b >> t & 1:
+                acc ^= a << t
+        for t in range(2 * degree - 2, degree - 1, -1):
+            if acc >> t & 1:
+                acc ^= poly << t - degree
+        return acc
+    q = 1 << degree
+    return tuple(tuple(product(a, b) for b in range(q)) for a in range(q))
+
+
+def mul(field, a, b):
+    """a times b, independent of the field's exp/log tables."""
+    if not a or not b:
+        return 0
+    return _products(field.degree, field.poly)[a][b]
+
+
+def dot(field, u, v):
+    """Inner product of two words."""
+    if len(u) != len(v):
+        raise ValueError("length mismatch in dot product")
+    acc = 0
+    for a, b in zip(u, v):
+        acc ^= mul(field, a, b)
+    return acc
+
+
+def schur(field, u, v):
+    """Componentwise product of two words."""
+    if len(u) != len(v):
+        raise ValueError("length mismatch in componentwise product")
+    return tuple(mul(field, a, b) for a, b in zip(u, v))
+
+
+def naive_matmul(a, b):
+    """a @ b by the triple loop over entries."""
+    f, arows, brows = a.field, a.rows, b.rows
+    return Matrix(f, tuple(
+        tuple(dot(f, arows[i], [r[j] for r in brows]) for j in range(b.ncols))
+        for i in range(a.nrows)), ncols=b.ncols)
