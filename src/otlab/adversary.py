@@ -34,7 +34,7 @@ from .analysis import (AccusationRule, detection_rule, expected_unerased,
 from .channels import BscParams
 from .codes import OrthonormalCode
 from .gf import GF
-from .linalg import Matrix, full_rank_matrix, gf2_apply, rank
+from .linalg import Matrix, full_rank_matrix, popcount, rank
 from .proto_outer import cheat_matrix_V, compressed_length
 
 
@@ -181,17 +181,19 @@ def tracker_advantage_p0(block_len: int, phi: float, corrupted: int,
 
 
 def _parity_lut(rows: Sequence[int], states: np.ndarray) -> np.ndarray:
-    """Packed GF(2) matrix-vector products: bit i = parity(rows[i] & x)."""
-    return gf2_apply(rows, states[:, None], int(states.max()).bit_length())
-
-
-def _full_rank_row_sets(r: int, u_len: int) -> list[np.ndarray]:
-    """All full-rank u_len x r binary matrices as packed row arrays."""
-    out = []
-    for rows in itertools.product(range(1, 1 << r), repeat=u_len):
-        if rank(Matrix.from_packed(GF(1), rows, r)) == u_len:
-            out.append(np.array(rows, dtype=np.int64))
+    """Packed GF(2) matrix-vector products on every state x (each below
+    2^63): bit i of the result is parity(rows[i] & x)."""
+    out = np.zeros(len(states), dtype=np.int64)
+    for i, row in enumerate(rows):
+        out |= (popcount(states & row) & 1).astype(np.int64) << i
     return out
+
+
+def _full_rank_row_sets(r: int, u_len: int) -> list[tuple]:
+    """All full-rank u_len x r binary matrices as packed row tuples."""
+    return [rows for rows in itertools.product(range(1, 1 << r),
+                                               repeat=u_len)
+            if rank(Matrix.from_packed(GF(1), rows, r)) == u_len]
 
 
 @dataclass(frozen=True)
@@ -200,8 +202,7 @@ class MaskAudit:
 
     mean_first / mean_second average H(s~|t~,z) and H(t~|s~,z) over the
     compression-pair ensemble (the reveal happens after Bob commits to
-    the mask, so the ensemble average is the operative quantity);
-    worst_cell is the smallest max-side entropy any single pair gives.
+    the mask, so the ensemble average is the operative quantity).
     """
 
     mask: tuple
@@ -209,7 +210,6 @@ class MaskAudit:
     rank_u: int
     mean_first: float
     mean_second: float
-    worst_cell: float
 
     def predicted_side(self, outer_dim: int) -> str:
         """Low-rank V starves z of t, high-rank starves it of s."""
@@ -285,22 +285,20 @@ def audit_bob_strategies(basis: OrthonormalCode, margin: float,
     else:
         if rng is None:
             raise ValueError("pair_samples needs an rng")
-        draws = [np.array(full_rank_matrix(f, u_len, r, rng).packed,
-                          dtype=np.int64) for _ in range(2 * pair_samples)]
+        draws = [full_rank_matrix(f, u_len, r, rng).packed
+                 for _ in range(2 * pair_samples)]
         pair_list = list(zip(draws[::2], draws[1::2]))
 
     states = np.arange(1 << r, dtype=np.int64)
-    lut_cache: dict[bytes, np.ndarray] = {}
-    for a, b in pair_list:
-        for arr in (a, b):
-            key = arr.tobytes()
-            if key not in lut_cache:
-                lut_cache[key] = _parity_lut(arr, states)
+    lut_cache: dict[tuple, np.ndarray] = {}
+    for rows in itertools.chain.from_iterable(pair_list):
+        if rows not in lut_cache:
+            lut_cache[rows] = _parity_lut(rows, states)
     # one packed (pair, s, t) -> joint-bin index array, reused per mask
     n_pairs = len(pair_list)
     bins = 1 << (r + 2 * u_len)
-    s_part = np.stack([lut_cache[a.tobytes()] for a, _ in pair_list])
-    t_part = np.stack([lut_cache[b.tobytes()] for _, b in pair_list])
+    s_part = np.stack([lut_cache[a] for a, _ in pair_list])
+    t_part = np.stack([lut_cache[b] for _, b in pair_list])
     high = (s_part[:, :, None] << (r + u_len)) | (t_part[:, None, :] << r)
     offsets = (np.arange(n_pairs, dtype=np.int64) * bins)[:, None, None]
 
@@ -325,8 +323,7 @@ def audit_bob_strategies(basis: OrthonormalCode, margin: float,
             h_first = h_stz - h_tz
             h_second = h_stz - h_sz
             by_v[v.packed] = (rank(v), rank(u),
-                              float(h_first.mean()), float(h_second.mean()),
-                              float(np.maximum(h_first, h_second).min()))
+                              float(h_first.mean()), float(h_second.mean()))
         cell = MaskAudit(mask, *by_v[v.packed])
         hist[cell.rank_v] = hist.get(cell.rank_v, 0) + 1
         cells.append(cell)

@@ -23,11 +23,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from .channels import BscParams
 from .codes import EnumerationLimit, LinearCode
-from .linalg import LIMB_BITS, popcount, span_words
+from .linalg import popcount, span_words
 
 if TYPE_CHECKING:
     import numpy as np
@@ -78,7 +78,6 @@ class AccusationRule:
 
     slots: int
     crossover: float
-    confidence: float
     eta: float
     threshold: float
     false_accusation_bound: float
@@ -91,7 +90,7 @@ def detection_rule(rounds: int, block_len: int, phi: float,
     eta = c * (1.0 - 2.0 * eps) / (4.0 * block_len)
     threshold = slots * (1.0 - eps - eta)
     bound = math.exp(-2.0 * eta * eta * slots)
-    return AccusationRule(slots=slots, crossover=phi, confidence=c, eta=eta,
+    return AccusationRule(slots=slots, crossover=phi, eta=eta,
                           threshold=threshold, false_accusation_bound=bound)
 
 
@@ -213,33 +212,37 @@ def min_entropy_bound(n: int, k: int, erasures: int, error_rate: float,
                 * (1.0 - binary_entropy(error_rate)) - alpha)
 
 
-def _packed_codewords(code: LinearCode, limit: int) -> np.ndarray:
+def _kept_words(code: LinearCode, erasures: int,
+                limit: int) -> Iterator[np.ndarray]:
+    """The codewords seen through each erasure pattern.
+
+    An oracle builds a 2^k x 2^(n - e) array per pattern, so C(n, e)
+    2^(k + n - e) is checked against the limit before any is built (for
+    a limit below 2^63 that also keeps each word in one int64 limb).
+    Each item, one per pattern in combinations order of the kept
+    positions, is an int64 array of the 2^k codewords in message order
+    with kept position t at bit t: the generator rows projected onto the
+    kept positions, then spanned.
+    """
     if code.field.degree != 1:
         raise ValueError("entropy oracles require a binary code")
-    k = code.dimension
-    if 1 << k > limit:
-        raise EnumerationLimit(f"2^{k} codewords exceed the budget {limit}")
-    return span_words(code.generator.packed, code.length)
-
-
-def _project(words: np.ndarray, kept: Sequence[int]) -> np.ndarray:
-    """The kept positions of each packed word, as bits 0, 1, ... of an int."""
-    import numpy as np
-    proj = np.zeros(len(words), dtype=np.int64)
-    for t, pos in enumerate(kept):
-        limb, bit = divmod(pos, LIMB_BITS)
-        proj |= ((words[:, limb] >> bit) & 1) << t
-    return proj
+    n, k = code.length, code.dimension
+    kept_count = n - erasures
+    patterns = math.comb(n, erasures)
+    if patterns << k + kept_count > limit:
+        raise EnumerationLimit(
+            f"{patterns} patterns x 2^{k} codewords x 2^{kept_count} outputs "
+            f"exceed the oracle budget {limit}")
+    rows = code.generator.packed
+    return (span_words([sum((r >> pos & 1) << t for t, pos in enumerate(kept))
+                        for r in rows], kept_count)[:, 0]
+            for kept in combinations(range(n), kept_count))
 
 
 @dataclass(frozen=True)
 class EntropyReport:
     """Exact conditional min-entropy census over all views of a code."""
 
-    n: int
-    k: int
-    erasures: int
-    error_rate: float
     alpha: float
     bound_bits: float
     violating_mass: float
@@ -271,11 +274,7 @@ def min_entropy_oracle(code: LinearCode, erasures: int, error_rate: float,
         raise ValueError("alpha must be positive")
     kept_count = n - erasures
     pattern_count = math.comb(n, erasures)
-    if pattern_count * (1 << kept_count) > limit or 1 << k > limit:
-        raise EnumerationLimit(
-            f"{pattern_count} patterns x 2^{kept_count} outputs exceed the "
-            f"oracle budget {limit}")
-    words = _packed_codewords(code, limit)
+    projections = _kept_words(code, erasures, limit)
     bound = min_entropy_bound(n, k, erasures, error_rate, alpha)
     rho = error_rate / (1.0 - error_rate)
     pattern_w = 1.0 / pattern_count
@@ -288,8 +287,7 @@ def min_entropy_oracle(code: LinearCode, erasures: int, error_rate: float,
     avg = 0.0
     bucket = 0.25
     hist: dict[int, float] = {}
-    for kept in combinations(range(n), kept_count):
-        proj = _project(words, kept)
+    for proj in projections:
         dist = popcount(proj[:, None] ^ z[None, :], kept_count)
         like = np.power(rho, dist.astype(np.float64))
         colsum = like.sum(axis=0)
@@ -312,8 +310,7 @@ def min_entropy_oracle(code: LinearCode, erasures: int, error_rate: float,
     # Erasure patterns with their binomial weights all share the same
     # output alphabet size, so the view count is exact.
     views = pattern_count * (1 << kept_count)
-    return EntropyReport(n=n, k=k, erasures=erasures, error_rate=error_rate,
-                         alpha=alpha, bound_bits=bound,
+    return EntropyReport(alpha=alpha, bound_bits=bound,
                          violating_mass=violating, views=views,
                          avg_min_entropy=avg, histogram=histogram)
 
@@ -331,10 +328,6 @@ class FixedWeightBound:
 class FixedWeightReport:
     """Census of the exact-flip-weight bipartite view graph."""
 
-    n: int
-    k: int
-    erasures: int
-    weight: int
     r_bits: float
     r_positive: bool
     total_edges: int
@@ -369,10 +362,7 @@ def fixed_weight_oracle(code: LinearCode, erasures: int, weight: int,
     pattern_count = math.comb(n, erasures)
     per_pattern_edges = (1 << k) * math.comb(kept_count, weight)
     total_edges = pattern_count * per_pattern_edges
-    if total_edges > limit:
-        raise EnumerationLimit(
-            f"{total_edges} edges exceed the audit budget {limit}")
-    words = _packed_codewords(code, limit)
+    projections = _kept_words(code, erasures, limit)
     r_bits = k - kept_count + math.log2(math.comb(kept_count, weight))
 
     z = np.arange(1 << kept_count, dtype=np.int64)
@@ -380,8 +370,7 @@ def fixed_weight_oracle(code: LinearCode, erasures: int, weight: int,
     max_frac = {float(a): 0.0 for a in alphas}
     min_deg, max_deg = per_pattern_edges, 0
     entropy_sum = 0.0
-    for kept in combinations(range(n), kept_count):
-        proj = _project(words, kept)
+    for proj in projections:
         dist = popcount(proj[:, None] ^ z[None, :], kept_count)
         deg = (dist == weight).sum(axis=0)
         if int(deg.sum()) != per_pattern_edges:
@@ -403,8 +392,7 @@ def fixed_weight_oracle(code: LinearCode, erasures: int, weight: int,
                                     / total_edges,
                                     bound=2.0 ** (-float(a)))
                    for a in alphas)
-    return FixedWeightReport(n=n, k=k, erasures=erasures, weight=weight,
-                             r_bits=r_bits, r_positive=r_bits > 0.0,
+    return FixedWeightReport(r_bits=r_bits, r_positive=r_bits > 0.0,
                              total_edges=total_edges, min_degree=min_deg,
                              max_degree=max_deg,
                              avg_min_entropy=entropy_sum / total_edges,

@@ -29,6 +29,11 @@ def derive_rng(master_seed: int, *key: int) -> np.random.Generator:
         np.random.SeedSequence(master_seed, spawn_key=tuple(key)))
 
 
+def random_bits(rng: np.random.Generator, m: int) -> tuple:
+    """m uniform bits from one rng.integers draw."""
+    return tuple(rng.integers(0, 2, size=m).tolist())
+
+
 @dataclass(frozen=True)
 class BscParams:
     """Crossover probability and the derived duplication-channel numbers."""

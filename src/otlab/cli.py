@@ -12,8 +12,9 @@ worker count never changes the bytes.  Reports are canonical JSON
 validated against the schema shipped with the package.
 
 Exit codes: 0 success, 1 replay mismatch or internal error (with a
-traceback), 2 config error, 3 enumeration limit, 4 aborts dominated a run
-(half or more of the sessions).
+traceback), 2 config error or an output file that cannot be written, 3
+enumeration limit, 4 aborts dominated a run (half or more of the
+sessions).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from . import __version__
 from .analysis import (curve_grid, detection_rule, expected_unerased,
                        optimize_rate_p0, rate_chain, rate_curve, rate_p0,
                        wilson_interval)
-from .channels import BscParams, derive_rng
+from .channels import BscParams, derive_rng, random_bits
 from .codes import (DEFAULT_ENUM_LIMIT, EnumerationLimit, LinearCode,
                     OrthonormalCode, code_from_json, orthonormalize,
                     random_code)
@@ -64,6 +65,19 @@ CODE_SEARCH_TRIES = 32
 
 class ConfigError(Exception):
     """Bad or inconsistent configuration; maps to exit code 2."""
+
+
+class OutputError(Exception):
+    """A named output file cannot be written; maps to exit code 2."""
+
+
+def _write(write: Callable[[str, dict], None], path: str,
+           report: dict) -> None:
+    try:
+        write(path, report)
+    except OSError as exc:
+        raise OutputError(
+            f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 # -- config plumbing --------------------------------------------------------
@@ -328,13 +342,9 @@ def _default_inner_code(n0: int, bits: int, limit: int,
     return best, best.min_distance(limit)
 
 
-def _random_bits(rng: np.random.Generator, bits: int) -> tuple:
-    return tuple(int(b) for b in rng.integers(0, 2, size=bits))
-
-
 def _p0_trial(setup: RunSetup, rng: np.random.Generator) -> tuple:
     bits = setup.inner.secret_bits
-    first, second = _random_bits(rng, bits), _random_bits(rng, bits)
+    first, second = random_bits(rng, bits), random_bits(rng, bits)
     want_first = bool(rng.integers(0, 2))
     session = p0_run(first, second, want_first, setup.inner, rng)
     return session, first if want_first else second
@@ -342,7 +352,7 @@ def _p0_trial(setup: RunSetup, rng: np.random.Generator) -> tuple:
 
 def _p0q_trial(setup: RunSetup, rng: np.random.Generator) -> tuple:
     bits = setup.inner.secret_bits
-    secrets = [_random_bits(rng, bits) for _ in range(setup.q)]
+    secrets = [random_bits(rng, bits) for _ in range(setup.q)]
     index = int(rng.integers(setup.q))
     session = p0q_run(secrets, index, setup.inner, rng)
     return session, secrets[index]
@@ -950,7 +960,7 @@ def _do_replay(args: argparse.Namespace) -> int:
     _require(command in _DISPATCH, f"cannot replay a {command} report")
     fresh = _DISPATCH[command](stored["config"], stored["seed"])
     if args.out:
-        write_report(args.out, fresh)
+        _write(write_report, args.out, fresh)
     if canonical_json(fresh) == canonical_json(stored):
         print(f"replay: {args.report} reproduced exactly "
               f"({command}, seed {stored['seed']})")
@@ -1022,7 +1032,7 @@ def _flags_to_config(args: argparse.Namespace, command: Command) -> dict:
 def _emit_outputs(args: argparse.Namespace, command: Command,
                   report: dict) -> None:
     if args.out:
-        write_report(args.out, report)
+        _write(write_report, args.out, report)
         print(command.summary(report))
         print(f"wrote {args.out}")
     else:
@@ -1030,7 +1040,7 @@ def _emit_outputs(args: argparse.Namespace, command: Command,
     for output in command.outputs:
         path = getattr(args, output.dest)
         if path:
-            output.write(path, report)
+            _write(output.write, path, report)
             print(f"wrote {path}", file=sys.stderr)
 
 
@@ -1051,13 +1061,16 @@ def main(argv: Optional[list[str]] = None) -> int:
             report = cmd_run(config, seed, workers=args.workers)
         else:
             report = _DISPATCH[args.command](config, seed)
+        _emit_outputs(args, command, report)
     except ConfigError as exc:
         print(f"otlab: config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OutputError as exc:
+        print(f"otlab: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except EnumerationLimit as exc:
         print(f"otlab: enumeration limit: {exc}", file=sys.stderr)
         return EXIT_ENUM
-    _emit_outputs(args, command, report)
     if args.command == "run" and report["aggregates"]["abort_rate"] >= 0.5:
         print("otlab: aborts dominated the run; see the report",
               file=sys.stderr)

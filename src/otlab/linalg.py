@@ -20,10 +20,10 @@ one elimination can serve many right-hand sides.  `random_matrix` and
 full row rank.
 
 Codeword enumeration uses numpy: `span_words` lists every combination of
-packed rows as int64 words (63 bits to a limb, limbs on the last axis),
-`weights` counts their bits through a 16-bit table, and `gf2_apply`
-evaluates a packed matrix on every word at once.  numpy and the table load
-on first use, so importing this module does not import numpy.
+packed rows as int64 words (63 bits to a limb, limbs on the last axis), and
+`popcount`/`weights` count their bits through a 16-bit table.  The limb
+layout stays inside this module.  numpy and the table load on first use,
+so importing this module does not import numpy.
 """
 
 from __future__ import annotations
@@ -170,7 +170,7 @@ class Matrix:
 
     def __reduce__(self):
         # __slots__ plus the immutability guard break the default pickle
-        # path, and worker pools need to ship matrices across processes.
+        # path; a pickled Matrix rebuilds from its packed rows.
         return (Matrix.from_packed, (self.field, self.packed, self.ncols))
 
     def __repr__(self) -> str:
@@ -519,17 +519,3 @@ def weights(words: np.ndarray, width: int) -> np.ndarray:
     if words.shape[-1] == 1:
         return counts[..., 0]
     return counts.sum(axis=-1, dtype=np.int64)
-
-
-def gf2_apply(rows: Sequence[int], words: np.ndarray, width: int) -> np.ndarray:
-    """Packed matrix-vector products, one per word of `width` bits.
-
-    Bit i of out[j] is parity(rows[i] & words[j]); words has shape
-    (N, limbs) as from span_words, and out holds N int64 values.
-    """
-    import numpy as np
-    limbs = words.shape[-1]
-    masks = np.stack([to_limbs(int(r), limbs) for r in rows])
-    parity = weights(words[:, None, :] & masks[None, :, :], width) & 1
-    shifts = np.arange(len(rows), dtype=np.int64)
-    return (parity.astype(np.int64) << shifts).sum(axis=-1)

@@ -32,31 +32,25 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-def block_to_bits(block: Sequence[int], degree: int) -> tuple:
-    """Serialize a block of GF(2^degree) symbols as degree bit-planes.
+def block_to_bits(row: int, m: int, degree: int) -> tuple:
+    """Serialize a packed row of m GF(2^degree) symbols as degree
+    bit-planes.
 
     Plane b holds bit b of every symbol; planes are concatenated in
-    ascending order, so the result has len(block) * degree bits and
-    XOR of serialized blocks matches field addition of the blocks.
+    ascending order, so the result has m * degree bits and XOR of
+    serialized rows matches field addition of the rows.
     """
-    m = len(block)
-    out = [0] * (m * degree)
-    for b in range(degree):
-        for i, sym in enumerate(block):
-            out[b * m + i] = (sym >> b) & 1
-    return tuple(out)
+    return tuple(row >> degree * i + b & 1
+                 for b in range(degree) for i in range(m))
 
 
-def bits_to_block(bits: Sequence[int], degree: int) -> tuple:
+def bits_to_block(bits: Sequence[int], degree: int) -> int:
+    """The packed row that block_to_bits serialized as `bits`."""
     if len(bits) % degree:
         raise ValueError("bit length is not a multiple of the degree")
     m = len(bits) // degree
-    block = [0] * m
-    for b in range(degree):
-        for i in range(m):
-            if bits[b * m + i]:
-                block[i] |= 1 << b
-    return tuple(block)
+    return sum(bits[b * m + i] << degree * i + b
+               for b in range(degree) for i in range(m))
 
 
 def outer_offset(basis: OrthonormalCode, first_secret: Matrix,
@@ -120,7 +114,6 @@ def cheat_matrix_V(rows: Matrix, mask: Sequence[int]) -> Matrix:
 class CompressionPair:
     m_first: Matrix
     m_second: Matrix
-    margin: float
 
 
 def compressed_length(outer_dim: int, margin: float) -> int:
@@ -156,7 +149,7 @@ def compress_setup(compressed_first: Matrix, compressed_second: Matrix,
 
     m_first = full_rank_matrix(f, u_len, outer_dim, rng)
     m_second = full_rank_matrix(f, u_len, outer_dim, rng)
-    return (CompressionPair(m_first, m_second, margin),
+    return (CompressionPair(m_first, m_second),
             solve_columns(m_first, compressed_first, rng),
             solve_columns(m_second, compressed_second, rng))
 
@@ -237,10 +230,10 @@ def run_session(params: OuterParams, first_secret: Matrix,
 
     harvest_rows = []
     statuses = []
-    degree = f.degree
+    degree, width = f.degree, params.block_syms
     for ell in range(params.rounds):
-        candidates = [x.row(ell)] + [y.row(ell) for y in ys]
-        blocks_bits = [block_to_bits(c, degree) for c in candidates]
+        blocks_bits = [block_to_bits(c.packed[ell], width, degree)
+                       for c in [x, *ys]]
         inner = p0q_run(blocks_bits, requests[ell], params.inner, rng)
         statuses.append(inner.status)
         harvest_rows.append(None if inner.output is None
@@ -250,7 +243,7 @@ def run_session(params: OuterParams, first_secret: Matrix,
     harvest = None
     output = None
     if all(r is not None for r in harvest_rows):
-        harvest = Matrix(f, tuple(harvest_rows))
+        harvest = Matrix.from_packed(f, harvest_rows, width)
         output = basis.rows @ harvest  # H v collapses the rounds
         if compressed:
             output = (pair.m_first if want_first else pair.m_second) @ output

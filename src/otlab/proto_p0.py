@@ -31,10 +31,11 @@ from dataclasses import dataclass, field as dc_field
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .analysis import binary_entropy
-from .channels import ERASED, BscParams, TernaryWord, duplicate_round_trip
+from .channels import (ERASED, BscParams, TernaryWord, duplicate_round_trip,
+                       random_bits)
 from .codes import EnumerationLimit, LinearCode
-from .linalg import (LIMB_BITS, Coset, Matrix, Vector, eliminate, pack,
-                     random_matrix, span_words, to_limbs, unpack, weights)
+from .linalg import (Coset, Matrix, Vector, eliminate, pack, random_matrix,
+                     span_words, to_limbs, unpack, weights)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -103,9 +104,11 @@ class MLDecoder:
         best = int(dist.argmin())
         if np.count_nonzero(dist == dist[best]) > 1:
             return None
+        # word j of span_words is the sum of the rows set in j
         word = 0
-        for j, limb in enumerate(self.words[best].tolist()):
-            word |= limb << (LIMB_BITS * j)
+        for i, row in enumerate(self.code.generator.packed):
+            if best >> i & 1:
+                word ^= row
         return unpack(self.code.field, word, self.length)
 
     def failure_bound(self, p: float) -> float:
@@ -215,22 +218,14 @@ def p0_partition(word: TernaryWord, block_len: int,
     return (good, rest) if want_first else (rest, good)
 
 
-@dataclass(frozen=True)
-class AliceEncoding:
-    perm_first: tuple
-    perm_second: tuple
-    masked_first: tuple
-    masked_second: tuple
-    codeword_first: tuple
-    codeword_second: tuple
-
-
 def p0_alice_encode(first_secret: Sequence[int], second_secret: Sequence[int],
                     set_first: Sequence[int], set_second: Sequence[int],
                     sent_bits: Sequence[int], params: P0Params,
                     coset: Coset,
-                    rng: np.random.Generator) -> AliceEncoding:
-    """Alice's response to the announced partition.
+                    rng: np.random.Generator) -> dict:
+    """Alice's response to the announced partition, as her transcript
+    view: perm_, masked_ and codeword_ lists for each secret (_first,
+    _second).
 
     Each secret is embedded as a uniform codeword with that hash (a
     sample of the session's coset from draw_hash), then masked by the
@@ -246,19 +241,17 @@ def p0_alice_encode(first_secret: Sequence[int], second_secret: Sequence[int],
     if not {*first_secret, *second_secret} <= {0, 1}:
         raise ValueError("secrets must be bit vectors")
 
-    out = []
-    for secret, positions in ((first_secret, set_first),
-                              (second_secret, set_second)):
+    view = {}
+    for side, secret, positions in (("first", first_secret, set_first),
+                                    ("second", second_secret, set_second)):
         cw = unpack(coset.field, coset.sample(pack(coset.field, secret), rng),
                     n0)
-        perm = tuple(rng.permutation(n0).tolist())
-        masked = tuple(cw[t] ^ sent_bits[positions[perm[t]]]
-                       for t in range(n0))
-        out.append((perm, masked, cw))
-    (perm_f, masked_f, cw_f), (perm_s, masked_s, cw_s) = out
-    return AliceEncoding(perm_first=perm_f, perm_second=perm_s,
-                         masked_first=masked_f, masked_second=masked_s,
-                         codeword_first=cw_f, codeword_second=cw_s)
+        perm = rng.permutation(n0).tolist()
+        view[f"perm_{side}"] = perm
+        view[f"masked_{side}"] = [cw[t] ^ sent_bits[positions[perm[t]]]
+                                  for t in range(n0)]
+        view[f"codeword_{side}"] = list(cw)
+    return view
 
 
 def p0_bob_decode(masked: Sequence[int], word: TernaryWord,
@@ -297,7 +290,7 @@ def p0_run(first_secret: Sequence[int], second_secret: Sequence[int],
     n0 = params.block_len
     phi = params.channel.crossover
     hash_matrix, coset = params.draw_hash(rng)
-    sent = tuple(rng.integers(0, 2, size=2 * n0).tolist())
+    sent = random_bits(rng, 2 * n0)
     word = duplicate_round_trip(sent, phi, rng)
     alice_view = {"sent_bits": list(sent)}
     bob_view = {"received": word.trace(), "want_first": want_first}
@@ -307,26 +300,19 @@ def p0_run(first_secret: Sequence[int], second_secret: Sequence[int],
     except ChannelAbort as exc:
         bob_view["abort_reason"] = str(exc)
     else:
-        enc = p0_alice_encode(first_secret, second_secret, set_first,
-                              set_second, sent, params, coset, rng)
-        alice_view.update({
-            "set_first": list(set_first), "set_second": list(set_second),
-            "perm_first": list(enc.perm_first),
-            "perm_second": list(enc.perm_second),
-            "masked_first": list(enc.masked_first),
-            "masked_second": list(enc.masked_second),
-            "codeword_first": list(enc.codeword_first),
-            "codeword_second": list(enc.codeword_second),
-            "hash_matrix": hash_matrix.to_json(),
-        })
-        masked, positions, perm = (
-            (enc.masked_first, set_first, enc.perm_first) if want_first
-            else (enc.masked_second, set_second, enc.perm_second))
-        secret, cw = p0_bob_decode(masked, word, positions, perm,
-                                   params.decoder, hash_matrix)
+        alice_view.update(p0_alice_encode(first_secret, second_secret,
+                                          set_first, set_second, sent,
+                                          params, coset, rng),
+                          set_first=list(set_first),
+                          set_second=list(set_second),
+                          hash_matrix=hash_matrix.to_json())
+        side = "first" if want_first else "second"
+        secret, cw = p0_bob_decode(
+            alice_view[f"masked_{side}"], word, alice_view[f"set_{side}"],
+            alice_view[f"perm_{side}"], params.decoder, hash_matrix)
         bob_view.update({
-            "masked_first": list(enc.masked_first),
-            "masked_second": list(enc.masked_second),
+            "masked_first": alice_view["masked_first"],
+            "masked_second": alice_view["masked_second"],
             "decoded": None if cw is None else list(cw),
         })
         if secret is None:
@@ -361,8 +347,7 @@ def chain_1_of_q(secrets: Sequence[Sequence[int]],
     m = len(secrets[0])
     if any(len(s) != m for s in secrets):
         raise ValueError("secrets must share one length")
-    pads = [tuple(int(b) for b in rng.integers(0, 2, size=m))
-            for _ in range(q - 2)]
+    pads = [random_bits(rng, m) for _ in range(q - 2)]
     last = list(secrets[q - 1])
     for pad in pads:
         for i, b in enumerate(pad):

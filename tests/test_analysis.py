@@ -190,6 +190,40 @@ def test_min_entropy_oracle_matches_definitional_census():
             assert rep.avg_min_entropy == pytest.approx(want, abs=1e-9)
 
 
+def wide_code():
+    """A [66,3] code: at 64 erasures the two kept positions of many
+    patterns straddle bit 63, the end of the first int64 limb."""
+    code = random_code(GF(1), 66, 3, np.random.default_rng(32))
+    assert any(row >> 63 for row in code.generator.packed)
+    return code
+
+
+def test_min_entropy_oracle_matches_census_past_one_limb():
+    code = wide_code()
+    rep = min_entropy_oracle(code, 64, 0.2, alpha=0.5)
+    assert rep.avg_min_entropy == pytest.approx(
+        _posterior_census(code, 64, 0.2), abs=1e-9)
+
+
+def test_fixed_weight_oracle_matches_degree_count_past_one_limb():
+    code = wide_code()
+    words = list(code.iter_codewords())
+    degrees = []
+    for kept in combinations(range(66), 2):
+        for out in range(4):
+            degrees.append(sum(
+                1 for w in words
+                if sum(w[pos] != (out >> t) & 1
+                       for t, pos in enumerate(kept)) == 1))
+    rep = fixed_weight_oracle(code, 64, 1)
+    total = sum(degrees)
+    assert rep.total_edges == total
+    assert rep.min_degree == min(d for d in degrees if d)
+    assert rep.max_degree == max(degrees)
+    assert rep.avg_min_entropy == pytest.approx(
+        sum(d * math.log2(d) for d in degrees if d) / total, abs=1e-12)
+
+
 def test_min_entropy_oracle_noiseless_is_zero():
     code = LinearCode.from_rows(GF(1), ((1, 0, 1), (0, 1, 1)))
     rep = min_entropy_oracle(code, 0, 0.0, alpha=0.5)
@@ -244,6 +278,11 @@ def test_min_entropy_oracle_limits_and_validation():
     big = LinearCode(Matrix.identity(GF(1), 26))
     with pytest.raises(EnumerationLimit):
         min_entropy_oracle(big, 0, 0.1, alpha=0.5)
+    # 2^12 outputs and 2^6 codewords each fit the limit; their 2^18-entry
+    # product does not
+    code12 = random_code(GF(1), 12, 6, np.random.default_rng(33))
+    with pytest.raises(EnumerationLimit):
+        min_entropy_oracle(code12, 0, 0.1, alpha=0.5, limit=1 << 12)
     code = LinearCode.from_rows(GF(1), ((1, 1),))
     with pytest.raises(ValueError):
         min_entropy_oracle(code, 3, 0.1, alpha=0.5)
@@ -301,3 +340,7 @@ def test_fixed_weight_oracle_validation():
     big = LinearCode(Matrix.identity(GF(1), 24))
     with pytest.raises(EnumerationLimit):
         fixed_weight_oracle(big, 0, 12)
+    # 4 edges, but a 2^2 x 2^12 array of codewords against outputs
+    code12 = random_code(GF(1), 12, 2, np.random.default_rng(34))
+    with pytest.raises(EnumerationLimit):
+        fixed_weight_oracle(code12, 0, 0, limit=64)

@@ -720,6 +720,27 @@ def test_replay_out_restores_canonical_bytes(tmp_path):
     assert fresh.read_bytes() == out.read_bytes()
 
 
+@pytest.mark.parametrize("args", [
+    ("run", "--trials", "3", "--out", "{missing}/x.json"),
+    ("rates", "--curve", "{missing}/c.csv"),
+    ("code-audit", "--code", str(GOLDEN_CODES / "golay.json"),
+     "--out-code", "{missing}/g.json"),
+    ("attack", "--strategy", "tracker", "--trials", "20",
+     "--sweep", "{missing}/s.csv"),
+    ("replay", str(GOLDEN_CODES.parent / "rates.json"),
+     "--out", "{missing}/r.json"),
+], ids=["run-out", "rates-curve", "code-audit-out-code", "attack-sweep",
+        "replay-out"])
+def test_unwritable_output_file_exits_2(tmp_path, args):
+    missing = tmp_path / "missing"
+    proc = run_cli(*(a.replace("{missing}", str(missing)) for a in args))
+    assert proc.returncode == 2, proc.stderr
+    path = next(a for a in args if "{missing}" in a)
+    assert proc.stderr.splitlines()[-1] == (
+        f"otlab: cannot write {path.replace('{missing}', str(missing))}: "
+        "No such file or directory")
+
+
 def test_replay_rejects_bad_input(tmp_path, monkeypatch):
     garbled = tmp_path / "garbled.json"
     garbled.write_text("{this is not json")

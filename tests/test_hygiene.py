@@ -1,6 +1,7 @@
 """Source hygiene: no module imports a name it never uses, every public
 definition of the package (public methods of its classes included) has a
-reader, and the package version agrees with pyproject.toml."""
+reader, every field of a package dataclass is read, and the package
+version agrees with pyproject.toml."""
 
 import ast
 import re
@@ -88,6 +89,31 @@ def unread_definitions(package: dict, readers: list) -> list[str]:
     return unread
 
 
+def unread_fields(package: dict, readers: list) -> list[str]:
+    """Fields of the package's dataclasses that no module, the package
+    included, reads as an attribute (`x.field`, not an assignment to it).
+
+    A field counts as read when any attribute of its name is read, owner
+    or not: `CompressionPair.margin` would escape this scan, because
+    `OuterParams.margin` shares its name."""
+    read = {node.attr for tree in [*package.values(), *readers]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for name, tree in package.items():
+        for node in tree.body:
+            if not (isinstance(node, ast.ClassDef) and any(
+                    ast.unparse(d).startswith("dataclass")
+                    for d in node.decorator_list)):
+                continue
+            unread.extend(f"{name}.{node.name}.{item.target.id}"
+                          for item in node.body
+                          if isinstance(item, ast.AnnAssign)
+                          and item.target.id not in read)
+    return unread
+
+
 def test_unused_imports_are_found():
     tree = ast.parse("from __future__ import annotations\n"
                      "import os.path\nimport numpy as np\n"
@@ -147,6 +173,34 @@ def test_every_public_definition_has_a_reader():
     package = {path.stem: ast.parse(path.read_text()) for path in PACKAGE}
     readers = [ast.parse(path.read_text()) for path in READERS]
     assert unread_definitions(package, readers) == []
+
+
+def test_unread_fields_are_found():
+    package = {"a": ast.parse("from dataclasses import dataclass\n"
+                              "@dataclass(frozen=True)\n"
+                              "class P:\n"
+                              "    read: int\n"
+                              "    unread: int\n"
+                              "    written: int = 0\n"
+                              "@dataclass\n"
+                              "class Q:\n"
+                              "    other: int\n"
+                              "class Plain:\n"
+                              "    hint: int\n"
+                              "def f(p): return p.read\n"),
+               "b": ast.parse("def g(q):\n    q.written = 1\n")}
+    # an assignment is not a read, and a plain class has no fields
+    assert unread_fields(package, []) == ["a.P.unread", "a.P.written",
+                                          "a.Q.other"]
+    reader = ast.parse("def h(q): return q.other")
+    assert unread_fields(package, [reader]) == ["a.P.unread", "a.P.written"]
+
+
+def test_every_dataclass_field_is_read():
+    package = {path.stem: ast.parse(path.read_text()) for path in PACKAGE}
+    readers = [ast.parse(path.read_text())
+               for path in sorted({*SOURCES, *READERS} - {*PACKAGE})]
+    assert unread_fields(package, readers) == []
 
 
 def test_package_version_matches_pyproject():

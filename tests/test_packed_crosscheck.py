@@ -22,8 +22,9 @@ from otlab.channels import ERASED, BscParams
 from otlab.codes import (LinearCode, OrthonormalCode, cyclic_code,
                          random_code)
 from otlab.gf import GF
+from otlab.adversary import _parity_lut
 from otlab.linalg import (InconsistentSystem, Matrix, full_rank_matrix,
-                          gf2_apply, pack, random_matrix, rank,
+                          pack, random_matrix, rank,
                           rank_and_kernel, rref, solve_affine, solve_columns,
                           span_words, unpack)
 from otlab.proto_outer import cheat_matrix_V
@@ -209,7 +210,7 @@ def test_draw_hash_redraws_like_the_stacked_rank_loop():
     assert redraws > 20
 
 
-def test_span_words_and_gf2_apply_match_direct_products():
+def test_span_words_and_parity_lut_match_direct_products():
     rng = np.random.default_rng(3100)
     for n, k in ((9, 4), (63, 3), (64, 3), (130, 4)):
         code = random_code(F2, n, k, rng)
@@ -218,9 +219,20 @@ def test_span_words_and_gf2_apply_match_direct_products():
         got = [sum(int(limb) << (63 * j) for j, limb in enumerate(row))
                for row in words]
         assert got == packed
-        hm = random_over(F2, rng, 3, n)
-        want = [pack(F2, hm.apply(w)) for w in code.iter_codewords()]
-        assert gf2_apply(hm.packed, words, n).tolist() == want
+        if n < 64:  # one limb: the words are the lookup's states
+            hm = random_over(F2, rng, 3, n)
+            want = [pack(F2, hm.apply(w)) for w in code.iter_codewords()]
+            assert _parity_lut(hm.packed, words[:, 0]).tolist() == want
+
+
+def test_parity_lut_matches_matrix_apply_on_every_state():
+    rng = np.random.default_rng(3200)
+    for r in (1, 4, 9):
+        states = np.arange(1 << r, dtype=np.int64)
+        for nrows in sorted({1, 3, r}):
+            m = random_over(F2, rng, nrows, r)
+            want = [pack(F2, m.apply(unpack(F2, x, r))) for x in range(1 << r)]
+            assert _parity_lut(m.packed, states).tolist() == want
 
 
 # -- packed matrix operations ---------------------------------------------------

@@ -7,12 +7,13 @@ import pytest
 from otlab.channels import BscParams, derive_rng
 from otlab.codes import LinearCode, OrthonormalCode, cyclic_code, orthonormalize
 from otlab.gf import GF
-from otlab.linalg import Matrix, random_matrix, rank
+from otlab.linalg import Matrix, pack, random_matrix, rank, unpack
 from otlab.proto_outer import (OuterParams, bits_to_block, block_to_bits,
                                cheat_matrix_V, compress_setup,
                                compressed_length, outer_offset,
                                p2_alice_setup, request_indices, run_session)
 from otlab.proto_p0 import P0Params
+import tuple_reference
 from tuple_reference import mul
 
 C15_5_GEN = (1, 1, 1, 0, 1, 1, 0, 0, 1, 0, 1)
@@ -60,20 +61,32 @@ def test_block_bit_serialization_round_trip():
         f = GF(degree)
         for width in (1, 2):
             for combo in product(range(f.order), repeat=width):
-                bits = block_to_bits(combo, degree)
+                bits = block_to_bits(pack(f, combo), width, degree)
                 assert len(bits) == width * degree
-                assert bits_to_block(bits, degree) == combo
+                assert bits_to_block(bits, degree) == pack(f, combo)
 
 
 def test_block_bit_serialization_is_additive():
-    f = GF(3)
     for a in range(8):
         for b in range(8):
-            lhs = tuple(x ^ y for x, y in zip(block_to_bits((a,), 3),
-                                              block_to_bits((b,), 3)))
-            assert lhs == block_to_bits((a ^ b,), 3)
+            lhs = tuple(x ^ y for x, y in zip(block_to_bits(a, 1, 3),
+                                              block_to_bits(b, 1, 3)))
+            assert lhs == block_to_bits(a ^ b, 1, 3)
     with pytest.raises(ValueError):
         bits_to_block((1, 0, 1), 2)
+
+
+def test_block_bit_serialization_matches_tuple_reference():
+    """The packed serialization writes and reads the same plane-major bits
+    as the symbol-by-symbol tuple loops."""
+    for degree in (1, 2, 3, 4):
+        f = GF(degree)
+        for width in (1, 2, 3):
+            for combo in product(range(f.order), repeat=width):
+                bits = block_to_bits(pack(f, combo), width, degree)
+                assert bits == tuple_reference.block_to_bits(combo, degree)
+                assert (tuple_reference.bits_to_block(bits, degree)
+                        == unpack(f, bits_to_block(bits, degree), width))
 
 
 def test_setup_identity_when_secrets_match():

@@ -145,15 +145,15 @@ def test_encode_decode_round_trip_noiseless():
     s1, s2 = (1, 0, 1), (0, 1, 1)
     enc = p0_alice_encode(s1, s2, first, second, sent, params, coset, rng)
     # embedded codewords carry the right hash and parity
-    for cw, s in ((enc.codeword_first, s1), (enc.codeword_second, s2)):
+    for cw, s in ((enc["codeword_first"], s1), (enc["codeword_second"], s2)):
         assert parity_check(code).apply(cw) == (0,) * 10
         assert hm.apply(cw) == s
-    got, cw = p0_bob_decode(enc.masked_first, word, first, enc.perm_first,
-                            params.decoder, hm)
+    got, cw = p0_bob_decode(enc["masked_first"], word, first,
+                            enc["perm_first"], params.decoder, hm)
     assert got == s1
-    assert cw == enc.codeword_first
-    got2, _ = p0_bob_decode(enc.masked_second, word, second, enc.perm_second,
-                            params.decoder, hm)
+    assert list(cw) == enc["codeword_first"]
+    got2, _ = p0_bob_decode(enc["masked_second"], word, second,
+                            enc["perm_second"], params.decoder, hm)
     assert got2 == s2
 
 
@@ -185,7 +185,8 @@ def test_codeword_coset_sampling_uniform():
     for _ in range(2000):
         enc = p0_alice_encode((1,), (0,), (0, 1, 2, 3), (4, 5, 6, 7),
                               sent, params, coset, rng)
-        counts[enc.codeword_first] = counts.get(enc.codeword_first, 0) + 1
+        cw = tuple(enc["codeword_first"])
+        counts[cw] = counts.get(cw, 0) + 1
     assert len(counts) == 2
     for c in counts.values():
         assert abs(c - 1000) < 5 * math.sqrt(2000 * 0.25)

@@ -1,5 +1,6 @@
 """Tuple arithmetic over GF(2^e): the symbol-by-symbol references that
-the packed rows of `otlab.linalg` are checked against."""
+the packed rows of `otlab.linalg` and the outer rounds' bit-plane
+serialization are checked against."""
 
 import functools
 
@@ -53,3 +54,25 @@ def naive_matmul(a, b):
     return Matrix(f, tuple(
         tuple(dot(f, arows[i], [r[j] for r in brows]) for j in range(b.ncols))
         for i in range(a.nrows)), ncols=b.ncols)
+
+
+def block_to_bits(block, degree):
+    """A tuple of GF(2^degree) symbols as degree bit-planes, plane b
+    holding bit b of every symbol, planes in ascending order."""
+    m = len(block)
+    out = [0] * (m * degree)
+    for b in range(degree):
+        for i, sym in enumerate(block):
+            out[b * m + i] = (sym >> b) & 1
+    return tuple(out)
+
+
+def bits_to_block(bits, degree):
+    """The tuple of symbols that block_to_bits serialized as bits."""
+    m = len(bits) // degree
+    block = [0] * m
+    for b in range(degree):
+        for i in range(m):
+            if bits[b * m + i]:
+                block[i] |= 1 << b
+    return tuple(block)
