@@ -32,7 +32,8 @@ import numpy as np
 from .analysis import (AccusationRule, detection_rule, expected_unerased,
                        wilson_interval)
 from .channels import BscParams
-from .codes import OrthonormalCode
+from .codes import (DEFAULT_ENUM_LIMIT, EnumerationLimit, OrthonormalCode,
+                    check_budget)
 from .gf import GF
 from .linalg import Matrix, full_rank_matrix, popcount, rank
 from .proto_outer import cheat_matrix_V, compressed_length
@@ -248,6 +249,7 @@ def audit_bob_strategies(basis: OrthonormalCode, margin: float,
                          masks: Optional[Sequence[Sequence[int]]] = None,
                          pair_samples: Optional[int] = None,
                          rng: Optional[np.random.Generator] = None,
+                         limit: int = DEFAULT_ENUM_LIMIT,
                          ) -> DichotomyReport:
     """Exhaust Bob's request masks against the compression-pair ensemble.
 
@@ -258,18 +260,21 @@ def audit_bob_strategies(basis: OrthonormalCode, margin: float,
     H(t~|s~,z) over pairs.  The report's slack is how far the worst
     mask's rank-predicted side falls below the full compressed_len bits;
     mismatches count masks whose better-protected side differs from the
-    rank prediction.
+    rank prediction.  Before any work it checks the memory cap of its
+    (pairs, 2^r, 2^r) arrays, then masks x 4^r secret pairs against limit.
     """
     f = basis.field
     if f.degree != 1:
         raise ValueError("strategy audit is binary only")
     r, n = basis.dimension, basis.length
-    if r > 14:
-        raise ValueError("the audit enumerates 4^r secret pairs; r too large")
+    if r > 14 or (masks is None and n > 16):
+        raise EnumerationLimit(
+            f"r={r}, n={n} exceed the request-mask audit's memory cap (r <= "
+            "14, and n <= 16 over all masks); --enum-limit cannot raise it")
+    count = 1 << n if masks is None else len(masks)
+    check_budget(count << 2 * r, limit, f"{count} masks x 4^{r} secret pairs")
     u_len = compressed_length(r, margin)
     if masks is None:
-        if n > 16:
-            raise ValueError("exhausting 2^n masks needs n <= 16")
         masks = [tuple((x >> i) & 1 for i in range(n)) for x in range(1 << n)]
     else:
         masks = [tuple(int(a) & 1 for a in m) for m in masks]

@@ -26,13 +26,12 @@ from itertools import combinations
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from .channels import BscParams
-from .codes import EnumerationLimit, LinearCode
+from .codes import DEFAULT_ENUM_LIMIT, LinearCode, check_budget
 from .linalg import popcount, span_words
 
 if TYPE_CHECKING:
     import numpy as np
 
-ORACLE_VIEW_LIMIT = 1 << 24
 Z_95 = 1.96  # two-sided 95% normal quantile
 
 
@@ -229,10 +228,9 @@ def _kept_words(code: LinearCode, erasures: int,
     n, k = code.length, code.dimension
     kept_count = n - erasures
     patterns = math.comb(n, erasures)
-    if patterns << k + kept_count > limit:
-        raise EnumerationLimit(
-            f"{patterns} patterns x 2^{k} codewords x 2^{kept_count} outputs "
-            f"exceed the oracle budget {limit}")
+    check_budget(patterns << k + kept_count, limit,
+                 f"{patterns} patterns x 2^{k} codewords x 2^{kept_count} "
+                 "outputs")
     rows = code.generator.packed
     return (span_words([sum((r >> pos & 1) << t for t, pos in enumerate(kept))
                         for r in rows], kept_count)[:, 0]
@@ -253,7 +251,7 @@ class EntropyReport:
 
 def min_entropy_oracle(code: LinearCode, erasures: int, error_rate: float,
                        alpha: float,
-                       limit: int = ORACLE_VIEW_LIMIT) -> EntropyReport:
+                       limit: int = DEFAULT_ENUM_LIMIT) -> EntropyReport:
     """Exhaustive H_inf(codeword | view) census for a uniform codeword.
 
     The view is the channel output: a uniform set of `erasures` erased
@@ -339,7 +337,7 @@ class FixedWeightReport:
 
 def fixed_weight_oracle(code: LinearCode, erasures: int, weight: int,
                         alphas: Sequence[float] = (1.0, 2.0, 3.0),
-                        limit: int = 1 << 20) -> FixedWeightReport:
+                        limit: int = DEFAULT_ENUM_LIMIT) -> FixedWeightReport:
     """Exact audit of the fixed-flip-weight view graph.
 
     For each erasure pattern, left nodes are the 2^k codewords, right

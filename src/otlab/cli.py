@@ -12,14 +12,16 @@ worker count never changes the bytes.  Reports are canonical JSON
 validated against the schema shipped with the package.
 
 Exit codes: 0 success, 1 replay mismatch or internal error (with a
-traceback), 2 config error or an output file that cannot be written, 3
-enumeration limit, 4 aborts dominated a run (half or more of the
-sessions).
+traceback), 2 config error or an output file that cannot be written (its
+directory is checked before any work), 3 an enumeration over its
+--enum-limit budget or over a memory cap that no limit lifts, 4 aborts
+dominated a run (half or more of the sessions).
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
 import json
 import math
@@ -41,7 +43,7 @@ from .codes import (DEFAULT_ENUM_LIMIT, EnumerationLimit, LinearCode,
 from .gf import GF, MAX_DEGREE
 from .linalg import Matrix, random_matrix
 from .proto_outer import OuterParams, compressed_length, run_session
-from .proto_p0 import (DECODER_WORD_CAP, MLDecoder, P0Params, p0_run,
+from .proto_p0 import (MLDecoder, P0Params, check_decoder_cap, p0_run,
                        p0_secret_length, p0q_run)
 from .reports import (ReportError, build_report, canonical_json,
                       validate_report, write_csv, write_report)
@@ -69,6 +71,20 @@ class ConfigError(Exception):
 
 class OutputError(Exception):
     """A named output file cannot be written; maps to exit code 2."""
+
+
+def _check_writable(*paths: Optional[str]) -> None:
+    """Refuse a named output whose directory is missing, not a directory
+    or not writable, before any work; the file is not touched, and
+    `_write` still catches what this cannot see."""
+    for path in filter(None, paths):
+        folder = os.path.dirname(path) or os.curdir
+        error = (errno.ENOENT if not os.path.exists(folder)
+                 else errno.ENOTDIR if not os.path.isdir(folder)
+                 else errno.EACCES if not os.access(folder, os.W_OK)
+                 else None)
+        if error is not None:
+            raise OutputError(f"cannot write {path}: {os.strerror(error)}")
 
 
 def _write(write: Callable[[str, dict], None], path: str,
@@ -323,14 +339,6 @@ def _toy_compressed_basis(field) -> OrthonormalCode:
     return OrthonormalCode(Matrix(field, rows))
 
 
-def _compressed_length(outer_dim: int, margin: float) -> int:
-    try:
-        return compressed_length(outer_dim, margin)
-    except ValueError as exc:
-        raise ConfigError(f"{exc}; with the default 8-round outer code use "
-                          "delta = 0.25") from exc
-
-
 def _default_inner_code(n0: int, bits: int, limit: int,
                         rng: np.random.Generator) -> tuple[LinearCode, Optional[int]]:
     if bits == 1:
@@ -413,21 +421,23 @@ def _normalize_run(config: dict, seed: int) -> tuple[dict, RunSetup]:
     # inner session code from a file; the default one, the session
     # parameters and the decoder come after the outer checks
     bits = m * degree
-    code = inner_d = None
+    code = embedded = inner_d = None
     if cfg["code"] is not None:
         code, embedded = _load_code(cfg["code"], "inner code")
         _require(code.field.degree == 1, "the inner code must be binary")
         n0 = code.length
         _require(cfg["n0"] in (None, n0),
                  f"inner code length {n0} disagrees with n0={cfg['n0']}")
-        if embedded is not None:
-            inner_d = code.min_distance(limit)
-            _require(inner_d == embedded.d,
-                     f"the inner code file claims d={embedded.d} in its "
-                     f"embedded audit, but the code has d={inner_d}")
     else:
         n0 = DEFAULT_N0 if cfg["n0"] is None else cfg["n0"]
         _require(bits <= n0, f"secrets of {bits} bits do not fit n0={n0}")
+    # the decoder's cap, before any distance search (default code: k = bits)
+    check_decoder_cap(bits if code is None else code.dimension)
+    if embedded is not None:
+        inner_d = code.min_distance(limit)
+        _require(inner_d == embedded.d,
+                 f"the inner code file claims d={embedded.d} in its "
+                 f"embedded audit, but the code has d={inner_d}")
 
     # outer structure
     margin = None
@@ -459,7 +469,11 @@ def _normalize_run(config: dict, seed: int) -> tuple[dict, RunSetup]:
         secret_rows = basis.dimension
         if spec.compressed:
             margin = DEFAULT_DELTA if cfg["delta"] is None else cfg["delta"]
-            secret_rows = _compressed_length(basis.dimension, margin)
+            try:
+                secret_rows = compressed_length(basis.dimension, margin)
+            except ValueError as exc:
+                raise ConfigError(f"{exc}; with the default 8-round outer "
+                                  "code use delta = 0.25") from exc
 
     # inner session parameters and decoder
     if code is None:
@@ -468,7 +482,7 @@ def _normalize_run(config: dict, seed: int) -> tuple[dict, RunSetup]:
     inner = _checked(P0Params, channel=BscParams(cfg["phi"]),
                      code=code, secret_bits=bits,
                      security_slack=slack if slack > 0 else None,
-                     decoder=MLDecoder(code, min(limit, DECODER_WORD_CAP)))
+                     decoder=MLDecoder(code, limit))
     outer = (OuterParams(basis=basis, inner=inner, margin=margin)
              if spec.outer else None)
     secret_bits = secret_rows * bits
@@ -720,19 +734,12 @@ def _attack_bob(cfg: dict, seed: int) -> tuple:
                               orthonormal=True)
         _require(basis.field.degree == 1, "the request-mask audit is "
                  "binary; supply a binary code")
-    n, r = basis.length, basis.dimension
-    limit = cfg["enum_limit"]
-    if n > 16 or r > 14 or 2 ** n * 4 ** r > limit:
-        raise EnumerationLimit(
-            f"request-mask audit enumerates 2^{n} masks x 4^{r} secret "
-            f"pairs; it needs n <= 16, r <= 14 and 2^n 4^r within the "
-            f"enumeration budget {limit}")
     margin = cfg["delta"]
-    u_len = _compressed_length(r, margin)
-    # the audit's ValueErrors are argument checks, such as too many pairs
+    # the audit checks its caps and budget first (exit 3); its ValueErrors
+    # are argument checks, such as a bad margin or too many pairs
     audit = _checked(audit_bob_strategies, basis, margin,
                      pair_samples=cfg["pair_samples"],
-                     rng=derive_rng(seed, 5))
+                     rng=derive_rng(seed, 5), limit=cfg["enum_limit"])
     rows = [{
         "mask": "".join(str(b) for b in cell.mask),
         "rank_V": cell.rank_v,
@@ -743,15 +750,15 @@ def _attack_bob(cfg: dict, seed: int) -> tuple:
         "predicted_entropy": cell.predicted_entropy(audit.outer_dim),
     } for cell in audit.cells]
     derived = {
-        "outer_len": n,
+        "outer_len": basis.length,
         "outer_dim": audit.outer_dim,
         "compressed_len": audit.compressed_len,
         "margin": audit.margin,
     }
     aggregates = {
-        "params": {"phi": cfg["phi"], "outer_len": n,
+        "params": {"phi": cfg["phi"], "outer_len": basis.length,
                    "outer_dim": audit.outer_dim, "delta": margin,
-                   "compressed_len": u_len},
+                   "compressed_len": audit.compressed_len},
         "strategy": "bob",
         "trials": len(audit.cells),
         "accusation_rate": None,
@@ -1051,8 +1058,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "replay":
+            _check_writable(args.out)
             return _do_replay(args)
         command = COMMANDS[args.command]
+        _check_writable(args.out, *(getattr(args, output.dest)
+                                    for output in command.outputs))
         file_cfg = parse_config_file(args.config) if args.config else {}
         config, file_seed = resolve_config(args.command, file_cfg,
                                            _flags_to_config(args, command))

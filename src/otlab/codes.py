@@ -2,11 +2,11 @@
 
 A LinearCode wraps a full-row-rank generator matrix and lazily caches the
 expensive audits: minimum distance d (an exact Brouwer-Zimmermann search
-on packed symbols, without numpy, gated by a q^k codeword budget), the
-componentwise-product span ("square") of the code, and the square's
-distance d-hat.  The square governs how much an adversarial request mask
-can correlate rounds, so d and d-hat together are the security dial the
-outer protocols read.
+on packed symbols, without numpy, its q^k codewords gated by
+`check_budget`), the componentwise-product span ("square") of the code,
+and the square's distance d-hat.  The square governs how much an
+adversarial request mask can correlate rounds, so d and d-hat together
+are the security dial the outer protocols read.
 
 Also here: puncturing, the inductive construction of an orthonormal row
 basis (self-orthogonal rows scaled to unit self-product, puncturing at
@@ -32,10 +32,20 @@ DEFAULT_ENUM_LIMIT = 1 << 24
 
 
 class EnumerationLimit(RuntimeError):
-    """Raised when an exhaustive audit would exceed its codeword budget.
+    """Raised when an enumeration would exceed its budget or a memory cap.
 
-    Callers can raise the limit explicitly (the commands' --enum-limit).
+    A budget can be raised (the commands' --enum-limit); a cap cannot.
     """
+
+
+def check_budget(count: int, limit: int, what: str) -> None:
+    """The one budget rule: every enumeration of the package states its
+    work as one count, described by `what`, and calls this before any
+    work; a count above the limit raises EnumerationLimit."""
+    if count > limit:
+        raise EnumerationLimit(
+            f"{what} exceed the enumeration budget {limit}; "
+            "raise the limit (--enum-limit)")
 
 
 class LinearCode:
@@ -77,9 +87,7 @@ class LinearCode:
     def iter_codewords(self, limit: int = DEFAULT_ENUM_LIMIT):
         """Yield every codeword once (tuples), cheapest-change order."""
         q, k = self.field.order, self.dimension
-        if q ** k > limit:
-            raise EnumerationLimit(
-                f"{q}^{k} codewords exceed the enumeration budget {limit}")
+        check_budget(q ** k, limit, f"{q}^{k} codewords")
         f, n = self.field, self.length
         rows = self._generator.packed
         word = 0
@@ -110,10 +118,7 @@ class LinearCode:
         if self._min_distance is not None:
             return self._min_distance
         q, k, n = self.field.order, self.dimension, self.length
-        if q ** k > limit:
-            raise EnumerationLimit(
-                f"{q}^{k} codewords exceed the enumeration budget {limit}; "
-                "raise the limit (--enum-limit)")
+        check_budget(q ** k, limit, f"{q}^{k} codewords")
         # the whole space holds every unit vector
         best = 1 if k == n else _distance(self._generator)
         self._min_distance = best
@@ -421,6 +426,9 @@ def _integer(key: str, value) -> int:
 def code_from_json(obj: dict) -> tuple[LinearCode, Optional[CodeAudit]]:
     field = GF(_integer("field_degree", obj["field_degree"]))
     n, k = _integer("n", obj["n"]), _integer("k", obj["k"])
+    # the file's own n: a k = 0 matrix has no rows to count columns in
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     entries = [_integer("each generator entry", a) for a in obj["generator"]]
     if len(entries) != n * k:
         raise ValueError("generator entry count does not match n*k")

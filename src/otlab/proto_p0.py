@@ -33,7 +33,8 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from .analysis import binary_entropy
 from .channels import (ERASED, BscParams, TernaryWord, duplicate_round_trip,
                        random_bits)
-from .codes import EnumerationLimit, LinearCode
+from .codes import (DEFAULT_ENUM_LIMIT, EnumerationLimit, LinearCode,
+                    check_budget)
 from .linalg import (Coset, Matrix, Vector, eliminate, pack, random_matrix,
                      span_words, to_limbs, unpack, weights)
 
@@ -42,6 +43,15 @@ if TYPE_CHECKING:
 
 
 DECODER_WORD_CAP = 1 << 20  # the decoder holds every codeword in memory
+
+
+def check_decoder_cap(k: int) -> None:
+    """Refuse more codewords than the decoder holds; no limit lifts this."""
+    if 1 << k > DECODER_WORD_CAP:
+        cap = DECODER_WORD_CAP.bit_length() - 1
+        raise EnumerationLimit(
+            f"2^{k} codewords exceed the ML decoder's memory cap of 2^{cap} "
+            "codewords; --enum-limit cannot raise it")
 
 
 class ChannelAbort(Exception):
@@ -72,16 +82,16 @@ class MLDecoder:
     Minimizes Hamming distance over the non-erased positions; a tie for
     the minimum is a decoding failure (None).  The 2^k codewords are held
     as packed words in one numpy array (`words`, in message order), so a
-    decode is a few vector operations.  Intended for k <= 20.
+    decode is a few vector operations.  They are checked against the
+    memory cap, then against the budget `limit`, before any is built.
     """
 
-    def __init__(self, code: LinearCode, enum_limit: int = DECODER_WORD_CAP):
+    def __init__(self, code: LinearCode, limit: int = DEFAULT_ENUM_LIMIT):
         if code.field.degree != 1:
             raise ValueError("decoder expects a binary code")
         k = code.dimension
-        if 1 << k > enum_limit:
-            raise EnumerationLimit(
-                f"2^{k} codewords exceed the enumeration budget {enum_limit}")
+        check_decoder_cap(k)
+        check_budget(1 << k, limit, f"2^{k} codewords")
         self.code = code
         self.length = code.length
         self.words = span_words(code.generator.packed, code.length)
@@ -375,8 +385,8 @@ def chain_access_audit(q: int, m: int) -> dict[tuple, tuple]:
     """
     if q < 2 or (q & (q - 1)) != 0:
         raise ValueError(f"need a power-of-two secret count, got {q}")
-    if (2 * q - 2) * m > 24:
-        raise ValueError("audit enumerates 2^((2q-2)m) worlds; too large")
+    check_budget(1 << (2 * q - 2) * m, DEFAULT_ENUM_LIMIT,
+                 f"2^{(2 * q - 2) * m} worlds")
     space = 1 << m
     results: dict[tuple, tuple] = {}
     worlds = []

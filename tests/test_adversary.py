@@ -12,7 +12,7 @@ from otlab.adversary import (TRACKER_BLOCK_ROWS, AdvantageReport,
                              tracker_advantage_p0)
 from otlab.analysis import detection_rule, expected_unerased
 from otlab.channels import BscParams, derive_rng
-from otlab.codes import OrthonormalCode
+from otlab.codes import EnumerationLimit, OrthonormalCode
 from otlab.gf import GF
 from otlab.linalg import Matrix
 from otlab.proto_outer import cheat_matrix_V
@@ -347,23 +347,29 @@ def test_audit_bob_strategies_cells_match_one_mask_audits():
 
 
 def test_posterior_cell_validation():
-    """A one-mask audit is refused over GF(4) and just past r = 14."""
+    """A one-mask audit is refused over GF(4) and just past r = 14, whose
+    memory cap no budget lifts."""
     gf4 = OrthonormalCode(Matrix.identity(GF(2), 2))
     with pytest.raises(ValueError, match="binary only"):
         audit_bob_strategies(gf4, 0.25, masks=[(1, 0)])
     r15 = OrthonormalCode(Matrix.identity(GF(1), 15))
-    with pytest.raises(ValueError, match="r too large"):
-        audit_bob_strategies(r15, 0.25, masks=[(1,) * 15])
+    with pytest.raises(EnumerationLimit,
+                       match=r"^r=15, n=15 exceed the request-mask audit's "
+                             r"memory cap .*; --enum-limit cannot raise it$"):
+        audit_bob_strategies(r15, 0.25, masks=[(1,) * 15], limit=1 << 40)
 
 
 def test_audit_bob_strategies_validation():
     big = OrthonormalCode(Matrix.identity(GF(1), 17))
-    with pytest.raises(ValueError):
+    with pytest.raises(EnumerationLimit,
+                       match=r"^r=17, n=17 exceed the request-mask audit's "
+                             r"memory cap .*; --enum-limit cannot raise it$"):
         audit_bob_strategies(big, 0.25)
     gf4 = OrthonormalCode(Matrix.identity(GF(2), 2))
     with pytest.raises(ValueError):
         audit_bob_strategies(gf4, 0.25)
-    # 4095^3 compression matrices: refused before any is enumerated
+    # 4095^3 compression matrices: refused before any is enumerated, also
+    # when the budget admits the 2^12 masks x 4^12 secret pairs
     whole = OrthonormalCode(Matrix.identity(GF(1), 12))
     with pytest.raises(ValueError, match="pass pair_samples"):
-        audit_bob_strategies(whole, 0.25)
+        audit_bob_strategies(whole, 0.25, limit=1 << 36)

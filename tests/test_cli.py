@@ -19,13 +19,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from otlab import cli
 from otlab.analysis import detection_rule
 from otlab.cli import ConfigError, _normalize_run
 from otlab.codes import (CodeAudit, LinearCode, code_to_json, cyclic_code,
-                         rs_code)
+                         random_code, rs_code)
 from otlab.gf import GF
 from otlab.linalg import Matrix
 from otlab.reports import (
@@ -134,12 +135,13 @@ def test_run_workers_do_not_change_bytes():
 
 def test_import_leaves_out_schema_library_and_process_pool(tmp_path):
     # start-up pays only for what a serial command uses; numpy loads where
-    # it computes, so `rates`, `--help`, `code-audit` and a config error
+    # it computes, so `rates`, `--help`, `code-audit`, a config error
     # (also one in the outer structure, caught before the inner decoder is
-    # built) never load it; the benchmark's shim finds the session modules
+    # built) and an output into a missing directory (refused before any
+    # trial) never load it; the benchmark's shim finds the session modules
     # and the dispatch table after import; main freezes the import-time
     # heap so exit skips collecting it
-    probe = ("import contextlib, gc, io, json, sys, otlab.cli\n"
+    probe = ("import contextlib, gc, io, json, os, sys, otlab.cli\n"
              "def loaded():\n"
              "    return json.dumps({m: m in sys.modules for m in sys.argv[3:]})\n"
              "def quiet(argv):\n"
@@ -155,6 +157,9 @@ def test_import_leaves_out_schema_library_and_process_pool(tmp_path):
              "print(quiet(['run', '--phi', '0.7']), 'numpy' in sys.modules)\n"
              "print(quiet(['run', '--protocol', 'p1', '--n', '4']),\n"
              "      'numpy' in sys.modules)\n"
+             "missing = os.path.join(os.path.dirname(sys.argv[1]), 'no', 'x')\n"
+             "print(quiet(['run', '--trials', '3000', '--out', missing]),\n"
+             "      'numpy' in sys.modules)\n"
              "print(quiet(['rates', '--help']), 'numpy' in sys.modules)\n"
              "print(quiet(['code-audit', '--code', sys.argv[2]]),\n"
              "      'numpy' in sys.modules)\n"
@@ -168,7 +173,8 @@ def test_import_leaves_out_schema_library_and_process_pool(tmp_path):
                            str(GOLDEN_CODES / "golay.json"), *names],
                           capture_output=True, text=True, check=True)
     (import_line, dispatch_line, config_error_line, outer_error_line,
-     help_line, audit_line, rates_line, frozen_line) = proc.stdout.splitlines()
+     output_error_line, help_line, audit_line, rates_line,
+     frozen_line) = proc.stdout.splitlines()
     want = {"numpy": False, "jsonschema": False, "multiprocessing": False,
             "concurrent.futures.process": False, "otlab.adversary": False,
             "otlab.proto_p0": True, "otlab.proto_outer": True}
@@ -176,6 +182,7 @@ def test_import_leaves_out_schema_library_and_process_pool(tmp_path):
     assert dispatch_line == str(["attack", "code-audit", "rates", "run"])
     assert config_error_line == "2 False"
     assert outer_error_line == "2 False"
+    assert output_error_line == "2 False"
     assert help_line == "0 False"
     assert audit_line == "0 False"
     code, rates_loaded = rates_line.split(" ", 1)
@@ -615,6 +622,25 @@ def test_run_enum_limit_bounds_the_decoder(monkeypatch, capsys):
             in capsys.readouterr().err)
 
 
+def test_run_decoder_cap_is_not_a_budget(tmp_path, monkeypatch, capsys):
+    # the decoder holds at most 2^20 codewords whatever --enum-limit says,
+    # and run refuses a larger inner code before it searches for one
+    searched = []
+    monkeypatch.setattr(cli, "_default_inner_code",
+                        lambda *a: searched.append(a))
+    path = write_code(tmp_path, "k21.json", random_code(
+        GF(1), 24, 21, np.random.default_rng(21)))
+    cap = ("otlab: enumeration limit: 2^{k} codewords exceed the ML "
+           "decoder's memory cap of 2^20 codewords; --enum-limit cannot "
+           "raise it")
+    for argv, k in ((["--code", path], 21),
+                    (["--code", path, "--enum-limit", "100000000"], 21),
+                    (["--n0", "30", "--m", "25"], 25)):
+        assert cli.main(["run", "--trials", "3", *argv]) == 3
+        assert capsys.readouterr().err.splitlines() == [cap.format(k=k)]
+    assert searched == []
+
+
 def test_code_audit_enum_limit_exits_3(tmp_path):
     path = write_code(tmp_path, "c155.json",
                       cyclic_code(GF(1), 15, C15_5_GEN))
@@ -643,6 +669,10 @@ def test_attack_bob_rejects_oversized_basis(tmp_path):
     path = write_code(tmp_path, "c17.json", all_ones_code(17))
     proc = run_cli("attack", "--strategy", "bob", "--outer-code", path)
     assert proc.returncode == 3
+    assert proc.stderr.splitlines() == [
+        "otlab: enumeration limit: r=1, n=17 exceed the request-mask audit's "
+        "memory cap (r <= 14, and n <= 16 over all masks); --enum-limit "
+        "cannot raise it"]
     # the toy audit's 2^8 masks x 4^4 secret pairs exceed a budget of 4
     proc = run_cli("attack", "--strategy", "bob", "--enum-limit", "4")
     assert proc.returncode == 3

@@ -345,6 +345,9 @@ def test_code_json_round_trip_with_audit():
     with pytest.raises(ValueError):
         code_from_json({"field_degree": 1, "n": 3, "k": 2,
                         "generator": [1, 0, 0]})
+    # k is checked against the file's own n, not a zero-row matrix's width
+    with pytest.raises(ValueError, match=r"got k=0, n=3$"):
+        code_from_json({"field_degree": 1, "n": 3, "k": 0, "generator": []})
 
 
 def test_random_code_full_rank_and_shape():

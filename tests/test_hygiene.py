@@ -1,6 +1,7 @@
 """Source hygiene: no module imports a name it never uses, every public
 definition of the package (public methods of its classes included) has a
-reader, every field of a package dataclass is read, and the package
+reader, every field of a package dataclass is read, EnumerationLimit is
+raised only by the budget helper and the two memory caps, and the package
 version agrees with pyproject.toml."""
 
 import ast
@@ -201,6 +202,48 @@ def test_every_dataclass_field_is_read():
     readers = [ast.parse(path.read_text())
                for path in sorted({*SOURCES, *READERS} - {*PACKAGE})]
     assert unread_fields(package, readers) == []
+
+
+def enumeration_limit_raisers(tree: ast.Module) -> list[str]:
+    """The functions (Class.method for methods) of a module that hold a
+    `raise EnumerationLimit`, called or not, once per raise."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            name = owner
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                name = f"{owner}.{child.name}" if owner else child.name
+            if isinstance(child, ast.Raise):
+                exc = child.exc
+                exc = exc.func if isinstance(exc, ast.Call) else exc
+                if "EnumerationLimit" in (getattr(exc, "id", None),
+                                          getattr(exc, "attr", None)):
+                    found.append(owner)
+            visit(child, name)
+
+    visit(tree, "")
+    return found
+
+
+def test_enumeration_limit_raisers_are_found():
+    tree = ast.parse("def check(): raise EnumerationLimit('x')\n"
+                     "class C:\n"
+                     "    def f(self):\n"
+                     "        if x:\n"
+                     "            raise EnumerationLimit(f'{x}')\n"
+                     "        raise ValueError('y')\n"
+                     "    def g(self): raise codes.EnumerationLimit\n")
+    assert enumeration_limit_raisers(tree) == ["check", "C.f", "C.g"]
+
+
+def test_one_budget_helper_and_two_memory_caps_raise_enumeration_limit():
+    # a budget compared anywhere but in check_budget is a copy of it
+    found = sorted(f"{path.stem}.{owner}" for path in PACKAGE
+                   for owner in enumeration_limit_raisers(ast.parse(
+                       path.read_text())))
+    assert found == ["adversary.audit_bob_strategies", "codes.check_budget",
+                     "proto_p0.check_decoder_cap"]
 
 
 def test_package_version_matches_pyproject():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from otlab.channels import ERASED, BscParams, TernaryWord, derive_rng
-from otlab.codes import LinearCode, cyclic_code
+from otlab.codes import EnumerationLimit, LinearCode, cyclic_code
 from otlab.gf import GF
 from otlab.linalg import Matrix, rank
 from otlab.proto_p0 import (ChannelAbort, MLDecoder, P0Params,
@@ -303,7 +303,9 @@ def test_chain_access_audit_q4():
         assert len(recovered) <= 1
     with pytest.raises(ValueError):
         chain_access_audit(3, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(EnumerationLimit,
+                       match=r"^2\^30 worlds exceed the enumeration budget "
+                             r"16777216; raise the limit \(--enum-limit\)$"):
         chain_access_audit(4, 5)
 
 
