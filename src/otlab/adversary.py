@@ -18,6 +18,11 @@ Three threat surfaces:
   V_ij = u . (H_i * H_j) and U = I + V, and the compressed variants
   survive because one side of (M_s s, M_t t) stays near-uniform given z
   for every u.  The audit enumerates the posterior exactly.
+
+The detection campaigns and the tracker draw in bulk from a numpy
+Generator; `attack` hands them its seeded streams through
+`Stream.numpy_generator()`, so the draws follow from the same seed
+derivation as every session's.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ import numpy as np
 
 from .analysis import (AccusationRule, detection_rule, expected_unerased,
                        wilson_interval)
-from .channels import BscParams
+from .channels import BscParams, Stream
 from .codes import (DEFAULT_ENUM_LIMIT, EnumerationLimit, OrthonormalCode,
                     check_budget)
 from .gf import GF
@@ -248,7 +253,7 @@ SIDE_TOLERANCE = 1e-9
 def audit_bob_strategies(basis: OrthonormalCode, margin: float,
                          masks: Optional[Sequence[Sequence[int]]] = None,
                          pair_samples: Optional[int] = None,
-                         rng: Optional[np.random.Generator] = None,
+                         rng: Optional[Stream] = None,
                          limit: int = DEFAULT_ENUM_LIMIT,
                          ) -> DichotomyReport:
     """Exhaust Bob's request masks against the compression-pair ensemble.

@@ -49,7 +49,7 @@ from .reports import (ReportError, build_report, canonical_json,
                       validate_report, write_csv, write_report)
 
 if TYPE_CHECKING:
-    import numpy as np
+    from .channels import Stream
 
 ENV_SEED = "OTLAB_SEED"
 
@@ -301,6 +301,16 @@ def _load_code(obj: dict, what: str, orthonormal: bool = False) -> tuple:
         raise ConfigError(f"bad {what} file: {exc}") from exc
 
 
+# the budget key of run, attack and code-audit
+_ENUM_LIMIT = Opt(
+    int, DEFAULT_ENUM_LIMIT,
+    "budget of each exhaustive enumeration, checked before it starts "
+    "(exit 3 above): q^k codewords for the distance search, 2^k for the "
+    "ML decoder, 2^n masks x 4^r secret pairs for the bob audit; it "
+    "cannot lift the decoder's cap of 2^20 codewords or the bob audit's "
+    "caps r <= 14 and n <= 16", "N", domain="[1, inf)")
+
+
 # -- run subcommand ----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -340,7 +350,7 @@ def _toy_compressed_basis(field) -> OrthonormalCode:
 
 
 def _default_inner_code(n0: int, bits: int, limit: int,
-                        rng: np.random.Generator) -> tuple[LinearCode, Optional[int]]:
+                        rng: Stream) -> tuple[LinearCode, Optional[int]]:
     if bits == 1:
         return LinearCode(Matrix(GF(1), ((1,) * n0,))), n0
     # the first of the farthest candidates; min_distance is cached
@@ -350,7 +360,7 @@ def _default_inner_code(n0: int, bits: int, limit: int,
     return best, best.min_distance(limit)
 
 
-def _p0_trial(setup: RunSetup, rng: np.random.Generator) -> tuple:
+def _p0_trial(setup: RunSetup, rng: Stream) -> tuple:
     bits = setup.inner.secret_bits
     first, second = random_bits(rng, bits), random_bits(rng, bits)
     want_first = bool(rng.integers(0, 2))
@@ -358,7 +368,7 @@ def _p0_trial(setup: RunSetup, rng: np.random.Generator) -> tuple:
     return session, first if want_first else second
 
 
-def _p0q_trial(setup: RunSetup, rng: np.random.Generator) -> tuple:
+def _p0q_trial(setup: RunSetup, rng: Stream) -> tuple:
     bits = setup.inner.secret_bits
     secrets = [random_bits(rng, bits) for _ in range(setup.q)]
     index = int(rng.integers(setup.q))
@@ -366,7 +376,7 @@ def _p0q_trial(setup: RunSetup, rng: np.random.Generator) -> tuple:
     return session, secrets[index]
 
 
-def _outer_trial(setup: RunSetup, rng: np.random.Generator) -> tuple:
+def _outer_trial(setup: RunSetup, rng: Stream) -> tuple:
     params = setup.outer
     field = params.field
     rows_n = (params.outer_dim if params.margin is None
@@ -610,7 +620,7 @@ _RUN = Command(
      "code": Opt(FILE, None, "inner code JSON"),
      "outer_code": Opt(FILE, None, "outer code JSON (orthonormalized on load)",
                        only=_OUTER),
-     "enum_limit": Opt(int, DEFAULT_ENUM_LIMIT, domain="[1, inf)")},
+     "enum_limit": _ENUM_LIMIT},
     cmd_run,
     lambda rep: ("run {protocol}: trials={trials} success={success_rate:.4f} "
                  "abort={abort_rate:.4f} "
@@ -681,7 +691,7 @@ def _attack_detection(cfg: dict, seed: int) -> tuple:
         "expected_unerased": expected_unerased(n, n0, phi, corrupted),
     }
     campaign = detection_campaign(n, n0, phi, corrupted, trials,
-                                  derive_rng(seed, 2), c)
+                                  derive_rng(seed, 2).numpy_generator(), c)
     derived["campaign"] = {
         "mean_unerased": campaign.mean_unerased,
         "expected_mean": campaign.expected_mean,
@@ -691,14 +701,14 @@ def _attack_detection(cfg: dict, seed: int) -> tuple:
         per_session = min(2 * n0, (corrupted + n // 2) // n)
         derived["per_session_corrupt"] = per_session
         adv = tracker_advantage_p0(n0, phi, per_session, trials,
-                                   derive_rng(seed, 3))
+                                   derive_rng(seed, 3).numpy_generator())
         advantage = adv.advantage
         derived["advantage_std_error"] = adv.std_error
         derived["tie_rate"] = adv.tie_rate
     if cfg["sweep"]:
         grid = _parse_grid(cfg["sweep_grid"], n, rule.slots)
         sweep = detection_sweep(n, n0, phi, grid, trials,
-                                derive_rng(seed, 4), c)
+                                derive_rng(seed, 4).numpy_generator(), c)
         derived["sweep"] = {
             "grid": grid,
             "accusation_rates": [p.accusation_rate for p in sweep.points],
@@ -819,7 +829,7 @@ _ATTACK = Command(
      "sweep": Opt(bool, False, only=("tracker",)),
      "sweep_grid": Opt(str, None, "corruption counts for the sweep",
                        "A,B,..."),
-     "enum_limit": Opt(int, DEFAULT_ENUM_LIMIT, domain="[1, inf)")},
+     "enum_limit": _ENUM_LIMIT},
     cmd_attack, _attack_summary,
     (Output("--sweep", "sweep_out", "sweep corruption counts; CSV goes here",
             lambda path, rep: write_csv(path, rep["derived"]["sweep"]["rows"]),
@@ -933,7 +943,7 @@ def _write_audited_code(path: str, report: dict) -> None:
 _CODE_AUDIT = Command(
     "distances and square structure",
     {"code": Opt(FILE, None, "code JSON to audit"),
-     "enum_limit": Opt(int, DEFAULT_ENUM_LIMIT, domain="[1, inf)")},
+     "enum_limit": _ENUM_LIMIT},
     cmd_code_audit,
     lambda rep: ("code-audit [{n},{k}]: d={d} d_hat={d_hat} "
                  "square_dim={square_dim} usable={usable_outer}").format(

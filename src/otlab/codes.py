@@ -26,7 +26,7 @@ from .linalg import (Matrix, Vector, dot, eliminate, full_rank_matrix, product,
                      weight)
 
 if TYPE_CHECKING:
-    import numpy as np
+    from .channels import Stream
 
 DEFAULT_ENUM_LIMIT = 1 << 24
 
@@ -355,7 +355,7 @@ def rs_code(field: Field, deg_g: int,
     return code
 
 
-def square_dual_sample(code: LinearCode, rng: np.random.Generator) -> Vector:
+def square_dual_sample(code: LinearCode, rng: Stream) -> Vector:
     """A uniform element of the dual of the code's square.
 
     Raises ValueError when the square is the full space (trivial dual):
@@ -370,7 +370,7 @@ def square_dual_sample(code: LinearCode, rng: np.random.Generator) -> Vector:
 
 
 def random_code(field: Field, n: int, k: int,
-                rng: np.random.Generator) -> LinearCode:
+                rng: Stream) -> LinearCode:
     """A uniformly random [n, k] code (full-rank generator by rejection)."""
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")

@@ -20,10 +20,11 @@ one elimination can serve many right-hand sides.  `random_matrix` and
 full row rank.
 
 Codeword enumeration uses numpy: `span_words` lists every combination of
-packed rows as int64 words (63 bits to a limb, limbs on the last axis), and
-`popcount`/`weights` count their bits through a 16-bit table.  The limb
-layout stays inside this module.  numpy and the table load on first use,
-so importing this module does not import numpy.
+packed rows as int64 words (63 bits to a limb, limbs on the last axis),
+`popcount`/`weights` count their bits through a 16-bit table, and
+`NearestSpanWord` finds the word nearest a received one in scratch arrays
+allocated once.  The limb layout stays inside this module.  numpy and the
+table load on first use, so importing this module does not import numpy.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ from .gf import Field
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .channels import Stream
 
 Vector = tuple  # length-n tuple of field elements (ints)
 
@@ -333,7 +336,7 @@ class Coset:
         taken = set(pivots)
         self.free = tuple(j for j in range(ncols) if j not in taken)
 
-    def sample(self, select: int, rng: np.random.Generator) -> int:
+    def sample(self, select: int, rng: Stream) -> int:
         """Particular solution (free variables zero) plus a uniform kernel
         element; the kernel coefficients are one rng draw, one per free
         column in ascending order, made only when the kernel is nonzero."""
@@ -341,7 +344,7 @@ class Coset:
         e = f.degree
         x = 0
         if self.free:
-            coeffs = rng.integers(0, f.order, size=len(self.free)).tolist()
+            coeffs = rng.integers(0, f.order, size=len(self.free))
             for c, j in zip(coeffs, self.free):
                 x |= c << e * j
         # Pivot symbol = its row's right-hand side plus the row's entries
@@ -398,7 +401,7 @@ def rank_and_kernel(m: Matrix) -> tuple[int, Matrix]:
     return len(pivots), Matrix.from_packed(m.field, basis, m.ncols)
 
 
-def solve_affine(m: Matrix, b: Sequence[int], rng: np.random.Generator) -> Vector:
+def solve_affine(m: Matrix, b: Sequence[int], rng: Stream) -> Vector:
     """A uniform sample from {v : M v = b}.
 
     Raises DimensionMismatch when b has the wrong length and
@@ -414,7 +417,7 @@ def solve_affine(m: Matrix, b: Sequence[int], rng: np.random.Generator) -> Vecto
 
 
 def solve_columns(m: Matrix, target: Matrix,
-                  rng: np.random.Generator) -> Matrix:
+                  rng: Stream) -> Matrix:
     """A uniform sample from {X : M X = target}: solve_affine on each
     column of target, left to right, from one elimination.
 
@@ -442,16 +445,16 @@ def solve_columns(m: Matrix, target: Matrix,
 # -- random matrices ---------------------------------------------------------
 
 def random_matrix(field: Field, nrows: int, ncols: int,
-                  rng: np.random.Generator) -> Matrix:
+                  rng: Stream) -> Matrix:
     """A uniform nrows x ncols matrix: one rng.integers call per row, in
     row order."""
     return Matrix.from_packed(field, [
-        pack(field, rng.integers(0, field.order, size=ncols).tolist())
+        pack(field, rng.integers(0, field.order, size=ncols))
         for _ in range(nrows)], ncols)
 
 
 def full_rank_matrix(field: Field, nrows: int, ncols: int,
-                     rng: np.random.Generator) -> Matrix:
+                     rng: Stream) -> Matrix:
     """A uniform nrows x ncols matrix of rank nrows: random_matrix drawn
     again until the rank is full."""
     while True:
@@ -519,3 +522,51 @@ def weights(words: np.ndarray, width: int) -> np.ndarray:
     if words.shape[-1] == 1:
         return counts[..., 0]
     return counts.sum(axis=-1, dtype=np.int64)
+
+
+class NearestSpanWord:
+    """The unique span word nearest a received word, over numpy limbs.
+
+    words come from span_words(rows, width).  nearest(mask, target)
+    counts, for every word, the bits of mask where it differs from target
+    and returns the index of the unique closest word, or None on a tie.
+    Every call works in arrays allocated here, once: fresh temporaries of
+    half a megabyte per call cost glibc an mmap and a munmap each.
+    """
+
+    __slots__ = ("words", "width", "_diff", "_part", "_counts", "_more",
+                 "_sums", "_ties")
+
+    def __init__(self, words: np.ndarray, width: int):
+        import numpy as np
+        self.words = words
+        self.width = width
+        self._diff = np.empty_like(words)
+        self._part = np.empty_like(words)
+        self._counts = np.empty(words.shape, dtype=np.uint8)
+        self._more = np.empty(words.shape, dtype=np.uint8)
+        # per-word sums of the limbs' counts, when there is more than one
+        self._sums = (np.empty(len(words), dtype=np.int64)
+                      if words.shape[1] > 1 else None)
+        self._ties = np.empty(len(words), dtype=bool)
+
+    def nearest(self, mask: int, target: int) -> int | None:
+        import numpy as np
+        table = _popcount_table()
+        diff, part, counts, more = (self._diff, self._part, self._counts,
+                                    self._more)
+        limbs = diff.shape[1]
+        np.bitwise_and(self.words, to_limbs(mask, limbs), out=diff)
+        np.bitwise_xor(diff, to_limbs(target, limbs), out=diff)
+        np.bitwise_and(diff, 0xFFFF, out=part)
+        np.take(table, part, out=counts, mode="clip")
+        for shift in range(16, min(self.width, LIMB_BITS), 16):
+            np.right_shift(diff, shift, out=part)
+            np.bitwise_and(part, 0xFFFF, out=part)
+            np.take(table, part, out=more, mode="clip")
+            np.add(counts, more, out=counts)
+        dist = (counts[:, 0] if self._sums is None
+                else np.sum(counts, axis=1, dtype=np.int64, out=self._sums))
+        best = int(dist.argmin())
+        np.equal(dist, dist[best], out=self._ties)
+        return None if np.count_nonzero(self._ties) > 1 else best

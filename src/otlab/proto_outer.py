@@ -29,7 +29,7 @@ from .linalg import Matrix, dot, full_rank_matrix, pack, product, solve_columns
 from .proto_p0 import P0Params, Session, p0q_run
 
 if TYPE_CHECKING:
-    import numpy as np
+    from .channels import Stream
 
 
 def block_to_bits(row: int, m: int, degree: int) -> tuple:
@@ -61,7 +61,7 @@ def outer_offset(basis: OrthonormalCode, first_secret: Matrix,
 
 def p2_alice_setup(first_secret: Matrix, second_secret: Matrix,
                    basis: OrthonormalCode,
-                   rng: np.random.Generator) -> tuple[Matrix, list[Matrix]]:
+                   rng: Stream) -> tuple[Matrix, list[Matrix]]:
     """Alice's setup: x uniform with H x = s, plus the q - 1 offsets
     x + lambda_i H^T(s + t).
 
@@ -131,7 +131,7 @@ def compressed_length(outer_dim: int, margin: float) -> int:
 
 def compress_setup(compressed_first: Matrix, compressed_second: Matrix,
                    outer_dim: int, margin: float,
-                   rng: np.random.Generator) -> tuple[CompressionPair,
+                   rng: Stream) -> tuple[CompressionPair,
                                                       Matrix, Matrix]:
     """Lift compressed secrets to full ones under fresh full-rank maps.
 
@@ -195,7 +195,7 @@ class OuterParams:
 
 def run_session(params: OuterParams, first_secret: Matrix,
                 second_secret: Matrix, want_first: bool,
-                rng: np.random.Generator,
+                rng: Stream,
                 request_mask: Optional[Sequence[int]] = None) -> Session:
     """One full outer session (honest parties unless a mask is forced).
 

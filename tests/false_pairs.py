@@ -12,7 +12,7 @@ def bsc_transmit(bits, phi, rng):
     """Each bit flips independently with probability phi."""
     if not 0.0 <= phi < 0.5:
         raise ValueError(f"crossover must be in [0, 1/2), got {phi}")
-    flips = rng.random(len(bits)) < phi
+    flips = [u < phi for u in rng.random(len(bits))]
     return tuple(int(b) ^ int(f) for b, f in zip(bits, flips))
 
 

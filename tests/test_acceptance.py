@@ -14,8 +14,6 @@ import sys
 import time
 from itertools import product
 
-import numpy as np
-
 from otlab.adversary import (audit_bob_strategies, detection_campaign,
                              detection_sweep)
 from otlab.analysis import (fixed_weight_oracle, min_entropy_oracle,
@@ -218,7 +216,7 @@ def test_criterion_05_fixed_weight_fractions():
 
 
 def test_criterion_06_square_machinery():
-    rng = np.random.default_rng(1006)
+    rng = derive_rng(1006)
 
     checked = 0
     while checked < 100:
@@ -243,7 +241,7 @@ def test_criterion_06_square_machinery():
         if room < 2:
             continue
         npos = int(rng.integers(1, room))
-        pos = tuple(sorted(rng.choice(n, size=npos, replace=False).tolist()))
+        pos = tuple(sorted(rng.permutation(n)[:npos]))
         assert same_code(puncture(code.schur_square(), pos),
                          puncture(code, pos).schur_square())
         commuted += 1
@@ -267,7 +265,7 @@ def test_criterion_06_square_machinery():
 
 
 def test_criterion_07_orthonormalization():
-    rng = np.random.default_rng(1007)
+    rng = derive_rng(1007)
     done = {1: 0, 2: 0}
     want = {1: 50, 2: 50}
     while any(done[d] < want[d] for d in done):
@@ -357,7 +355,7 @@ def test_criterion_08_reconstruction_and_cheat_matrix():
 
 
 def test_criterion_09_detection_statistics():
-    rng = derive_rng(1010)
+    rng = derive_rng(1010).numpy_generator()
     trials = 1000
     honest = detection_campaign(900, 30, 0.198, 0, trials, rng)
     tracker = detection_campaign(900, 30, 0.198, 900, trials, rng)

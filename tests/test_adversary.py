@@ -66,7 +66,7 @@ def test_expected_unerased_linear_in_corruptions():
 
 
 def test_simulate_counts_match_expectation():
-    rng = derive_rng(90)
+    rng = derive_rng(90).numpy_generator()
     for corrupted in (0, 40, 200):
         counts = simulate_unerased_counts(20, 10, 0.198, corrupted, 4000, rng)
         assert counts.shape == (4000,)
@@ -76,7 +76,7 @@ def test_simulate_counts_match_expectation():
 
 
 def test_simulate_counts_noiseless_exact():
-    rng = derive_rng(91)
+    rng = derive_rng(91).numpy_generator()
     counts = simulate_unerased_counts(5, 10, 0.0, 30, 100, rng)
     assert (counts == 70).all()
     with pytest.raises(ValueError):
@@ -118,7 +118,7 @@ def test_transmit_with_false_pairs_matches_binomial_model():
 
 
 def test_detection_campaign_honest_rate_below_bound():
-    rng = derive_rng(94)
+    rng = derive_rng(94).numpy_generator()
     rep = detection_campaign(30, 15, 0.198, 0, 3000, rng)
     assert rep.corrupted == 0
     # Hoeffding bound plus 5 sigma of Monte-Carlo noise
@@ -129,14 +129,14 @@ def test_detection_campaign_honest_rate_below_bound():
 
 
 def test_detection_campaign_heavy_corruption_always_caught():
-    rng = derive_rng(95)
+    rng = derive_rng(95).numpy_generator()
     slots = 2 * 30 * 15
     rep = detection_campaign(30, 15, 0.198, slots // 2, 500, rng)
     assert rep.accusation_rate == 1.0
 
 
 def test_detection_sweep_slope():
-    rng = derive_rng(96)
+    rng = derive_rng(96).numpy_generator()
     grid = (0, 100, 200, 400)
     rep = detection_sweep(60, 15, 0.198, grid, 2000, rng)
     assert tuple(p.corrupted for p in rep.points) == grid
@@ -146,7 +146,7 @@ def test_detection_sweep_slope():
 
 
 def test_tracker_advantage_no_corruption_is_coin_flip():
-    rng = derive_rng(97)
+    rng = derive_rng(97).numpy_generator()
     rep = tracker_advantage_p0(15, 0.198, 0, 2000, rng)
     assert rep.advantage == 0.0
     assert rep.tie_rate == 1.0
@@ -155,7 +155,7 @@ def test_tracker_advantage_no_corruption_is_coin_flip():
 
 def test_tracker_advantage_noiseless_corruption_is_total():
     """At phi = 0 every corrupt slot erases, landing in the unchosen set."""
-    rng = derive_rng(98)
+    rng = derive_rng(98).numpy_generator()
     rep = tracker_advantage_p0(15, 0.0, 10, 500, rng)
     assert rep.advantage == pytest.approx(0.5)
     assert rep.tie_rate == 0.0
@@ -163,7 +163,7 @@ def test_tracker_advantage_noiseless_corruption_is_total():
 
 
 def test_tracker_advantage_grows_with_corruptions():
-    rng = derive_rng(99)
+    rng = derive_rng(99).numpy_generator()
     small = tracker_advantage_p0(15, 0.198, 2, 20000, rng)
     large = tracker_advantage_p0(15, 0.198, 15, 20000, rng)
     assert large.advantage > small.advantage
@@ -206,8 +206,8 @@ def test_row_blocks_of_one_stream_are_one_draw():
     """The fact the blocked tracker rests on: consecutive (a, s) and (b, s)
     uniform draws are the rows of one (a + b, s) draw."""
     for a, b, s in ((1, 1, 4), (3, 5, 30), (TRACKER_BLOCK_ROWS, 7, 126)):
-        whole = derive_rng(a, b).random((a + b, s))
-        rng = derive_rng(a, b)
+        whole = derive_rng(a, b).numpy_generator().random((a + b, s))
+        rng = derive_rng(a, b).numpy_generator()
         assert np.array_equal(whole, np.vstack([rng.random((a, s)),
                                                 rng.random((b, s))]))
 
@@ -227,7 +227,8 @@ def test_tracker_advantage_blocks_match_one_shot_reference():
               ((2, 0.0, 0), (15, 0.198, 1), (30, 0.198, 30), (63, 0.0, 126))]
     cases.append((130, 0.198, 130, 3 * block + 7, 3))  # over 255 slots
     for i, (n0, phi, c, trials, seed) in enumerate(cases):
-        got_rng, want_rng = derive_rng(seed, i), derive_rng(seed, i)
+        got_rng = derive_rng(seed, i).numpy_generator()
+        want_rng = derive_rng(seed, i).numpy_generator()
         got = tracker_advantage_p0(n0, phi, c, trials, got_rng)
         want = _tracker_one_shot(n0, phi, c, trials, want_rng)
         assert got == want, (n0, phi, c, trials, seed)
@@ -241,7 +242,8 @@ def test_tracker_advantage_memory_is_a_byte_per_slot(trials):
     n0 = 30
     tracemalloc.start()
     try:
-        tracker_advantage_p0(n0, 0.198, 30, trials, derive_rng(5))
+        tracker_advantage_p0(n0, 0.198, 30, trials,
+                             derive_rng(5).numpy_generator())
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

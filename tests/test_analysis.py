@@ -10,6 +10,7 @@ from otlab.analysis import (binary_entropy, curve_grid, fixed_weight_oracle,
                             min_entropy_bound, min_entropy_oracle,
                             optimize_rate_p0, rate_chain, rate_curve, rate_p0,
                             wilson_interval)
+from otlab.channels import derive_rng
 from otlab.codes import EnumerationLimit, LinearCode, random_code
 from otlab.gf import GF
 from otlab.linalg import Matrix
@@ -177,7 +178,7 @@ def _posterior_census(code, erasures, error_rate):
 
 
 def test_min_entropy_oracle_matches_definitional_census():
-    rng = np.random.default_rng(30)
+    rng = derive_rng(30)
     for _ in range(6):
         k = int(rng.integers(1, 3))
         n = int(rng.integers(k, 5))
@@ -193,7 +194,7 @@ def test_min_entropy_oracle_matches_definitional_census():
 def wide_code():
     """A [66,3] code: at 64 erasures the two kept positions of many
     patterns straddle bit 63, the end of the first int64 limb."""
-    code = random_code(GF(1), 66, 3, np.random.default_rng(32))
+    code = random_code(GF(1), 66, 3, derive_rng(32))
     assert any(row >> 63 for row in code.generator.packed)
     return code
 
@@ -280,7 +281,7 @@ def test_min_entropy_oracle_limits_and_validation():
         min_entropy_oracle(big, 0, 0.1, alpha=0.5)
     # 2^12 outputs and 2^6 codewords each fit the limit; their 2^18-entry
     # product does not
-    code12 = random_code(GF(1), 12, 6, np.random.default_rng(33))
+    code12 = random_code(GF(1), 12, 6, derive_rng(33))
     with pytest.raises(EnumerationLimit):
         min_entropy_oracle(code12, 0, 0.1, alpha=0.5, limit=1 << 12)
     code = LinearCode.from_rows(GF(1), ((1, 1),))
@@ -318,7 +319,7 @@ def test_fixed_weight_oracle_identity_code():
 
 def test_fixed_weight_oracle_fractions_below_bound():
     """Low-degree views can carry at most 2^-alpha of the edge mass."""
-    rng = np.random.default_rng(31)
+    rng = derive_rng(31)
     for _ in range(12):
         k = int(rng.integers(1, 4))
         n = int(rng.integers(k, 7))
@@ -341,6 +342,6 @@ def test_fixed_weight_oracle_validation():
     with pytest.raises(EnumerationLimit):
         fixed_weight_oracle(big, 0, 12)
     # 4 edges, but a 2^2 x 2^12 array of codewords against outputs
-    code12 = random_code(GF(1), 12, 2, np.random.default_rng(34))
+    code12 = random_code(GF(1), 12, 2, derive_rng(34))
     with pytest.raises(EnumerationLimit):
         fixed_weight_oracle(code12, 0, 0, limit=64)

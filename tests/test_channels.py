@@ -1,6 +1,8 @@
-"""Channel simulation: BSC, duplication folding, false pairs."""
+"""Channel simulation: BSC, duplication folding, false pairs, and the
+pure-Python PCG64 stream against numpy's Generator."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -22,8 +24,109 @@ def test_derive_rng_reproducible_and_keyed():
     a = derive_rng(42, 1, 7).random(8)
     b = derive_rng(42, 1, 7).random(8)
     c = derive_rng(42, 1, 8).random(8)
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, c)
+    assert a == b
+    assert a != c
+
+
+def numpy_stream(seed, key=()):
+    """The reference: numpy's Generator on the same seed and key path."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+
+
+def position(rng):
+    """The stream's PCG64 state and its spare 32-bit half, if any (once a
+    spare is used, numpy leaves a stale value behind that no draw reads)."""
+    return (rng.state, rng.inc, rng.has_uint32,
+            rng.uinteger if rng.has_uint32 else None)
+
+
+def numpy_position(gen):
+    state = gen.bit_generator.state
+    return (state["state"]["state"], state["state"]["inc"],
+            state["has_uint32"],
+            state["uinteger"] if state["has_uint32"] else None)
+
+
+def test_stream_draws_equal_numpy_draws_bit_for_bit():
+    """3,000 seeded streams of 12 mixed draws each: sized and scalar
+    integers over ranges 1, 2, 3, 4, 16 and 256 (size 0 included), random
+    and permutation (of 0, 1 and more items), at seeds 0, below 2^32,
+    above 2^32 and above 2^64 with spawn keys of up to three words of up
+    to 40 bits; then numpy takes over the stream mid-way."""
+    plan = random.Random(2020)
+    spans = (1, 2, 3, 4, 16, 256)
+    for t in range(3000):
+        seed = (0, 1 + t, (1 << 32) + t, (1 << 64) + 3 * t)[t % 4]
+        key = tuple(plan.getrandbits(plan.choice((1, 16, 40)))
+                    for _ in range(plan.randrange(4)))
+        ours, ref = derive_rng(seed, *key), numpy_stream(seed, key)
+        assert position(ours) == numpy_position(ref)
+        for _ in range(12):
+            kind = plan.randrange(5)
+            if kind == 0:
+                low, span = plan.randrange(3), plan.choice(spans)
+                size = plan.randrange(9)
+                got = ours.integers(low, low + span, size=size)
+                assert got == ref.integers(low, low + span, size=size).tolist()
+            elif kind == 1:
+                span = plan.choice(spans)
+                got = ours.integers(span)
+                assert got == ref.integers(span) and type(got) is int
+            elif kind == 2:
+                size = plan.randrange(5)
+                assert ours.random(size) == ref.random(size).tolist()
+            elif kind == 3:
+                assert ours.random() == ref.random()
+            else:
+                n = plan.choice((0, 1, 2, 15, 30, 100))
+                assert ours.permutation(n) == ref.permutation(n).tolist()
+        assert position(ours) == numpy_position(ref)
+        handoff = ours.numpy_generator()
+        assert numpy_position(handoff) == numpy_position(ref)
+        assert (handoff.integers(0, 7, size=5).tolist()
+                == ref.integers(0, 7, size=5).tolist())
+        assert handoff.random() == ref.random()
+
+
+def test_stream_keeps_the_spare_half_across_calls():
+    """A bounded draw uses the low 32 bits of a 64-bit output first and
+    keeps the high half for the next bounded draw, across calls and past
+    64-bit draws (random), as numpy's bit generator does; ranges up to
+    2^32 itself are drawn."""
+    ours, ref = derive_rng(11, 5), numpy_stream(11, (5,))
+    assert ours.integers(0, 2, size=3) == ref.integers(0, 2, size=3).tolist()
+    assert ours.has_uint32 == 1
+    spare = ours.uinteger
+    assert ours.random(2) == ref.random(2).tolist()
+    assert (ours.has_uint32, ours.uinteger) == (1, spare)
+    assert ours.integers(0, 256) == ref.integers(0, 256) == spare * 256 >> 32
+    assert ours.has_uint32 == 0
+    # merged draws are the split ones
+    merged = derive_rng(11, 6).integers(0, 4, size=7)
+    split = derive_rng(11, 6)
+    assert split.integers(0, 4, size=3) + split.integers(0, 4, size=4) == merged
+    top = 1 << 32
+    assert (ours.integers(0, top, size=3)
+            == ref.integers(0, top, size=3).tolist())
+    assert ours.integers(top) == ref.integers(top)
+    assert position(ours) == numpy_position(ref)
+
+
+def test_stream_refuses_what_it_does_not_replicate():
+    rng = derive_rng(1)
+    for low, high in ((0, (1 << 32) + 1), (0, 1 << 40), (0, 0), (5, 4)):
+        with pytest.raises(ValueError):
+            rng.integers(low, high)
+    with pytest.raises(ValueError):
+        rng.integers(0, 1 << 33, size=2)
+    with pytest.raises(ValueError):
+        rng.permutation((1 << 32) + 1)
+    for seed, key in ((-1, ()), (3, (0, -2))):
+        with pytest.raises(ValueError):
+            derive_rng(seed, *key)
+        with pytest.raises(ValueError):
+            numpy_stream(seed, key)
+    assert position(rng) == position(derive_rng(1))
 
 
 def test_bsc_params_values():
@@ -81,7 +184,7 @@ def test_bsc_transmit_flip_rate():
 
 
 def test_duplicate_round_trip_noiseless():
-    rng = np.random.default_rng(3)
+    rng = derive_rng(3)
     bits = tuple(int(b) for b in rng.integers(0, 2, size=64))
     w = duplicate_round_trip(bits, 0.0, rng)
     assert w.symbols == bits
@@ -96,7 +199,7 @@ def test_duplicate_round_trip_golden():
 
 def test_duplicate_round_trip_statistics():
     """Erasure and survivor-error rates match the closed forms."""
-    rng = np.random.default_rng(4)
+    rng = derive_rng(4)
     phi = 0.198
     params = BscParams(phi)
     n = 400_000
@@ -113,9 +216,10 @@ def test_duplicate_round_trip_statistics():
 
 
 def test_duplicate_round_trip_matches_per_symbol_loop():
-    """The vectorized fold against the per-symbol reference loop."""
+    """The fold against a per-symbol reference loop over numpy's own
+    (len, 2) block of uniforms from the same stream."""
     def reference(bits, phi, rng):
-        flips = rng.random((len(bits), 2)) < phi
+        flips = rng.numpy_generator().random((len(bits), 2)) < phi
         out = []
         for b, (f1, f2) in zip(bits, flips):
             out.append(int(b) ^ int(f1) if f1 == f2 else ERASED)
@@ -132,7 +236,7 @@ def test_duplicate_round_trip_matches_per_symbol_loop():
 
 
 def test_duplicate_round_trip_validation():
-    rng = np.random.default_rng(5)
+    rng = derive_rng(5)
     with pytest.raises(ValueError):
         duplicate_round_trip((0, 1), 0.6, rng)
 

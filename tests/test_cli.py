@@ -19,11 +19,11 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from otlab import cli
 from otlab.analysis import detection_rule
+from otlab.channels import derive_rng
 from otlab.cli import ConfigError, _normalize_run
 from otlab.codes import (CodeAudit, LinearCode, code_to_json, cyclic_code,
                          random_code, rs_code)
@@ -138,12 +138,15 @@ def test_import_leaves_out_schema_library_and_process_pool(tmp_path):
     # it computes, so `rates`, `--help`, `code-audit`, a config error
     # (also one in the outer structure, caught before the inner decoder is
     # built) and an output into a missing directory (refused before any
-    # trial) never load it; the benchmark's shim finds the session modules
-    # and the dispatch table after import; main freezes the import-time
-    # heap so exit skips collecting it
+    # trial) never load it; sessions draw from the pure-Python stream and
+    # decode codes of at most 64 words by a Python scan, so a p0 run, a
+    # p2prime run and the replay of a p0 report never load it either,
+    # while a decoder over 2^16 words and `attack` do; the benchmark's shim
+    # finds the session modules and the dispatch table after import; main
+    # freezes the import-time heap so exit skips collecting it
     probe = ("import contextlib, gc, io, json, os, sys, otlab.cli\n"
              "def loaded():\n"
-             "    return json.dumps({m: m in sys.modules for m in sys.argv[3:]})\n"
+             "    return json.dumps({m: m in sys.modules for m in sys.argv[5:]})\n"
              "def quiet(argv):\n"
              "    out = io.StringIO()\n"
              "    with contextlib.redirect_stdout(out), \\\n"
@@ -164,17 +167,31 @@ def test_import_leaves_out_schema_library_and_process_pool(tmp_path):
              "print(quiet(['code-audit', '--code', sys.argv[2]]),\n"
              "      'numpy' in sys.modules)\n"
              "print(quiet(['rates', '--curve', sys.argv[1]]), loaded())\n"
-             "print(gc.get_freeze_count() > 0)")
+             "print(gc.get_freeze_count() > 0)\n"
+             "for argv in (['run', '--protocol', 'p0', '--trials', '3'],\n"
+             "             ['run', '--protocol', 'p2prime', '--phi', '0',\n"
+             "              '--delta', '0.25', '--trials', '1'],\n"
+             "             ['replay', sys.argv[3]]):\n"
+             "    print(quiet(argv), 'numpy' in sys.modules)\n"
+             "print(quiet(sys.argv[4].split()), 'numpy' in sys.modules)")
     names = ("numpy", "jsonschema", "multiprocessing",
              "concurrent.futures.process", "otlab.adversary",
              "otlab.proto_p0", "otlab.proto_outer")
     curve = tmp_path / "curve.csv"
-    proc = subprocess.run([sys.executable, "-c", probe, str(curve),
-                           str(GOLDEN_CODES / "golay.json"), *names],
-                          capture_output=True, text=True, check=True)
+    wide = f"run --code {GOLDEN_CODES / 'wide20_16.json'} --trials 2"
+    lines = []
+    for loader in (wide, "attack --trials 10"):
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, str(curve),
+             str(GOLDEN_CODES / "golay.json"),
+             str(GOLDEN_CODES.parent / "run-p0.json"), loader, *names],
+            capture_output=True, text=True, check=True)
+        lines.append(proc.stdout.splitlines())
+    assert lines[0][:-1] == lines[1][:-1]
+    assert lines[0][-1] == lines[1][-1] == "0 True"
     (import_line, dispatch_line, config_error_line, outer_error_line,
      output_error_line, help_line, audit_line, rates_line,
-     frozen_line) = proc.stdout.splitlines()
+     frozen_line, p0_line, p2prime_line, replay_line, _) = lines[0]
     want = {"numpy": False, "jsonschema": False, "multiprocessing": False,
             "concurrent.futures.process": False, "otlab.adversary": False,
             "otlab.proto_p0": True, "otlab.proto_outer": True}
@@ -189,6 +206,21 @@ def test_import_leaves_out_schema_library_and_process_pool(tmp_path):
     assert code == "0" and json.loads(rates_loaded) == want
     assert len(read_csv(curve)) == 99
     assert frozen_line == "True"
+    assert p0_line == p2prime_line == replay_line == "0 False"
+
+
+@pytest.mark.parametrize("command", ["run", "attack", "code-audit"])
+def test_enum_limit_help_says_what_it_bounds_and_what_it_cannot_lift(
+        command):
+    proc = run_cli(command, "--help")
+    assert proc.returncode == 0
+    text = " ".join(proc.stdout.split())
+    assert ("--enum-limit N budget of each exhaustive enumeration, checked "
+            "before it starts (exit 3 above): q^k codewords for the distance "
+            "search, 2^k for the ML decoder, 2^n masks x 4^r secret pairs "
+            "for the bob audit; it cannot lift the decoder's cap of 2^20 "
+            "codewords or the bob audit's caps r <= 14 and n <= 16; at "
+            "least 1") in text
 
 
 @pytest.mark.parametrize("argv", [
@@ -629,7 +661,7 @@ def test_run_decoder_cap_is_not_a_budget(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "_default_inner_code",
                         lambda *a: searched.append(a))
     path = write_code(tmp_path, "k21.json", random_code(
-        GF(1), 24, 21, np.random.default_rng(21)))
+        GF(1), 24, 21, derive_rng(21)))
     cap = ("otlab: enumeration limit: 2^{k} codewords exceed the ML "
            "decoder's memory cap of 2^20 codewords; --enum-limit cannot "
            "raise it")

@@ -4,9 +4,9 @@ import itertools
 import pickle
 from collections import Counter
 
-import numpy as np
 import pytest
 
+from otlab.channels import derive_rng
 from otlab.gf import GF
 from otlab.linalg import (DimensionMismatch, InconsistentSystem, Matrix, dot,
                           pack, product, random_matrix, rank,
@@ -39,7 +39,7 @@ def test_matrix_is_immutable():
 
 
 def test_matmul_matches_naive():
-    rng = np.random.default_rng(2)
+    rng = derive_rng(2)
     for degree in (1, 2, 3):
         f = GF(degree)
         for _ in range(20):
@@ -71,7 +71,7 @@ def test_add_scale_transpose():
 
 
 def test_apply_agrees_with_matmul():
-    rng = np.random.default_rng(3)
+    rng = derive_rng(3)
     f = GF(2)
     for _ in range(20):
         a = random_matrix(f, 3, 5, rng)
@@ -124,7 +124,7 @@ def test_rank_over_gf4():
 
 
 def test_solve_affine_solves():
-    rng = np.random.default_rng(4)
+    rng = derive_rng(4)
     f = GF(2)
     for _ in range(30):
         m = random_matrix(f, 3, 5, rng)
@@ -137,7 +137,7 @@ def test_solve_affine_solves():
 def test_solve_affine_inconsistent():
     f = GF(1)
     m = Matrix(f, ((1, 0), (1, 0)))
-    rng = np.random.default_rng(0)
+    rng = derive_rng(0)
     with pytest.raises(InconsistentSystem):
         solve_affine(m, (0, 1), rng)
 
@@ -147,7 +147,7 @@ def test_solve_affine_uniform_over_solution_set():
     f = GF(1)
     m = Matrix(f, ((1, 1, 0, 0),))
     b = (1,)
-    rng = np.random.default_rng(9)
+    rng = derive_rng(9)
     counts = Counter(solve_affine(m, b, rng) for _ in range(4000))
     assert len(counts) == 8          # kernel dim 3 -> 8 solutions
     expected = 4000 / 8
@@ -173,7 +173,7 @@ def test_pack_unpack_bits():
 
 def test_gf2_rank_matches_matrix_rank():
     """The rank is r exactly when the rows span 2^r words."""
-    rng = np.random.default_rng(7)
+    rng = derive_rng(7)
     f = GF(1)
     for _ in range(100):
         m = random_matrix(f, 4, 6, rng)
@@ -188,7 +188,7 @@ def test_packed_symbols_match_field_arithmetic(degree):
     product, dot and weight agree with Field arithmetic symbol by symbol,
     also on the top symbol and on words shorter than their length."""
     f = GF(degree)
-    rng = np.random.default_rng(8 + degree)
+    rng = derive_rng(8 + degree)
     for n in (0, 1, 2, 7, 30):
         for _ in range(40):
             u = tuple(int(a) for a in rng.integers(0, f.order, size=n))

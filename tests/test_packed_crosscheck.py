@@ -3,9 +3,10 @@
 `rref`, `rank`, `rank_and_kernel` and `solve_affine` run on packed rows
 over every field GF(2^e); here each is compared, over GF(2), GF(4),
 GF(8), GF(16) and GF(256), with the dense reduction loop (`dense_rref`)
-and the dense kernel/sampling code kept below as the reference, the rng
-state included.  The numpy enumeration of the ML decoder is compared
-with brute force over iter_codewords.  The Brouwer-Zimmermann minimum
+and the dense kernel/sampling code kept below as the reference, the
+stream position included.  Both paths of the ML decoder (the Python
+scan of small codes and the numpy limb search of larger ones) are
+compared with brute force over iter_codewords.  The Brouwer-Zimmermann minimum
 distance is compared with the brute-force minimum over iter_codewords
 and with a Gray walk, and the packed cheat matrix V(u) with the dense
 product.  The matrix draws and column solves are compared with the row
@@ -13,12 +14,13 @@ and column loops they replaced.
 """
 
 import pickle
+from bisect import bisect_right
 from itertools import islice, product
 
 import numpy as np
 import pytest
 
-from otlab.channels import ERASED, BscParams
+from otlab.channels import ERASED, BscParams, derive_rng
 from otlab.codes import (LinearCode, OrthonormalCode, cyclic_code,
                          random_code)
 from otlab.gf import GF
@@ -28,7 +30,8 @@ from otlab.linalg import (InconsistentSystem, Matrix, full_rank_matrix,
                           rank_and_kernel, rref, solve_affine, solve_columns,
                           span_words, unpack)
 from otlab.proto_outer import cheat_matrix_V
-from otlab.proto_p0 import MLDecoder, P0Params
+from otlab import proto_p0
+from otlab.proto_p0 import DECODER_WORD_CAP, MLDecoder, P0Params
 from tuple_reference import dot, mul, naive_matmul
 
 F2 = GF(1)
@@ -102,11 +105,18 @@ def dense_solve_affine(m, b, rng):
     return tuple(particular)
 
 
+def position(rng):
+    """Where a stream stands: its PCG64 state and spare 32-bit half."""
+    return rng.state, rng.inc, rng.has_uint32, rng.uinteger
+
+
 def random_over(field, rng, nrows, ncols, rank_cap=None):
-    """A random matrix over field; rank_cap forces rank <= rank_cap."""
+    """A random matrix over field; rank_cap forces rank <= rank_cap.  The
+    entries are one row-major draw."""
     def draw(r, c):
-        rows = rng.integers(0, field.order, size=(r, c)).tolist()
-        return Matrix(field, rows, ncols=c)
+        flat = rng.integers(0, field.order, size=r * c)
+        return Matrix(field, [flat[i * c:(i + 1) * c] for i in range(r)],
+                      ncols=c)
     if rank_cap is None:
         return draw(nrows, ncols)
     return draw(nrows, rank_cap) @ draw(rank_cap, ncols)
@@ -123,7 +133,7 @@ SHAPES = [
 def test_packed_reduction_matches_dense(nrows, ncols, cap):
     for degree in DEGREES:
         f = GF(degree)
-        rng = np.random.default_rng(1000 + nrows * 101 + ncols
+        rng = derive_rng(1000 + nrows * 101 + ncols
                                     + 7 * (degree - 1))
         for _ in range(20):
             m = random_over(f, rng, nrows, ncols, cap)
@@ -138,7 +148,7 @@ def test_packed_reduction_matches_dense(nrows, ncols, cap):
 def test_packed_solve_affine_matches_dense(nrows, ncols, cap):
     for degree in DEGREES:
         f = GF(degree)
-        rng = np.random.default_rng(2000 + nrows * 101 + ncols
+        rng = derive_rng(2000 + nrows * 101 + ncols
                                     + 7 * (degree - 1))
         inconsistent = 0
         for trial in range(20):
@@ -148,8 +158,8 @@ def test_packed_solve_affine_matches_dense(nrows, ncols, cap):
             else:
                 x = tuple(int(a) for a in rng.integers(0, f.order, size=ncols))
                 b = m.apply(x)
-            ours, ref = (np.random.default_rng(trial),
-                         np.random.default_rng(trial))
+            ours, ref = (derive_rng(trial),
+                         derive_rng(trial))
             try:
                 want = dense_solve_affine(m, b, ref)
             except InconsistentSystem:
@@ -158,7 +168,7 @@ def test_packed_solve_affine_matches_dense(nrows, ncols, cap):
                     solve_affine(m, b, ours)
             else:
                 assert solve_affine(m, b, ours) == want
-            assert ours.bit_generator.state == ref.bit_generator.state
+            assert position(ours) == position(ref)
         if nrows > ncols or (cap is not None and cap < nrows):
             assert inconsistent > 0
 
@@ -166,7 +176,7 @@ def test_packed_solve_affine_matches_dense(nrows, ncols, cap):
 def test_session_coset_matches_dense_solve_of_stacked_system():
     """One elimination of the hash rows into the reduced parity check
     samples what solve_affine on the stacked system samples, rng and all."""
-    rng = np.random.default_rng(3000)
+    rng = derive_rng(3000)
     for n, k, m in ((15, 5, 3), (15, 1, 1), (20, 16, 1), (20, 16, 5),
                     (12, 12, 4), (70, 6, 2)):
         code = random_code(F2, n, k, rng)
@@ -177,12 +187,12 @@ def test_session_coset_matches_dense_solve_of_stacked_system():
             stacked = Matrix(F2, parity.rows + hm.rows)
             assert rank(stacked) == n - k + m
             secret = tuple(int(a) for a in rng.integers(0, 2, size=m))
-            ours, ref = (np.random.default_rng(trial),
-                         np.random.default_rng(trial))
+            ours, ref = (derive_rng(trial),
+                         derive_rng(trial))
             got = unpack(F2, coset.sample(pack(F2, secret), ours), n)
             zeros = (0,) * parity.nrows
             assert got == dense_solve_affine(stacked, zeros + secret, ref)
-            assert ours.bit_generator.state == ref.bit_generator.state
+            assert position(ours) == position(ref)
 
 
 def test_draw_hash_redraws_like_the_stacked_rank_loop():
@@ -190,15 +200,15 @@ def test_draw_hash_redraws_like_the_stacked_rank_loop():
     reaches rank n - k + m: the hash and the rng state match a loop of
     random_matrix draws tested by the stacked rank.  With m = k a
     first draw is deficient about 70% of the time."""
-    rng = np.random.default_rng(3050)
+    rng = derive_rng(3050)
     redraws = 0
     for n, k in ((6, 3), (10, 4), (12, 12), (20, 5)):
         code = random_code(F2, n, k, rng)
         parity_rows = code.dual_basis().rows
         params = P0Params(channel=BscParams(0.1), code=code, secret_bits=k)
         for trial in range(20):
-            ours, ref = (np.random.default_rng(trial),
-                         np.random.default_rng(trial))
+            ours, ref = (derive_rng(trial),
+                         derive_rng(trial))
             got, _ = params.draw_hash(ours)
             while True:
                 want = random_matrix(F2, k, n, ref)
@@ -206,12 +216,12 @@ def test_draw_hash_redraws_like_the_stacked_rank_loop():
                     break
                 redraws += 1
             assert got == want
-            assert ours.bit_generator.state == ref.bit_generator.state
+            assert position(ours) == position(ref)
     assert redraws > 20
 
 
 def test_span_words_and_parity_lut_match_direct_products():
-    rng = np.random.default_rng(3100)
+    rng = derive_rng(3100)
     for n, k in ((9, 4), (63, 3), (64, 3), (130, 4)):
         code = random_code(F2, n, k, rng)
         words = span_words(code.generator.packed, n)
@@ -226,7 +236,7 @@ def test_span_words_and_parity_lut_match_direct_products():
 
 
 def test_parity_lut_matches_matrix_apply_on_every_state():
-    rng = np.random.default_rng(3200)
+    rng = derive_rng(3200)
     for r in (1, 4, 9):
         states = np.arange(1 << r, dtype=np.int64)
         for nrows in sorted({1, 3, r}):
@@ -245,7 +255,7 @@ def test_matrix_ops_match_tuple_references(degree):
     """Every Matrix operation on packed rows equals the same operation on
     the unpacked tuple rows, zero-row and zero-column shapes included."""
     f = GF(degree)
-    rng = np.random.default_rng(7000 + degree)
+    rng = derive_rng(7000 + degree)
     for nrows, ncols in OP_SHAPES:
         for _ in range(6):
             a = random_over(f, rng, nrows, ncols)
@@ -262,7 +272,7 @@ def test_matrix_ops_match_tuple_references(degree):
             for c in (0, 1, int(rng.integers(f.order))):
                 assert a.scale(c) == Matrix(f, tuple(
                     tuple(mul(f, c, x) for x in r) for r in rows), ncols=ncols)
-            v = tuple(rng.integers(0, f.order, size=ncols).tolist())
+            v = tuple(rng.integers(0, f.order, size=ncols))
             assert a.apply(v) == tuple(dot(f, r, v) for r in rows)
             for width in (0, 3):
                 other = random_over(f, rng, ncols, width)
@@ -317,17 +327,17 @@ def test_matrix_draws_match_the_row_loop(degree, k, n):
     field = GF(degree)
     rejected = 0
     for seed in range(60):
-        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        ours, ref = derive_rng(seed), derive_rng(seed)
         want, draws = loop_full_rank(field, k, n, ref)
         assert full_rank_matrix(field, k, n, ours) == want
-        assert ours.bit_generator.state == ref.bit_generator.state
+        assert position(ours) == position(ref)
         rejected += draws > 1
-        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        ours, ref = derive_rng(seed), derive_rng(seed)
         want = Matrix(field, tuple(
             tuple(int(a) for a in ref.integers(0, field.order, size=n))
             for _ in range(k)))
         assert random_matrix(field, k, n, ours) == want
-        assert ours.bit_generator.state == ref.bit_generator.state
+        assert position(ours) == position(ref)
     if (degree, k, n) in ((1, 3, 3), (1, 8, 8), (2, 2, 2)):
         assert rejected > 0
 
@@ -335,7 +345,7 @@ def test_matrix_draws_match_the_row_loop(degree, k, n):
 @pytest.mark.parametrize("degree", [1, 2, 3, 4, 8])
 def test_solve_columns_matches_per_column_solve_affine(degree):
     field = GF(degree)
-    rng = np.random.default_rng(6000 + degree)
+    rng = derive_rng(6000 + degree)
     inconsistent = 0
     for trial in range(80):
         nrows, ncols = int(rng.integers(1, 6)), int(rng.integers(1, 9))
@@ -345,8 +355,8 @@ def test_solve_columns_matches_per_column_solve_affine(degree):
             target = random_matrix(field, nrows, width, rng)
         else:
             target = m @ random_matrix(field, ncols, width, rng)
-        ours, ref = (np.random.default_rng(trial),
-                     np.random.default_rng(trial))
+        ours, ref = (derive_rng(trial),
+                     derive_rng(trial))
         try:
             want = loop_solve_columns(m, target, ref)
         except InconsistentSystem:
@@ -357,15 +367,15 @@ def test_solve_columns_matches_per_column_solve_affine(degree):
             got = solve_columns(m, target, ours)
             assert got == want
             assert m @ got == target
-        assert ours.bit_generator.state == ref.bit_generator.state
+        assert position(ours) == position(ref)
     assert inconsistent > 0
     # a consistent column drawn, then an inconsistent one stops the solve
     m = Matrix(field, ((1, 1, 0), (1, 1, 0)))
-    ours, ref = np.random.default_rng(9), np.random.default_rng(9)
+    ours, ref = derive_rng(9), derive_rng(9)
     solve_affine(m, (1, 1), ref)
     with pytest.raises(InconsistentSystem):
         solve_columns(m, Matrix(field, ((1, 0), (1, 1))), ours)
-    assert ours.bit_generator.state == ref.bit_generator.state
+    assert position(ours) == position(ref)
 
 
 # -- ML decoding ---------------------------------------------------------------
@@ -383,14 +393,15 @@ def brute_force_decode(code, symbols):
 
 @pytest.mark.parametrize("n,k", [(5, 1), (7, 4), (10, 3), (12, 6), (70, 3)])
 def test_ml_decoder_matches_brute_force(n, k):
-    rng = np.random.default_rng(4000 + n * 10 + k)
+    rng = derive_rng(4000 + n * 10 + k)
     code = random_code(F2, n, k, rng)
     dec = MLDecoder(code)
     assert len(dec.words) == 1 << k
     outcomes = set()
     for _ in range(60):
-        symbols = tuple(int(s) for s in rng.choice(
-            (0, 1, ERASED), size=n, p=(0.4, 0.4, 0.2)))
+        # numpy's choice with p=(0.4, 0.4, 0.2), draw for draw
+        symbols = tuple((0, 1, ERASED)[bisect_right((0.4, 0.8, 1.0), u)]
+                        for u in rng.random(n))
         want = brute_force_decode(code, symbols)
         assert dec.decode(symbols) == want
         outcomes.add(want is None)
@@ -407,12 +418,48 @@ def test_ml_decoder_tie_and_erasure_cases():
     assert rep.decode((0, ERASED, ERASED, ERASED)) == (0,) * 4
 
 
-def test_failure_bound_hamming_7_4_frozen():
-    dec = MLDecoder(cyclic_code(F2, 7, (1, 1, 0, 1)))
-    assert dec.failure_bound(0.01) == 0.006230551669800001
-    assert dec.failure_bound(0.05) == 0.14907482812500003
-    assert dec.failure_bound(0.1) == 0.5648280000000001
-    assert dec.failure_bound(0.3) == 1.0
+def both_decoders(code, monkeypatch):
+    """The decoder that scans a Python list and the one that searches
+    numpy limbs, for one code, whatever its size."""
+    decoders = []
+    for scan_words in (DECODER_WORD_CAP, 0):
+        monkeypatch.setattr(proto_p0, "SCAN_WORDS", scan_words)
+        decoders.append(MLDecoder(code))
+    assert isinstance(decoders[0].words, list)
+    assert isinstance(decoders[1].words, np.ndarray)
+    return decoders
+
+
+@pytest.mark.parametrize("n,k", [(k + 1, k) for k in range(1, 7)]
+                         + [(9, 7), (10, 8), (70, 5)])
+def test_ml_decoder_scan_and_limb_search_match_brute_force(n, k, monkeypatch):
+    """Both decoding paths equal brute force on every received word over
+    {0, 1, erased} of a random [k + 1, k] code for k = 1..6, and on 500
+    drawn words for k = 7, 8 and for a code two limbs wide, ties
+    included; their union bounds are equal floats."""
+    rng = derive_rng(4100 + n * 10 + k)
+    code = random_code(F2, n, k, rng)
+    scan, limbs = both_decoders(code, monkeypatch)
+    if n <= 7:
+        received = product((0, 1, ERASED), repeat=n)
+    else:
+        received = (tuple(rng.integers(0, 3, size=n)) for _ in range(500))
+    ties = 0
+    for symbols in received:
+        want = brute_force_decode(code, symbols)
+        assert scan.decode(symbols) == limbs.decode(symbols) == want
+        ties += want is None
+    assert ties
+    for p in (0.0, 0.01, 0.05, 0.1, 0.3, 0.49):
+        assert scan.failure_bound(p) == limbs.failure_bound(p)
+
+
+def test_failure_bound_hamming_7_4_frozen(monkeypatch):
+    for dec in both_decoders(cyclic_code(F2, 7, (1, 1, 0, 1)), monkeypatch):
+        assert dec.failure_bound(0.01) == 0.006230551669800001
+        assert dec.failure_bound(0.05) == 0.14907482812500003
+        assert dec.failure_bound(0.1) == 0.5648280000000001
+        assert dec.failure_bound(0.3) == 1.0
 
 
 # -- minimum distance ------------------------------------------------------------
@@ -429,13 +476,13 @@ def gray_walk_distance(code):
 @pytest.mark.parametrize("n,k", [(12, 5), (16, 16), (21, 18), (24, 17),
                                  (70, 4)])
 def test_min_distance_matches_gray_walk(n, k):
-    rng = np.random.default_rng(5000 + n * 10 + k)
+    rng = derive_rng(5000 + n * 10 + k)
     code = random_code(F2, n, k, rng)
     assert code.min_distance() == gray_walk_distance(code)
 
 
 def test_min_distance_finds_a_light_word_among_the_high_rows():
-    rng = np.random.default_rng(5100)
+    rng = derive_rng(5100)
     low = random_code(F2, 30, 16, rng).generator.rows
     assert LinearCode.from_rows(F2, low).min_distance() > 1
     unit = tuple(1 if j == 0 else 0 for j in range(30))
@@ -478,7 +525,7 @@ def distance_cases(field, max_k, count, rng):
         yield systematic_twice(field, [
             [int(a) for a in rng.integers(0, q, size=max(1, k - 2))]
             for _ in range(k)])
-        density = float(rng.uniform(0.1, 0.4))
+        density = 0.1 + (0.4 - 0.1) * rng.random()  # numpy's uniform
         yield full_rank_code(field, lambda r: [
             [int(a) if r.random() < density else 0
              for a in r.integers(1, q, size=n)] for _ in range(k)], rng)
@@ -496,7 +543,7 @@ def distance_cases(field, max_k, count, rng):
                                                 (3, 3, 20)])
 def test_min_distance_matches_brute_force(degree, max_k, count):
     field = GF(degree)
-    rng = np.random.default_rng(5200 + degree)
+    rng = derive_rng(5200 + degree)
     found = set()
     for code in distance_cases(field, max_k, count, rng):
         want = brute_force_distance(code)

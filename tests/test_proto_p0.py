@@ -2,7 +2,6 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from otlab.channels import ERASED, BscParams, TernaryWord, derive_rng
@@ -90,7 +89,7 @@ def test_params_validation():
 
 def test_draw_hash_reaches_full_stacked_rank():
     code = cyclic_code(GF(1), 15, C15_5_GEN)
-    rng = np.random.default_rng(40)
+    rng = derive_rng(40)
     params = make_params(code=code, m=3)
     for _ in range(20):
         hm, _ = params.draw_hash(rng)
@@ -117,7 +116,7 @@ def test_partition_abort_and_validation():
 
 
 def test_partition_random_properties():
-    rng = np.random.default_rng(41)
+    rng = derive_rng(41)
     for _ in range(200):
         n0 = int(rng.integers(2, 9))
         syms = tuple(int(s) for s in rng.integers(0, 3, size=2 * n0))
