@@ -19,7 +19,6 @@ in numpy through `Stream.numpy_generator()`.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
@@ -68,20 +67,12 @@ def _hash_into(cells: list[int], const: int, pairs) -> int:
     return const
 
 
-@functools.lru_cache(maxsize=16)
-def _entropy_pool(entropy: tuple) -> tuple[tuple, int]:
-    """SeedSequence's mixed pool for the entropy words, and the hash
-    constant it reached.  Each pool word starts as the hash of its
-    entropy word (0 past the end); then every pool word is mixed into
-    every other, and each entropy word past the pool into every pool
-    word.  Cached by prefix, so the trials of one run, whose entropy
-    differs only in the last word, mix the shared part once."""
-    if len(entropy) > _POOL:
-        pool, const = _entropy_pool(entropy[:-1])
-        cells = [*pool, entropy[-1]]
-        const = _hash_into(cells, const, _LAST_WORD_MIXES)
-        return tuple(cells[:_POOL]), const
-    cells = [*entropy] + [0] * (_POOL - len(entropy))
+def _entropy_pool(entropy: list[int]) -> list[int]:
+    """SeedSequence's mixed pool for the entropy words.  Each pool word
+    starts as the hash of its entropy word (0 past the end); then every
+    pool word is mixed into every other, and each entropy word past the
+    pool into every pool word."""
+    cells = entropy[:_POOL] + [0] * (_POOL - len(entropy))
     const = _INIT_A
     for i in range(_POOL):
         value = cells[i] ^ const
@@ -89,14 +80,18 @@ def _entropy_pool(entropy: tuple) -> tuple[tuple, int]:
         value = value * const & _M32
         cells[i] = value ^ value >> 16
     const = _hash_into(cells, const, _POOL_MIXES)
-    return tuple(cells), const
+    for word in entropy[_POOL:]:
+        cells.append(word)
+        const = _hash_into(cells, const, _LAST_WORD_MIXES)
+        cells.pop()
+    return cells
 
 
-def _seed_state(entropy: tuple) -> tuple[int, int]:
+def _seed_state(entropy: list[int]) -> tuple[int, int]:
     """PCG64's 128-bit seed and stream selector from the entropy words:
     SeedSequence.generate_state(4, uint64), eight hashes cycling through
     the pool read in pairs as little-endian 64-bit words."""
-    pool, _ = _entropy_pool(entropy)
+    pool = _entropy_pool(entropy)
     const = _INIT_B
     out = []
     for i in range(8):
@@ -163,8 +158,7 @@ class Stream:
         if span == 1 or not size:
             return out
         # a 32-bit draw u gives (u span) >> 32 unless its low word falls
-        # below 2^32 mod span, which is redrawn (never, when span is a
-        # power of two: then the value is the top bits of u)
+        # below 2^32 mod span, which is redrawn
         threshold = (1 << 32) % span
         i = 0
         if self.has_uint32:
@@ -174,21 +168,6 @@ class Stream:
                 out[0] += m >> 32
                 i = 1
         s, inc = self.state, self.inc
-        if not threshold:
-            shift = 33 - span.bit_length()
-            end = size - (size - i) % 2
-            for i in range(i, end, 2):
-                s = (s * _PCG_MULT + inc) & _M128
-                x = ((s >> 64 ^ s) & _M64) * _TWICE >> (s >> 122) & _M64
-                out[i] += (x & _M32) >> shift
-                out[i + 1] += x >> 32 + shift
-            if end < size:
-                s = (s * _PCG_MULT + inc) & _M128
-                x = ((s >> 64 ^ s) & _M64) * _TWICE >> (s >> 122) & _M64
-                out[end] += (x & _M32) >> shift
-                self.has_uint32, self.uinteger = 1, x >> 32
-            self.state = s
-            return out
         while i < size:
             s = (s * _PCG_MULT + inc) & _M128
             x = ((s >> 64 ^ s) & _M64) * _TWICE >> (s >> 122) & _M64
@@ -258,7 +237,7 @@ def derive_rng(master_seed: int, *key: int) -> Stream:
     spawn = [word for part in key for word in _words(part)]
     if spawn and len(entropy) < _POOL:
         entropy += [0] * (_POOL - len(entropy))
-    return Stream(*_seed_state(tuple(entropy + spawn)))
+    return Stream(*_seed_state(entropy + spawn))
 
 
 def random_bits(rng: Stream, m: int) -> tuple:

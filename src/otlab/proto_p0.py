@@ -45,11 +45,12 @@ if TYPE_CHECKING:
 
 DECODER_WORD_CAP = 1 << 20  # the decoder holds every codeword in memory
 # up to this many codewords a decode scans a Python list of ints; above it
-# the numpy search repays its per-call overhead (scan against numpy per
-# decode of a [15, k] code on a 2-core x86-64 host: 3.6 against 20.0 us
-# at k = 1, 12.1 against 19.7 at k = 6, 15.5 against 16.8 at k = 7, 26.1
-# against 17.0 at k = 8)
-SCAN_WORDS = 64
+# the numpy search repays its per-call overhead.  Scan against numpy per
+# decode on a 2-core x86-64 host: 12.6 against 18.4 us at k = 6, 17.8
+# against 18.8 at k = 7 and 35.9 against 20.4 at k = 8 for [15, k] codes;
+# 18.3 against 30.0, 26.7 against 27.8 and 46.3 against 32.2 for [31, k].
+# Only codes one limb wide were timed.
+SCAN_WORDS = 128
 
 
 def check_decoder_cap(k: int) -> None:
@@ -154,13 +155,7 @@ class MLDecoder:
         if self._search is None:
             counts = Counter(w.bit_count() for w in self.words)
         else:
-            import numpy as np
-            present, first, count = np.unique(
-                weights(self.words, self.length), return_index=True,
-                return_counts=True)
-            order = np.argsort(first)
-            counts = dict(zip(present[order].tolist(),
-                              count[order].tolist()))
+            counts = Counter(weights(self.words, self.length).tolist())
         # Terms are added in order of each weight's first appearance in
         # message order, which pins the rounding of the float sum.
         total = 0.0

@@ -139,7 +139,7 @@ def test_import_leaves_out_schema_library_and_process_pool(tmp_path):
     # (also one in the outer structure, caught before the inner decoder is
     # built) and an output into a missing directory (refused before any
     # trial) never load it; sessions draw from the pure-Python stream and
-    # decode codes of at most 64 words by a Python scan, so a p0 run, a
+    # decode codes of at most 128 words by a Python scan, so a p0 run, a
     # p2prime run and the replay of a p0 report never load it either,
     # while a decoder over 2^16 words and `attack` do; the benchmark's shim
     # finds the session modules and the dispatch table after import; main
