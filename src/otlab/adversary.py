@@ -17,12 +17,13 @@ Three threat surfaces:
   element.  His harvest then collapses to z = U s + V t with
   V_ij = u . (H_i * H_j) and U = I + V, and the compressed variants
   survive because one side of (M_s s, M_t t) stays near-uniform given z
-  for every u.  The audit enumerates the posterior exactly.
+  for every u.  The audit computes each posterior entropy exactly, as a
+  difference of GF(2) ranks.
 
 The detection campaigns and the tracker draw in bulk from a numpy
-Generator; `attack` hands them its seeded streams through
-`Stream.numpy_generator()`, so the draws follow from the same seed
-derivation as every session's.
+Generator, and only they import numpy; `attack` hands them its seeded
+streams through `Stream.numpy_generator()`, so the draws follow from the
+same seed derivation as every session's.
 """
 
 from __future__ import annotations
@@ -30,9 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .analysis import (AccusationRule, detection_rule, expected_unerased,
                        wilson_interval)
@@ -40,8 +39,11 @@ from .channels import BscParams, Stream
 from .codes import (DEFAULT_ENUM_LIMIT, EnumerationLimit, OrthonormalCode,
                     check_budget)
 from .gf import GF
-from .linalg import Matrix, full_rank_matrix, popcount, rank
+from .linalg import Matrix, eliminate, full_rank_matrix, rank
 from .proto_outer import cheat_matrix_V, compressed_length
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 # -- detection of corrupted pairs -----------------------------------------
@@ -79,6 +81,7 @@ class DetectionReport:
 def detection_campaign(rounds: int, block_len: int, phi: float,
                        corrupted: int, trials: int, rng: np.random.Generator,
                        c: float = 1.0) -> DetectionReport:
+    import numpy as np
     rule = detection_rule(rounds, block_len, phi, c)
     counts = simulate_unerased_counts(rounds, block_len, phi, corrupted,
                                       trials, rng)
@@ -104,6 +107,7 @@ def detection_sweep(rounds: int, block_len: int, phi: float,
     """One detection campaign per corruption count, drawn in grid order
     from one stream; the least-squares slope of the mean unerased count
     against the corruption count should sit at -(1 - 2 eps)."""
+    import numpy as np
     points = tuple(detection_campaign(rounds, block_len, phi, m, trials,
                                       rng, c) for m in corrupted_grid)
     xs = np.asarray(corrupted_grid, dtype=float)
@@ -141,6 +145,7 @@ def tracker_advantage_p0(block_len: int, phi: float, corrupted: int,
     about one byte per slot plus one block; the first-fit partition
     matches the honest procedure exactly.
     """
+    import numpy as np
     slots = 2 * block_len
     if not 0 <= corrupted <= slots:
         raise ValueError(f"corrupted must be in 0..{slots}")
@@ -186,15 +191,6 @@ def tracker_advantage_p0(block_len: int, phi: float, corrupted: int,
 # -- cheating Bob against the compressed variants --------------------------
 
 
-def _parity_lut(rows: Sequence[int], states: np.ndarray) -> np.ndarray:
-    """Packed GF(2) matrix-vector products on every state x (each below
-    2^63): bit i of the result is parity(rows[i] & x)."""
-    out = np.zeros(len(states), dtype=np.int64)
-    for i, row in enumerate(rows):
-        out |= (popcount(states & row) & 1).astype(np.int64) << i
-    return out
-
-
 def _full_rank_row_sets(r: int, u_len: int) -> list[tuple]:
     """All full-rank u_len x r binary matrices as packed row tuples."""
     return [rows for rows in itertools.product(range(1, 1 << r),
@@ -238,18 +234,6 @@ class DichotomyReport:
     prediction_mismatches: int
 
 
-def _row_entropies(counts: np.ndarray) -> np.ndarray:
-    totals = counts.sum(axis=1, keepdims=True)
-    p = counts / totals
-    with np.errstate(divide="ignore", invalid="ignore"):
-        plogp = np.where(p > 0, p * np.log2(p), 0.0)
-    return -plogp.sum(axis=1)
-
-
-# entropy gaps below this are float noise, neither side better protected
-SIDE_TOLERANCE = 1e-9
-
-
 def audit_bob_strategies(basis: OrthonormalCode, margin: float,
                          masks: Optional[Sequence[Sequence[int]]] = None,
                          pair_samples: Optional[int] = None,
@@ -258,27 +242,46 @@ def audit_bob_strategies(basis: OrthonormalCode, margin: float,
                          ) -> DichotomyReport:
     """Exhaust Bob's request masks against the compression-pair ensemble.
 
-    For each mask u (all 2^n by default) the audit enumerates the
-    posterior of (s~, t~, z) for every full-rank compression pair (all
-    of them when the compressed length is 1 and pair_samples is None,
-    else pair_samples random ones) and averages H(s~|t~,z) and
-    H(t~|s~,z) over pairs.  The report's slack is how far the worst
-    mask's rank-predicted side falls below the full compressed_len bits;
+    For each mask u (all 2^n by default) the audit takes H(s~|t~,z) and
+    H(t~|s~,z) for every full-rank compression pair (A, B) (all of them
+    when the compressed length is 1 and pair_samples is None, else
+    pair_samples random ones) and averages them over pairs.  With s and
+    t uniform, each is an entropy of a linear image, so a rank
+    difference of the stacked maps (s, t) -> (A s, B t, z):
+    H(s~|t~,z) = rank[A 0; 0 B; U V] - rank[0 B; U V] and
+    H(t~|s~,z) = rank[A 0; 0 B; U V] - rank[A 0; U V].  A pair mean is
+    an integer sum over the pair count, so the two sides compare
+    exactly.  The report's slack is how far the worst mask's
+    rank-predicted side falls below the full compressed_len bits;
     mismatches count masks whose better-protected side differs from the
-    rank prediction.  Before any work it checks the memory cap of its
-    (pairs, 2^r, 2^r) arrays, then masks x 4^r secret pairs against limit.
+    rank prediction.  Before any work it checks masks x compression
+    pairs against limit; all 2^n masks need n <= 16, which no limit
+    lifts.
     """
     f = basis.field
     if f.degree != 1:
         raise ValueError("strategy audit is binary only")
     r, n = basis.dimension, basis.length
-    if r > 14 or (masks is None and n > 16):
+    if masks is None and n > 16:
         raise EnumerationLimit(
-            f"r={r}, n={n} exceed the request-mask audit's memory cap (r <= "
-            "14, and n <= 16 over all masks); --enum-limit cannot raise it")
-    count = 1 << n if masks is None else len(masks)
-    check_budget(count << 2 * r, limit, f"{count} masks x 4^{r} secret pairs")
+            f"n={n} exceeds the request-mask audit's cap (n <= 16 over all "
+            "masks); --enum-limit cannot raise it")
     u_len = compressed_length(r, margin)
+    if pair_samples is None:
+        # counted before enumerating: u_len independent rows of length r
+        count = math.prod((1 << r) - (1 << i) for i in range(u_len))
+        if count > 64:
+            raise ValueError(f"{count}^2 compression pairs; pass pair_samples")
+        n_pairs = count * count
+    elif rng is None:
+        raise ValueError("pair_samples needs an rng")
+    elif pair_samples < 1:
+        raise ValueError("pair_samples must be positive")
+    else:
+        n_pairs = pair_samples
+    n_masks = 1 << n if masks is None else len(masks)
+    check_budget(n_masks * n_pairs, limit,
+                 f"{n_masks} masks x {n_pairs} compression pairs")
     if masks is None:
         masks = [tuple((x >> i) & 1 for i in range(n)) for x in range(1 << n)]
     else:
@@ -286,31 +289,21 @@ def audit_bob_strategies(basis: OrthonormalCode, margin: float,
         if any(len(m) != n for m in masks):
             raise ValueError("mask length must match the basis length")
     if pair_samples is None:
-        # counted before enumerating: u_len independent rows of length r
-        count = math.prod((1 << r) - (1 << i) for i in range(u_len))
-        if count > 64:
-            raise ValueError(f"{count}^2 compression pairs; pass pair_samples")
         pairs = _full_rank_row_sets(r, u_len)
         pair_list = [(a, b) for a in pairs for b in pairs]
     else:
-        if rng is None:
-            raise ValueError("pair_samples needs an rng")
         draws = [full_rank_matrix(f, u_len, r, rng).packed
                  for _ in range(2 * pair_samples)]
         pair_list = list(zip(draws[::2], draws[1::2]))
 
-    states = np.arange(1 << r, dtype=np.int64)
-    lut_cache: dict[tuple, np.ndarray] = {}
-    for rows in itertools.chain.from_iterable(pair_list):
-        if rows not in lut_cache:
-            lut_cache[rows] = _parity_lut(rows, states)
-    # one packed (pair, s, t) -> joint-bin index array, reused per mask
-    n_pairs = len(pair_list)
-    bins = 1 << (r + 2 * u_len)
-    s_part = np.stack([lut_cache[a] for a, _ in pair_list])
-    t_part = np.stack([lut_cache[b] for _, b in pair_list])
-    high = (s_part[:, :, None] << (r + u_len)) | (t_part[:, None, :] << r)
-    offsets = (np.arange(n_pairs, dtype=np.int64) * bins)[:, None, None]
+    firsts, seconds = (set(side) for side in zip(*pair_list))
+
+    def extend(reduced: tuple, new: Iterable[int]) -> tuple:
+        """A copy of the reduced (rows, pivots) with new rows eliminated
+        in; (s, t) sit side by side in rows 2r bits wide, t at bit r."""
+        rows, pivots = reduced[0].copy(), reduced[1].copy()
+        eliminate(f, rows, pivots, new, 2 * r)
+        return rows, pivots
 
     cells = []
     mismatches = 0
@@ -321,26 +314,23 @@ def audit_bob_strategies(basis: OrthonormalCode, margin: float,
         v = cheat_matrix_V(basis.rows, mask)
         if v.packed not in by_v:
             u = v + Matrix.identity(f, r)
-            z_s = _parity_lut(u.packed, states)
-            z_t = _parity_lut(v.packed, states)
-            z = z_s[:, None] ^ z_t[None, :]
-            flat = (offsets + (high | z[None, :, :])).ravel()
-            counts = np.bincount(flat, minlength=n_pairs * bins)
-            cube = counts.reshape(n_pairs, 1 << u_len, 1 << u_len, 1 << r)
-            h_stz = _row_entropies(cube.reshape(n_pairs, bins))
-            h_sz = _row_entropies(cube.sum(axis=2).reshape(n_pairs, -1))
-            h_tz = _row_entropies(cube.sum(axis=1).reshape(n_pairs, -1))
-            h_first = h_stz - h_tz
-            h_second = h_stz - h_sz
-            by_v[v.packed] = (rank(v), rank(u),
-                              float(h_first.mean()), float(h_second.mean()))
+            z = extend(([], []), (a | b << r for a, b in
+                                  zip(u.packed, v.packed)))
+            with_t = {b: extend(z, (x << r for x in b)) for b in seconds}
+            rank_s = {a: len(extend(z, a)[0]) for a in firsts}
+            sum_first = sum_second = 0
+            for a, b in pair_list:
+                full = len(extend(with_t[b], a)[0])
+                sum_first += full - len(with_t[b][0])
+                sum_second += full - rank_s[a]
+            by_v[v.packed] = (rank(v), rank(u), sum_first / n_pairs,
+                              sum_second / n_pairs)
         cell = MaskAudit(mask, *by_v[v.packed])
         hist[cell.rank_v] = hist.get(cell.rank_v, 0) + 1
         cells.append(cell)
         first, second = cell.mean_first, cell.mean_second
-        observed = "second" if second >= first - SIDE_TOLERANCE else "first"
-        if (cell.predicted_side(r) != observed
-                and abs(first - second) > SIDE_TOLERANCE):
+        if first != second and cell.predicted_side(r) != (
+                "second" if second > first else "first"):
             mismatches += 1
     worst = min(c.predicted_entropy(r) for c in cells)
     return DichotomyReport(

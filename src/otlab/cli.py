@@ -14,7 +14,7 @@ validated against the schema shipped with the package.
 Exit codes: 0 success, 1 replay mismatch or internal error (with a
 traceback), 2 config error or an output file that cannot be written (its
 directory is checked before any work), 3 an enumeration over its
---enum-limit budget or over a memory cap that no limit lifts, 4 aborts
+--enum-limit budget or over a cap that no limit lifts, 4 aborts
 dominated a run (half or more of the sessions).
 """
 
@@ -306,9 +306,9 @@ _ENUM_LIMIT = Opt(
     int, DEFAULT_ENUM_LIMIT,
     "budget of each exhaustive enumeration, checked before it starts "
     "(exit 3 above): q^k codewords for the distance search, 2^k for the "
-    "ML decoder, 2^n masks x 4^r secret pairs for the bob audit; it "
+    "ML decoder, 2^n masks x compression pairs for the bob audit; it "
     "cannot lift the decoder's cap of 2^20 codewords or the bob audit's "
-    "caps r <= 14 and n <= 16", "N", domain="[1, inf)")
+    "cap n <= 16", "N", domain="[1, inf)")
 
 
 # -- run subcommand ----------------------------------------------------------

@@ -32,7 +32,7 @@ DEFAULT_ENUM_LIMIT = 1 << 24
 
 
 class EnumerationLimit(RuntimeError):
-    """Raised when an enumeration would exceed its budget or a memory cap.
+    """Raised when an enumeration would exceed its budget or a cap.
 
     A budget can be raised (the commands' --enum-limit); a cap cannot.
     """

@@ -38,6 +38,9 @@ CASES = {
                     "--transcripts", "2", "--seed", "15"],
     "attack-bob": ["attack", "--strategy", "bob", "--delta", "0.25",
                    "--seed", "16"],
+    # Sampled compression pairs: pins the derive_rng(seed, 5) draws.
+    "attack-bob-sampled": ["attack", "--strategy", "bob", "--delta", "0.25",
+                           "--pair-samples", "5", "--seed", "25"],
     "attack-tracker": ["attack", "--strategy", "tracker", "--n", "40",
                        "--n0", "15", "--corrupted", "40", "--trials", "200",
                        "--seed", "17"],

@@ -349,29 +349,32 @@ def test_audit_bob_strategies_cells_match_one_mask_audits():
 
 
 def test_posterior_cell_validation():
-    """A one-mask audit is refused over GF(4) and just past r = 14, whose
-    memory cap no budget lifts."""
+    """A one-mask audit is refused over GF(4) and runs at r = 15 with
+    sampled pairs.  On the identity basis the all-ones mask gives V = I,
+    U = 0 (z reveals t) and the zero mask V = 0, U = I (z reveals s)."""
     gf4 = OrthonormalCode(Matrix.identity(GF(2), 2))
     with pytest.raises(ValueError, match="binary only"):
         audit_bob_strategies(gf4, 0.25, masks=[(1, 0)])
     r15 = OrthonormalCode(Matrix.identity(GF(1), 15))
-    with pytest.raises(EnumerationLimit,
-                       match=r"^r=15, n=15 exceed the request-mask audit's "
-                             r"memory cap .*; --enum-limit cannot raise it$"):
-        audit_bob_strategies(r15, 0.25, masks=[(1,) * 15], limit=1 << 40)
+    rep = audit_bob_strategies(r15, 0.3, masks=[(1,) * 15, (0,) * 15],
+                               pair_samples=4, rng=derive_rng(15))
+    assert rep.compressed_len == 3
+    assert [(c.rank_v, c.rank_u, c.mean_first, c.mean_second)
+            for c in rep.cells] == [(15, 0, 3.0, 0.0), (0, 15, 0.0, 3.0)]
+    assert rep.slack_bits == 0.0 and rep.prediction_mismatches == 0
 
 
 def test_audit_bob_strategies_validation():
     big = OrthonormalCode(Matrix.identity(GF(1), 17))
     with pytest.raises(EnumerationLimit,
-                       match=r"^r=17, n=17 exceed the request-mask audit's "
-                             r"memory cap .*; --enum-limit cannot raise it$"):
+                       match=r"^n=17 exceeds the request-mask audit's cap "
+                             r".*; --enum-limit cannot raise it$"):
         audit_bob_strategies(big, 0.25)
     gf4 = OrthonormalCode(Matrix.identity(GF(2), 2))
     with pytest.raises(ValueError):
         audit_bob_strategies(gf4, 0.25)
-    # 4095^3 compression matrices: refused before any is enumerated, also
-    # when the budget admits the 2^12 masks x 4^12 secret pairs
+    # 4095^3 compression matrices: refused before any is enumerated and
+    # before the budget check
     whole = OrthonormalCode(Matrix.identity(GF(1), 12))
     with pytest.raises(ValueError, match="pass pair_samples"):
         audit_bob_strategies(whole, 0.25, limit=1 << 36)

@@ -61,11 +61,11 @@ CASES = {
     "fixed_weight_oracle": (21 << 9, lambda limit: fixed_weight_oracle(
         hamming_7_4(), 2, 1, limit=limit),
         [(analysis, "span_words", refuse_work)]),
-    # 2^4 masks x 4^4 secret pairs
-    "audit_bob_strategies": (16 * 256, lambda limit: audit_bob_strategies(
+    # 2^4 masks x 15^2 compression pairs
+    "audit_bob_strategies": (16 * 225, lambda limit: audit_bob_strategies(
         IDENTITY_4, 0.25, limit=limit),
         [(adversary, name, refuse_work) for name in (
-            "compressed_length", "_full_rank_row_sets", "_parity_lut")]),
+            "_full_rank_row_sets", "cheat_matrix_V", "eliminate")]),
     # 2^((2q - 2) m) worlds at q = 2, m = 2
     "chain_access_audit": (16, chain_audit, [
         (proto_p0, "itertools", SimpleNamespace(product=refuse_work))]),

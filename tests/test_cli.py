@@ -140,10 +140,13 @@ def test_import_leaves_out_schema_library_and_process_pool(tmp_path):
     # built) and an output into a missing directory (refused before any
     # trial) never load it; sessions draw from the pure-Python stream and
     # decode codes of at most 128 words by a Python scan, so a p0 run, a
-    # p2prime run and the replay of a p0 report never load it either,
-    # while a decoder over 2^16 words and `attack` do; the benchmark's shim
-    # finds the session modules and the dispatch table after import; main
-    # freezes the import-time heap so exit skips collecting it
+    # p2prime run and the replay of a p0 report never load it either; the
+    # bob audit computes in GF(2) ranks, so `attack --strategy bob`, with
+    # exhaustive or sampled pairs, and its replay leave it out too, while
+    # a decoder over 2^16 words and the honest and tracker campaigns load
+    # it; the benchmark's shim finds the session modules and the dispatch
+    # table after import; main freezes the import-time heap so exit skips
+    # collecting it
     probe = ("import contextlib, gc, io, json, os, sys, otlab.cli\n"
              "def loaded():\n"
              "    return json.dumps({m: m in sys.modules for m in sys.argv[5:]})\n"
@@ -171,7 +174,11 @@ def test_import_leaves_out_schema_library_and_process_pool(tmp_path):
              "for argv in (['run', '--protocol', 'p0', '--trials', '3'],\n"
              "             ['run', '--protocol', 'p2prime', '--phi', '0',\n"
              "              '--delta', '0.25', '--trials', '1'],\n"
-             "             ['replay', sys.argv[3]]):\n"
+             "             ['replay', sys.argv[3]],\n"
+             "             ['attack', '--strategy', 'bob'],\n"
+             "             ['attack', '--strategy', 'bob', '--pair-samples', '3'],\n"
+             "             ['replay', os.path.join(os.path.dirname(sys.argv[3]),\n"
+             "                                     'attack-bob.json')]):\n"
              "    print(quiet(argv), 'numpy' in sys.modules)\n"
              "print(quiet(sys.argv[4].split()), 'numpy' in sys.modules)")
     names = ("numpy", "jsonschema", "multiprocessing",
@@ -180,18 +187,21 @@ def test_import_leaves_out_schema_library_and_process_pool(tmp_path):
     curve = tmp_path / "curve.csv"
     wide = f"run --code {GOLDEN_CODES / 'wide20_16.json'} --trials 2"
     lines = []
-    for loader in (wide, "attack --trials 10"):
+    loaders = (wide, "attack --trials 10", "attack --strategy tracker "
+               "--n 40 --n0 15 --corrupted 40 --trials 10")
+    for loader in loaders:
         proc = subprocess.run(
             [sys.executable, "-c", probe, str(curve),
              str(GOLDEN_CODES / "golay.json"),
              str(GOLDEN_CODES.parent / "run-p0.json"), loader, *names],
             capture_output=True, text=True, check=True)
         lines.append(proc.stdout.splitlines())
-    assert lines[0][:-1] == lines[1][:-1]
-    assert lines[0][-1] == lines[1][-1] == "0 True"
+    assert lines[0][:-1] == lines[1][:-1] == lines[2][:-1]
+    assert [found[-1] for found in lines] == ["0 True"] * 3
     (import_line, dispatch_line, config_error_line, outer_error_line,
      output_error_line, help_line, audit_line, rates_line,
-     frozen_line, p0_line, p2prime_line, replay_line, _) = lines[0]
+     frozen_line, p0_line, p2prime_line, replay_line, *bob_lines,
+     _) = lines[0]
     want = {"numpy": False, "jsonschema": False, "multiprocessing": False,
             "concurrent.futures.process": False, "otlab.adversary": False,
             "otlab.proto_p0": True, "otlab.proto_outer": True}
@@ -207,6 +217,7 @@ def test_import_leaves_out_schema_library_and_process_pool(tmp_path):
     assert len(read_csv(curve)) == 99
     assert frozen_line == "True"
     assert p0_line == p2prime_line == replay_line == "0 False"
+    assert bob_lines == ["0 False"] * 3
 
 
 @pytest.mark.parametrize("command", ["run", "attack", "code-audit"])
@@ -217,10 +228,9 @@ def test_enum_limit_help_says_what_it_bounds_and_what_it_cannot_lift(
     text = " ".join(proc.stdout.split())
     assert ("--enum-limit N budget of each exhaustive enumeration, checked "
             "before it starts (exit 3 above): q^k codewords for the distance "
-            "search, 2^k for the ML decoder, 2^n masks x 4^r secret pairs "
+            "search, 2^k for the ML decoder, 2^n masks x compression pairs "
             "for the bob audit; it cannot lift the decoder's cap of 2^20 "
-            "codewords or the bob audit's caps r <= 14 and n <= 16; at "
-            "least 1") in text
+            "codewords or the bob audit's cap n <= 16; at least 1") in text
 
 
 @pytest.mark.parametrize("argv", [
@@ -702,10 +712,10 @@ def test_attack_bob_rejects_oversized_basis(tmp_path):
     proc = run_cli("attack", "--strategy", "bob", "--outer-code", path)
     assert proc.returncode == 3
     assert proc.stderr.splitlines() == [
-        "otlab: enumeration limit: r=1, n=17 exceed the request-mask audit's "
-        "memory cap (r <= 14, and n <= 16 over all masks); --enum-limit "
-        "cannot raise it"]
-    # the toy audit's 2^8 masks x 4^4 secret pairs exceed a budget of 4
+        "otlab: enumeration limit: n=17 exceeds the request-mask audit's "
+        "cap (n <= 16 over all masks); --enum-limit cannot raise it"]
+    # the toy audit's 2^8 masks x 15^2 compression pairs exceed a budget
+    # of 4
     proc = run_cli("attack", "--strategy", "bob", "--enum-limit", "4")
     assert proc.returncode == 3
     assert "enumeration budget 4" in proc.stderr

@@ -1,7 +1,7 @@
 """Source hygiene: no module imports a name it never uses, every public
 definition of the package (public methods of its classes included) has a
 reader, every field of a package dataclass is read, EnumerationLimit is
-raised only by the budget helper and the two memory caps, and the package
+raised only by the budget helper and the two caps, and the package
 version agrees with pyproject.toml."""
 
 import ast

@@ -10,9 +10,11 @@ compared with brute force over iter_codewords.  The Brouwer-Zimmermann minimum
 distance is compared with the brute-force minimum over iter_codewords
 and with a Gray walk, and the packed cheat matrix V(u) with the dense
 product.  The matrix draws and column solves are compared with the row
-and column loops they replaced.
+and column loops they replaced, and the rank-difference request-mask
+audit with the bincount audit it replaced (tests/bob_audit_reference.py).
 """
 
+import itertools
 import pickle
 from bisect import bisect_right
 from itertools import islice, product
@@ -20,11 +22,11 @@ from itertools import islice, product
 import numpy as np
 import pytest
 
+from otlab.adversary import audit_bob_strategies
 from otlab.channels import ERASED, BscParams, derive_rng
 from otlab.codes import (LinearCode, OrthonormalCode, cyclic_code,
-                         random_code)
+                         orthonormalize, random_code)
 from otlab.gf import GF
-from otlab.adversary import _parity_lut
 from otlab.linalg import (InconsistentSystem, Matrix, full_rank_matrix,
                           pack, random_matrix, rank,
                           rank_and_kernel, rref, solve_affine, solve_columns,
@@ -32,6 +34,7 @@ from otlab.linalg import (InconsistentSystem, Matrix, full_rank_matrix,
 from otlab.proto_outer import cheat_matrix_V
 from otlab import proto_p0
 from otlab.proto_p0 import DECODER_WORD_CAP, MLDecoder, P0Params
+from bob_audit_reference import reference_audit
 from tuple_reference import dot, mul, naive_matmul
 
 F2 = GF(1)
@@ -220,7 +223,7 @@ def test_draw_hash_redraws_like_the_stacked_rank_loop():
     assert redraws > 20
 
 
-def test_span_words_and_parity_lut_match_direct_products():
+def test_span_words_match_direct_products():
     rng = derive_rng(3100)
     for n, k in ((9, 4), (63, 3), (64, 3), (130, 4)):
         code = random_code(F2, n, k, rng)
@@ -229,20 +232,6 @@ def test_span_words_and_parity_lut_match_direct_products():
         got = [sum(int(limb) << (63 * j) for j, limb in enumerate(row))
                for row in words]
         assert got == packed
-        if n < 64:  # one limb: the words are the lookup's states
-            hm = random_over(F2, rng, 3, n)
-            want = [pack(F2, hm.apply(w)) for w in code.iter_codewords()]
-            assert _parity_lut(hm.packed, words[:, 0]).tolist() == want
-
-
-def test_parity_lut_matches_matrix_apply_on_every_state():
-    rng = derive_rng(3200)
-    for r in (1, 4, 9):
-        states = np.arange(1 << r, dtype=np.int64)
-        for nrows in sorted({1, 3, r}):
-            m = random_over(F2, rng, nrows, r)
-            want = [pack(F2, m.apply(unpack(F2, x, r))) for x in range(1 << r)]
-            assert _parity_lut(m.packed, states).tolist() == want
 
 
 # -- packed matrix operations ---------------------------------------------------
@@ -596,3 +585,53 @@ def test_cheat_matrix_matches_the_dense_product(basis):
         assert v.rows == dense_cheat_matrix(basis, mask)
     with pytest.raises(ValueError):
         cheat_matrix_V(basis.rows, (f.order,) + (0,) * (basis.length - 1))
+
+
+# -- the request-mask audit -------------------------------------------------------
+
+TOY_BASIS = OrthonormalCode(Matrix(F2, tuple(
+    tuple(1 if j == i else 0 for j in range(4)) + (1, 1, 1, 1)
+    for i in range(4))))
+
+
+def assert_audits_agree(basis, margin, masks=None, pair_samples=None,
+                        seed=None):
+    """The rank audit's report equals the bincount reference's, and every
+    per-pair entropy of the reference is an integer (the identity the
+    rank audit rests on)."""
+    got, (want, entropies) = (
+        audit(basis, margin, masks=masks, pair_samples=pair_samples,
+              rng=None if seed is None else derive_rng(seed))
+        for audit in (audit_bob_strategies, reference_audit))
+    assert got == want
+    for h in itertools.chain.from_iterable(entropies):
+        assert np.array_equal(h, np.round(h))
+
+
+def test_rank_audit_matches_bincount_on_every_toy_mask():
+    assert_audits_agree(TOY_BASIS, 0.25)
+
+
+@pytest.mark.parametrize("pair_samples", [1, 3, 7])
+def test_rank_audit_matches_bincount_on_sampled_toy_pairs(pair_samples):
+    for seed in range(20):
+        assert_audits_agree(TOY_BASIS, 0.25, pair_samples=pair_samples,
+                            seed=seed)
+
+
+def test_rank_audit_matches_bincount_on_random_bases():
+    """Orthonormal bases of random [10-16, 4-8] codes, r up to 8, at
+    compressed lengths 1 and 2, each with 12 random masks."""
+    rng = derive_rng(3300)
+    dims = set()
+    for case in range(40):
+        code = random_code(F2, rng.integers(10, 17), rng.integers(4, 9), rng)
+        basis, _ = orthonormalize(code)
+        r, n = basis.dimension, basis.length
+        u_len = 1 if r < 5 else 1 + rng.integers(0, 2)
+        masks = [unpack(F2, rng.integers(0, 1 << n), n) for _ in range(12)]
+        assert_audits_agree(basis, 0.5 - u_len / r, masks=masks,
+                            pair_samples=4, seed=3400 + case)
+        dims.add((r, u_len))
+    assert {r for r, _ in dims} == {4, 5, 6, 7, 8}
+    assert {u for _, u in dims} == {1, 2}

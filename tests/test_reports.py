@@ -60,7 +60,7 @@ def _ours(report):
 
 
 def test_checker_agrees_with_jsonschema():
-    assert len(GOLDEN) == 17
+    assert len(GOLDEN) == 18
     valid = 0
     for name, report in _cases():
         want = _reference(report)
