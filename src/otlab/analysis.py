@@ -13,9 +13,11 @@ The oracles enumerate every erasure pattern and every channel output of a
 small binary code and compute exact posteriors: min-entropy of the
 codeword given the view (against the linear-programming style bound
 n[R - (1 - e/n)(1 - h(p)) - alpha]) and the fixed-flip-weight variant
-with its bipartite edge-degree bound.  They exist to crosscheck the
-protocol-side security accounting at desk scale, so they are deliberately
-independent of the protocol implementations.
+with its bipartite edge-degree bound.  An output's distances to the
+codewords are the weights of its coset of the projected code, counted on
+packed ints.  They exist to crosscheck the protocol-side security
+accounting at desk scale, so they are deliberately independent of the
+protocol implementations.
 """
 
 from __future__ import annotations
@@ -23,14 +25,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .channels import BscParams
 from .codes import DEFAULT_ENUM_LIMIT, LinearCode, check_budget
-from .linalg import popcount, span_words
-
-if TYPE_CHECKING:
-    import numpy as np
+from .linalg import eliminate
 
 Z_95 = 1.96  # two-sided 95% normal quantile
 
@@ -211,30 +210,40 @@ def min_entropy_bound(n: int, k: int, erasures: int, error_rate: float,
                 * (1.0 - binary_entropy(error_rate)) - alpha)
 
 
-def _kept_words(code: LinearCode, erasures: int,
-                limit: int) -> Iterator[np.ndarray]:
-    """The codewords seen through each erasure pattern.
-
-    An oracle builds a 2^k x 2^(n - e) array per pattern, so C(n, e)
-    2^(k + n - e) is checked against the limit before any is built (for
-    a limit below 2^63 that also keeps each word in one int64 limb).
-    Each item, one per pattern in combinations order of the kept
-    positions, is an int64 array of the 2^k codewords in message order
-    with kept position t at bit t: the generator rows projected onto the
-    kept positions, then spanned.
+def _coset_tables(code: LinearCode, erasures: int,
+                  limit: int) -> Iterator[tuple[int, Iterator[list[int]]]]:
+    """Per erasure pattern, in combinations order of the kept positions:
+    the rank r of the projected code C' (each of its words stands for
+    2^(k - r) codewords) and, for every coset z + C', its words' weights:
+    the distances from each of its 2^r outputs to the words of C'
+    (standard-array decoding; MacWilliams and Sloane 1977, ch. 1 sec. 3).
+    A coset is its representative, zero at the pivots of the eliminated
+    projection, plus the span of the reduced rows.  C(n, e) 2^(n - e)
+    outputs are checked against the limit before any elimination.
     """
     if code.field.degree != 1:
         raise ValueError("entropy oracles require a binary code")
-    n, k = code.length, code.dimension
+    n, field, rows = code.length, code.field, code.generator.packed
     kept_count = n - erasures
     patterns = math.comb(n, erasures)
-    check_budget(patterns << k + kept_count, limit,
-                 f"{patterns} patterns x 2^{k} codewords x 2^{kept_count} "
-                 "outputs")
-    rows = code.generator.packed
-    return (span_words([sum((r >> pos & 1) << t for t, pos in enumerate(kept))
-                        for r in rows], kept_count)[:, 0]
-            for kept in combinations(range(n), kept_count))
+    check_budget(patterns << kept_count, limit,
+                 f"{patterns} patterns x 2^{kept_count} outputs")
+
+    def table(kept: tuple[int, ...]) -> tuple[int, Iterator[list[int]]]:
+        reduced: list[int] = []
+        pivots: list[int] = []
+        eliminate(field, reduced, pivots,
+                  (sum((r >> pos & 1) << t for t, pos in enumerate(kept))
+                   for r in rows), kept_count)
+        span, cosets = [0], [0]
+        for row in reduced:
+            span += [x ^ row for x in span]
+        for t in range(kept_count):
+            if t not in pivots:
+                cosets += [x ^ 1 << t for x in cosets]
+        return len(reduced), ([*map(int.bit_count, map(s.__xor__, span))]
+                              for s in cosets)
+    return map(table, combinations(range(n), kept_count))
 
 
 @dataclass(frozen=True)
@@ -262,7 +271,6 @@ def min_entropy_oracle(code: LinearCode, erasures: int, error_rate: float,
     n[R - (1 - e/n)(1 - h(p)) - alpha], the view-average of H_inf, and a
     bucketed histogram.
     """
-    import numpy as np
     n, k = code.length, code.dimension
     if not 0 <= erasures <= n:
         raise ValueError("erasure count out of range")
@@ -272,35 +280,33 @@ def min_entropy_oracle(code: LinearCode, erasures: int, error_rate: float,
         raise ValueError("alpha must be positive")
     kept_count = n - erasures
     pattern_count = math.comb(n, erasures)
-    projections = _kept_words(code, erasures, limit)
+    tables = _coset_tables(code, erasures, limit)
     bound = min_entropy_bound(n, k, erasures, error_rate, alpha)
     rho = error_rate / (1.0 - error_rate)
     pattern_w = 1.0 / pattern_count
     prior = 1.0 / (1 << k)
     keep_scale = (1.0 - error_rate) ** kept_count
 
-    z = np.arange(1 << kept_count, dtype=np.int64)
     total_mass = 0.0
     violating = 0.0
     avg = 0.0
     bucket = 0.25
     hist: dict[int, float] = {}
-    for proj in projections:
-        dist = popcount(proj[:, None] ^ z[None, :], kept_count)
-        like = np.power(rho, dist.astype(np.float64))
-        colsum = like.sum(axis=0)
-        reachable = colsum > 0.0
-        view_p = colsum * keep_scale * prior * pattern_w
-        maxpost = np.zeros_like(colsum)
-        maxpost[reachable] = like.max(axis=0)[reachable] / colsum[reachable]
-        hinf = np.full_like(colsum, np.inf)
-        hinf[reachable] = -np.log2(maxpost[reachable])
-        total_mass += float(view_p.sum())
-        violating += float(view_p[reachable & (hinf < bound)].sum())
-        avg += float((view_p[reachable] * hinf[reachable]).sum())
-        for b, m in zip((hinf[reachable] / bucket).astype(np.int64),
-                        view_p[reachable]):
-            hist[int(b)] = hist.get(int(b), 0.0) + float(m)
+    powers = [rho ** w for w in range(kept_count + 1)]
+    for rank, cosets in tables:
+        for ws in cosets:
+            # sum of all 2^k codewords' likelihoods over (1 - p)^(n - e)
+            like = (1 << k - rank) * math.fsum(map(powers.__getitem__, ws))
+            if like == 0.0:
+                continue  # outputs the noiseless channel never gives
+            hinf = -math.log2(powers[min(ws)] / like)
+            mass = (1 << rank) * like * keep_scale * prior * pattern_w
+            total_mass += mass
+            if hinf < bound:
+                violating += mass
+            avg += mass * hinf
+            b = int(hinf / bucket)
+            hist[b] = hist.get(b, 0.0) + mass
     if not math.isclose(total_mass, 1.0, rel_tol=0.0, abs_tol=1e-9):
         raise AssertionError(f"posterior masses sum to {total_mass}, not 1")
     histogram = tuple(sorted((b * bucket, (b + 1) * bucket, m)
@@ -350,7 +356,6 @@ def fixed_weight_oracle(code: LinearCode, erasures: int, weight: int,
     the measured fractions (worst pattern and aggregate) per alpha.
     r <= 0 is flagged via r_positive rather than rejected.
     """
-    import numpy as np
     n, k = code.length, code.dimension
     if not 0 <= erasures <= n:
         raise ValueError("erasure count out of range")
@@ -360,26 +365,25 @@ def fixed_weight_oracle(code: LinearCode, erasures: int, weight: int,
     pattern_count = math.comb(n, erasures)
     per_pattern_edges = (1 << k) * math.comb(kept_count, weight)
     total_edges = pattern_count * per_pattern_edges
-    projections = _kept_words(code, erasures, limit)
+    tables = _coset_tables(code, erasures, limit)
     r_bits = k - kept_count + math.log2(math.comb(kept_count, weight))
 
-    z = np.arange(1 << kept_count, dtype=np.int64)
     agg_bad = {float(a): 0 for a in alphas}
     max_frac = {float(a): 0.0 for a in alphas}
     min_deg, max_deg = per_pattern_edges, 0
     entropy_sum = 0.0
-    for proj in projections:
-        dist = popcount(proj[:, None] ^ z[None, :], kept_count)
-        deg = (dist == weight).sum(axis=0)
-        if int(deg.sum()) != per_pattern_edges:
+    for rank, cosets in tables:
+        # the degree shared by a coset's 2^rank outputs
+        degrees = [ws.count(weight) << k - rank for ws in cosets]
+        if sum(degrees) << rank != per_pattern_edges:
             raise AssertionError("edge count mismatch against C(n-e, w) 2^k")
-        reachable = deg > 0
-        min_deg = min(min_deg, int(deg[reachable].min()))
-        max_deg = max(max_deg, int(deg.max()))
-        entropy_sum += float((deg[reachable] * np.log2(deg[reachable])).sum())
+        reached = [d for d in degrees if d]
+        min_deg = min(min_deg, min(reached))
+        max_deg = max(max_deg, max(degrees))
+        entropy_sum += (1 << rank) * sum(d * math.log2(d) for d in reached)
         for a in alphas:
             thr = 2.0 ** (r_bits - a)
-            bad = int(deg[(deg > 0) & (deg < thr)].sum())
+            bad = sum(d for d in reached if d < thr) << rank
             agg_bad[float(a)] += bad
             max_frac[float(a)] = max(max_frac[float(a)],
                                      bad / per_pattern_edges)

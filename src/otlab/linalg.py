@@ -19,12 +19,13 @@ one elimination can serve many right-hand sides.  `random_matrix` and
 `full_rank_matrix` are the one way to draw a matrix and to draw one of
 full row rank.
 
-Codeword enumeration uses numpy: `span_words` lists every combination of
-packed rows as int64 words (63 bits to a limb, limbs on the last axis),
-`popcount`/`weights` count their bits through a 16-bit table, and
-`NearestSpanWord` finds the word nearest a received one in scratch arrays
-allocated once.  The limb layout stays inside this module.  numpy and the
-table load on first use, so importing this module does not import numpy.
+Only the ML decoder's codeword enumeration uses numpy: `span_words`
+lists every combination of packed rows as int64 words (63 bits to a
+limb, limbs on the last axis), `weights` counts their bits through a
+16-bit table, and `NearestSpanWord` finds the word nearest a received
+one in scratch arrays allocated once.  The limb layout stays inside this
+module.  numpy and the table load on first use, so importing this module
+does not import numpy.
 """
 
 from __future__ import annotations
@@ -501,24 +502,15 @@ def span_words(rows: Sequence[int], width: int) -> np.ndarray:
     return words
 
 
-def popcount(a: np.ndarray, width: int = LIMB_BITS) -> np.ndarray:
-    """Bit count of each element of a non-negative int64 array, as uint8.
-
-    The elements must be below 2^width; they are counted 16 bits at a
-    time through one lookup table.
-    """
-    table = _popcount_table()
-    counts = table[a & 0xFFFF]
-    for shift in range(16, min(width, LIMB_BITS), 16):
-        counts += table[(a >> shift) & 0xFFFF]
-    return counts
-
-
 def weights(words: np.ndarray, width: int) -> np.ndarray:
     """Hamming weight of each packed word of `width` bits (limbs on the
-    last axis), as uint8 for single-limb words."""
+    last axis), counted 16 bits at a time through one lookup table, as
+    uint8 for single-limb words."""
     import numpy as np
-    counts = popcount(words, width)
+    table = _popcount_table()
+    counts = table[words & 0xFFFF]
+    for shift in range(16, min(width, LIMB_BITS), 16):
+        counts += table[(words >> shift) & 0xFFFF]
     if words.shape[-1] == 1:
         return counts[..., 0]
     return counts.sum(axis=-1, dtype=np.int64)

@@ -14,7 +14,7 @@ import numpy as np
 
 from otlab.adversary import (DichotomyReport, MaskAudit,
                              _full_rank_row_sets)
-from otlab.linalg import Matrix, full_rank_matrix, popcount, rank
+from otlab.linalg import Matrix, full_rank_matrix, rank, weights
 from otlab.proto_outer import cheat_matrix_V, compressed_length
 
 # entropy gaps below this are float noise, neither side better protected
@@ -26,7 +26,8 @@ def parity_lut(rows, states):
     2^63): bit i of the result is parity(rows[i] & x)."""
     out = np.zeros(len(states), dtype=np.int64)
     for i, row in enumerate(rows):
-        out |= (popcount(states & row) & 1).astype(np.int64) << i
+        parity = weights((states & row)[:, None], 63) & 1
+        out |= parity.astype(np.int64) << i
     return out
 
 

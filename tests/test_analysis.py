@@ -6,6 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+import oracle_reference
 from otlab.analysis import (binary_entropy, curve_grid, fixed_weight_oracle,
                             min_entropy_bound, min_entropy_oracle,
                             optimize_rate_p0, rate_chain, rate_curve, rate_p0,
@@ -225,6 +226,97 @@ def test_fixed_weight_oracle_matches_degree_count_past_one_limb():
         sum(d * math.log2(d) for d in degrees if d) / total, abs=1e-12)
 
 
+ERROR_RATES = (0.0, 0.05, 0.1, 0.2, 0.3)
+
+
+def near_edges(code, erasures, error_rate):
+    """Indices of the bucket edges within 1e-9 of a reference H_inf."""
+    near = set()
+    for hinf, view_p, reachable in oracle_reference.min_entropy_views(
+            code, erasures, error_rate):
+        for h in hinf[reachable & (view_p > 0.0)].tolist():
+            edge = round(h / 0.25)
+            if abs(h - edge * 0.25) < 1e-9:
+                near.add(edge)
+    return near
+
+
+def assert_same_census(code, erasures, error_rate):
+    """The coset-table census against the reference; True when the
+    histograms differ and were compared around the bucket edges that a
+    reference H_inf sits on."""
+    got = min_entropy_oracle(code, erasures, error_rate, alpha=0.25)
+    want = oracle_reference.min_entropy_oracle(code, erasures, error_rate,
+                                               alpha=0.25)
+    assert (got.views, got.bound_bits) == (want.views, want.bound_bits)
+    for a, b in ((got.avg_min_entropy, want.avg_min_entropy),
+                 (got.violating_mass, want.violating_mass)):
+        assert math.isclose(a, b, rel_tol=1e-12), (a, b)
+    got_mass = {round(lo / 0.25): m for lo, _, m in got.histogram}
+    want_mass = {round(lo / 0.25): m for lo, _, m in want.histogram}
+    if got_mass.keys() == want_mass.keys() and all(
+            math.isclose(m, want_mass[b], rel_tol=1e-12)
+            for b, m in got_mass.items()):
+        return False
+    # a view whose H_inf rounds across an edge lands one bucket over
+    moved = {b for edge in near_edges(code, erasures, error_rate)
+             for b in (edge - 1, edge)}
+    assert moved
+    assert math.isclose(sum(got_mass.get(b, 0.0) for b in moved),
+                        sum(want_mass.get(b, 0.0) for b in moved),
+                        rel_tol=1e-12)
+    assert got_mass.keys() - moved == want_mass.keys() - moved
+    for b in got_mass.keys() - moved:
+        assert math.isclose(got_mass[b], want_mass[b], rel_tol=1e-12)
+    return True
+
+
+def assert_same_graph(code, erasures, weight):
+    got = fixed_weight_oracle(code, erasures, weight)
+    want = oracle_reference.fixed_weight_oracle(code, erasures, weight)
+    assert ((got.r_bits, got.r_positive, got.total_edges, got.min_degree,
+             got.max_degree, got.bounds)
+            == (want.r_bits, want.r_positive, want.total_edges,
+                want.min_degree, want.max_degree, want.bounds))
+    assert math.isclose(got.avg_min_entropy, want.avg_min_entropy,
+                        rel_tol=1e-12)
+
+
+def test_oracles_match_the_full_distance_array_reference():
+    # 300 random codes with k <= 5 and n <= 8, every tenth up to n = 10
+    # (the reference walks about 3^n views of a code over all e), at every
+    # erasure count, cycling through the error rates and drawing a flip
+    # weight; e > n - k leaves projections of rank below k
+    rng = derive_rng(35)
+    deficient = edge_cases = 0
+    for i in range(300):
+        k = int(rng.integers(1, 6))
+        n = int(rng.integers(k, 11 if i % 10 == 0 else 9))
+        code = random_code(GF(1), n, k, rng)
+        for e in range(n + 1):
+            deficient += e > n - k
+            edge_cases += assert_same_census(
+                code, e, ERROR_RATES[(i + e) % len(ERROR_RATES)])
+            assert_same_graph(code, e, int(rng.integers(0, n - e + 1)))
+    assert deficient > 300 and edge_cases > 0
+    code = wide_code()
+    for error_rate in (0.0, 0.2):
+        assert_same_census(code, 64, error_rate)
+    assert_same_graph(code, 64, 1)
+
+
+def test_uniform_posterior_sits_in_the_bucket_of_k_bits():
+    # every codeword equally likely: H_inf = k = 3 exactly, which the sum
+    # of 2^k equal float likelihoods once rounded to just below 3
+    code = LinearCode.from_rows(GF(1), ((0, 0, 0, 0, 1), (1, 1, 0, 0, 1),
+                                        (1, 1, 1, 1, 0)))
+    rep = min_entropy_oracle(code, 1, 0.3, alpha=0.5)
+    lo, hi, mass = rep.histogram[-1]
+    assert (lo, hi) == (3.0, 3.25)
+    assert mass == pytest.approx(0.03528, rel=1e-12)
+    assert all(b[:2] != (2.75, 3.0) for b in rep.histogram)
+
+
 def test_min_entropy_oracle_noiseless_is_zero():
     code = LinearCode.from_rows(GF(1), ((1, 0, 1), (0, 1, 1)))
     rep = min_entropy_oracle(code, 0, 0.0, alpha=0.5)
@@ -279,11 +371,11 @@ def test_min_entropy_oracle_limits_and_validation():
     big = LinearCode(Matrix.identity(GF(1), 26))
     with pytest.raises(EnumerationLimit):
         min_entropy_oracle(big, 0, 0.1, alpha=0.5)
-    # 2^12 outputs and 2^6 codewords each fit the limit; their 2^18-entry
-    # product does not
+    # the one pattern's 2^12 outputs are counted, not its 2^6 codewords:
+    # they exceed a limit of 2^11 that the codewords would fit
     code12 = random_code(GF(1), 12, 6, derive_rng(33))
     with pytest.raises(EnumerationLimit):
-        min_entropy_oracle(code12, 0, 0.1, alpha=0.5, limit=1 << 12)
+        min_entropy_oracle(code12, 0, 0.1, alpha=0.5, limit=1 << 11)
     code = LinearCode.from_rows(GF(1), ((1, 1),))
     with pytest.raises(ValueError):
         min_entropy_oracle(code, 3, 0.1, alpha=0.5)
@@ -338,10 +430,11 @@ def test_fixed_weight_oracle_validation():
         fixed_weight_oracle(code, 0, 4)
     with pytest.raises(ValueError):
         fixed_weight_oracle(code, 4, 0)
-    big = LinearCode(Matrix.identity(GF(1), 24))
+    # 2^25 outputs, one above the default budget
+    big = LinearCode(Matrix.identity(GF(1), 25))
     with pytest.raises(EnumerationLimit):
         fixed_weight_oracle(big, 0, 12)
-    # 4 edges, but a 2^2 x 2^12 array of codewords against outputs
+    # 4 edges, but the 2^12 outputs are what the oracle walks
     code12 = random_code(GF(1), 12, 2, derive_rng(34))
     with pytest.raises(EnumerationLimit):
         fixed_weight_oracle(code12, 0, 0, limit=64)

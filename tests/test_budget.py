@@ -54,13 +54,13 @@ CASES = {
                      [(codes, "_distance", refuse_work)]),
     "MLDecoder": (16, lambda limit: MLDecoder(hamming_7_4(), limit),
                   [(proto_p0, "span_words", refuse_work)]),
-    # C(7, 2) patterns x 2^4 codewords x 2^5 outputs
-    "min_entropy_oracle": (21 << 9, lambda limit: min_entropy_oracle(
+    # C(7, 2) patterns x 2^5 outputs
+    "min_entropy_oracle": (21 << 5, lambda limit: min_entropy_oracle(
         hamming_7_4(), 2, 0.1, alpha=0.5, limit=limit),
-        [(analysis, "span_words", refuse_work)]),
-    "fixed_weight_oracle": (21 << 9, lambda limit: fixed_weight_oracle(
+        [(analysis, "eliminate", refuse_work)]),
+    "fixed_weight_oracle": (21 << 5, lambda limit: fixed_weight_oracle(
         hamming_7_4(), 2, 1, limit=limit),
-        [(analysis, "span_words", refuse_work)]),
+        [(analysis, "eliminate", refuse_work)]),
     # 2^4 masks x 15^2 compression pairs
     "audit_bob_strategies": (16 * 225, lambda limit: audit_bob_strategies(
         IDENTITY_4, 0.25, limit=limit),

@@ -142,11 +142,12 @@ def test_import_leaves_out_schema_library_and_process_pool(tmp_path):
     # decode codes of at most 128 words by a Python scan, so a p0 run, a
     # p2prime run and the replay of a p0 report never load it either; the
     # bob audit computes in GF(2) ranks, so `attack --strategy bob`, with
-    # exhaustive or sampled pairs, and its replay leave it out too, while
-    # a decoder over 2^16 words and the honest and tracker campaigns load
-    # it; the benchmark's shim finds the session modules and the dispatch
-    # table after import; main freezes the import-time heap so exit skips
-    # collecting it
+    # exhaustive or sampled pairs, and its replay leave it out too, and so
+    # do the library's entropy oracles, which count coset weights on
+    # packed ints, while a decoder over 2^16 words and the honest and
+    # tracker campaigns load it; the benchmark's shim finds the session
+    # modules and the dispatch table after import; main freezes the
+    # import-time heap so exit skips collecting it
     probe = ("import contextlib, gc, io, json, os, sys, otlab.cli\n"
              "def loaded():\n"
              "    return json.dumps({m: m in sys.modules for m in sys.argv[5:]})\n"
@@ -180,6 +181,13 @@ def test_import_leaves_out_schema_library_and_process_pool(tmp_path):
              "             ['replay', os.path.join(os.path.dirname(sys.argv[3]),\n"
              "                                     'attack-bob.json')]):\n"
              "    print(quiet(argv), 'numpy' in sys.modules)\n"
+             "from otlab.analysis import fixed_weight_oracle, min_entropy_oracle\n"
+             "from otlab.codes import LinearCode\n"
+             "from otlab.gf import GF\n"
+             "code = LinearCode.from_rows(GF(1), ((1, 0, 1, 1), (0, 1, 1, 0)))\n"
+             "print(min_entropy_oracle(code, 1, 0.1, alpha=0.5).views,\n"
+             "      fixed_weight_oracle(code, 1, 1).total_edges,\n"
+             "      'numpy' in sys.modules)\n"
              "print(quiet(sys.argv[4].split()), 'numpy' in sys.modules)")
     names = ("numpy", "jsonschema", "multiprocessing",
              "concurrent.futures.process", "otlab.adversary",
@@ -201,7 +209,7 @@ def test_import_leaves_out_schema_library_and_process_pool(tmp_path):
     (import_line, dispatch_line, config_error_line, outer_error_line,
      output_error_line, help_line, audit_line, rates_line,
      frozen_line, p0_line, p2prime_line, replay_line, *bob_lines,
-     _) = lines[0]
+     oracle_line, _) = lines[0]
     want = {"numpy": False, "jsonschema": False, "multiprocessing": False,
             "concurrent.futures.process": False, "otlab.adversary": False,
             "otlab.proto_p0": True, "otlab.proto_outer": True}
@@ -218,6 +226,8 @@ def test_import_leaves_out_schema_library_and_process_pool(tmp_path):
     assert frozen_line == "True"
     assert p0_line == p2prime_line == replay_line == "0 False"
     assert bob_lines == ["0 False"] * 3
+    # C(4, 1) patterns x 2^3 outputs; 2^2 codewords x C(3, 1) flips each
+    assert oracle_line == "32 48 False"
 
 
 @pytest.mark.parametrize("command", ["run", "attack", "code-audit"])
