@@ -29,7 +29,7 @@ from typing import Iterator, Optional, Sequence
 
 from .channels import BscParams
 from .codes import DEFAULT_ENUM_LIMIT, LinearCode, check_budget
-from .linalg import eliminate
+from .linalg import eliminate, subset_sums
 
 Z_95 = 1.96  # two-sided 95% normal quantile
 
@@ -218,8 +218,13 @@ def _coset_tables(code: LinearCode, erasures: int,
     the distances from each of its 2^r outputs to the words of C'
     (standard-array decoding; MacWilliams and Sloane 1977, ch. 1 sec. 3).
     A coset is its representative, zero at the pivots of the eliminated
-    projection, plus the span of the reduced rows.  C(n, e) 2^(n - e)
-    outputs are checked against the limit before any elimination.
+    projection, plus the span of the reduced rows.  The representatives
+    are the sums h + l of one from the span of the high half of the free
+    columns and one from the span of the low half, so a pattern holds
+    about 2^((n - e - r) / 2) of them at once, not all 2^(n - e - r); h
+    runs slowest, so coset j still sums the free columns set in j.
+    C(n, e) 2^(n - e) outputs are checked against the limit before any
+    elimination.
     """
     if code.field.degree != 1:
         raise ValueError("entropy oracles require a binary code")
@@ -235,14 +240,13 @@ def _coset_tables(code: LinearCode, erasures: int,
         eliminate(field, reduced, pivots,
                   (sum((r >> pos & 1) << t for t, pos in enumerate(kept))
                    for r in rows), kept_count)
-        span, cosets = [0], [0]
-        for row in reduced:
-            span += [x ^ row for x in span]
-        for t in range(kept_count):
-            if t not in pivots:
-                cosets += [x ^ 1 << t for x in cosets]
-        return len(reduced), ([*map(int.bit_count, map(s.__xor__, span))]
-                              for s in cosets)
+        span = subset_sums(reduced)
+        free = [1 << t for t in range(kept_count) if t not in pivots]
+        half = len(free) // 2
+        low, high = subset_sums(free[:half]), subset_sums(free[half:])
+        return len(reduced), (
+            [*map(int.bit_count, map((h ^ l).__xor__, span))]
+            for h in high for l in low)
     return map(table, combinations(range(n), kept_count))
 
 

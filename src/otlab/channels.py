@@ -5,6 +5,9 @@ Sending each bit twice through a BSC(phi) and post-processing the pair
 into an erasure-plus-error channel: erasure probability
 eps = 2*phi*(1 - phi), and a surviving symbol is wrong with probability
 p = phi^2 / (1 - eps).  The pair (eps, p) is derived from phi everywhere.
+A folded word stays packed as two ints, the mask of clean positions and
+the values under it; the transcripts alone spell it out with "*" for an
+erasure.
 
 All randomness flows through one stream type, `Stream`: numpy's PCG64
 bit generator (O'Neill 2014) written in Python, seeded as numpy's
@@ -25,8 +28,6 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
-
-ERASED = 2
 
 _M32 = (1 << 32) - 1
 _M64 = (1 << 64) - 1
@@ -269,48 +270,29 @@ class BscParams:
         return phi * phi / (1.0 - self.erasure_rate)
 
 
-@dataclass(frozen=True)
-class TernaryWord:
-    """A received word over {0, 1, erased}."""
-
-    symbols: tuple
-
-    def __post_init__(self):
-        for s in self.symbols:
-            if s not in (0, 1, ERASED):
-                raise ValueError(f"bad ternary symbol {s!r}")
-
-    def __len__(self) -> int:
-        return len(self.symbols)
-
-    @property
-    def erased_count(self) -> int:
-        return sum(1 for s in self.symbols if s == ERASED)
-
-    @property
-    def unerased_count(self) -> int:
-        return len(self.symbols) - self.erased_count
-
-    def non_erased_indices(self) -> tuple:
-        return tuple(i for i, s in enumerate(self.symbols) if s != ERASED)
-
-    def trace(self) -> str:
-        return "".join("*" if s == ERASED else str(s) for s in self.symbols)
+def _mask(flags: list) -> int:
+    """The int with bit i set where flags[i] is true, read from a binary
+    string in time linear in the length (OR-ing bit by bit is quadratic)."""
+    return int("".join(["1" if f else "0" for f in reversed(flags)]) or "0", 2)
 
 
 def duplicate_round_trip(bits: Sequence[int], phi: float,
-                         rng: Stream) -> TernaryWord:
-    """Send every bit twice through BSC(phi) and fold pairs to ternary.
+                         rng: Stream) -> tuple[int, int]:
+    """Send every bit twice through BSC(phi) and fold the pairs.
 
-    Matching received pairs keep their common value; mismatching pairs
-    become erasures.  The flips are one draw of 2 len(bits) uniforms, two
-    per bit in order; uniform (x >> 11) 2^-53 falls below phi exactly when
-    x >> 11 < phi 2^53, that is when x < ceil(phi 2^53) 2^11 (phi 2^53 is
-    exact), which compares ints with no rounding.
+    Returns the received word as two ints (clean, values): bit i of clean
+    is set when the two copies of bit i matched, and bit i of values is
+    then their common value (0 where the pair was erased).  The flips are
+    one draw of 2 len(bits) uniforms, two per bit in order; uniform
+    (x >> 11) 2^-53 falls below phi exactly when x >> 11 < phi 2^53, that
+    is when x < ceil(phi 2^53) 2^11 (phi 2^53 is exact), which compares
+    ints with no rounding.
     """
     if not 0.0 <= phi < 0.5:
         raise ValueError(f"crossover must be in [0, 1/2), got {phi}")
     limit = math.ceil(phi * 2.0 ** 53) << 11
-    flips = [x < limit for x in rng.random_raw(2 * len(bits))]
-    return TernaryWord(tuple(b ^ f if f == g else ERASED for b, f, g
-                             in zip(bits, flips[::2], flips[1::2])))
+    raw = rng.random_raw(2 * len(bits))
+    first = [x < limit for x in raw[::2]]
+    clean = _mask([f == (y < limit) for f, y in zip(first, raw[1::2])])
+    return clean, _mask([b ^ f for b, f in zip(bits, first)]) & clean
+

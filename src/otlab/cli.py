@@ -517,7 +517,7 @@ def _run_trial(setup: RunSetup, seed: int, trial: int) -> dict:
         outcome = "wrong_output"
     row = {"trial": trial, "outcome": outcome}
     if trial < setup.transcripts:
-        row["transcript"] = session.transcript
+        row["transcript"] = session.transcript()
     return row
 
 

@@ -149,14 +149,6 @@ class Matrix:
         return Matrix.from_packed(f, (scale(f, x, c) for x in self.packed),
                                   self.ncols)
 
-    def apply(self, v: Sequence[int]) -> Vector:
-        """Matrix-vector product A v."""
-        if len(v) != self.ncols:
-            raise DimensionMismatch(f"expected length {self.ncols}, got {len(v)}")
-        f = self.field
-        x = pack(f, v)
-        return tuple(dot(f, r, x) for r in self.packed)
-
     def drop_columns(self, positions: Iterable[int]) -> "Matrix":
         drop = set(positions)
         cols = self.transpose().packed
@@ -273,6 +265,15 @@ def weight(field: Field, x: int) -> int:
     for t in range(1, e):
         folded |= x >> t
     return (folded & _low_bits(e, x.bit_length())).bit_count()
+
+
+def subset_sums(rows: Sequence[int]) -> list[int]:
+    """The 2^len(rows) XOR sums of packed rows; sum j adds the rows set
+    in j, as in span_words."""
+    sums = [0]
+    for row in rows:
+        sums += [x ^ row for x in sums]
+    return sums
 
 
 def eliminate(field: Field, rows: list[int], pivots: list[int],

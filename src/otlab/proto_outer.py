@@ -249,25 +249,29 @@ def run_session(params: OuterParams, first_secret: Matrix,
             output = (pair.m_first if want_first else pair.m_second) @ output
     if compressed:
         events.append("compression_revealed")
-    secret_syms = (params.outer_dim if not compressed
-                   else compressed_length(params.outer_dim, params.margin))
-    secret_bits = secret_syms * params.block_syms * degree
-    # each round's 1-of-q transfer runs q - 1 sessions of 4 n0 bits
-    channel_bits = params.rounds * (f.order - 1) * 4 * params.inner.block_len
-    transcript = {
-        "params": {"events": events, "channel_bits": channel_bits,
-                   "observed_rate": 2.0 * secret_bits / channel_bits},
-        # each round's 1-of-q transfer announces q - 1 partitions
-        "alice_view": {"announced_sets": params.rounds * (f.order - 1)},
-        "bob_view": {"want_first": want_first},
-        "outcome": {"statuses": statuses},
-        "outer_params": {"rounds": params.rounds,
-                         "block_syms": params.block_syms},
-        "u": list(mask),
-        "v": None if harvest is None else [list(r) for r in harvest.rows],
-        "V_matrix": [list(r) for r in cheat_matrix_V(basis.rows, mask).rows],
-        "compression": None if pair is None else {
-            "M_s": pair.m_first.to_json(), "M_t": pair.m_second.to_json()},
-    }
+
+    def transcript() -> dict:
+        secret_syms = (params.outer_dim if not compressed
+                       else compressed_length(params.outer_dim, params.margin))
+        secret_bits = secret_syms * params.block_syms * degree
+        # each round's 1-of-q transfer runs q - 1 sessions of 4 n0 bits
+        channel_bits = (params.rounds * (f.order - 1) * 4
+                        * params.inner.block_len)
+        return {
+            "params": {"events": events, "channel_bits": channel_bits,
+                       "observed_rate": 2.0 * secret_bits / channel_bits},
+            # each round's 1-of-q transfer announces q - 1 partitions
+            "alice_view": {"announced_sets": params.rounds * (f.order - 1)},
+            "bob_view": {"want_first": want_first},
+            "outcome": {"statuses": statuses},
+            "outer_params": {"rounds": params.rounds,
+                             "block_syms": params.block_syms},
+            "u": list(mask),
+            "v": None if harvest is None else [list(r) for r in harvest.rows],
+            "V_matrix": [list(r) for r
+                         in cheat_matrix_V(basis.rows, mask).rows],
+            "compression": None if pair is None else {
+                "M_s": pair.m_first.to_json(), "M_t": pair.m_second.to_json()},
+        }
     status = next((s for s in statuses if s != "ok"), "ok")
     return Session(status, output, transcript)

@@ -3,8 +3,9 @@
 One session moves one of two m-bit secrets from Alice to Bob over a
 BSC(phi), spending 4*n0 channel bits:
 
-1. Alice draws 2*n0 random bits and sends each twice; Bob folds the
-   received pairs into a ternary word (value or erasure).
+1. Alice draws 2*n0 random bits and sends each twice; Bob folds each
+   received pair into a value or an erasure, kept as two ints: the mask
+   of clean positions and the values under it.
 2. Bob splits the indices into two n0-sized sets and announces (I, J):
    his chosen set holds the first n0 positions he received cleanly, the
    other set gets everything else.  Too few clean positions aborts.
@@ -29,15 +30,15 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .analysis import binary_entropy
-from .channels import (ERASED, BscParams, TernaryWord, duplicate_round_trip,
-                       random_bits)
+from .channels import BscParams, duplicate_round_trip, random_bits
 from .codes import (DEFAULT_ENUM_LIMIT, EnumerationLimit, LinearCode,
                     check_budget)
-from .linalg import (Coset, Matrix, NearestSpanWord, Vector, eliminate,
-                     pack, random_matrix, span_words, unpack, weights)
+from .linalg import (Coset, Matrix, NearestSpanWord, dot, eliminate, pack,
+                     random_matrix, span_words, subset_sums, unpack,
+                     weights)
 
 if TYPE_CHECKING:
     from .channels import Stream
@@ -87,11 +88,14 @@ def p0_secret_length(block_len: int, phi: float, slack: float) -> int:
 class MLDecoder:
     """Exact maximum-likelihood decoding by codeword enumeration.
 
-    Minimizes Hamming distance over the non-erased positions; a tie for
-    the minimum is a decoding failure (None).  The 2^k codewords are held
-    as packed words in message order (`words`): up to SCAN_WORDS of them
-    as a Python list of ints that a decode scans with int.bit_count, more
-    as one numpy limb array (span_words) that a decode searches in
+    A received word comes packed as (mask, target): the mask of its
+    non-erased positions and its values there, with no bit of target
+    outside mask.  decode(mask, target) returns the packed codeword
+    nearest it on the masked positions; a tie for the minimum is a
+    decoding failure (None).  The 2^k codewords are held as packed words
+    in message order (`words`): up to SCAN_WORDS of them as a Python
+    list of ints (subset_sums) that a decode scans with int.bit_count,
+    more as one numpy limb array (span_words) that a decode searches in
     scratch arrays allocated once (NearestSpanWord).  They are checked
     against the memory cap, then against the budget `limit`, before any
     is built.
@@ -108,25 +112,14 @@ class MLDecoder:
         rows = code.generator.packed
         self._search = None
         if 1 << k <= SCAN_WORDS:
-            # word j is the sum of the rows set in j, as in span_words
-            words = [0]
-            for row in rows:
-                words += [w ^ row for w in words]
-            self.words = words
+            self.words = subset_sums(rows)
         else:
             self.words = span_words(rows, code.length)
             self._search = NearestSpanWord(self.words, code.length)
 
-    def decode(self, symbols: Sequence[int]) -> Optional[Vector]:
-        if len(symbols) != self.length:
-            raise ValueError("received word has the wrong length")
-        mask = 0
-        target = 0
-        for i, s in enumerate(symbols):
-            if s != ERASED:
-                mask |= 1 << i
-                if s:
-                    target |= 1 << i
+    def decode(self, mask: int, target: int) -> Optional[int]:
+        if mask >> self.length:
+            raise ValueError("received word is longer than the code")
         if self._search is not None:
             best = self._search.nearest(mask, target)
         else:
@@ -146,7 +139,7 @@ class MLDecoder:
         for i, row in enumerate(self.code.generator.packed):
             if best >> i & 1:
                 word ^= row
-        return unpack(self.code.field, word, self.length)
+        return word
 
     def failure_bound(self, p: float) -> float:
         """Union bound on ML failure over BSC(p), ties counted as failures."""
@@ -233,24 +226,24 @@ class P0Params:
                 return hash_matrix, Coset(f, rows, pivots, n)
 
 
-def p0_partition(word: TernaryWord, block_len: int,
+def p0_partition(clean: int, block_len: int,
                  want_first: bool) -> tuple[tuple, tuple]:
-    """Honest Bob's announcement (I, J).
+    """Honest Bob's announcement (I, J) from the mask of his clean
+    positions among 2 block_len.
 
     The chosen set gets the first block_len cleanly received indices; the
     other set gets all remaining indices (erasures plus clean surplus).
     Raises ChannelAbort when fewer than block_len positions survived.
     Both sets come back ascending; I is always the first-secret mask.
     """
-    if len(word) != 2 * block_len:
-        raise ValueError("word must have length 2 n0")
-    clean = word.non_erased_indices()
-    if len(clean) < block_len:
-        raise ChannelAbort(
-            f"only {len(clean)} of {block_len} clean positions")
-    good = clean[:block_len]
-    good_set = set(good)
-    rest = tuple(i for i in range(2 * block_len) if i not in good_set)
+    if clean >> 2 * block_len:
+        raise ValueError("clean mask has a bit at or above 2 n0")
+    count = clean.bit_count()
+    if count < block_len:
+        raise ChannelAbort(f"only {count} of {block_len} clean positions")
+    good = tuple(i for i in range(2 * block_len) if clean >> i & 1)[:block_len]
+    chosen = sum(1 << i for i in good)
+    rest = tuple(i for i in range(2 * block_len) if not chosen >> i & 1)
     return (good, rest) if want_first else (rest, good)
 
 
@@ -290,19 +283,23 @@ def p0_alice_encode(first_secret: Sequence[int], second_secret: Sequence[int],
     return view
 
 
-def p0_bob_decode(masked: Sequence[int], word: TernaryWord,
+def p0_bob_decode(masked: Sequence[int], clean: int, values: int,
                   positions: Sequence[int], perm: Sequence[int],
-                  decoder: MLDecoder,
-                  hash_matrix: Matrix) -> tuple[Optional[tuple], Optional[tuple]]:
-    """Unmask on the chosen set and decode; returns (secret, codeword)."""
-    symbols = []
-    for t in range(len(masked)):
-        s = word.symbols[positions[perm[t]]]
-        symbols.append(ERASED if s == ERASED else masked[t] ^ s)
-    cw = decoder.decode(symbols)
+                  decoder: MLDecoder, hash_matrix: Matrix
+                  ) -> tuple[Optional[tuple], Optional[int]]:
+    """Unmask on the chosen set and decode; returns (secret, packed
+    codeword).  Position t reads the received pair at positions[perm[t]],
+    erased unless its bit is set in clean."""
+    mask = target = 0
+    for t, j in enumerate(perm):
+        i = positions[j]
+        if clean >> i & 1:
+            mask |= 1 << t
+            target |= (masked[t] ^ values >> i & 1) << t
+    cw = decoder.decode(mask, target)
     if cw is None:
         return None, None
-    return hash_matrix.apply(cw), cw
+    return tuple(dot(hash_matrix.field, r, cw) for r in hash_matrix.packed), cw
 
 
 @dataclass(frozen=True)
@@ -310,13 +307,14 @@ class Session:
     """The result of one session of any protocol.
 
     status is "ok", "abort" or "decode_failure"; output is what Bob
-    recovered, or None.  transcript is both parties' views as the report
-    JSON that `run --transcripts` writes.
+    recovered, or None.  transcript() builds both parties' views as the
+    report JSON; only `cli._run_trial` calls it, for the trials below
+    `run --transcripts`, so a session builds nothing for the others.
     """
 
     status: str
     output: Optional[object]
-    transcript: dict
+    transcript: Callable[[], dict]
 
 
 def p0_run(first_secret: Sequence[int], second_secret: Sequence[int],
@@ -327,44 +325,49 @@ def p0_run(first_secret: Sequence[int], second_secret: Sequence[int],
     phi = params.channel.crossover
     hash_matrix, coset = params.draw_hash(rng)
     sent = random_bits(rng, 2 * n0)
-    word = duplicate_round_trip(sent, phi, rng)
-    alice_view = {"sent_bits": list(sent)}
-    bob_view = {"received": word.trace(), "want_first": want_first}
-    status, secret = "abort", None
+    clean, values = duplicate_round_trip(sent, phi, rng)
+    status, secret, cw, view = "abort", None, None, None
     try:
-        set_first, set_second = p0_partition(word, n0, want_first)
+        sets = p0_partition(clean, n0, want_first)
     except ChannelAbort as exc:
-        bob_view["abort_reason"] = str(exc)
+        abort_reason = str(exc)
     else:
-        alice_view.update(p0_alice_encode(first_secret, second_secret,
-                                          set_first, set_second, sent,
-                                          params, coset, rng),
-                          set_first=list(set_first),
-                          set_second=list(set_second),
-                          hash_matrix=hash_matrix.to_json())
+        view = p0_alice_encode(first_secret, second_secret, *sets, sent,
+                               params, coset, rng)
         side = "first" if want_first else "second"
         secret, cw = p0_bob_decode(
-            alice_view[f"masked_{side}"], word, alice_view[f"set_{side}"],
-            alice_view[f"perm_{side}"], params.decoder, hash_matrix)
-        bob_view.update({
-            "masked_first": alice_view["masked_first"],
-            "masked_second": alice_view["masked_second"],
-            "decoded": None if cw is None else list(cw),
-        })
-        if secret is None:
-            status = "decode_failure"
+            view[f"masked_{side}"], clean, values,
+            sets[0] if want_first else sets[1],
+            view[f"perm_{side}"], params.decoder, hash_matrix)
+        status = "decode_failure" if secret is None else "ok"
+
+    def transcript() -> dict:
+        alice_view = {"sent_bits": list(sent)}
+        bob_view = {"received": "".join(
+            str(values >> i & 1) if clean >> i & 1 else "*"
+            for i in range(2 * n0)), "want_first": want_first}
+        if view is None:
+            bob_view["abort_reason"] = abort_reason
         else:
-            status = "ok"
-            bob_view["secret"] = list(secret)
-    transcript = {
-        "params": {"block_len": n0, "crossover": phi,
-                   "secret_bits": params.secret_bits,
-                   "channel_bits": 4 * n0},
-        "alice_view": alice_view,
-        "bob_view": bob_view,
-        "outcome": {"status": status,
-                    "unerased_count": word.unerased_count},
-    }
+            alice_view.update(view, set_first=list(sets[0]),
+                              set_second=list(sets[1]),
+                              hash_matrix=hash_matrix.to_json())
+            bob_view.update(
+                masked_first=view["masked_first"],
+                masked_second=view["masked_second"],
+                decoded=None if cw is None
+                else list(unpack(hash_matrix.field, cw, n0)))
+            if secret is not None:
+                bob_view["secret"] = list(secret)
+        return {
+            "params": {"block_len": n0, "crossover": phi,
+                       "secret_bits": params.secret_bits,
+                       "channel_bits": 4 * n0},
+            "alice_view": alice_view,
+            "bob_view": bob_view,
+            "outcome": {"status": status,
+                        "unerased_count": clean.bit_count()},
+        }
     return Session(status, secret, transcript)
 
 
@@ -458,7 +461,9 @@ def p0q_run(secrets: Sequence[Sequence[int]], index: int, params: P0Params,
     sessions = [p0_run(first, second, j == index, params, rng)
                 for j, (first, second) in enumerate(pairs)]
     worst = next((s.status for s in sessions if s.status != "ok"), "ok")
-    transcript = {"inner": [s.transcript for s in sessions]}
+
+    def transcript() -> dict:
+        return {"inner": [s.transcript() for s in sessions]}
     needed = sessions[:index + 1]  # all q - 1 when index is the last
     if any(s.output is None for s in needed):
         return Session(worst if worst != "ok" else "decode_failure", None,

@@ -18,6 +18,7 @@ from otlab.linalg import Matrix
 from otlab.proto_outer import cheat_matrix_V
 
 from false_pairs import transmit_with_false_pairs
+from tuple_reference import ERASED
 
 # crossover with erasure rate exactly 0.3: 2 phi (1 - phi) = 0.3
 PHI_EPS_03 = (1.0 - math.sqrt(0.4)) / 2.0
@@ -87,9 +88,9 @@ def test_transmit_with_false_pairs_noiseless():
     rng = derive_rng(92)
     bits = (0, 1, 1, 0, 1)
     word = transmit_with_false_pairs(bits, (1, 3), 0.0, rng)
-    assert word.symbols[1] == 2 and word.symbols[3] == 2
+    assert word[1] == ERASED and word[3] == ERASED
     for i in (0, 2, 4):
-        assert word.symbols[i] == bits[i]
+        assert word[i] == bits[i]
 
 
 def test_transmit_with_false_pairs_matches_binomial_model():
@@ -104,7 +105,7 @@ def test_transmit_with_false_pairs_matches_binomial_model():
         bits = tuple(int(b) for b in rng.integers(0, 2, size=n))
         word = transmit_with_false_pairs(bits, corrupt, phi, rng)
         for i in range(n):
-            if word.symbols[i] != 2:
+            if word[i] != ERASED:
                 if i < 10:
                     corrupt_survive += 1
                 else:

@@ -1,7 +1,10 @@
 """Rate formulas and the exhaustive entropy oracles."""
 
 import math
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -383,6 +386,37 @@ def test_min_entropy_oracle_limits_and_validation():
         min_entropy_oracle(code, 0, 0.6, alpha=0.5)
     with pytest.raises(ValueError):
         min_entropy_oracle(code, 0, 0.1, alpha=0.0)
+
+
+PEAK_OF_REPETITION_ORACLE = """
+import sys
+from otlab.analysis import min_entropy_oracle
+from otlab.codes import LinearCode
+from otlab.gf import GF
+from otlab.linalg import Matrix
+n = int(sys.argv[1])
+min_entropy_oracle(LinearCode(Matrix(GF(1), ((1,) * n,))), 0, 0.1, 0.25)
+with open("/proc/self/status") as fh:
+    print(next(line.split()[1] for line in fh if line.startswith("VmHWM")))
+"""
+
+
+def test_min_entropy_oracle_memory_follows_the_root_of_the_coset_count():
+    """The walk holds about 2^((n - e - r) / 2) coset representatives of a
+    pattern at once, not all 2^(n - e - r): the [20, 1] repetition code
+    at e = 0 (2^19 cosets) peaks within 8 MB of the [8, 1] one (2^7).
+    Each call runs in a child process that reads its own VmHWM (kB); a
+    child's ru_maxrss starts from the parent's high-water mark, which a
+    pytest process can hold above both."""
+    if not Path("/proc/self/status").exists():
+        pytest.skip("VmHWM is read from Linux's /proc/self/status")
+    peaks = {}
+    for n in (8, 20):
+        proc = subprocess.run(
+            [sys.executable, "-c", PEAK_OF_REPETITION_ORACLE, str(n)],
+            capture_output=True, text=True, check=True)
+        peaks[n] = int(proc.stdout)
+    assert peaks[20] - peaks[8] < 8 * 1024, peaks
 
 
 def test_fixed_weight_oracle_repetition_code():

@@ -7,14 +7,12 @@ import random
 import numpy as np
 import pytest
 
-from otlab.channels import (ERASED, BscParams, TernaryWord, derive_rng,
-                            duplicate_round_trip)
+from otlab.channels import BscParams, derive_rng, duplicate_round_trip
+from otlab.gf import GF
+from otlab.linalg import pack
 
 from false_pairs import bsc_transmit, transmit_with_false_pairs
-
-
-def test_erased_sentinel():
-    assert ERASED == 2
+from tuple_reference import ERASED, pack_received
 
 
 def test_derive_rng_reproducible_and_keyed():
@@ -152,17 +150,6 @@ def test_bsc_params_consistency_identity():
         assert (1 - eps) * err == pytest.approx(phi * phi)
 
 
-def test_ternary_word_counts_and_trace():
-    w = TernaryWord((0, 1, ERASED, 1, ERASED))
-    assert len(w) == 5
-    assert w.erased_count == 2
-    assert w.unerased_count == 3
-    assert w.non_erased_indices() == (0, 1, 3)
-    assert w.trace() == "01*1*"
-    with pytest.raises(ValueError):
-        TernaryWord((0, 3, 1))
-
-
 def test_bsc_transmit_extremes_and_validation():
     rng = np.random.default_rng(1)
     bits = tuple(int(b) for b in rng.integers(0, 2, size=200))
@@ -186,15 +173,16 @@ def test_bsc_transmit_flip_rate():
 def test_duplicate_round_trip_noiseless():
     rng = derive_rng(3)
     bits = tuple(int(b) for b in rng.integers(0, 2, size=64))
-    w = duplicate_round_trip(bits, 0.0, rng)
-    assert w.symbols == bits
-    assert w.erased_count == 0
+    clean, values = duplicate_round_trip(bits, 0.0, rng)
+    assert clean == (1 << 64) - 1
+    assert values == pack(GF(1), bits)
 
 
 def test_duplicate_round_trip_golden():
     rng = derive_rng(7, 3, 1)
-    w = duplicate_round_trip((0, 1) * 10, 0.25, rng)
-    assert w.trace() == "0*0*0**1*11*01*10101"
+    got = duplicate_round_trip((0, 1) * 10, 0.25, rng)
+    assert got == pack_received(tuple(ERASED if c == "*" else int(c)
+                                      for c in "0*0*0**1*11*01*10101"))
 
 
 def test_duplicate_round_trip_statistics():
@@ -204,26 +192,26 @@ def test_duplicate_round_trip_statistics():
     params = BscParams(phi)
     n = 400_000
     bits = (0,) * n
-    w = duplicate_round_trip(bits, phi, rng)
+    clean, values = duplicate_round_trip(bits, phi, rng)
     eps = params.erasure_rate
     sig_e = (n * eps * (1 - eps)) ** 0.5
-    assert abs(w.erased_count - n * eps) < 5 * sig_e
-    survivors = w.unerased_count
-    wrong = sum(1 for s in w.symbols if s == 1)
+    survivors = clean.bit_count()
+    assert abs(n - survivors - n * eps) < 5 * sig_e
+    wrong = values.bit_count()  # every bit sent was 0
     p = params.residual_error
     sig_p = (survivors * p * (1 - p)) ** 0.5
     assert abs(wrong - survivors * p) < 5 * sig_p
 
 
 def test_duplicate_round_trip_matches_per_symbol_loop():
-    """The fold against a per-symbol reference loop over numpy's own
-    (len, 2) block of uniforms from the same stream."""
+    """The packed fold against a per-symbol reference loop over numpy's
+    own (len, 2) block of uniforms from the same stream."""
     def reference(bits, phi, rng):
         flips = rng.numpy_generator().random((len(bits), 2)) < phi
         out = []
         for b, (f1, f2) in zip(bits, flips):
             out.append(int(b) ^ int(f1) if f1 == f2 else ERASED)
-        return TernaryWord(tuple(out))
+        return pack_received(out)
 
     for n0 in (15, 63):
         for seed in range(2000):
@@ -232,7 +220,6 @@ def test_duplicate_round_trip_matches_per_symbol_loop():
             got = duplicate_round_trip(bits, 0.198, derive_rng(seed, 2))
             want = reference(bits, 0.198, derive_rng(seed, 2))
             assert got == want
-            assert all(type(s) is int for s in got.symbols)
 
 
 def test_duplicate_round_trip_validation():
@@ -250,17 +237,17 @@ def test_false_duplicate_statistics():
     word = transmit_with_false_pairs((1,) * n, range(n), phi, rng)
     p_erase = 1 - BscParams(phi).erasure_rate
     sig = math.sqrt(n * p_erase * (1 - p_erase))
-    assert abs(word.erased_count - n * p_erase) < 5 * sig
+    assert abs(word.count(ERASED) - n * p_erase) < 5 * sig
     p_side = phi * (1 - phi)
     sig_side = math.sqrt(n * p_side * (1 - p_side))
     for value in (0, 1):
-        landed = word.symbols.count(value)
+        landed = word.count(value)
         assert abs(landed - n * p_side) < 5 * sig_side
 
 
 def test_false_duplicate_validation():
     rng = derive_rng(96)
     assert transmit_with_false_pairs((0, 1), (0, 1), 0.0,
-                                     rng).erased_count == 2
+                                     rng).count(ERASED) == 2
     with pytest.raises(ValueError):
         transmit_with_false_pairs((0,), (0,), 0.5, rng)

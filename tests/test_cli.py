@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from otlab import cli
+from otlab import cli, proto_outer
 from otlab.analysis import detection_rule
 from otlab.channels import derive_rng
 from otlab.cli import ConfigError, _normalize_run
@@ -286,7 +286,22 @@ def test_run_abort_dominated_exits_4():
     assert rep["aggregates"]["abort_rate"] >= 0.5
 
 
-def test_run_every_protocol_noiseless():
+def test_run_every_protocol_noiseless(monkeypatch):
+    """Every protocol succeeds at phi = 0.  A transcript is built only for
+    a trial the report keeps: at --transcripts 0 no session serializes a
+    matrix or computes V(u), and keeping trial 0's transcript changes no
+    other byte of the report."""
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(Matrix, "to_json", counted("to_json", Matrix.to_json))
+    monkeypatch.setattr(proto_outer, "cheat_matrix_V",
+                        counted("V", proto_outer.cheat_matrix_V))
     for protocol in ("p0", "p0q", "p1", "p1prime", "p2", "p2prime"):
         args = ["run", "--protocol", protocol, "--phi", "0",
                 "--n0", "6", "--trials", "2", "--seed", "4"]
@@ -294,6 +309,14 @@ def test_run_every_protocol_noiseless():
             args += ["--delta", "0.25"]
         rep = report_from(run_cli(*args))
         assert rep["aggregates"]["success_rate"] == 1.0, protocol
+        assert calls == [], protocol
+        kept = report_from(run_cli(*args, "--transcripts", "1"))
+        assert calls, protocol
+        calls.clear()
+        assert "transcript" in kept["trials"][0]
+        del kept["trials"][0]["transcript"]
+        del kept["config"]["transcripts"], rep["config"]["transcripts"]
+        assert kept == rep, protocol
 
 
 def test_primed_run_default_delta_fits_the_built_in_basis():

@@ -9,7 +9,7 @@ from otlab.codes import (EnumerationLimit, LinearCode, OrthonormalCode,
                          square_dual_sample)
 from otlab.gf import GF
 from otlab.linalg import Matrix, pack, product, rank, rref, unpack
-from tuple_reference import mul, schur
+from tuple_reference import apply, mul, schur
 
 # generator polynomial of the [15,5] cyclic code used in the session-level
 # tests, low-degree coefficient first: x^10+x^8+x^5+x^4+x^2+x+1
@@ -302,7 +302,7 @@ def test_square_dual_sample_is_orthogonal():
     for _ in range(50):
         u = square_dual_sample(code, rng)
         assert len(u) == code.length
-        assert sq.generator.apply(u) == (0,) * sq.dimension
+        assert apply(sq.generator, u) == (0,) * sq.dimension
 
 
 def test_square_dual_sample_rejects_full_square():

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from otlab.adversary import audit_bob_strategies
-from otlab.channels import ERASED, BscParams, derive_rng
+from otlab.channels import BscParams, derive_rng
 from otlab.codes import (LinearCode, OrthonormalCode, cyclic_code,
                          orthonormalize, random_code)
 from otlab.gf import GF
@@ -35,7 +35,8 @@ from otlab.proto_outer import cheat_matrix_V
 from otlab import proto_p0
 from otlab.proto_p0 import DECODER_WORD_CAP, MLDecoder, P0Params
 from bob_audit_reference import reference_audit
-from tuple_reference import dot, mul, naive_matmul
+from tuple_reference import (ERASED, apply, dot, mul, naive_matmul,
+                             pack_received)
 
 F2 = GF(1)
 DEGREES = (1, 2, 3, 4, 8)
@@ -160,7 +161,7 @@ def test_packed_solve_affine_matches_dense(nrows, ncols, cap):
                 b = tuple(int(a) for a in rng.integers(0, f.order, size=nrows))
             else:
                 x = tuple(int(a) for a in rng.integers(0, f.order, size=ncols))
-                b = m.apply(x)
+                b = apply(m, x)
             ours, ref = (derive_rng(trial),
                          derive_rng(trial))
             try:
@@ -262,7 +263,8 @@ def test_matrix_ops_match_tuple_references(degree):
                 assert a.scale(c) == Matrix(f, tuple(
                     tuple(mul(f, c, x) for x in r) for r in rows), ncols=ncols)
             v = tuple(rng.integers(0, f.order, size=ncols))
-            assert a.apply(v) == tuple(dot(f, r, v) for r in rows)
+            col = Matrix(f, tuple((x,) for x in v), ncols=1)
+            assert (a @ col).column(0) == tuple(dot(f, r, v) for r in rows)
             for width in (0, 3):
                 other = random_over(f, rng, ncols, width)
                 got = a @ other
@@ -370,6 +372,8 @@ def test_solve_columns_matches_per_column_solve_affine(degree):
 # -- ML decoding ---------------------------------------------------------------
 
 def brute_force_decode(code, symbols):
+    """The unique nearest codeword on the non-erased positions, packed,
+    or None on a tie."""
     best, best_dist, count = None, None, 0
     for w in code.iter_codewords():
         d = sum(1 for a, s in zip(w, symbols) if s != ERASED and a != s)
@@ -377,7 +381,11 @@ def brute_force_decode(code, symbols):
             best, best_dist, count = w, d, 1
         elif d == best_dist:
             count += 1
-    return best if count == 1 else None
+    return pack(code.field, best) if count == 1 else None
+
+
+def decode(decoder, symbols):
+    return decoder.decode(*pack_received(symbols))
 
 
 @pytest.mark.parametrize("n,k", [(5, 1), (7, 4), (10, 3), (12, 6), (70, 3)])
@@ -392,19 +400,19 @@ def test_ml_decoder_matches_brute_force(n, k):
         symbols = tuple((0, 1, ERASED)[bisect_right((0.4, 0.8, 1.0), u)]
                         for u in rng.random(n))
         want = brute_force_decode(code, symbols)
-        assert dec.decode(symbols) == want
+        assert decode(dec, symbols) == want
         outcomes.add(want is None)
-    assert dec.decode((ERASED,) * n) is None
+    assert decode(dec, (ERASED,) * n) is None
     if n < 20:
         assert outcomes == {True, False}
 
 
 def test_ml_decoder_tie_and_erasure_cases():
     rep = MLDecoder(LinearCode.from_rows(F2, ((1,) * 4,)))
-    assert rep.decode((1, 1, 0, 0)) is None            # even split ties
-    assert rep.decode((1, 1, 0, ERASED)) == (1,) * 4
-    assert rep.decode((ERASED,) * 4) is None
-    assert rep.decode((0, ERASED, ERASED, ERASED)) == (0,) * 4
+    assert decode(rep, (1, 1, 0, 0)) is None            # even split ties
+    assert decode(rep, (1, 1, 0, ERASED)) == 0b1111
+    assert decode(rep, (ERASED,) * 4) is None
+    assert decode(rep, (0, ERASED, ERASED, ERASED)) == 0
 
 
 def both_decoders(code, monkeypatch):
@@ -436,7 +444,7 @@ def test_ml_decoder_scan_and_limb_search_match_brute_force(n, k, monkeypatch):
     ties = 0
     for symbols in received:
         want = brute_force_decode(code, symbols)
-        assert scan.decode(symbols) == limbs.decode(symbols) == want
+        assert decode(scan, symbols) == decode(limbs, symbols) == want
         ties += want is None
     assert ties
     for p in (0.0, 0.01, 0.05, 0.1, 0.3, 0.49):

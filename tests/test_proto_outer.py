@@ -241,7 +241,7 @@ def test_run_session_noiseless_recovers_chosen_secret():
         assert session.status == "ok"
         want = s if want_first else t
         assert session.output.rows == want.rows
-        tr = session.transcript
+        tr = session.transcript()
         assert tr["params"]["channel_bits"] == 8 * 4 * 15
         assert tr["params"]["observed_rate"] == pytest.approx(2 * 4 / 480)
         assert tr["params"]["events"] == ["mask_drawn", "rounds_complete"]
@@ -265,7 +265,7 @@ def test_run_session_every_dual_mask_exact():
             assert session.status == "ok"
             want = s if want_first else t
             assert session.output.rows == want.rows
-            assert session.transcript["u"] == list(mask)
+            assert session.transcript()["u"] == list(mask)
 
 
 def test_run_session_non_dual_mask_follows_algebra():
@@ -297,7 +297,7 @@ def test_run_session_qary_noiseless():
         assert session.status == "ok"
         want = s if want_first else t
         assert session.output.rows == want.rows
-        tr = session.transcript
+        tr = session.transcript()
         assert tr["params"]["channel_bits"] == 3 * 3 * 4 * 4
         assert tr["params"]["observed_rate"] == pytest.approx(2 * 4 / 144)
 
@@ -314,7 +314,7 @@ def test_run_session_compressed_variants():
         assert session.status == "ok"
         want = cf if want_first else cs
         assert session.output.rows == want.rows
-        tr = session.transcript
+        tr = session.transcript()
         assert tr["params"]["events"] == ["mask_drawn", "rounds_complete",
                                           "compression_revealed"]
         assert set(tr["compression"]) == {"M_s", "M_t"}
@@ -352,7 +352,7 @@ def test_run_session_noisy_statuses_consistent():
         s = random_matrix(GF(1), 4, 1, rng)
         t = random_matrix(GF(1), 4, 1, rng)
         session = run_session(params, s, t, bool(trial % 2), rng)
-        tr = session.transcript
+        tr = session.transcript()
         statuses = tr["outcome"]["statuses"]
         assert len(statuses) == 8
         if session.status == "ok":
@@ -374,7 +374,7 @@ def test_transcript_json_shape():
     s = random_matrix(GF(1), 4, 1, rng)
     t = random_matrix(GF(1), 4, 1, rng)
     session = run_session(params, s, t, True, rng)
-    blob = session.transcript
+    blob = session.transcript()
     assert blob["outer_params"]["rounds"] == 8
     assert blob["bob_view"]["want_first"] is True
     assert len(blob["u"]) == 8
@@ -394,7 +394,7 @@ def test_disjoint_block_basis_end_to_end():
     session = run_session(params, s, t, False, derive_rng(79))
     assert session.status == "ok"
     assert session.output.rows == t.rows
-    assert session.transcript["params"]["channel_bits"] == 6 * 60
+    assert session.transcript()["params"]["channel_bits"] == 6 * 60
 
 
 def test_orthonormalized_cyclic_square_fills_space():

@@ -4,14 +4,16 @@ import math
 
 import pytest
 
-from otlab.channels import ERASED, BscParams, TernaryWord, derive_rng
+from otlab.channels import BscParams, derive_rng
 from otlab.codes import EnumerationLimit, LinearCode, cyclic_code
 from otlab.gf import GF
-from otlab.linalg import Matrix, rank
+from otlab.linalg import Matrix, pack, rank
 from otlab.proto_p0 import (ChannelAbort, MLDecoder, P0Params,
                             chain_1_of_q, chain_access_audit, p0_alice_encode,
                             p0_bob_decode, p0_partition, p0_run,
                             p0_secret_length, p0q_run)
+
+from tuple_reference import apply, pack_received
 
 C15_5_GEN = (1, 1, 1, 0, 1, 1, 0, 0, 1, 0, 1)
 
@@ -43,22 +45,22 @@ def test_secret_length_frozen_values():
 
 def test_ml_decoder_repetition():
     dec = MLDecoder(rep_code(5))
-    assert dec.decode((1, 1, 1, 1, 1)) == (1,) * 5
-    assert dec.decode((0, 0, 1, 0, 0)) == (0,) * 5
+    assert dec.decode(0b11111, 0b11111) == 0b11111
+    assert dec.decode(0b11111, 0b00100) == 0
     # erasures drop positions: two ones against one zero still decodes
-    assert dec.decode((2, 2, 1, 1, 0)) == (1,) * 5
-    assert dec.decode((2, 1, 1, 0, 2)) == (1,) * 5
+    assert dec.decode(0b11100, 0b01100) == 0b11111
+    assert dec.decode(0b01110, 0b00110) == 0b11111
     # an even split on the kept positions is a tie
-    assert dec.decode((2, 1, 1, 0, 0)) is None
+    assert dec.decode(0b11110, 0b00110) is None
 
 
 def test_ml_decoder_tie_is_failure():
     dec = MLDecoder(LinearCode(Matrix.identity(GF(1), 2)))
     # one erased position leaves two codewords at distance zero
-    assert dec.decode((1, 2)) is None
-    assert dec.decode((1, 0)) == (1, 0)
+    assert dec.decode(0b01, 0b01) is None
+    assert dec.decode(0b11, 0b01) == 0b01
     with pytest.raises(ValueError):
-        dec.decode((1, 0, 1))
+        dec.decode(0b111, 0b101)
 
 
 def test_ml_decoder_failure_bound_closed_form():
@@ -99,36 +101,35 @@ def test_draw_hash_reaches_full_stacked_rank():
 
 
 def test_partition_shapes_and_choice():
-    word = TernaryWord((0, 1, ERASED, 1, 0, 0, ERASED, 1))
-    first, second = p0_partition(word, 4, want_first=True)
+    clean = 0b10111011                    # positions 2 and 6 erased
+    first, second = p0_partition(clean, 4, want_first=True)
     assert first == (0, 1, 3, 4)          # first 4 clean indices
     assert second == (2, 5, 6, 7)         # erasures plus the clean surplus
-    swapped_f, swapped_s = p0_partition(word, 4, want_first=False)
+    swapped_f, swapped_s = p0_partition(clean, 4, want_first=False)
     assert (swapped_f, swapped_s) == (second, first)
     assert sorted(first + second) == list(range(8))
 
 
 def test_partition_abort_and_validation():
     with pytest.raises(ChannelAbort):
-        p0_partition(TernaryWord((0, ERASED, ERASED, ERASED)), 2, True)
+        p0_partition(0b0001, 2, True)
     with pytest.raises(ValueError):
-        p0_partition(TernaryWord((0, 1, 0)), 2, True)
+        p0_partition(0b10000, 2, True)    # a bit at 2 n0
 
 
 def test_partition_random_properties():
     rng = derive_rng(41)
     for _ in range(200):
         n0 = int(rng.integers(2, 9))
-        syms = tuple(int(s) for s in rng.integers(0, 3, size=2 * n0))
-        word = TernaryWord(syms)
-        if word.unerased_count < n0:
+        clean = int(rng.integers(0, 1 << 2 * n0))
+        if clean.bit_count() < n0:
             with pytest.raises(ChannelAbort):
-                p0_partition(word, n0, True)
+                p0_partition(clean, n0, True)
             continue
-        first, second = p0_partition(word, n0, True)
+        first, second = p0_partition(clean, n0, True)
         assert len(first) == n0
         assert sorted(first + second) == list(range(2 * n0))
-        assert all(word.symbols[i] != 2 for i in first)
+        assert all(clean >> i & 1 for i in first)
         assert list(first) == sorted(first)
         assert list(second) == sorted(second)
 
@@ -139,19 +140,19 @@ def test_encode_decode_round_trip_noiseless():
     params = make_params(phi=0.0, code=code, m=3)
     hm, coset = params.draw_hash(rng)
     sent = tuple(int(b) for b in rng.integers(0, 2, size=30))
-    word = TernaryWord(sent)
-    first, second = p0_partition(word, 15, True)
+    clean, values = pack_received(sent)   # nothing erased
+    first, second = p0_partition(clean, 15, True)
     s1, s2 = (1, 0, 1), (0, 1, 1)
     enc = p0_alice_encode(s1, s2, first, second, sent, params, coset, rng)
     # embedded codewords carry the right hash and parity
     for cw, s in ((enc["codeword_first"], s1), (enc["codeword_second"], s2)):
-        assert parity_check(code).apply(cw) == (0,) * 10
-        assert hm.apply(cw) == s
-    got, cw = p0_bob_decode(enc["masked_first"], word, first,
+        assert apply(parity_check(code), cw) == (0,) * 10
+        assert apply(hm, cw) == s
+    got, cw = p0_bob_decode(enc["masked_first"], clean, values, first,
                             enc["perm_first"], params.decoder, hm)
     assert got == s1
-    assert list(cw) == enc["codeword_first"]
-    got2, _ = p0_bob_decode(enc["masked_second"], word, second,
+    assert cw == pack(code.field, enc["codeword_first"])
+    got2, _ = p0_bob_decode(enc["masked_second"], clean, values, second,
                             enc["perm_second"], params.decoder, hm)
     assert got2 == s2
 
@@ -201,7 +202,7 @@ def test_p0_run_noiseless_exact():
         session = p0_run(s1, s2, want_first, params, rng)
         assert session.status == "ok"
         assert session.output == (s1 if want_first else s2)
-        t = session.transcript
+        t = session.transcript()
         assert t["params"]["channel_bits"] == 60
         assert t["outcome"]["unerased_count"] == 30
         assert t["outcome"]["status"] == "ok"
@@ -213,7 +214,7 @@ def test_p0_run_statuses_match_transcript():
     for t in range(300):
         rng = derive_rng(45, t)
         session = p0_run((1,), (0,), bool(t % 2), params, rng)
-        tr = session.transcript
+        tr = session.transcript()
         if session.status == "abort":
             aborts += 1
             assert tr["outcome"]["unerased_count"] < 6
@@ -246,7 +247,7 @@ def test_p0_run_success_rate_moderate_noise():
 def test_p0_run_transcript_json_shape():
     params = make_params(n0=4, phi=0.0, code=rep_code(4))
     session = p0_run((1,), (0,), True, params, derive_rng(47))
-    blob = session.transcript
+    blob = session.transcript()
     assert blob["params"]["block_len"] == 4
     assert blob["params"]["channel_bits"] == 16
     assert blob["outcome"]["status"] == "ok"
@@ -318,7 +319,7 @@ def test_p0q_run_noiseless_all_indices():
         session = p0q_run(secrets, index, params, derive_rng(51, index))
         assert session.status == "ok"
         assert session.output == secrets[index]
-        inner = session.transcript["inner"]
+        inner = session.transcript()["inner"]
         assert len(inner) == 3
         assert sum(tr["params"]["channel_bits"] for tr in inner) == 3 * 4 * 15
 

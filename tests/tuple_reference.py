@@ -1,10 +1,14 @@
 """Tuple arithmetic over GF(2^e): the symbol-by-symbol references that
 the packed rows of `otlab.linalg` and the outer rounds' bit-plane
-serialization are checked against."""
+serialization are checked against, and received words over {0, 1,
+ERASED} for the packed (mask, target) pairs of the channel and the
+decoder."""
 
 import functools
 
 from otlab.linalg import Matrix
+
+ERASED = 2  # a received symbol whose two copies disagreed
 
 
 @functools.cache
@@ -48,6 +52,13 @@ def schur(field, u, v):
     return tuple(mul(field, a, b) for a, b in zip(u, v))
 
 
+def apply(matrix, v):
+    """The matrix-vector product A v, row by row."""
+    if len(v) != matrix.ncols:
+        raise ValueError(f"expected length {matrix.ncols}, got {len(v)}")
+    return tuple(dot(matrix.field, r, v) for r in matrix.rows)
+
+
 def naive_matmul(a, b):
     """a @ b by the triple loop over entries."""
     f, arows, brows = a.field, a.rows, b.rows
@@ -76,3 +87,14 @@ def bits_to_block(bits, degree):
             if bits[b * m + i]:
                 block[i] |= 1 << b
     return tuple(block)
+
+
+def pack_received(symbols):
+    """A word over {0, 1, ERASED} as (mask, target): the mask of its
+    non-erased positions and its values there."""
+    mask = target = 0
+    for i, s in enumerate(symbols):
+        if s != ERASED:
+            mask |= 1 << i
+            target |= s << i
+    return mask, target
