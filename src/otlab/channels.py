@@ -5,9 +5,10 @@ Sending each bit twice through a BSC(phi) and post-processing the pair
 into an erasure-plus-error channel: erasure probability
 eps = 2*phi*(1 - phi), and a surviving symbol is wrong with probability
 p = phi^2 / (1 - eps).  The pair (eps, p) is derived from phi everywhere.
-A folded word stays packed as two ints, the mask of clean positions and
-the values under it; the transcripts alone spell it out with "*" for an
-erasure.
+Bit vectors are packed ints, bit i being entry i: random_bits draws
+one, the sent word goes in as one, and a folded word comes out as two,
+the mask of clean positions and the values under it; the transcripts
+alone spell them out, with "*" for an erasure.
 
 All randomness flows through one stream type, `Stream`: numpy's PCG64
 bit generator (O'Neill 2014) written in Python, seeded as numpy's
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:
     import numpy as np
@@ -241,9 +242,9 @@ def derive_rng(master_seed: int, *key: int) -> Stream:
     return Stream(*_seed_state(entropy + spawn))
 
 
-def random_bits(rng: Stream, m: int) -> tuple:
-    """m uniform bits from one rng.integers draw."""
-    return tuple(rng.integers(0, 2, size=m))
+def random_bits(rng: Stream, m: int) -> int:
+    """m uniform bits from one rng.integers draw, packed: bit i is draw i."""
+    return _mask(rng.integers(0, 2, size=m))
 
 
 @dataclass(frozen=True)
@@ -276,23 +277,25 @@ def _mask(flags: list) -> int:
     return int("".join(["1" if f else "0" for f in reversed(flags)]) or "0", 2)
 
 
-def duplicate_round_trip(bits: Sequence[int], phi: float,
+def duplicate_round_trip(bits: int, n: int, phi: float,
                          rng: Stream) -> tuple[int, int]:
-    """Send every bit twice through BSC(phi) and fold the pairs.
+    """Send the n-bit packed word `bits` twice through BSC(phi) and fold
+    the pairs.
 
     Returns the received word as two ints (clean, values): bit i of clean
     is set when the two copies of bit i matched, and bit i of values is
     then their common value (0 where the pair was erased).  The flips are
-    one draw of 2 len(bits) uniforms, two per bit in order; uniform
-    (x >> 11) 2^-53 falls below phi exactly when x >> 11 < phi 2^53, that
-    is when x < ceil(phi 2^53) 2^11 (phi 2^53 is exact), which compares
-    ints with no rounding.
+    one draw of 2 n uniforms, two per bit in order; uniform (x >> 11)
+    2^-53 falls below phi exactly when x >> 11 < phi 2^53, that is when
+    x < ceil(phi 2^53) 2^11 (phi 2^53 is exact), which compares ints with
+    no rounding.
     """
     if not 0.0 <= phi < 0.5:
         raise ValueError(f"crossover must be in [0, 1/2), got {phi}")
+    if bits >> n:  # also true for a negative int
+        raise ValueError(f"sent word has a bit outside 0..{n - 1}")
     limit = math.ceil(phi * 2.0 ** 53) << 11
-    raw = rng.random_raw(2 * len(bits))
-    first = [x < limit for x in raw[::2]]
-    clean = _mask([f == (y < limit) for f, y in zip(first, raw[1::2])])
-    return clean, _mask([b ^ f for b, f in zip(bits, first)]) & clean
-
+    raw = rng.random_raw(2 * n)
+    first = _mask([x < limit for x in raw[::2]])
+    clean = ~(first ^ _mask([y < limit for y in raw[1::2]])) & (1 << n) - 1
+    return clean, (bits ^ first) & clean

@@ -11,7 +11,9 @@ each request rides one 1-of-q inner transfer.  His harvest is
 v = x + diag(mu) D, so H v^T = s + V(u)(s + t) with V(u)_{ij} =
 u . (H_i * H_j): the mask's membership in the dual of the square kills V
 and yields s, and the +1 shift flips it to t, while any single round
-looks like a uniform block either way.
+looks like a uniform block either way.  A candidate row rides its inner
+transfer as one packed int of bit-planes (block_to_bits), and Bob's
+harvest comes back through bits_to_block.
 
 The compressed ("private") variants publish compression matrices M_s and
 M_t only after the last round; the halved secrets M_s s, M_t t are what
@@ -32,24 +34,24 @@ if TYPE_CHECKING:
     from .channels import Stream
 
 
-def block_to_bits(row: int, m: int, degree: int) -> tuple:
+def block_to_bits(row: int, m: int, degree: int) -> int:
     """Serialize a packed row of m GF(2^degree) symbols as degree
-    bit-planes.
+    bit-planes, packed.
 
-    Plane b holds bit b of every symbol; planes are concatenated in
-    ascending order, so the result has m * degree bits and XOR of
-    serialized rows matches field addition of the rows.
+    Plane b holds bit b of every symbol: bit b m + i of the result is bit
+    b of symbol i (bit degree i + b of row), so XOR of serialized rows
+    matches field addition of the rows, and degree 1 is the identity.
     """
-    return tuple(row >> degree * i + b & 1
-                 for b in range(degree) for i in range(m))
+    return sum((row >> degree * i + b & 1) << b * m + i
+               for b in range(degree) for i in range(m))
 
 
-def bits_to_block(bits: Sequence[int], degree: int) -> int:
-    """The packed row that block_to_bits serialized as `bits`."""
-    if len(bits) % degree:
-        raise ValueError("bit length is not a multiple of the degree")
-    m = len(bits) // degree
-    return sum(bits[b * m + i] << degree * i + b
+def bits_to_block(bits: int, m: int, degree: int) -> int:
+    """The packed row of m symbols that block_to_bits serialized as
+    `bits`."""
+    if bits >> m * degree:  # also true for a negative int
+        raise ValueError("serialized block is wider than m degree bits")
+    return sum((bits >> b * m + i & 1) << degree * i + b
                for b in range(degree) for i in range(m))
 
 
@@ -232,12 +234,12 @@ def run_session(params: OuterParams, first_secret: Matrix,
     statuses = []
     degree, width = f.degree, params.block_syms
     for ell in range(params.rounds):
-        blocks_bits = [block_to_bits(c.packed[ell], width, degree)
-                       for c in [x, *ys]]
-        inner = p0q_run(blocks_bits, requests[ell], params.inner, rng)
+        blocks = [block_to_bits(c.packed[ell], width, degree)
+                  for c in [x, *ys]]
+        inner = p0q_run(blocks, requests[ell], params.inner, rng)
         statuses.append(inner.status)
         harvest_rows.append(None if inner.output is None
-                            else bits_to_block(inner.output, degree))
+                            else bits_to_block(inner.output, width, degree))
     events.append("rounds_complete")
 
     harvest = None

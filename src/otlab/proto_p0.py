@@ -21,7 +21,8 @@ The unchosen mask looks to Bob like a codeword through the
 erasure-plus-error analysis channel; the random permutation is what makes
 the erasure pattern uniform.  The 1-of-q variant chains q - 1 sessions
 with one-time pads so that asking for the first element of a pair burns
-every later pad.
+every later pad.  Secrets, pads, sent bits, codewords and masked words
+are packed ints, bit i being entry i; only a transcript lists them.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .analysis import binary_entropy
 from .channels import BscParams, duplicate_round_trip, random_bits
 from .codes import (DEFAULT_ENUM_LIMIT, EnumerationLimit, LinearCode,
                     check_budget)
-from .linalg import (Coset, Matrix, NearestSpanWord, dot, eliminate, pack,
+from .linalg import (Coset, Matrix, NearestSpanWord, dot, eliminate,
                      random_matrix, span_words, subset_sums, unpack,
                      weights)
 
@@ -247,16 +248,22 @@ def p0_partition(clean: int, block_len: int,
     return (good, rest) if want_first else (rest, good)
 
 
-def p0_alice_encode(first_secret: Sequence[int], second_secret: Sequence[int],
-                    set_first: Sequence[int], set_second: Sequence[int],
-                    sent_bits: Sequence[int], params: P0Params,
-                    coset: Coset,
-                    rng: Stream) -> dict:
-    """Alice's response to the announced partition, as her transcript
-    view: perm_, masked_ and codeword_ lists for each secret (_first,
-    _second).
+def _gather(word: int, positions: Sequence[int], perm: Sequence[int]) -> int:
+    """The packed word whose bit t is the bit of word at positions[perm[t]]."""
+    out = 0
+    for t, j in enumerate(perm):
+        out |= (word >> positions[j] & 1) << t
+    return out
 
-    Each secret is embedded as a uniform codeword with that hash (a
+
+def p0_alice_encode(first_secret: int, second_secret: int,
+                    set_first: Sequence[int], set_second: Sequence[int],
+                    sent: int, params: P0Params, coset: Coset,
+                    rng: Stream) -> tuple[tuple, tuple]:
+    """Alice's response to the announced partition: (perm, codeword,
+    masked) for each secret, first then second, the words packed.
+
+    Each m-bit secret is embedded as a uniform codeword with that hash (a
     sample of the session's coset from draw_hash), then masked by the
     sent bits at freshly permuted positions of the announced set.
     """
@@ -265,41 +272,32 @@ def p0_alice_encode(first_secret: Sequence[int], second_secret: Sequence[int],
         raise ValueError("both announced sets must have size n0")
     if set(set_first) & set(set_second):
         raise ValueError("announced sets overlap")
-    if len(first_secret) != m or len(second_secret) != m:
-        raise ValueError("secrets must have length m")
-    if not {*first_secret, *second_secret} <= {0, 1}:
-        raise ValueError("secrets must be bit vectors")
-
-    view = {}
-    for side, secret, positions in (("first", first_secret, set_first),
-                                    ("second", second_secret, set_second)):
-        cw = unpack(coset.field, coset.sample(pack(coset.field, secret), rng),
-                    n0)
+    if first_secret >> m or second_secret >> m:  # or either is negative
+        raise ValueError(f"secrets must be ints in 0..2^{m} - 1")
+    sides = []
+    for secret, positions in ((first_secret, set_first),
+                              (second_secret, set_second)):
+        cw = coset.sample(secret, rng)
         perm = rng.permutation(n0)
-        view[f"perm_{side}"] = perm
-        view[f"masked_{side}"] = [cw[t] ^ sent_bits[positions[perm[t]]]
-                                  for t in range(n0)]
-        view[f"codeword_{side}"] = list(cw)
-    return view
+        sides.append((perm, cw, cw ^ _gather(sent, positions, perm)))
+    return tuple(sides)
 
 
-def p0_bob_decode(masked: Sequence[int], clean: int, values: int,
+def p0_bob_decode(masked: int, clean: int, values: int,
                   positions: Sequence[int], perm: Sequence[int],
                   decoder: MLDecoder, hash_matrix: Matrix
-                  ) -> tuple[Optional[tuple], Optional[int]]:
-    """Unmask on the chosen set and decode; returns (secret, packed
-    codeword).  Position t reads the received pair at positions[perm[t]],
-    erased unless its bit is set in clean."""
-    mask = target = 0
-    for t, j in enumerate(perm):
-        i = positions[j]
-        if clean >> i & 1:
-            mask |= 1 << t
-            target |= (masked[t] ^ values >> i & 1) << t
-    cw = decoder.decode(mask, target)
+                  ) -> tuple[Optional[int], Optional[int]]:
+    """Unmask on the chosen set and decode; returns the packed (secret,
+    codeword), or (None, None).  Position t reads the received pair at
+    positions[perm[t]], erased unless its bit is set in clean."""
+    mask = _gather(clean, positions, perm)
+    cw = decoder.decode(mask, (masked ^ _gather(values, positions, perm))
+                        & mask)
     if cw is None:
         return None, None
-    return tuple(dot(hash_matrix.field, r, cw) for r in hash_matrix.packed), cw
+    f = hash_matrix.field
+    return sum(dot(f, row, cw) << i
+               for i, row in enumerate(hash_matrix.packed)), cw
 
 
 @dataclass(frozen=True)
@@ -307,7 +305,8 @@ class Session:
     """The result of one session of any protocol.
 
     status is "ok", "abort" or "decode_failure"; output is what Bob
-    recovered, or None.  transcript() builds both parties' views as the
+    recovered (a packed secret, or a Matrix for the string protocols), or
+    None.  transcript() builds both parties' views as the
     report JSON; only `cli._run_trial` calls it, for the trials below
     `run --transcripts`, so a session builds nothing for the others.
     """
@@ -317,48 +316,50 @@ class Session:
     transcript: Callable[[], dict]
 
 
-def p0_run(first_secret: Sequence[int], second_secret: Sequence[int],
-           want_first: bool, params: P0Params,
-           rng: Stream) -> Session:
-    """One full honest session; spends 4 n0 channel bits regardless."""
+def p0_run(first_secret: int, second_secret: int, want_first: bool,
+           params: P0Params, rng: Stream) -> Session:
+    """One full honest session on m-bit packed secrets; spends 4 n0
+    channel bits regardless."""
     n0 = params.block_len
     phi = params.channel.crossover
     hash_matrix, coset = params.draw_hash(rng)
     sent = random_bits(rng, 2 * n0)
-    clean, values = duplicate_round_trip(sent, phi, rng)
-    status, secret, cw, view = "abort", None, None, None
+    clean, values = duplicate_round_trip(sent, 2 * n0, phi, rng)
+    status, secret, cw, sides = "abort", None, None, None
     try:
         sets = p0_partition(clean, n0, want_first)
     except ChannelAbort as exc:
         abort_reason = str(exc)
     else:
-        view = p0_alice_encode(first_secret, second_secret, *sets, sent,
-                               params, coset, rng)
-        side = "first" if want_first else "second"
-        secret, cw = p0_bob_decode(
-            view[f"masked_{side}"], clean, values,
-            sets[0] if want_first else sets[1],
-            view[f"perm_{side}"], params.decoder, hash_matrix)
+        sides = p0_alice_encode(first_secret, second_secret, *sets, sent,
+                                params, coset, rng)
+        chosen = 0 if want_first else 1
+        perm, _, masked = sides[chosen]
+        secret, cw = p0_bob_decode(masked, clean, values, sets[chosen], perm,
+                                   params.decoder, hash_matrix)
         status = "decode_failure" if secret is None else "ok"
 
     def transcript() -> dict:
-        alice_view = {"sent_bits": list(sent)}
+        def bits(word: int, n: int = n0) -> list:
+            return list(unpack(hash_matrix.field, word, n))
+        alice_view = {"sent_bits": bits(sent, 2 * n0)}
         bob_view = {"received": "".join(
             str(values >> i & 1) if clean >> i & 1 else "*"
             for i in range(2 * n0)), "want_first": want_first}
-        if view is None:
+        if sides is None:
             bob_view["abort_reason"] = abort_reason
         else:
-            alice_view.update(view, set_first=list(sets[0]),
-                              set_second=list(sets[1]),
-                              hash_matrix=hash_matrix.to_json())
-            bob_view.update(
-                masked_first=view["masked_first"],
-                masked_second=view["masked_second"],
-                decoded=None if cw is None
-                else list(unpack(hash_matrix.field, cw, n0)))
+            for name, positions, (perm, word, masked) in zip(
+                    ("first", "second"), sets, sides):
+                alice_view.update({
+                    f"set_{name}": list(positions), f"perm_{name}": perm,
+                    f"codeword_{name}": bits(word),
+                    f"masked_{name}": bits(masked)})
+                bob_view[f"masked_{name}"] = alice_view[f"masked_{name}"]
+            alice_view["hash_matrix"] = hash_matrix.to_json()
+            bob_view["decoded"] = None if cw is None else bits(cw)
             if secret is not None:
-                bob_view["secret"] = list(secret)
+                bob_view["secret"] = bits(secret, params.secret_bits)
         return {
             "params": {"block_len": n0, "crossover": phi,
                        "secret_bits": params.secret_bits,
@@ -371,34 +372,36 @@ def p0_run(first_secret: Sequence[int], second_secret: Sequence[int],
     return Session(status, secret, transcript)
 
 
-def chain_1_of_q(secrets: Sequence[Sequence[int]],
-                 rng: Stream) -> list[tuple[tuple, tuple]]:
-    """Pair list for the 1-of-q chaining of q secrets of equal length.
+def _chain(secrets: Sequence[int], free_pads: Sequence[int]
+           ) -> list[tuple[int, int]]:
+    """The chained pairs (secret_j xor the pads before j, pad_j) for
+    j < q - 1, where the pads are free_pads and then the last secret xor
+    every free pad."""
+    last = secrets[-1]
+    for pad in free_pads:
+        last ^= pad
+    pairs, prefix = [], 0
+    for secret, pad in zip(secrets, [*free_pads, last]):
+        pairs.append((secret ^ prefix, pad))
+        prefix ^= pad
+    return pairs
+
+
+def chain_1_of_q(secrets: Sequence[int], m: int,
+                 rng: Stream) -> list[tuple[int, int]]:
+    """Pair list for the 1-of-q chaining of q m-bit packed secrets.
 
     Pads r_0 .. r_{q-2} are uniform subject to their sum being the last
-    secret; pair j is (secret_j xor pads_before_j, pad_j).  Learning the
-    first element of pair j costs the pad r_j and with it every later
-    secret.
+    secret (r_0 .. r_{q-3} are drawn in order); pair j is
+    (secret_j xor pads_before_j, pad_j).  Learning the first element of
+    pair j costs the pad r_j and with it every later secret.
     """
     q = len(secrets)
     if q < 2 or (q & (q - 1)) != 0:
         raise ValueError(f"need a power-of-two count of secrets, got {q}")
-    m = len(secrets[0])
-    if any(len(s) != m for s in secrets):
-        raise ValueError("secrets must share one length")
-    pads = [random_bits(rng, m) for _ in range(q - 2)]
-    last = list(secrets[q - 1])
-    for pad in pads:
-        for i, b in enumerate(pad):
-            last[i] ^= b
-    pads.append(tuple(last))
-    pairs = []
-    prefix = (0,) * m
-    for j in range(q - 1):
-        first = tuple(a ^ b for a, b in zip(secrets[j], prefix))
-        pairs.append((first, pads[j]))
-        prefix = tuple(a ^ b for a, b in zip(prefix, pads[j]))
-    return pairs
+    if any(s >> m for s in secrets):  # also true for a negative int
+        raise ValueError(f"secrets must be ints in 0..2^{m} - 1")
+    return _chain(secrets, [random_bits(rng, m) for _ in range(q - 2)])
 
 
 def chain_access_audit(q: int, m: int) -> dict[tuple, tuple]:
@@ -416,26 +419,15 @@ def chain_access_audit(q: int, m: int) -> dict[tuple, tuple]:
         raise ValueError(f"need a power-of-two secret count, got {q}")
     check_budget(1 << (2 * q - 2) * m, DEFAULT_ENUM_LIMIT,
                  f"2^{(2 * q - 2) * m} worlds")
-    space = 1 << m
+    space = range(1 << m)
+    worlds = [(secrets, _chain(secrets, free))
+              for secrets in itertools.product(space, repeat=q)
+              for free in itertools.product(space, repeat=q - 2)]
     results: dict[tuple, tuple] = {}
-    worlds = []
-    for secrets in itertools.product(range(space), repeat=q):
-        for free in itertools.product(range(space), repeat=q - 2):
-            acc = secrets[q - 1]
-            for pad in free:
-                acc ^= pad
-            pads = free + (acc,)
-            firsts = []
-            prefix = 0
-            for j in range(q - 1):
-                firsts.append(secrets[j] ^ prefix)
-                prefix ^= pads[j]
-            worlds.append((secrets, tuple(firsts), pads))
     for pattern in itertools.product((0, 1), repeat=q - 1):
         classes: dict[tuple, list] = {}
-        for secrets, firsts, pads in worlds:
-            view = tuple(pads[j] if pattern[j] else firsts[j]
-                         for j in range(q - 1))
+        for secrets, pairs in worlds:
+            view = tuple(pair[bit] for pair, bit in zip(pairs, pattern))
             classes.setdefault(view, []).append(secrets)
         recoverable = []
         for i in range(q):
@@ -446,9 +438,10 @@ def chain_access_audit(q: int, m: int) -> dict[tuple, tuple]:
     return results
 
 
-def p0q_run(secrets: Sequence[Sequence[int]], index: int, params: P0Params,
+def p0q_run(secrets: Sequence[int], index: int, params: P0Params,
             rng: Stream) -> Session:
-    """1-of-q transfer: q - 1 chained sessions, honest access pattern.
+    """1-of-q transfer of m-bit packed secrets: q - 1 chained sessions,
+    honest access pattern.
 
     Bob asks for the first element only at pair `index` (never, when he
     wants the last secret) and recombines with the pads he collected.
@@ -457,7 +450,7 @@ def p0q_run(secrets: Sequence[Sequence[int]], index: int, params: P0Params,
     q = len(secrets)
     if not 0 <= index < q:
         raise ValueError(f"index must be in 0..{q - 1}")
-    pairs = chain_1_of_q(secrets, rng)
+    pairs = chain_1_of_q(secrets, params.secret_bits, rng)
     sessions = [p0_run(first, second, j == index, params, rng)
                 for j, (first, second) in enumerate(pairs)]
     worst = next((s.status for s in sessions if s.status != "ok"), "ok")
@@ -468,8 +461,7 @@ def p0q_run(secrets: Sequence[Sequence[int]], index: int, params: P0Params,
     if any(s.output is None for s in needed):
         return Session(worst if worst != "ok" else "decode_failure", None,
                        transcript)
-    acc = [0] * params.secret_bits
+    acc = 0
     for s in needed:
-        for i, b in enumerate(s.output):
-            acc[i] ^= b
-    return Session(worst, tuple(acc), transcript)
+        acc ^= s.output
+    return Session(worst, acc, transcript)

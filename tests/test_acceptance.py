@@ -108,8 +108,8 @@ def test_criterion_03_protocol_correctness():
     sessions = 10_000
     hits = 0
     for _ in range(sessions):
-        s1 = (int(rng.integers(0, 2)),)
-        s2 = (int(rng.integers(0, 2)),)
+        s1 = int(rng.integers(0, 2))  # one-bit packed secrets
+        s2 = int(rng.integers(0, 2))
         want_first = bool(rng.integers(0, 2))
         out = p0_run(s1, s2, want_first, params, rng)
         if out.status == "ok" and out.output == (s1 if want_first else s2):

@@ -7,7 +7,8 @@ import random
 import numpy as np
 import pytest
 
-from otlab.channels import BscParams, derive_rng, duplicate_round_trip
+from otlab.channels import (BscParams, derive_rng, duplicate_round_trip,
+                            random_bits)
 from otlab.gf import GF
 from otlab.linalg import pack
 
@@ -173,14 +174,14 @@ def test_bsc_transmit_flip_rate():
 def test_duplicate_round_trip_noiseless():
     rng = derive_rng(3)
     bits = tuple(int(b) for b in rng.integers(0, 2, size=64))
-    clean, values = duplicate_round_trip(bits, 0.0, rng)
+    clean, values = duplicate_round_trip(pack(GF(1), bits), 64, 0.0, rng)
     assert clean == (1 << 64) - 1
     assert values == pack(GF(1), bits)
 
 
 def test_duplicate_round_trip_golden():
     rng = derive_rng(7, 3, 1)
-    got = duplicate_round_trip((0, 1) * 10, 0.25, rng)
+    got = duplicate_round_trip(pack(GF(1), (0, 1) * 10), 20, 0.25, rng)
     assert got == pack_received(tuple(ERASED if c == "*" else int(c)
                                       for c in "0*0*0**1*11*01*10101"))
 
@@ -191,8 +192,7 @@ def test_duplicate_round_trip_statistics():
     phi = 0.198
     params = BscParams(phi)
     n = 400_000
-    bits = (0,) * n
-    clean, values = duplicate_round_trip(bits, phi, rng)
+    clean, values = duplicate_round_trip(0, n, phi, rng)
     eps = params.erasure_rate
     sig_e = (n * eps * (1 - eps)) ** 0.5
     survivors = clean.bit_count()
@@ -217,7 +217,8 @@ def test_duplicate_round_trip_matches_per_symbol_loop():
         for seed in range(2000):
             bits = tuple(int(b) for b in
                          derive_rng(seed, 1).integers(0, 2, size=n0))
-            got = duplicate_round_trip(bits, 0.198, derive_rng(seed, 2))
+            got = duplicate_round_trip(pack(GF(1), bits), n0, 0.198,
+                                       derive_rng(seed, 2))
             want = reference(bits, 0.198, derive_rng(seed, 2))
             assert got == want
 
@@ -225,7 +226,17 @@ def test_duplicate_round_trip_matches_per_symbol_loop():
 def test_duplicate_round_trip_validation():
     rng = derive_rng(5)
     with pytest.raises(ValueError):
-        duplicate_round_trip((0, 1), 0.6, rng)
+        duplicate_round_trip(0b10, 2, 0.6, rng)
+    for bits in (0b100, 0b110, -1):  # a bit at or above n = 2
+        with pytest.raises(ValueError):
+            duplicate_round_trip(bits, 2, 0.1, rng)
+    assert duplicate_round_trip(0b11, 2, 0.0, rng) == (0b11, 0b11)
+
+
+def test_random_bits_packs_one_integers_draw():
+    for m in (0, 1, 5, 64, 200):
+        want = derive_rng(6, m).integers(0, 2, size=m)
+        assert random_bits(derive_rng(6, m), m) == pack(GF(1), want)
 
 
 def test_false_duplicate_statistics():

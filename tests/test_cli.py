@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from otlab import cli, proto_outer
+from otlab import cli, linalg, proto_outer
 from otlab.analysis import detection_rule
 from otlab.channels import derive_rng
 from otlab.cli import ConfigError, _normalize_run
@@ -289,8 +289,8 @@ def test_run_abort_dominated_exits_4():
 def test_run_every_protocol_noiseless(monkeypatch):
     """Every protocol succeeds at phi = 0.  A transcript is built only for
     a trial the report keeps: at --transcripts 0 no session serializes a
-    matrix or computes V(u), and keeping trial 0's transcript changes no
-    other byte of the report."""
+    matrix, computes V(u) or unpacks a bit vector into a list, and
+    keeping trial 0's transcript changes no other byte of the report."""
     calls = []
 
     def counted(name, fn):
@@ -302,6 +302,14 @@ def test_run_every_protocol_noiseless(monkeypatch):
     monkeypatch.setattr(Matrix, "to_json", counted("to_json", Matrix.to_json))
     monkeypatch.setattr(proto_outer, "cheat_matrix_V",
                         counted("V", proto_outer.cheat_matrix_V))
+    unpack = linalg.unpack
+    sites = [name for name, module in sys.modules.items()
+             if name.startswith("otlab.")
+             and getattr(module, "unpack", None) is unpack]
+    assert {"otlab.linalg", "otlab.codes", "otlab.proto_p0"} <= set(sites)
+    for name in sites:
+        monkeypatch.setattr(sys.modules[name], "unpack",
+                            counted("unpack", unpack))
     for protocol in ("p0", "p0q", "p1", "p1prime", "p2", "p2prime"):
         args = ["run", "--protocol", protocol, "--phi", "0",
                 "--n0", "6", "--trials", "2", "--seed", "4"]

@@ -17,8 +17,15 @@ P(decode_failure) for one session, some session fails with probability
 probability a / (a + f).
 
 The oracle enumerates the 2^n0 error patterns; `run`'s counts must lie
-inside both binomial tails at 1e-6.  The seeds were fixed before the
-first run.
+inside both binomial tails at 1e-6.
+
+The detection campaign counts surviving pairs over all 2 n n0 slots of
+n rounds: an honest pair survives w.p. 1 - eps and a false one w.p. eps,
+so with c of the slots corrupted Bob accuses Alice w.p. P(B1 + B2 <
+threshold), where B1 ~ Bin(slots - c, 1 - eps) and B2 ~ Bin(c, eps).
+Each campaign and each point of a sweep must lie inside both binomial
+tails of that law at 1e-6 too.  The seeds were fixed before the first
+run.
 """
 
 import itertools
@@ -26,7 +33,9 @@ import math
 
 import pytest
 
-from otlab.channels import BscParams
+from otlab.adversary import detection_campaign, detection_sweep
+from otlab.analysis import detection_rule
+from otlab.channels import BscParams, derive_rng
 from otlab.cli import cmd_run
 from otlab.codes import LinearCode, code_to_json
 from otlab.gf import GF
@@ -68,13 +77,32 @@ def p0q_outcome_law(generator, phi, q):
     return a * some_failure / (a + f), f * some_failure / (a + f)
 
 
+def binomial_pmf(trials, prob):
+    """P(X = k) for k = 0 .. trials, X ~ Bin(trials, prob), from logs."""
+    return [math.exp(math.lgamma(trials + 1) - math.lgamma(k + 1)
+                     - math.lgamma(trials - k + 1) + k * math.log(prob)
+                     + (trials - k) * math.log1p(-prob))
+            for k in range(trials + 1)]
+
+
 def binomial_tails(count, trials, prob):
     """(P(X <= count), P(X >= count)) for X ~ Bin(trials, prob)."""
-    pmf = [math.exp(math.lgamma(trials + 1) - math.lgamma(k + 1)
-                    - math.lgamma(trials - k + 1) + k * math.log(prob)
-                    + (trials - k) * math.log1p(-prob))
-           for k in range(trials + 1)]
+    pmf = binomial_pmf(trials, prob)
     return sum(pmf[:count + 1]), sum(pmf[count:])
+
+
+def accusation_law(rule, corrupted):
+    """P(B1 + B2 < threshold), B1 ~ Bin(slots - corrupted, 1 - eps) the
+    surviving honest pairs and B2 ~ Bin(corrupted, eps) the surviving
+    false ones: B1's CDF below the threshold minus each value of B2,
+    weighted by that value's chance."""
+    eps = BscParams(rule.crossover).erasure_rate
+    top = math.ceil(rule.threshold) - 1  # the largest accused count
+    honest_cdf = list(itertools.accumulate(
+        binomial_pmf(rule.slots - corrupted, 1 - eps)))
+    return sum(p * honest_cdf[min(top - j, len(honest_cdf) - 1)]
+               for j, p in enumerate(binomial_pmf(corrupted, eps))
+               if j <= top)
 
 
 def test_oracle_on_the_four_bit_repetition_code():
@@ -125,3 +153,42 @@ def test_run_rates_follow_the_exact_law(protocol, generator, phi, trials,
         count = round(rate * trials)
         low, high = binomial_tails(count, trials, prob)
         assert min(low, high) > TAIL, (count, trials, prob)
+
+
+def test_accusation_law_against_the_pmf_convolution():
+    # the two values quoted for phi 0.198, n0 15 and n 225
+    rule = detection_rule(225, 15, 0.198)
+    assert accusation_law(rule, 225) == pytest.approx(0.8601127, abs=1e-7)
+    assert accusation_law(rule, 0) == pytest.approx(0.1433675, abs=1e-7)
+    # the full convolution of the two pmfs on a small case
+    rule = detection_rule(3, 4, 0.2)
+    eps = BscParams(0.2).erasure_rate
+    for corrupted in (0, 1, 7, rule.slots):
+        honest = binomial_pmf(rule.slots - corrupted, 1 - eps)
+        false = binomial_pmf(corrupted, eps)
+        want = sum(a * b for i, a in enumerate(honest)
+                   for j, b in enumerate(false) if i + j < rule.threshold)
+        assert accusation_law(rule, corrupted) == pytest.approx(
+            want, rel=1e-12)
+
+
+DETECTION_ROUNDS = 225
+DETECTION_TRIALS = 4000
+CORRUPTED_GRID = (0, 120, 225)
+
+
+@pytest.mark.parametrize("phi, n0, seed", [
+    (0.198, 8, 121), (0.198, 15, 122), (0.1, 8, 123), (0.1, 15, 124)])
+def test_detection_campaigns_follow_the_exact_law(phi, n0, seed):
+    campaigns = [detection_campaign(DETECTION_ROUNDS, n0, phi, corrupted,
+                                    DETECTION_TRIALS,
+                                    derive_rng(seed, 0, i).numpy_generator())
+                 for i, corrupted in enumerate(CORRUPTED_GRID)]
+    sweep = detection_sweep(DETECTION_ROUNDS, n0, phi, CORRUPTED_GRID,
+                            DETECTION_TRIALS,
+                            derive_rng(seed, 1).numpy_generator())
+    for rep in (*campaigns, *sweep.points):
+        prob = accusation_law(rep.rule, rep.corrupted)
+        count = round(rep.accusation_rate * rep.trials)
+        low, high = binomial_tails(count, rep.trials, prob)
+        assert min(low, high) > TAIL, (rep.corrupted, count, prob)

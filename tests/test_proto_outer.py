@@ -62,31 +62,36 @@ def test_block_bit_serialization_round_trip():
         for width in (1, 2):
             for combo in product(range(f.order), repeat=width):
                 bits = block_to_bits(pack(f, combo), width, degree)
-                assert len(bits) == width * degree
-                assert bits_to_block(bits, degree) == pack(f, combo)
+                assert bits >> width * degree == 0
+                assert bits_to_block(bits, width, degree) == pack(f, combo)
+                if degree == 1:
+                    assert bits == pack(f, combo)
 
 
 def test_block_bit_serialization_is_additive():
     for a in range(8):
         for b in range(8):
-            lhs = tuple(x ^ y for x, y in zip(block_to_bits(a, 1, 3),
-                                              block_to_bits(b, 1, 3)))
+            lhs = block_to_bits(a, 1, 3) ^ block_to_bits(b, 1, 3)
             assert lhs == block_to_bits(a ^ b, 1, 3)
-    with pytest.raises(ValueError):
-        bits_to_block((1, 0, 1), 2)
+    for bits in (0b10000, -1):  # a bit at or above m degree = 4
+        with pytest.raises(ValueError):
+            bits_to_block(bits, 2, 2)
 
 
 def test_block_bit_serialization_matches_tuple_reference():
     """The packed serialization writes and reads the same plane-major bits
     as the symbol-by-symbol tuple loops."""
+    f2 = GF(1)
     for degree in (1, 2, 3, 4):
         f = GF(degree)
         for width in (1, 2, 3):
             for combo in product(range(f.order), repeat=width):
                 bits = block_to_bits(pack(f, combo), width, degree)
-                assert bits == tuple_reference.block_to_bits(combo, degree)
-                assert (tuple_reference.bits_to_block(bits, degree)
-                        == unpack(f, bits_to_block(bits, degree), width))
+                ref = tuple_reference.block_to_bits(combo, degree)
+                assert unpack(f2, bits, width * degree) == ref
+                assert (tuple_reference.bits_to_block(ref, degree)
+                        == unpack(f, bits_to_block(bits, width, degree),
+                                  width))
 
 
 def test_setup_identity_when_secrets_match():

@@ -7,7 +7,7 @@ import pytest
 from otlab.channels import BscParams, derive_rng
 from otlab.codes import EnumerationLimit, LinearCode, cyclic_code
 from otlab.gf import GF
-from otlab.linalg import Matrix, pack, rank
+from otlab.linalg import Matrix, pack, rank, unpack
 from otlab.proto_p0 import (ChannelAbort, MLDecoder, P0Params,
                             chain_1_of_q, chain_access_audit, p0_alice_encode,
                             p0_bob_decode, p0_partition, p0_run,
@@ -16,6 +16,7 @@ from otlab.proto_p0 import (ChannelAbort, MLDecoder, P0Params,
 from tuple_reference import apply, pack_received
 
 C15_5_GEN = (1, 1, 1, 0, 1, 1, 0, 0, 1, 0, 1)
+F2 = GF(1)
 
 
 def rep_code(n):
@@ -143,34 +144,43 @@ def test_encode_decode_round_trip_noiseless():
     clean, values = pack_received(sent)   # nothing erased
     first, second = p0_partition(clean, 15, True)
     s1, s2 = (1, 0, 1), (0, 1, 1)
-    enc = p0_alice_encode(s1, s2, first, second, sent, params, coset, rng)
-    # embedded codewords carry the right hash and parity
-    for cw, s in ((enc["codeword_first"], s1), (enc["codeword_second"], s2)):
-        assert apply(parity_check(code), cw) == (0,) * 10
-        assert apply(hm, cw) == s
-    got, cw = p0_bob_decode(enc["masked_first"], clean, values, first,
-                            enc["perm_first"], params.decoder, hm)
-    assert got == s1
-    assert cw == pack(code.field, enc["codeword_first"])
-    got2, _ = p0_bob_decode(enc["masked_second"], clean, values, second,
-                            enc["perm_second"], params.decoder, hm)
-    assert got2 == s2
+    sides = p0_alice_encode(pack(F2, s1), pack(F2, s2), first, second,
+                            pack(F2, sent), params, coset, rng)
+    for (perm, cw, masked), s, positions in zip(sides, (s1, s2),
+                                                (first, second)):
+        # embedded codewords carry the right hash and parity
+        word = unpack(F2, cw, 15)
+        assert apply(parity_check(code), word) == (0,) * 10
+        assert apply(hm, word) == s
+        # bit t is masked by the sent bit at positions[perm[t]]
+        assert unpack(F2, masked, 15) == tuple(
+            word[t] ^ sent[positions[perm[t]]] for t in range(15))
+    (perm1, cw1, masked1), (perm2, _, masked2) = sides
+    got, cw = p0_bob_decode(masked1, clean, values, first, perm1,
+                            params.decoder, hm)
+    assert got == pack(F2, s1)
+    assert cw == cw1
+    got2, _ = p0_bob_decode(masked2, clean, values, second, perm2,
+                            params.decoder, hm)
+    assert got2 == pack(F2, s2)
 
 
 def test_encode_validation():
     rng = derive_rng(43)
     params = make_params(phi=0.0, n0=3, code=rep_code(3))
     _, coset = params.draw_hash(rng)
-    sent = (0,) * 6
     with pytest.raises(ValueError):
-        p0_alice_encode((1,), (0,), (0, 1, 2), (2, 3, 4), sent, params,
-                        coset, rng)       # overlap
+        p0_alice_encode(1, 0, (0, 1, 2), (2, 3, 4), 0, params, coset,
+                        rng)       # overlap
     with pytest.raises(ValueError):
-        p0_alice_encode((1,), (0,), (0, 1), (2, 3, 4), sent, params, coset,
-                        rng)
-    with pytest.raises(ValueError):
-        p0_alice_encode((1, 0), (0, 1), (0, 1, 2), (3, 4, 5), sent, params,
-                        coset, rng)       # secrets too long
+        p0_alice_encode(1, 0, (0, 1), (2, 3, 4), 0, params, coset, rng)
+    for bad in (0b10, 0b11, -1):   # m = 1: negative or a bit at or above m
+        with pytest.raises(ValueError):
+            p0_alice_encode(bad, 0, (0, 1, 2), (3, 4, 5), 0, params,
+                            coset, rng)
+        with pytest.raises(ValueError):
+            p0_alice_encode(0, bad, (0, 1, 2), (3, 4, 5), 0, params,
+                            coset, rng)
 
 
 def test_codeword_coset_sampling_uniform():
@@ -180,12 +190,10 @@ def test_codeword_coset_sampling_uniform():
     code = LinearCode.from_rows(GF(1), ((1, 0, 1, 0), (0, 1, 0, 1)))
     params = P0Params(channel=BscParams(0.0), code=code, secret_bits=1)
     _, coset = params.draw_hash(rng)
-    sent = (0,) * 8
     counts = {}
     for _ in range(2000):
-        enc = p0_alice_encode((1,), (0,), (0, 1, 2, 3), (4, 5, 6, 7),
-                              sent, params, coset, rng)
-        cw = tuple(enc["codeword_first"])
+        (_, cw, _), _ = p0_alice_encode(1, 0, (0, 1, 2, 3), (4, 5, 6, 7),
+                                        0, params, coset, rng)
         counts[cw] = counts.get(cw, 0) + 1
     assert len(counts) == 2
     for c in counts.values():
@@ -197,8 +205,8 @@ def test_p0_run_noiseless_exact():
     params = make_params(phi=0.0, code=code, m=3)
     for want_first, seed in ((True, 1), (False, 2)):
         rng = derive_rng(seed, 7)
-        s1 = (1, 0, 1)
-        s2 = (0, 1, 0)
+        s1 = pack(F2, (1, 0, 1))
+        s2 = pack(F2, (0, 1, 0))
         session = p0_run(s1, s2, want_first, params, rng)
         assert session.status == "ok"
         assert session.output == (s1 if want_first else s2)
@@ -206,6 +214,8 @@ def test_p0_run_noiseless_exact():
         assert t["params"]["channel_bits"] == 60
         assert t["outcome"]["unerased_count"] == 30
         assert t["outcome"]["status"] == "ok"
+        assert t["bob_view"]["secret"] == ([1, 0, 1] if want_first
+                                           else [0, 1, 0])
 
 
 def test_p0_run_statuses_match_transcript():
@@ -213,7 +223,7 @@ def test_p0_run_statuses_match_transcript():
     ok = aborts = fails = 0
     for t in range(300):
         rng = derive_rng(45, t)
-        session = p0_run((1,), (0,), bool(t % 2), params, rng)
+        session = p0_run(1, 0, bool(t % 2), params, rng)
         tr = session.transcript()
         if session.status == "abort":
             aborts += 1
@@ -225,7 +235,7 @@ def test_p0_run_statuses_match_transcript():
         else:
             ok += 1
             assert tr["outcome"]["unerased_count"] >= 6
-            assert session.output in ((0,), (1,))
+            assert session.output in (0, 1)
         assert tr["outcome"]["status"] == session.status
     assert ok > 0 and aborts > 0
     assert ok + aborts + fails == 300
@@ -237,16 +247,15 @@ def test_p0_run_success_rate_moderate_noise():
     for t in range(300):
         rng = derive_rng(46, t)
         want = bool(t % 2)
-        session = p0_run((1,), (0,), want, params, rng)
-        if session.status == "ok" and session.output == ((1,) if want
-                                                         else (0,)):
+        session = p0_run(1, 0, want, params, rng)
+        if session.status == "ok" and session.output == (1 if want else 0):
             wins += 1
     assert wins >= 290
 
 
 def test_p0_run_transcript_json_shape():
     params = make_params(n0=4, phi=0.0, code=rep_code(4))
-    session = p0_run((1,), (0,), True, params, derive_rng(47))
+    session = p0_run(1, 0, True, params, derive_rng(47))
     blob = session.transcript()
     assert blob["params"]["block_len"] == 4
     assert blob["params"]["channel_bits"] == 16
@@ -258,20 +267,19 @@ def test_p0_run_transcript_json_shape():
 def test_chain_pairs_reconstruct_each_secret():
     rng = derive_rng(48)
     for q in (2, 4, 8):
-        secrets = [tuple(int(b) for b in rng.integers(0, 2, size=3))
-                   for _ in range(q)]
-        pairs = chain_1_of_q(secrets, rng)
+        secrets = [pack(F2, rng.integers(0, 2, size=3)) for _ in range(q)]
+        pairs = chain_1_of_q(secrets, 3, rng)
         assert len(pairs) == q - 1
         for index in range(q):
             # honest pattern: seconds before `index`, first at `index`
-            prefix = (0, 0, 0)
+            prefix = 0
             if index < q - 1:
                 for j in range(index):
-                    prefix = tuple(a ^ b for a, b in zip(prefix, pairs[j][1]))
-                got = tuple(a ^ b for a, b in zip(pairs[index][0], prefix))
+                    prefix ^= pairs[j][1]
+                got = pairs[index][0] ^ prefix
             else:
                 for j in range(q - 1):
-                    prefix = tuple(a ^ b for a, b in zip(prefix, pairs[j][1]))
+                    prefix ^= pairs[j][1]
                 got = prefix
             assert got == secrets[index]
 
@@ -279,9 +287,12 @@ def test_chain_pairs_reconstruct_each_secret():
 def test_chain_validation():
     rng = derive_rng(49)
     with pytest.raises(ValueError):
-        chain_1_of_q([(1,), (0,), (1,)], rng)
-    with pytest.raises(ValueError):
-        chain_1_of_q([(1,), (0, 1)], rng)
+        chain_1_of_q([1, 0, 1], 1, rng)
+    for bad in (0b10, -1):   # m = 1: negative or a bit at or above m
+        with pytest.raises(ValueError):
+            chain_1_of_q([1, bad], 1, rng)
+        with pytest.raises(ValueError):
+            chain_1_of_q([bad, 0, 1, 1], 1, rng)
 
 
 def test_chain_access_audit_q2():
@@ -313,8 +324,7 @@ def test_p0q_run_noiseless_all_indices():
     code = cyclic_code(GF(1), 15, C15_5_GEN)
     params = make_params(phi=0.0, code=code, m=3)
     rng = derive_rng(50)
-    secrets = [tuple(int(b) for b in rng.integers(0, 2, size=3))
-               for _ in range(4)]
+    secrets = [pack(F2, rng.integers(0, 2, size=3)) for _ in range(4)]
     for index in range(4):
         session = p0q_run(secrets, index, params, derive_rng(51, index))
         assert session.status == "ok"
@@ -327,4 +337,4 @@ def test_p0q_run_noiseless_all_indices():
 def test_p0q_run_validation():
     params = make_params(phi=0.0, n0=3, code=rep_code(3))
     with pytest.raises(ValueError):
-        p0q_run([(1,), (0,)], 2, params, derive_rng(52))
+        p0q_run([1, 0], 2, params, derive_rng(52))
