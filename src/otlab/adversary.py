@@ -30,8 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
 
 from .analysis import (AccusationRule, detection_rule, expected_unerased,
                        wilson_interval)
@@ -67,8 +66,7 @@ def simulate_unerased_counts(rounds: int, block_len: int, phi: float,
     return honest + false
 
 
-@dataclass(frozen=True)
-class DetectionReport:
+class DetectionReport(NamedTuple):
     rule: AccusationRule
     corrupted: int
     trials: int
@@ -94,8 +92,7 @@ def detection_campaign(rounds: int, block_len: int, phi: float,
         ci_95=wilson_interval(int(accused.sum()), trials))
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     points: tuple  # one DetectionReport per grid point
     slope: float
     expected_slope: float
@@ -120,8 +117,7 @@ def detection_sweep(rounds: int, block_len: int, phi: float,
 # -- choice tracking by a corrupting Alice ---------------------------------
 
 
-@dataclass(frozen=True)
-class AdvantageReport:
+class AdvantageReport(NamedTuple):
     trials: int
     advantage: float
     std_error: float
@@ -198,8 +194,7 @@ def _full_rank_row_sets(r: int, u_len: int) -> list[tuple]:
             if rank(Matrix.from_packed(GF(1), rows, r)) == u_len]
 
 
-@dataclass(frozen=True)
-class MaskAudit:
+class MaskAudit(NamedTuple):
     """Pair-averaged posterior entropies for one request mask.
 
     mean_first / mean_second average H(s~|t~,z) and H(t~|s~,z) over the
@@ -222,8 +217,7 @@ class MaskAudit:
                 else self.mean_first)
 
 
-@dataclass(frozen=True)
-class DichotomyReport:
+class DichotomyReport(NamedTuple):
     outer_dim: int
     compressed_len: int
     margin: float

@@ -23,9 +23,8 @@ protocol implementations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .channels import BscParams
 from .codes import DEFAULT_ENUM_LIMIT, LinearCode, check_budget
@@ -63,8 +62,7 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     return lo, hi
 
 
-@dataclass(frozen=True)
-class AccusationRule:
+class AccusationRule(NamedTuple):
     """Bob's unerased-count test over a whole session batch.
 
     slots is the number of duplicated pairs observed (2 n n0 for n rounds
@@ -137,8 +135,7 @@ def optimize_rate_p0(tol: float = 1e-6) -> tuple[float, float]:
     return phi_star, rate_p0(phi_star)
 
 
-@dataclass(frozen=True)
-class RateBreakdown:
+class RateBreakdown(NamedTuple):
     """One outer-protocol rate chain evaluated end to end."""
 
     crossover: float
@@ -250,8 +247,7 @@ def _coset_tables(code: LinearCode, erasures: int,
     return map(table, combinations(range(n), kept_count))
 
 
-@dataclass(frozen=True)
-class EntropyReport:
+class EntropyReport(NamedTuple):
     """Exact conditional min-entropy census over all views of a code."""
 
     alpha: float
@@ -323,8 +319,7 @@ def min_entropy_oracle(code: LinearCode, erasures: int, error_rate: float,
                          avg_min_entropy=avg, histogram=histogram)
 
 
-@dataclass(frozen=True)
-class FixedWeightBound:
+class FixedWeightBound(NamedTuple):
     alpha: float
     threshold: float
     max_fraction: float
@@ -332,8 +327,7 @@ class FixedWeightBound:
     bound: float
 
 
-@dataclass(frozen=True)
-class FixedWeightReport:
+class FixedWeightReport(NamedTuple):
     """Census of the exact-flip-weight bipartite view graph."""
 
     r_bits: float

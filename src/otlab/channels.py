@@ -24,7 +24,6 @@ in numpy through `Stream.numpy_generator()`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:
@@ -247,16 +246,20 @@ def random_bits(rng: Stream, m: int) -> int:
     return _mask(rng.integers(0, 2, size=m))
 
 
-@dataclass(frozen=True)
 class BscParams:
-    """Crossover probability and the derived duplication-channel numbers."""
+    """Crossover probability and the derived duplication-channel numbers
+    (immutable)."""
 
-    crossover: float
+    __slots__ = ("crossover",)
 
-    def __post_init__(self):
-        if not 0.0 <= self.crossover < 0.5:
+    def __init__(self, crossover: float):
+        if not 0.0 <= crossover < 0.5:
             raise ValueError(
-                f"crossover must be in [0, 1/2), got {self.crossover}")
+                f"crossover must be in [0, 1/2), got {crossover}")
+        object.__setattr__(self, "crossover", crossover)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("BscParams is immutable")
 
     @property
     def erasure_rate(self) -> float:

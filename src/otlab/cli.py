@@ -28,9 +28,8 @@ import math
 import os
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Optional
 
 from . import __version__
 from .analysis import (curve_grid, detection_rule, expected_unerased,
@@ -109,8 +108,7 @@ _KINDS = {int: ((int,), "an integer"), float: ((int, float), "a number"),
           FILE: ((dict,), "a code JSON object")}
 
 
-@dataclass(frozen=True)
-class Opt:
+class Opt(NamedTuple):
     """A config key: kind (int, float, str, bool or FILE), default and the
     help of its flag --key; a bool key is set by a side output's flag.
     domain, an interval such as "[0, 0.5)", bounds a number; only names
@@ -126,8 +124,7 @@ class Opt:
     only: Optional[tuple] = None
 
 
-@dataclass(frozen=True)
-class Output:
+class Output(NamedTuple):
     """A side file written from the report when its flag names a path;
     key, when set, is the bool config key the flag turns on."""
 
@@ -138,8 +135,7 @@ class Output:
     key: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(NamedTuple):
     """One subcommand, as the parser, the checker and emission read it."""
 
     help: str
@@ -313,8 +309,7 @@ _ENUM_LIMIT = Opt(
 
 # -- run subcommand ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class Protocol:
+class Protocol(NamedTuple):
     """One row of the run subcommand's protocol table.
 
     outer: an orthonormal outer code over 1-of-q inner transfers;
@@ -329,8 +324,7 @@ class Protocol:
     trial: Callable
 
 
-@dataclass
-class RunSetup:
+class RunSetup(NamedTuple):
     protocol: Protocol
     inner: P0Params
     outer: Optional[OuterParams]

@@ -1,8 +1,9 @@
 """Linear codes over GF(2^e) and the audits the protocols depend on.
 
 A LinearCode wraps a full-row-rank generator matrix and lazily caches the
-expensive audits: minimum distance d (an exact Brouwer-Zimmermann search
-on packed symbols, without numpy, its q^k codewords gated by
+expensive audits: minimum distance d (exact on packed symbols, without
+numpy, by enumeration for codes of at most k n codewords and by the
+Brouwer-Zimmermann search otherwise, its q^k codewords gated by
 `check_budget`), the componentwise-product span ("square") of the code,
 and the square's distance d-hat.  The square governs how much an
 adversarial request mask can correlate rounds, so d and d-hat together
@@ -16,9 +17,9 @@ zero, and samplers for the dual of the square.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
+from typing import (TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional,
+                    Sequence)
 
 from .gf import GF, Field
 from .linalg import (Matrix, Vector, dot, eliminate, full_rank_matrix, product,
@@ -106,21 +107,33 @@ class LinearCode:
             yield unpack(f, word, n)
 
     def min_distance(self, limit: int = DEFAULT_ENUM_LIMIT) -> int:
-        """Exact minimum distance by the Brouwer-Zimmermann search (cached).
+        """Exact minimum distance, for every field (cached).
 
-        The search walks codewords of growing message weight over a few
-        systematic generators with disjoint new pivots (`_distance`), and
-        stops as soon as the lower bound those generators give meets the
-        lightest word found; it is exact for every field.  Raises
-        EnumerationLimit when q^k exceeds the budget, also for the whole
-        space (k = n), whose distance 1 needs no search.
+        The whole space (k = n) has distance 1.  A code whose q^k
+        codewords number at most k n, the cost of one information set's
+        elimination, is enumerated: every combination of the packed
+        generator rows, the lightest nonzero one wins.  Any other code
+        takes the Brouwer-Zimmermann search (`_distance`), which walks
+        codewords of growing message weight over a few systematic
+        generators with disjoint new pivots and stops as soon as the
+        lower bound those generators give meets the lightest word found.
+        Raises EnumerationLimit when q^k exceeds the budget, on every
+        side.
         """
         if self._min_distance is not None:
             return self._min_distance
-        q, k, n = self.field.order, self.dimension, self.length
+        f, k, n = self.field, self.dimension, self.length
+        q = f.order
         check_budget(q ** k, limit, f"{q}^{k} codewords")
-        # the whole space holds every unit vector
-        best = 1 if k == n else _distance(self._generator)
+        if k == n:
+            best = 1  # the whole space holds every unit vector
+        elif q ** k <= k * n:
+            words = [0]
+            for row in self._generator.packed:
+                words = [w ^ scale(f, row, c) for w in words for c in range(q)]
+            best = min(weight(f, w) for w in words if w)
+        else:
+            best = _distance(self._generator)
         self._min_distance = best
         return best
 
@@ -239,8 +252,7 @@ def _distance(generator: Matrix) -> int:
     return best
 
 
-@dataclass(frozen=True)
-class CodeAudit:
+class CodeAudit(NamedTuple):
     d: int
     d_hat: int
     square_dim: int

@@ -22,8 +22,7 @@ the rank dichotomy of the cheating analysis protects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .codes import OrthonormalCode, square_dual_sample
 from .gf import Field
@@ -112,8 +111,7 @@ def cheat_matrix_V(rows: Matrix, mask: Sequence[int]) -> Matrix:
     return Matrix.from_packed(f, v, rows.nrows)
 
 
-@dataclass(frozen=True)
-class CompressionPair:
+class CompressionPair(NamedTuple):
     m_first: Matrix
     m_second: Matrix
 
@@ -156,27 +154,30 @@ def compress_setup(compressed_first: Matrix, compressed_second: Matrix,
             solve_columns(m_second, compressed_second, rng))
 
 
-@dataclass(frozen=True)
 class OuterParams:
-    """Parameters shared by the string protocols.
+    """Parameters shared by the string protocols (immutable).
 
     The round count equals the basis length; each round moves block_syms
     field symbols, the inner sessions' bits read as GF(2^degree)
     symbols.  A margin makes the session compressed (p1prime/p2prime).
     """
 
-    basis: OrthonormalCode
-    inner: P0Params
-    margin: Optional[float] = None
+    __slots__ = ("basis", "inner", "margin")
 
-    def __post_init__(self):
-        bits, degree = self.inner.secret_bits, self.field.degree
+    def __init__(self, basis: OrthonormalCode, inner: P0Params,
+                 margin: Optional[float] = None):
+        bits, degree = inner.secret_bits, basis.field.degree
         if bits % degree:
             raise ValueError(
                 f"inner sessions carry {bits} bits, not a whole number of "
                 f"GF(2^{degree}) symbols")
-        if self.margin is not None:
-            compressed_length(self.basis.dimension, self.margin)
+        if margin is not None:
+            compressed_length(basis.dimension, margin)
+        for name, value in zip(self.__slots__, (basis, inner, margin)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("OuterParams is immutable")
 
     @property
     def block_syms(self) -> int:

@@ -30,8 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field as dc_field
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
 from .analysis import binary_entropy
 from .channels import BscParams, duplicate_round_trip, random_bits
@@ -163,47 +162,49 @@ class MLDecoder:
         return min(total, 1.0)
 
 
-@dataclass(frozen=True)
 class P0Params:
-    """Session parameters for the 1-of-2 transfer.
+    """Session parameters for the 1-of-2 transfer (immutable).
 
     The block length n0 is the code length.  Each session draws a fresh
-    uniform hash (see draw_hash).  security_slack, when set, turns on the
-    sizing invariant m <= n0 eps (1 - h(p) - slack); leave it None for
-    correctness-only runs (for instance phi = 0 demos, where no m
-    satisfies the bound).  The parity check is row-reduced once, here;
-    a session eliminates only its m hash rows into it.
+    uniform hash (see draw_hash).  security_slack, when set, checks the
+    sizing invariant m <= n0 eps (1 - h(p) - slack) here and is not
+    kept; leave it None for correctness-only runs (for instance phi = 0
+    demos, where no m satisfies the bound).  The parity check is
+    row-reduced once, here; a session eliminates only its m hash rows
+    into it.
     """
 
-    channel: BscParams
-    code: LinearCode
-    secret_bits: int
-    security_slack: Optional[float] = None
-    decoder: object = None
-    _parity_rref: tuple = dc_field(init=False, repr=False, compare=False)
+    __slots__ = ("channel", "code", "secret_bits", "decoder", "_parity_rref")
 
-    def __post_init__(self):
-        code = self.code
+    def __init__(self, channel: BscParams, code: LinearCode, secret_bits: int,
+                 security_slack: Optional[float] = None,
+                 decoder: object = None):
         if code.field.degree != 1:
             raise ValueError("session code must be binary")
-        if not 1 <= self.secret_bits <= code.dimension:
+        if not 1 <= secret_bits <= code.dimension:
             raise ValueError(
                 f"secret length must be in 1..k={code.dimension}, "
-                f"got {self.secret_bits}")
+                f"got {secret_bits}")
         rows: list[int] = []
         pivots: list[int] = []
         eliminate(code.field, rows, pivots, code.dual_basis().packed,
                   code.length)
-        object.__setattr__(self, "_parity_rref", (tuple(rows), tuple(pivots)))
-        if self.security_slack is not None:
-            cap = p0_secret_length(self.block_len, self.channel.crossover,
-                                   self.security_slack)
-            if self.secret_bits > cap:
+        if security_slack is not None:
+            cap = p0_secret_length(code.length, channel.crossover,
+                                   security_slack)
+            if secret_bits > cap:
                 raise ValueError(
-                    f"secret length {self.secret_bits} exceeds the safe "
+                    f"secret length {secret_bits} exceeds the safe "
                     f"cap {cap} at this slack")
-        if self.decoder is None:
-            object.__setattr__(self, "decoder", MLDecoder(code))
+        if decoder is None:
+            decoder = MLDecoder(code)
+        for name, value in zip(self.__slots__, (
+                channel, code, secret_bits, decoder,
+                (tuple(rows), tuple(pivots)))):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("P0Params is immutable")
 
     @property
     def block_len(self) -> int:
@@ -300,8 +301,7 @@ def p0_bob_decode(masked: int, clean: int, values: int,
                for i, row in enumerate(hash_matrix.packed)), cw
 
 
-@dataclass(frozen=True)
-class Session:
+class Session(NamedTuple):
     """The result of one session of any protocol.
 
     status is "ok", "abort" or "decode_failure"; output is what Bob

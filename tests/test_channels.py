@@ -138,6 +138,8 @@ def test_bsc_params_values():
     for bad in (-0.01, 0.5, 0.7):
         with pytest.raises(ValueError):
             BscParams(bad)
+    with pytest.raises(AttributeError, match="immutable"):
+        p.crossover = 0.1
 
 
 def test_bsc_params_consistency_identity():

@@ -147,10 +147,15 @@ def test_import_leaves_out_schema_library_and_process_pool(tmp_path):
     # packed ints, while a decoder over 2^16 words and the honest and
     # tracker campaigns load it; the benchmark's shim finds the session
     # modules and the dispatch table after import; main freezes the
-    # import-time heap so exit skips collecting it
+    # import-time heap so exit skips collecting it; no command loads
+    # dataclasses, and inspect, which numpy imports itself, stays out
+    # wherever numpy does
     probe = ("import contextlib, gc, io, json, os, sys, otlab.cli\n"
              "def loaded():\n"
              "    return json.dumps({m: m in sys.modules for m in sys.argv[5:]})\n"
+             "def heavy():\n"
+             "    return ' '.join(str(m in sys.modules)\n"
+             "                    for m in ('numpy', 'inspect', 'dataclasses'))\n"
              "def quiet(argv):\n"
              "    out = io.StringIO()\n"
              "    with contextlib.redirect_stdout(out), \\\n"
@@ -161,15 +166,15 @@ def test_import_leaves_out_schema_library_and_process_pool(tmp_path):
              "            return exc.code\n"
              "print(loaded())\n"
              "print(sorted(otlab.cli._DISPATCH))\n"
-             "print(quiet(['run', '--phi', '0.7']), 'numpy' in sys.modules)\n"
+             "print(quiet(['run', '--phi', '0.7']), heavy())\n"
              "print(quiet(['run', '--protocol', 'p1', '--n', '4']),\n"
-             "      'numpy' in sys.modules)\n"
+             "      heavy())\n"
              "missing = os.path.join(os.path.dirname(sys.argv[1]), 'no', 'x')\n"
              "print(quiet(['run', '--trials', '3000', '--out', missing]),\n"
-             "      'numpy' in sys.modules)\n"
-             "print(quiet(['rates', '--help']), 'numpy' in sys.modules)\n"
+             "      heavy())\n"
+             "print(quiet(['rates', '--help']), heavy())\n"
              "print(quiet(['code-audit', '--code', sys.argv[2]]),\n"
-             "      'numpy' in sys.modules)\n"
+             "      heavy())\n"
              "print(quiet(['rates', '--curve', sys.argv[1]]), loaded())\n"
              "print(gc.get_freeze_count() > 0)\n"
              "for argv in (['run', '--protocol', 'p0', '--trials', '3'],\n"
@@ -180,18 +185,18 @@ def test_import_leaves_out_schema_library_and_process_pool(tmp_path):
              "             ['attack', '--strategy', 'bob', '--pair-samples', '3'],\n"
              "             ['replay', os.path.join(os.path.dirname(sys.argv[3]),\n"
              "                                     'attack-bob.json')]):\n"
-             "    print(quiet(argv), 'numpy' in sys.modules)\n"
+             "    print(quiet(argv), heavy())\n"
              "from otlab.analysis import fixed_weight_oracle, min_entropy_oracle\n"
              "from otlab.codes import LinearCode\n"
              "from otlab.gf import GF\n"
              "code = LinearCode.from_rows(GF(1), ((1, 0, 1, 1), (0, 1, 1, 0)))\n"
              "print(min_entropy_oracle(code, 1, 0.1, alpha=0.5).views,\n"
              "      fixed_weight_oracle(code, 1, 1).total_edges,\n"
-             "      'numpy' in sys.modules)\n"
-             "print(quiet(sys.argv[4].split()), 'numpy' in sys.modules)")
+             "      heavy())\n"
+             "print(quiet(sys.argv[4].split()), heavy())")
     names = ("numpy", "jsonschema", "multiprocessing",
              "concurrent.futures.process", "otlab.adversary",
-             "otlab.proto_p0", "otlab.proto_outer")
+             "otlab.proto_p0", "otlab.proto_outer", "dataclasses", "inspect")
     curve = tmp_path / "curve.csv"
     wide = f"run --code {GOLDEN_CODES / 'wide20_16.json'} --trials 2"
     lines = []
@@ -205,29 +210,30 @@ def test_import_leaves_out_schema_library_and_process_pool(tmp_path):
             capture_output=True, text=True, check=True)
         lines.append(proc.stdout.splitlines())
     assert lines[0][:-1] == lines[1][:-1] == lines[2][:-1]
-    assert [found[-1] for found in lines] == ["0 True"] * 3
+    assert [found[-1] for found in lines] == ["0 True True False"] * 3
     (import_line, dispatch_line, config_error_line, outer_error_line,
      output_error_line, help_line, audit_line, rates_line,
      frozen_line, p0_line, p2prime_line, replay_line, *bob_lines,
      oracle_line, _) = lines[0]
     want = {"numpy": False, "jsonschema": False, "multiprocessing": False,
             "concurrent.futures.process": False, "otlab.adversary": False,
-            "otlab.proto_p0": True, "otlab.proto_outer": True}
+            "otlab.proto_p0": True, "otlab.proto_outer": True,
+            "dataclasses": False, "inspect": False}
     assert json.loads(import_line) == want
     assert dispatch_line == str(["attack", "code-audit", "rates", "run"])
-    assert config_error_line == "2 False"
-    assert outer_error_line == "2 False"
-    assert output_error_line == "2 False"
-    assert help_line == "0 False"
-    assert audit_line == "0 False"
+    assert config_error_line == "2 False False False"
+    assert outer_error_line == "2 False False False"
+    assert output_error_line == "2 False False False"
+    assert help_line == "0 False False False"
+    assert audit_line == "0 False False False"
     code, rates_loaded = rates_line.split(" ", 1)
     assert code == "0" and json.loads(rates_loaded) == want
     assert len(read_csv(curve)) == 99
     assert frozen_line == "True"
-    assert p0_line == p2prime_line == replay_line == "0 False"
-    assert bob_lines == ["0 False"] * 3
+    assert p0_line == p2prime_line == replay_line == "0 False False False"
+    assert bob_lines == ["0 False False False"] * 3
     # C(4, 1) patterns x 2^3 outputs; 2^2 codewords x C(3, 1) flips each
-    assert oracle_line == "32 48 False"
+    assert oracle_line == "32 48 False False False"
 
 
 @pytest.mark.parametrize("command", ["run", "attack", "code-audit"])

@@ -1,6 +1,7 @@
 """Source hygiene: no module imports a name it never uses, every public
 definition of the package (public methods of its classes included) has a
-reader, every field of a package dataclass is read, EnumerationLimit is
+reader, every field of a package record (a NamedTuple or a class with
+`__slots__`) is read, no module imports dataclasses, EnumerationLimit is
 raised only by the budget helper and the two caps, and the package
 version agrees with pyproject.toml."""
 
@@ -90,8 +91,22 @@ def unread_definitions(package: dict, readers: list) -> list[str]:
     return unread
 
 
+def record_fields(node: ast.ClassDef) -> list[str]:
+    """The fields of a record class: the annotated names of a NamedTuple
+    subclass, or the names a class lists in its `__slots__`; a plain
+    class has none."""
+    if any(ast.unparse(base) == "NamedTuple" for base in node.bases):
+        return [item.target.id for item in node.body
+                if isinstance(item, ast.AnnAssign)]
+    for item in node.body:
+        if (isinstance(item, ast.Assign)
+                and [ast.unparse(t) for t in item.targets] == ["__slots__"]):
+            return list(ast.literal_eval(item.value))
+    return []
+
+
 def unread_fields(package: dict, readers: list) -> list[str]:
-    """Fields of the package's dataclasses that no module, the package
+    """Fields of the package's records that no module, the package
     included, reads as an attribute (`x.field`, not an assignment to it).
 
     A field counts as read when any attribute of its name is read, owner
@@ -101,18 +116,21 @@ def unread_fields(package: dict, readers: list) -> list[str]:
             for node in ast.walk(tree)
             if isinstance(node, ast.Attribute)
             and isinstance(node.ctx, ast.Load)}
-    unread = []
-    for name, tree in package.items():
-        for node in tree.body:
-            if not (isinstance(node, ast.ClassDef) and any(
-                    ast.unparse(d).startswith("dataclass")
-                    for d in node.decorator_list)):
-                continue
-            unread.extend(f"{name}.{node.name}.{item.target.id}"
-                          for item in node.body
-                          if isinstance(item, ast.AnnAssign)
-                          and item.target.id not in read)
-    return unread
+    return [f"{name}.{node.name}.{field}"
+            for name, tree in package.items() for node in tree.body
+            if isinstance(node, ast.ClassDef)
+            for field in record_fields(node) if field not in read]
+
+
+def dataclass_importers(package: dict) -> list[str]:
+    """The modules that import `dataclasses`, whose generated methods every
+    process would compile at start-up."""
+    return [name for name, tree in package.items()
+            if any(isinstance(node, ast.Import)
+                   and any(a.name == "dataclasses" for a in node.names)
+                   or isinstance(node, ast.ImportFrom)
+                   and node.module == "dataclasses"
+                   for node in ast.walk(tree))]
 
 
 def test_unused_imports_are_found():
@@ -177,15 +195,13 @@ def test_every_public_definition_has_a_reader():
 
 
 def test_unread_fields_are_found():
-    package = {"a": ast.parse("from dataclasses import dataclass\n"
-                              "@dataclass(frozen=True)\n"
-                              "class P:\n"
+    package = {"a": ast.parse("from typing import NamedTuple\n"
+                              "class P(NamedTuple):\n"
                               "    read: int\n"
                               "    unread: int\n"
                               "    written: int = 0\n"
-                              "@dataclass\n"
                               "class Q:\n"
-                              "    other: int\n"
+                              "    __slots__ = ('other', 'read')\n"
                               "class Plain:\n"
                               "    hint: int\n"
                               "def f(p): return p.read\n"),
@@ -197,11 +213,24 @@ def test_unread_fields_are_found():
     assert unread_fields(package, [reader]) == ["a.P.unread", "a.P.written"]
 
 
-def test_every_dataclass_field_is_read():
+def test_every_record_field_is_read():
     package = {path.stem: ast.parse(path.read_text()) for path in PACKAGE}
     readers = [ast.parse(path.read_text())
                for path in sorted({*SOURCES, *READERS} - {*PACKAGE})]
     assert unread_fields(package, readers) == []
+
+
+def test_dataclass_importers_are_found():
+    package = {"a": ast.parse("from dataclasses import dataclass\n"),
+               "b": ast.parse("import dataclasses as dc\n"),
+               "c": ast.parse("def f():\n    import dataclasses\n"),
+               "d": ast.parse("from typing import NamedTuple\n")}
+    assert dataclass_importers(package) == ["a", "b", "c"]
+
+
+def test_no_module_imports_dataclasses():
+    package = {path.stem: ast.parse(path.read_text()) for path in PACKAGE}
+    assert dataclass_importers(package) == []
 
 
 def enumeration_limit_raisers(tree: ast.Module) -> list[str]:

@@ -24,8 +24,18 @@ n rounds: an honest pair survives w.p. 1 - eps and a false one w.p. eps,
 so with c of the slots corrupted Bob accuses Alice w.p. P(B1 + B2 <
 threshold), where B1 ~ Bin(slots - c, 1 - eps) and B2 ~ Bin(c, eps).
 Each campaign and each point of a sweep must lie inside both binomial
-tails of that law at 1e-6 too.  The seeds were fixed before the first
-run.
+tails of that law at 1e-6 too.
+
+The tracker plants c false pairs among the 2 n0 slots of one session.
+With H ~ Bin(2 n0 - c, 1 - eps) clean honest slots and C ~ Bin(c, eps)
+clean corrupt ones, Bob has enough exactly when H + C >= n0; the slots
+are in uniform order, so his chosen set, the first n0 clean slots, then
+holds X ~ Hypergeometric(H + C, C, n0) corrupt ones.  Alice names the
+set with fewer corruptions as the chosen one and is right when X < c -
+X; a tie goes to a coin.  The trial count, the ties and the wins must
+lie inside both binomial tails at 1e-6, and the sample variance behind
+the standard error inside the normal bound of the same tails around the
+law's variance.  The seeds were fixed before the first run.
 """
 
 import itertools
@@ -33,7 +43,8 @@ import math
 
 import pytest
 
-from otlab.adversary import detection_campaign, detection_sweep
+from otlab.adversary import (detection_campaign, detection_sweep,
+                             tracker_advantage_p0)
 from otlab.analysis import detection_rule
 from otlab.channels import BscParams, derive_rng
 from otlab.cli import cmd_run
@@ -42,6 +53,7 @@ from otlab.gf import GF
 from otlab.linalg import Matrix
 
 TAIL = 1e-6
+Z_TAIL = 4.8916  # the normal quantile with TAIL in its two tails
 P0Q_SECRETS = 4
 
 EXTENDED_HAMMING_8_4 = ((1, 0, 0, 0, 0, 1, 1, 1),
@@ -79,6 +91,8 @@ def p0q_outcome_law(generator, phi, q):
 
 def binomial_pmf(trials, prob):
     """P(X = k) for k = 0 .. trials, X ~ Bin(trials, prob), from logs."""
+    if prob in (0.0, 1.0):  # a point mass, whose log is -inf elsewhere
+        return [float(k == trials * prob) for k in range(trials + 1)]
     return [math.exp(math.lgamma(trials + 1) - math.lgamma(k + 1)
                      - math.lgamma(trials - k + 1) + k * math.log(prob)
                      + (trials - k) * math.log1p(-prob))
@@ -103,6 +117,28 @@ def accusation_law(rule, corrupted):
     return sum(p * honest_cdf[min(top - j, len(honest_cdf) - 1)]
                for j, p in enumerate(binomial_pmf(corrupted, eps))
                if j <= top)
+
+
+def tracker_law(block_len, phi, corrupted):
+    """(P(enough), P(right | enough), P(tie | enough)) of the tracker:
+    a double sum over the clean counts of the honest and the corrupt
+    slots, and the hypergeometric count of corrupt slots among the
+    first block_len clean ones."""
+    eps = BscParams(phi).erasure_rate
+    enough = right = tie = 0.0
+    for h, p_h in enumerate(binomial_pmf(2 * block_len - corrupted, 1 - eps)):
+        for f, p_f in enumerate(binomial_pmf(corrupted, eps)):
+            if h + f < block_len:
+                continue
+            enough += p_h * p_f
+            for x in range(max(0, block_len - h), min(f, block_len) + 1):
+                p = (p_h * p_f * math.comb(f, x) * math.comb(h, block_len - x)
+                     / math.comb(h + f, block_len))
+                if 2 * x < corrupted:
+                    right += p
+                elif 2 * x == corrupted:
+                    tie += p
+    return enough, right / enough, tie / enough
 
 
 def test_oracle_on_the_four_bit_repetition_code():
@@ -192,3 +228,63 @@ def test_detection_campaigns_follow_the_exact_law(phi, n0, seed):
         count = round(rep.accusation_rate * rep.trials)
         low, high = binomial_tails(count, rep.trials, prob)
         assert min(low, high) > TAIL, (rep.corrupted, count, prob)
+
+
+def test_tracker_law_against_enumeration():
+    # the quoted default (phi 0.198, n0 15, one corrupt slot)
+    enough, right, tie = tracker_law(15, 0.198, 1)
+    assert (enough, right + tie / 2 - 0.5, tie) == pytest.approx(
+        (0.983908, 0.266228, 0.0), abs=5e-7)
+    # every erasure pattern of 6 slots in every order: honest slots are
+    # 0 .. 5 - c, and the chosen set is the first 3 clean slots in order
+    n0, phi = 3, 0.2
+    eps = BscParams(phi).erasure_rate
+    for corrupted in (1, 2, 3):
+        honest = 2 * n0 - corrupted
+        want = [0.0, 0.0, 0.0]
+        orders = list(itertools.permutations(range(2 * n0)))
+        for erased in itertools.product((False, True), repeat=2 * n0):
+            chance = math.prod(
+                (eps if e else 1 - eps) if slot < honest
+                else (1 - eps if e else eps)
+                for slot, e in enumerate(erased))
+            for order in orders:
+                chosen = [slot for slot in order if not erased[slot]][:n0]
+                if len(chosen) < n0:
+                    continue
+                x = sum(slot >= honest for slot in chosen)
+                want[0] += chance / len(orders)
+                want[1] += chance / len(orders) * (2 * x < corrupted)
+                want[2] += chance / len(orders) * (2 * x == corrupted)
+        law = tracker_law(n0, phi, corrupted)
+        assert law == pytest.approx(
+            (want[0], want[1] / want[0], want[2] / want[0]), rel=1e-12)
+
+
+TRACKER_TRIALS = 20000
+
+
+@pytest.mark.parametrize("n0, phi, corrupted, seed", [
+    (15, 0.198, 1, 131), (15, 0.198, 2, 132), (8, 0.1, 4, 133),
+    (6, 0.3, 5, 134)])
+def test_tracker_follows_the_exact_law(n0, phi, corrupted, seed):
+    enough, right, tie = tracker_law(n0, phi, corrupted)
+    rep = tracker_advantage_p0(n0, phi, corrupted, TRACKER_TRIALS,
+                               derive_rng(seed).numpy_generator())
+    n = rep.trials
+    ties = round(rep.tie_rate * n)
+    wins = round((rep.advantage + 0.5) * n - ties / 2)
+    assert (wins + ties / 2) / n - 0.5 == pytest.approx(rep.advantage,
+                                                        abs=1e-12)
+    for count, trials, prob in ((n, TRACKER_TRIALS, enough),
+                                (ties, n, tie), (wins, n, right)):
+        low, high = binomial_tails(count, trials, prob)
+        assert min(low, high) > TAIL, (count, trials, prob)
+    # a trial scores 1, 1/2 or 0; its sample variance s^2 has variance
+    # about (mu4 - sigma^4) / n around sigma^2 (the delta method)
+    scores = ((1.0, right), (0.5, tie), (0.0, 1 - right - tie))
+    mean = sum(v * p for v, p in scores)
+    var = sum((v - mean) ** 2 * p for v, p in scores)
+    mu4 = sum((v - mean) ** 4 * p for v, p in scores)
+    sample_var = rep.std_error ** 2 * n
+    assert abs(sample_var - var) <= Z_TAIL * math.sqrt((mu4 - var ** 2) / n)

@@ -6,12 +6,14 @@ GF(8), GF(16) and GF(256), with the dense reduction loop (`dense_rref`)
 and the dense kernel/sampling code kept below as the reference, the
 stream position included.  Both paths of the ML decoder (the Python
 scan of small codes and the numpy limb search of larger ones) are
-compared with brute force over iter_codewords.  The Brouwer-Zimmermann minimum
-distance is compared with the brute-force minimum over iter_codewords
-and with a Gray walk, and the packed cheat matrix V(u) with the dense
-product.  The matrix draws and column solves are compared with the row
-and column loops they replaced, and the rank-difference request-mask
-audit with the bincount audit it replaced (tests/bob_audit_reference.py).
+compared with brute force over iter_codewords.  Both minimum-distance
+sides, the enumeration of small codes and the Brouwer-Zimmermann search,
+are compared with the brute-force minimum over iter_codewords, and
+min_distance also with a Gray walk.  The packed cheat matrix V(u) is
+compared with the dense product, the matrix draws and column solves with
+the row and column loops they replaced, and the rank-difference
+request-mask audit with the bincount audit it replaced
+(tests/bob_audit_reference.py).
 """
 
 import itertools
@@ -32,7 +34,7 @@ from otlab.linalg import (InconsistentSystem, Matrix, full_rank_matrix,
                           rank_and_kernel, rref, solve_affine, solve_columns,
                           span_words, unpack)
 from otlab.proto_outer import cheat_matrix_V
-from otlab import proto_p0
+from otlab import codes, proto_p0
 from otlab.proto_p0 import DECODER_WORD_CAP, MLDecoder, P0Params
 from bob_audit_reference import reference_audit
 from tuple_reference import (ERASED, apply, dot, mul, naive_matmul,
@@ -510,10 +512,16 @@ def systematic_twice(field, b_rows):
         for i, b in enumerate(b_rows)))
 
 
+# (n, k) with q^k = k n per field degree: min_distance enumerates such a
+# code and searches the [n - 1, k] code beside it
+ENUMERATION_EDGE = {1: (32, 8), 2: (8, 2), 3: (32, 2)}
+
+
 def distance_cases(field, max_k, count, rng):
     """Dense and sparse random codes, [I | B | B] codes with partly fresh
-    information sets, k = 1, k = n - 1, and a unit vector as the last row
-    (its d = 1 only shows beside the other rows)."""
+    information sets, k = 1, k = n - 1, a unit vector as the last row
+    (its d = 1 only shows beside the other rows), and codes at and just
+    past q^k = k n."""
     q = field.order
     for _ in range(count):
         k = int(rng.integers(1, max_k + 1))
@@ -534,19 +542,41 @@ def distance_cases(field, max_k, count, rng):
     for n in (2, 5, max_k + 1):
         yield random_code(field, n, 1, rng)
         yield random_code(field, n, n - 1, rng)
+    n, k = ENUMERATION_EDGE[field.degree]
+    for _ in range(3):
+        yield random_code(field, n, k, rng)
+        yield random_code(field, n - 1, k, rng)
 
 
 @pytest.mark.parametrize("degree,max_k,count", [(1, 9, 60), (2, 4, 30),
                                                 (3, 3, 20)])
 def test_min_distance_matches_brute_force(degree, max_k, count):
+    # both sides on every case: the enumeration in min_distance takes
+    # the codes of at most k n words, the search all of them
     field = GF(degree)
     rng = derive_rng(5200 + degree)
     found = set()
     for code in distance_cases(field, max_k, count, rng):
         want = brute_force_distance(code)
+        assert codes._distance(code.generator) == want, code.generator.rows
         assert code.min_distance() == want, code.generator.rows
         found.add(want)
     assert 1 in found and max(found) >= 4
+
+
+@pytest.mark.parametrize("degree", sorted(ENUMERATION_EDGE))
+def test_min_distance_searches_only_past_k_n_codewords(degree, monkeypatch):
+    searched = []
+    monkeypatch.setattr(codes, "_distance",
+                        lambda generator: searched.append(generator) or 0)
+    n, k = ENUMERATION_EDGE[degree]
+    rng = derive_rng(5300 + degree)
+    at_edge = random_code(GF(degree), n, k, rng)
+    past_edge = random_code(GF(degree), n - 1, k, rng)
+    assert at_edge.min_distance() == brute_force_distance(at_edge)
+    assert searched == []
+    assert past_edge.min_distance() == 0
+    assert searched == [past_edge.generator]
 
 
 def test_min_distance_with_partly_fresh_information_sets():

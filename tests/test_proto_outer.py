@@ -220,6 +220,8 @@ def test_outer_params_validation_and_properties():
     assert params.outer_dim == 4
     assert params.field is GF(1)
     assert params.block_syms == 1
+    with pytest.raises(AttributeError, match="immutable"):
+        params.margin = 0.25
     wide = P0Params(channel=BscParams(0.0),
                     code=cyclic_code(GF(1), 15, C15_5_GEN), secret_bits=3)
     assert OuterParams(basis=basis, inner=wide).block_syms == 3

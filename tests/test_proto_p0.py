@@ -81,7 +81,9 @@ def test_params_validation():
     with pytest.raises(ValueError):
         make_params(m=0)
     code = cyclic_code(GF(1), 15, C15_5_GEN)
-    make_params(code=code, m=3, security_slack=0.05)
+    params = make_params(code=code, m=3, security_slack=0.05)
+    with pytest.raises(AttributeError, match="immutable"):
+        params.secret_bits = 1
     with pytest.raises(ValueError):
         make_params(code=code, m=4, security_slack=0.05)
     with pytest.raises(ValueError):
