@@ -39,7 +39,7 @@ from .codes import (DEFAULT_ENUM_LIMIT, EnumerationLimit, OrthonormalCode,
                     check_budget)
 from .gf import GF
 from .linalg import Matrix, eliminate, full_rank_matrix, rank
-from .proto_outer import cheat_matrix_V, compressed_length
+from .proto_outer import cheat_matrix_V, check_mask, compressed_length
 
 if TYPE_CHECKING:
     import numpy as np
@@ -202,7 +202,7 @@ class MaskAudit(NamedTuple):
     the mask, so the ensemble average is the operative quantity).
     """
 
-    mask: tuple
+    mask: int  # packed, bit i the mask's entry in round i
     rank_v: int
     rank_u: int
     mean_first: float
@@ -229,19 +229,21 @@ class DichotomyReport(NamedTuple):
 
 
 def audit_bob_strategies(basis: OrthonormalCode, margin: float,
-                         masks: Optional[Sequence[Sequence[int]]] = None,
+                         masks: Optional[Sequence[int]] = None,
                          pair_samples: Optional[int] = None,
                          rng: Optional[Stream] = None,
                          limit: int = DEFAULT_ENUM_LIMIT,
                          ) -> DichotomyReport:
     """Exhaust Bob's request masks against the compression-pair ensemble.
 
-    For each mask u (all 2^n by default) the audit takes H(s~|t~,z) and
-    H(t~|s~,z) for every full-rank compression pair (A, B) (all of them
-    when the compressed length is 1 and pair_samples is None, else
-    pair_samples random ones) and averages them over pairs.  With s and
-    t uniform, each is an entropy of a linear image, so a rank
-    difference of the stacked maps (s, t) -> (A s, B t, z):
+    For each packed mask u (all 2^n of them, 0 .. 2^n - 1 in order, by
+    default; a given mask outside that range raises ValueError) the
+    audit takes H(s~|t~,z) and H(t~|s~,z) for every full-rank
+    compression pair (A, B) (all of them when the compressed length is 1
+    and pair_samples is None, else pair_samples random ones) and
+    averages them over pairs.  With s and t uniform, each is an entropy
+    of a linear image, so a rank difference of the stacked maps
+    (s, t) -> (A s, B t, z):
     H(s~|t~,z) = rank[A 0; 0 B; U V] - rank[0 B; U V] and
     H(t~|s~,z) = rank[A 0; 0 B; U V] - rank[A 0; U V].  A pair mean is
     an integer sum over the pair count, so the two sides compare
@@ -277,11 +279,10 @@ def audit_bob_strategies(basis: OrthonormalCode, margin: float,
     check_budget(n_masks * n_pairs, limit,
                  f"{n_masks} masks x {n_pairs} compression pairs")
     if masks is None:
-        masks = [tuple((x >> i) & 1 for i in range(n)) for x in range(1 << n)]
+        masks = range(1 << n)
     else:
-        masks = [tuple(int(a) & 1 for a in m) for m in masks]
-        if any(len(m) != n for m in masks):
-            raise ValueError("mask length must match the basis length")
+        for mask in masks:
+            check_mask(mask, f, n)
     if pair_samples is None:
         pairs = _full_rank_row_sets(r, u_len)
         pair_list = [(a, b) for a in pairs for b in pairs]

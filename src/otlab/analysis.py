@@ -28,7 +28,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .channels import BscParams
 from .codes import DEFAULT_ENUM_LIMIT, LinearCode, check_budget
-from .linalg import eliminate, subset_sums
+from .linalg import eliminate, span
 
 Z_95 = 1.96  # two-sided 95% normal quantile
 
@@ -237,12 +237,12 @@ def _coset_tables(code: LinearCode, erasures: int,
         eliminate(field, reduced, pivots,
                   (sum((r >> pos & 1) << t for t, pos in enumerate(kept))
                    for r in rows), kept_count)
-        span = subset_sums(reduced)
+        words = span(field, reduced)
         free = [1 << t for t in range(kept_count) if t not in pivots]
         half = len(free) // 2
-        low, high = subset_sums(free[:half]), subset_sums(free[half:])
+        low, high = span(field, free[:half]), span(field, free[half:])
         return len(reduced), (
-            [*map(int.bit_count, map((h ^ l).__xor__, span))]
+            [*map(int.bit_count, map((h ^ l).__xor__, words))]
             for h in high for l in low)
     return map(table, combinations(range(n), kept_count))
 

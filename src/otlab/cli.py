@@ -40,7 +40,7 @@ from .codes import (DEFAULT_ENUM_LIMIT, EnumerationLimit, LinearCode,
                     OrthonormalCode, code_from_json, orthonormalize,
                     random_code)
 from .gf import GF, MAX_DEGREE
-from .linalg import Matrix, random_matrix
+from .linalg import Matrix, random_matrix, unpack
 from .proto_outer import OuterParams, compressed_length, run_session
 from .proto_p0 import (MLDecoder, P0Params, check_decoder_cap, p0_run,
                        p0_secret_length, p0q_run)
@@ -745,7 +745,8 @@ def _attack_bob(cfg: dict, seed: int) -> tuple:
                      pair_samples=cfg["pair_samples"],
                      rng=derive_rng(seed, 5), limit=cfg["enum_limit"])
     rows = [{
-        "mask": "".join(str(b) for b in cell.mask),
+        "mask": "".join(map(str, unpack(basis.field, cell.mask,
+                                        basis.length))),
         "rank_V": cell.rank_v,
         "rank_U": cell.rank_u,
         "mean_entropy_first": cell.mean_first,

@@ -22,9 +22,8 @@ from typing import (TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional,
                     Sequence)
 
 from .gf import GF, Field
-from .linalg import (Matrix, Vector, dot, eliminate, full_rank_matrix, product,
-                     rank, rank_and_kernel, rref, scale, solve_affine, unpack,
-                     weight)
+from .linalg import (Coset, Matrix, dot, eliminate, full_rank_matrix, product,
+                     rank, rank_and_kernel, rref, scale, span, unpack, weight)
 
 if TYPE_CHECKING:
     from .channels import Stream
@@ -128,10 +127,8 @@ class LinearCode:
         if k == n:
             best = 1  # the whole space holds every unit vector
         elif q ** k <= k * n:
-            words = [0]
-            for row in self._generator.packed:
-                words = [w ^ scale(f, row, c) for w in words for c in range(q)]
-            best = min(weight(f, w) for w in words if w)
+            best = min(weight(f, w) for w in span(f, self._generator.packed)
+                       if w)
         else:
             best = _distance(self._generator)
         self._min_distance = best
@@ -367,18 +364,23 @@ def rs_code(field: Field, deg_g: int,
     return code
 
 
-def square_dual_sample(code: LinearCode, rng: Stream) -> Vector:
-    """A uniform element of the dual of the code's square.
+def square_dual_sample(code: LinearCode, rng: Stream) -> int:
+    """A uniform element of the dual of the code's square, packed.
 
-    Raises ValueError when the square is the full space (trivial dual):
-    the request mask would then be constant zero and the outer protocol
-    degenerates.
+    The solutions of G v = 0 for the square's generator G: one elimination
+    and one rng draw of a symbol per free column.  Raises ValueError when
+    the square is the full space (trivial dual): the request mask would
+    then be constant zero and the outer protocol degenerates.
     """
     sq = code.schur_square()
     if sq.dimension == code.length:
         raise ValueError(
             "the square spans the full space; its dual is trivial")
-    return solve_affine(sq.generator, (0,) * sq.dimension, rng)
+    f, n = code.field, code.length
+    rows: list[int] = []
+    pivots: list[int] = []
+    eliminate(f, rows, pivots, sq.generator.packed, n)
+    return Coset(f, rows, pivots, n).sample(0, rng)
 
 
 def random_code(field: Field, n: int, k: int,

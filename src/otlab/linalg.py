@@ -3,19 +3,20 @@
 Matrices are immutable, carry their field and store packed rows: a row
 over GF(2^e) is one Python int whose bits e j .. e j + e - 1 hold the
 symbol in column j, so over GF(2) bit j is the entry in column j.  The
-tuple rows are unpacked only on demand (`rows`, `row`, `column`).  Row
-reduction uses lowest-index pivot selection so every reduced form, rank,
-kernel basis, and sampled solution is reproducible bit for bit.
+tuple rows are unpacked only on demand (`rows`).  Row reduction uses
+lowest-index pivot selection so every reduced form, rank, kernel basis,
+and sampled solution is reproducible bit for bit.
 
 Every row operation runs on packed rows.  Addition is XOR; `scale`
 multiplies every symbol by one field element with at most e masked
 shifts, `product` multiplies two words symbol by symbol, `dot` sums that
 product and `weight` counts nonzero symbols; a matrix product sums the
 rows of the right factor scaled by the symbols of each row of the left
-one.  One elimination loop (`eliminate`) serves every field: `rref`,
-`rank`, `rank_and_kernel`, `solve_affine` and `solve_columns` all reduce
-through it, and one sampler (`Coset`) draws the uniform solutions, so
-one elimination can serve many right-hand sides.  `random_matrix` and
+one, and `span` lists every combination of packed rows in message
+order.  One elimination loop (`eliminate`) serves every field: `rref`,
+`rank`, `rank_and_kernel` and `solve_columns` all reduce through it,
+and one sampler (`Coset`) draws the uniform solutions, so one
+elimination can serve many right-hand sides.  `random_matrix` and
 `full_rank_matrix` are the one way to draw a matrix and to draw one of
 full row rank.
 
@@ -39,8 +40,6 @@ if TYPE_CHECKING:
     import numpy as np
 
     from .channels import Stream
-
-Vector = tuple  # length-n tuple of field elements (ints)
 
 LIMB_BITS = 63  # bits of a packed word per int64 limb (the sign bit stays 0)
 
@@ -100,21 +99,17 @@ class Matrix:
     # -- basic ops -------------------------------------------------------
 
     @property
-    def rows(self) -> tuple[Vector, ...]:
+    def rows(self) -> tuple[tuple, ...]:
         """The rows as tuples of field elements (unpacked on each read)."""
         return tuple(unpack(self.field, x, self.ncols) for x in self.packed)
 
-    def row(self, i: int) -> Vector:
-        return unpack(self.field, self.packed[i], self.ncols)
-
-    def column(self, j: int) -> Vector:
-        e, mask = self.field.degree, self.field.order - 1
-        return tuple([x >> e * j & mask for x in self.packed])
-
     def transpose(self) -> "Matrix":
-        f = self.field
-        return Matrix.from_packed(f, (pack(f, self.column(j))
-                                      for j in range(self.ncols)), self.nrows)
+        """The transpose: its row j is column j of self, packed (symbol i
+        is the symbol of row i at column j)."""
+        f, e, mask = self.field, self.field.degree, self.field.order - 1
+        return Matrix.from_packed(f, (
+            sum((x >> e * j & mask) << e * i for i, x in enumerate(self.packed))
+            for j in range(self.ncols)), self.nrows)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.field != other.field:
@@ -267,13 +262,16 @@ def weight(field: Field, x: int) -> int:
     return (folded & _low_bits(e, x.bit_length())).bit_count()
 
 
-def subset_sums(rows: Sequence[int]) -> list[int]:
-    """The 2^len(rows) XOR sums of packed rows; sum j adds the rows set
-    in j, as in span_words."""
-    sums = [0]
+def span(field: Field, rows: Sequence[int]) -> list[int]:
+    """Every combination of packed rows, q^len(rows) words in message
+    order: word j sums each row i times the field element that is digit
+    i of j in base q, so over GF(2) it adds the rows set in j, as in
+    span_words."""
+    words = [0]
     for row in rows:
-        sums += [x ^ row for x in sums]
-    return sums
+        multiples = [scale(field, row, c) for c in range(1, field.order)]
+        words += [w ^ m for m in multiples for w in words]
+    return words
 
 
 def eliminate(field: Field, rows: list[int], pivots: list[int],
@@ -403,30 +401,17 @@ def rank_and_kernel(m: Matrix) -> tuple[int, Matrix]:
     return len(pivots), Matrix.from_packed(m.field, basis, m.ncols)
 
 
-def solve_affine(m: Matrix, b: Sequence[int], rng: Stream) -> Vector:
-    """A uniform sample from {v : M v = b}.
-
-    Raises DimensionMismatch when b has the wrong length and
-    InconsistentSystem when the system has no solution.  Sampling is the
-    deterministic particular solution (free variables zero) plus a
-    uniformly random kernel combination drawn from rng, which makes the
-    output uniform over the full solution coset.
-    """
-    if len(b) != m.nrows:
-        raise DimensionMismatch(f"expected length {m.nrows}, got {len(b)}")
-    column = Matrix(m.field, tuple((bi,) for bi in b), ncols=1)
-    return solve_columns(m, column, rng).column(0)
-
-
 def solve_columns(m: Matrix, target: Matrix,
                   rng: Stream) -> Matrix:
-    """A uniform sample from {X : M X = target}: solve_affine on each
-    column of target, left to right, from one elimination.
+    """A uniform sample from {X : M X = target}, one column of target at
+    a time, left to right, from one elimination.
 
     The rows of M and target are packed side by side, so target column j
     rides at symbol ncols + j and coset.sample with that symbol selected
-    draws its solution; the column is inconsistent when a dependent row
-    keeps a nonzero symbol there.
+    draws its solution: the particular solution (free variables zero)
+    plus a uniform kernel combination, one rng draw a column.  Raises
+    InconsistentSystem at the first column that a dependent row keeps a
+    nonzero symbol of, after drawing the columns before it.
     """
     if target.nrows != m.nrows:
         raise DimensionMismatch(f"expected {m.nrows} rows, got {target.nrows}")

@@ -22,11 +22,12 @@ the rank dichotomy of the cheating analysis protects.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .codes import OrthonormalCode, square_dual_sample
 from .gf import Field
-from .linalg import Matrix, dot, full_rank_matrix, pack, product, solve_columns
+from .linalg import (Matrix, dot, full_rank_matrix, product, solve_columns,
+                     unpack)
 from .proto_p0 import P0Params, Session, p0q_run
 
 if TYPE_CHECKING:
@@ -83,30 +84,40 @@ def p2_alice_setup(first_secret: Matrix, second_secret: Matrix,
     return x, ys
 
 
-def request_indices(mask: Sequence[int], want_first: bool,
+def check_mask(mask: int, field: Field, length: int) -> None:
+    """Refuse a request mask that is not a packed word of `length`
+    symbols of the field: a negative or wider int, or no int at all."""
+    if not isinstance(mask, int) or mask >> field.degree * length:
+        raise ValueError(f"request mask must be a packed word of {length} "
+                         f"GF({field.order}) symbols, got {mask!r}")
+
+
+def request_indices(mask: int, rounds: int, want_first: bool,
                     field: Field) -> tuple:
-    """Per-round candidate indices: mu_l = u_l (+1 for the second secret).
+    """Per-round candidate indices of a packed mask of `rounds` symbols:
+    mu_l = u_l (+1 for the second secret).
 
     Candidate 0 is x itself; candidate i >= 1 is the lambda_i offset, so
     the index of a nonzero mu is dlog(mu) + 1.
     """
+    check_mask(mask, field, rounds)
+    e, top = field.degree, field.order - 1
+    flip = 0 if want_first else 1
     out = []
-    for u in mask:
-        mu = field.check(u) if want_first else field.check(u) ^ 1
+    for ell in range(rounds):
+        mu = (mask >> e * ell & top) ^ flip
         out.append(0 if mu == 0 else field.dlog(mu) + 1)
     return tuple(out)
 
 
-def cheat_matrix_V(rows: Matrix, mask: Sequence[int]) -> Matrix:
+def cheat_matrix_V(rows: Matrix, mask: int) -> Matrix:
     """V(u) with V_ij = u . (H_i * H_j), the inner product of u * H_i with
-    H_j; zero iff u is dual to the square."""
+    H_j, for the packed mask u; zero iff u is dual to the square."""
     f, e, h = rows.field, rows.field.degree, rows.packed
-    if len(mask) != rows.ncols:
-        raise ValueError("mask length must match the basis length")
-    u = pack(f, [f.check(a) for a in mask])
+    check_mask(mask, f, rows.ncols)
     v = []
     for hi in h:
-        masked = product(f, u, hi)
+        masked = product(f, mask, hi)
         v.append(sum(dot(f, masked, hj) << e * j for j, hj in enumerate(h)))
     return Matrix.from_packed(f, v, rows.nrows)
 
@@ -199,7 +210,7 @@ class OuterParams:
 def run_session(params: OuterParams, first_secret: Matrix,
                 second_secret: Matrix, want_first: bool,
                 rng: Stream,
-                request_mask: Optional[Sequence[int]] = None) -> Session:
+                request_mask: Optional[int] = None) -> Session:
     """One full outer session (honest parties unless a mask is forced).
 
     The single entry point of every string protocol: p1/p2 run a binary
@@ -223,13 +234,9 @@ def run_session(params: OuterParams, first_secret: Matrix,
     else:
         pair, s, t = None, first_secret, second_secret
     x, ys = p2_alice_setup(s, t, basis, rng)
-    if request_mask is None:
-        mask = square_dual_sample(basis.base, rng)
-    else:
-        mask = tuple(f.check(u) for u in request_mask)
-        if len(mask) != params.rounds:
-            raise ValueError("request mask length must match the rounds")
-    requests = request_indices(mask, want_first, f)
+    mask = (square_dual_sample(basis.base, rng) if request_mask is None
+            else request_mask)
+    requests = request_indices(mask, params.rounds, want_first, f)
 
     harvest_rows = []
     statuses = []
@@ -269,7 +276,7 @@ def run_session(params: OuterParams, first_secret: Matrix,
             "outcome": {"statuses": statuses},
             "outer_params": {"rounds": params.rounds,
                              "block_syms": params.block_syms},
-            "u": list(mask),
+            "u": list(unpack(f, mask, params.rounds)),
             "v": None if harvest is None else [list(r) for r in harvest.rows],
             "V_matrix": [list(r) for r
                          in cheat_matrix_V(basis.rows, mask).rows],

@@ -37,8 +37,7 @@ from .channels import BscParams, duplicate_round_trip, random_bits
 from .codes import (DEFAULT_ENUM_LIMIT, EnumerationLimit, LinearCode,
                     check_budget)
 from .linalg import (Coset, Matrix, NearestSpanWord, dot, eliminate,
-                     random_matrix, span_words, subset_sums, unpack,
-                     weights)
+                     random_matrix, span, span_words, unpack, weights)
 
 if TYPE_CHECKING:
     from .channels import Stream
@@ -94,7 +93,7 @@ class MLDecoder:
     nearest it on the masked positions; a tie for the minimum is a
     decoding failure (None).  The 2^k codewords are held as packed words
     in message order (`words`): up to SCAN_WORDS of them as a Python
-    list of ints (subset_sums) that a decode scans with int.bit_count,
+    list of ints (span) that a decode scans with int.bit_count,
     more as one numpy limb array (span_words) that a decode searches in
     scratch arrays allocated once (NearestSpanWord).  They are checked
     against the memory cap, then against the budget `limit`, before any
@@ -112,7 +111,7 @@ class MLDecoder:
         rows = code.generator.packed
         self._search = None
         if 1 << k <= SCAN_WORDS:
-            self.words = subset_sums(rows)
+            self.words = span(code.field, rows)
         else:
             self.words = span_words(rows, code.length)
             self._search = NearestSpanWord(self.words, code.length)

@@ -47,9 +47,7 @@ def reference_audit(basis, margin, masks=None, pair_samples=None, rng=None):
     r, n = basis.dimension, basis.length
     u_len = compressed_length(r, margin)
     if masks is None:
-        masks = [tuple((x >> i) & 1 for i in range(n)) for x in range(1 << n)]
-    else:
-        masks = [tuple(int(a) & 1 for a in m) for m in masks]
+        masks = range(1 << n)
     if pair_samples is None:
         pairs = _full_rank_row_sets(r, u_len)
         pair_list = [(a, b) for a in pairs for b in pairs]

@@ -318,18 +318,18 @@ def test_criterion_08_reconstruction_and_cheat_matrix():
     for basis, inner, width in instances:
         params = OuterParams(basis=basis, inner=inner)
         sq = basis.base.schur_square()
-        dual = sq.dual_basis().rows
+        dual = sq.dual_basis().packed
         for combo in product((0, 1), repeat=len(dual)):
-            mask = [0] * basis.length
+            mask = 0
             for c, vec in zip(combo, dual):
                 if c:
-                    mask = [a ^ b for a, b in zip(mask, vec)]
+                    mask ^= vec
             for want_first in (True, False):
                 rng = derive_rng(1009, masks_run, want_first)
                 s = random_matrix(f, basis.dimension, width, rng)
                 t = random_matrix(f, basis.dimension, width, rng)
                 session = run_session(params, s, t, want_first, rng,
-                                      request_mask=tuple(mask))
+                                      request_mask=mask)
                 assert session.status == "ok"
                 want = s if want_first else t
                 assert session.output.rows == want.rows
@@ -345,7 +345,7 @@ def test_criterion_08_reconstruction_and_cheat_matrix():
             expect = tuple(tuple(
                 sum(u[i] * rows[a][i] * rows[b][i] for i in range(n)) & 1
                 for b in range(r)) for a in range(r))
-            assert cheat_matrix_V(basis.rows, u).rows == expect
+            assert cheat_matrix_V(basis.rows, bits).rows == expect
             oracle_checked += 1
     detail = verdict(8, True,
                      f"20 setup identities, {masks_run} dual masks replayed "

@@ -256,7 +256,7 @@ def test_audit_bob_strategies_toy_dichotomy():
     rep = audit_bob_strategies(toy_basis(), 0.25)
     assert rep.outer_dim == 4
     assert rep.compressed_len == 1
-    assert len(rep.cells) == 256
+    assert [cell.mask for cell in rep.cells] == list(range(256))
     assert rep.worst_predicted == pytest.approx(0.8, abs=1e-9)
     assert rep.slack_bits == pytest.approx(0.2, abs=1e-9)
     assert rep.prediction_mismatches == 0
@@ -274,14 +274,14 @@ def test_audit_bob_strategies_dual_masks_only():
     """Masks with V = 0 leave the second secret perfectly hidden."""
     basis = toy_basis()
     sq = basis.base.schur_square()
-    dual = sq.dual_basis().rows
+    dual = sq.dual_basis().packed
     masks = []
     for x in range(1 << len(dual)):
-        acc = [0] * 8
+        acc = 0
         for i, vec in enumerate(dual):
             if (x >> i) & 1:
-                acc = [a ^ b for a, b in zip(acc, vec)]
-        masks.append(tuple(acc))
+                acc ^= vec
+        masks.append(acc)
     rep = audit_bob_strategies(basis, 0.25, masks=masks)
     assert len(rep.cells) == 8
     assert rep.worst_predicted == pytest.approx(1.0, abs=1e-9)
@@ -295,7 +295,7 @@ def test_audit_bob_strategies_dual_masks_only():
 
 def test_posterior_cell_zero_v_protects_second():
     """The zero mask gives V = 0 and U = I: z reveals s, t stays hidden."""
-    rep = audit_bob_strategies(toy_basis(), 0.25, masks=[(0,) * 8])
+    rep = audit_bob_strategies(toy_basis(), 0.25, masks=[0])
     (cell,) = rep.cells
     assert cell.rank_v == 0
     assert cell.rank_u == 4
@@ -306,7 +306,7 @@ def test_posterior_cell_zero_v_protects_second():
 
 def test_audit_bob_strategies_identity_v_protects_first():
     """The all-ones mask gives V = H H^T = I and U = 0: z reveals t."""
-    rep = audit_bob_strategies(toy_basis(), 0.25, masks=[(1,) * 8])
+    rep = audit_bob_strategies(toy_basis(), 0.25, masks=[(1 << 8) - 1])
     (cell,) = rep.cells
     assert cell.rank_v == 4
     assert cell.rank_u == 0
@@ -316,9 +316,8 @@ def test_audit_bob_strategies_identity_v_protects_first():
 
 def test_audit_bob_strategies_sampled_pairs_close_to_exact():
     basis = toy_basis()
-    exact = audit_bob_strategies(basis, 0.25, masks=[(1, 0, 0, 0, 0, 0, 0, 0)])
-    sampled = audit_bob_strategies(basis, 0.25,
-                                   masks=[(1, 0, 0, 0, 0, 0, 0, 0)],
+    exact = audit_bob_strategies(basis, 0.25, masks=[1])
+    sampled = audit_bob_strategies(basis, 0.25, masks=[1],
                                    pair_samples=400, rng=derive_rng(101))
     e, s = exact.cells[0], sampled.cells[0]
     assert abs(e.mean_first - s.mean_first) < 0.1
@@ -355,14 +354,24 @@ def test_posterior_cell_validation():
     U = 0 (z reveals t) and the zero mask V = 0, U = I (z reveals s)."""
     gf4 = OrthonormalCode(Matrix.identity(GF(2), 2))
     with pytest.raises(ValueError, match="binary only"):
-        audit_bob_strategies(gf4, 0.25, masks=[(1, 0)])
+        audit_bob_strategies(gf4, 0.25, masks=[1])
     r15 = OrthonormalCode(Matrix.identity(GF(1), 15))
-    rep = audit_bob_strategies(r15, 0.3, masks=[(1,) * 15, (0,) * 15],
+    rep = audit_bob_strategies(r15, 0.3, masks=[(1 << 15) - 1, 0],
                                pair_samples=4, rng=derive_rng(15))
     assert rep.compressed_len == 3
     assert [(c.rank_v, c.rank_u, c.mean_first, c.mean_second)
             for c in rep.cells] == [(15, 0, 3.0, 0.0), (0, 15, 0.0, 3.0)]
     assert rep.slack_bits == 0.0 and rep.prediction_mismatches == 0
+
+
+def test_audit_bob_strategies_rejects_masks_outside_the_range():
+    """A mask is a packed word of n bits, 0 .. 2^n - 1: a wider or
+    negative int and a tuple of symbols are refused before any work, as
+    cheat_matrix_V refuses them, instead of being read bit by bit."""
+    basis = toy_basis()
+    for bad in ((2,) * 8, (3,) * 8, (-1,) * 8, 1 << 8, -1, 1 << 9 | 3):
+        with pytest.raises(ValueError, match="packed word of 8"):
+            audit_bob_strategies(basis, 0.25, masks=[bad])
 
 
 def test_audit_bob_strategies_validation():

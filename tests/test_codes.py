@@ -66,7 +66,8 @@ def test_encode_and_iter_codewords():
     code = hamming_7_4()
 
     def encode(msg):
-        return (Matrix(code.field, (msg,)) @ code.generator).row(0)
+        (word,) = (Matrix(code.field, (msg,)) @ code.generator).rows
+        return word
 
     words = list(code.iter_codewords())
     assert len(words) == 16
@@ -290,7 +291,7 @@ def test_orthonormalize_cyclic_15_5():
     assert ortho.length == 15 - len(removed)
     # a message encodes to a word of the punctured code
     msg = (1, 0, 1, 1, 0)
-    word = (Matrix(GF(1), (msg,)) @ ortho.rows).row(0)
+    (word,) = (Matrix(GF(1), (msg,)) @ ortho.rows).rows
     punct = puncture(code, removed) if removed else code
     assert word in set(punct.iter_codewords())
 
@@ -301,8 +302,9 @@ def test_square_dual_sample_is_orthogonal():
     sq = code.schur_square()
     for _ in range(50):
         u = square_dual_sample(code, rng)
-        assert len(u) == code.length
-        assert apply(sq.generator, u) == (0,) * sq.dimension
+        assert 0 <= u < 1 << code.length
+        assert apply(sq.generator, unpack(GF(1), u, code.length)) == (
+            (0,) * sq.dimension)
 
 
 def test_square_dual_sample_rejects_full_square():

@@ -38,23 +38,24 @@ def unused_imports(tree: ast.Module) -> list[str]:
             if name not in used]
 
 
-def names_read(tree: ast.AST, skip=None) -> set[str]:
-    """Every Name, Attribute and imported name in tree, outside `skip`;
-    words inside strings do not count."""
-    out = set()
+def names_read(tree: ast.AST, skip=None) -> tuple[set[str], set[str]]:
+    """The bare names (Name nodes and imported names) and the attribute
+    names (`x.attr`) in tree, outside `skip`; words inside strings do not
+    count."""
+    names, attributes = set(), set()
     stack = [tree]
     while stack:
         node = stack.pop()
         if node is skip:
             continue
         if isinstance(node, ast.Name):
-            out.add(node.id)
+            names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
+            attributes.add(node.attr)
         elif isinstance(node, ast.alias):
-            out.add(node.name.rsplit(".", 1)[-1])
+            names.add(node.name.rsplit(".", 1)[-1])
         stack.extend(ast.iter_child_nodes(node))
-    return out
+    return names, attributes
 
 
 def public_definitions(tree: ast.Module):
@@ -75,18 +76,25 @@ def public_definitions(tree: ast.Module):
 def unread_definitions(package: dict, readers: list) -> list[str]:
     """Public definitions of the package modules that no module names
     outside their own definition, the defining module included.  A method
-    whose name a builtin type shares counts as read only in the module that
-    defines its class or in a module that names the class."""
+    counts as read only through an attribute (`x.row`, not a variable
+    `row`), and one whose name a builtin type shares only in the module
+    that defines its class or in a module that names the class."""
     others = [(None, names_read(tree)) for tree in readers] + [
         (name, names_read(tree)) for name, tree in package.items()]
+
+    def reads(node, owner, shared, read) -> bool:
+        names, attributes = read
+        return ((node.name in attributes or not owner and node.name in names)
+                and (not shared or owner in names | attributes))
+
     unread = []
     for name, tree in package.items():
         for qualified, node in public_definitions(tree):
             owner = qualified.rpartition(".")[0]
             shared = owner and node.name in SHARED_WITH_BUILTINS
-            if not (any(node.name in names and (not shared or owner in names)
-                        for other, names in others if other != name)
-                    or node.name in names_read(tree, skip=node)):
+            if not (any(reads(node, owner, shared, read)
+                        for other, read in others if other != name)
+                    or reads(node, owner, False, names_read(tree, skip=node))):
                 unread.append(f"{name}.{qualified}")
     return unread
 
@@ -166,13 +174,19 @@ def test_unread_methods_are_found():
                               "    def _private(self): pass\n"
                               "    @property\n"
                               "    def shape(self): pass\n"
+                              "    def row(self, i): pass\n"
                               "class _Hidden:\n"
-                              "    def dead(self): pass\n"),
-               "b": ast.parse("from a import C\nC().used()\n")}
+                              "    def dead(self): pass\n"
+                              "def rows(m): return [row for row in m]\n"),
+               "b": ast.parse("from a import C, rows\nC().used()\n"
+                              "for row in rows(C()): print(row)\n")}
+    # a variable named like a method, here and in a, does not read it
     assert unread_definitions(package, []) == [
-        "a.C.unused", "a.C.self_only", "a.C.shape", "a._Hidden.dead"]
-    reader = ast.parse("def f(x): return x.shape")
-    assert "a.C.shape" not in unread_definitions(package, [reader])
+        "a.C.unused", "a.C.self_only", "a.C.shape", "a.C.row",
+        "a._Hidden.dead"]
+    reader = ast.parse("def f(x): return x.shape, x.row(0)")
+    assert unread_definitions(package, [reader]) == [
+        "a.C.unused", "a.C.self_only", "a._Hidden.dead"]
 
 
 def test_methods_named_like_builtin_attributes_need_their_owner():

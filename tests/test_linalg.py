@@ -10,7 +10,7 @@ from otlab.channels import derive_rng
 from otlab.gf import GF
 from otlab.linalg import (DimensionMismatch, InconsistentSystem, Matrix, dot,
                           pack, product, random_matrix, rank,
-                          rank_and_kernel, rref, scale, solve_affine, unpack,
+                          rank_and_kernel, rref, scale, solve_columns, unpack,
                           weight)
 from tuple_reference import dot as reference_dot
 from tuple_reference import apply, mul, naive_matmul
@@ -77,7 +77,7 @@ def test_apply_agrees_with_matmul():
         a = random_matrix(f, 3, 5, rng)
         v = tuple(int(x) for x in rng.integers(0, 4, size=5))
         col = Matrix(f, tuple((x,) for x in v))
-        assert apply(a, v) == (a @ col).column(0)
+        assert (a @ col).rows == tuple((x,) for x in apply(a, v))
 
 
 def test_stack_and_drop_columns():
@@ -123,32 +123,34 @@ def test_rank_over_gf4():
     assert rank(Matrix(f, ((1, 2), (2, 1)))) == 2
 
 
-def test_solve_affine_solves():
+def test_solve_columns_solves():
     rng = derive_rng(4)
     f = GF(2)
     for _ in range(30):
         m = random_matrix(f, 3, 5, rng)
-        x = tuple(int(a) for a in rng.integers(0, 4, size=5))
-        b = apply(m, x)
-        y = solve_affine(m, b, rng)
-        assert apply(m, y) == b
+        x = random_matrix(f, 5, 2, rng)
+        b = m @ x
+        y = solve_columns(m, b, rng)
+        assert m @ y == b
 
 
-def test_solve_affine_inconsistent():
+def test_solve_columns_inconsistent():
     f = GF(1)
     m = Matrix(f, ((1, 0), (1, 0)))
     rng = derive_rng(0)
     with pytest.raises(InconsistentSystem):
-        solve_affine(m, (0, 1), rng)
+        solve_columns(m, Matrix(f, ((0,), (1,))), rng)
+    with pytest.raises(DimensionMismatch):
+        solve_columns(m, Matrix(f, ((0,),)), rng)
 
 
-def test_solve_affine_uniform_over_solution_set():
+def test_solve_columns_uniform_over_solution_set():
     """The sampled solution is uniform over the coset (chi-square)."""
     f = GF(1)
     m = Matrix(f, ((1, 1, 0, 0),))
-    b = (1,)
+    b = Matrix(f, ((1,),))
     rng = derive_rng(9)
-    counts = Counter(solve_affine(m, b, rng) for _ in range(4000))
+    counts = Counter(solve_columns(m, b, rng) for _ in range(4000))
     assert len(counts) == 8          # kernel dim 3 -> 8 solutions
     expected = 4000 / 8
     chi2 = sum((c - expected) ** 2 / expected for c in counts.values())

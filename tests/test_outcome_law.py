@@ -26,6 +26,13 @@ threshold), where B1 ~ Bin(slots - c, 1 - eps) and B2 ~ Bin(c, eps).
 Each campaign and each point of a sweep must lie inside both binomial
 tails of that law at 1e-6 too.
 
+Every 95% interval those reports and `run` carry must be the Wilson
+interval of the report's own count, and the number of detection
+intervals that hold the exact accusation law must lie inside both 1e-6
+tails of Bin(intervals, 0.95).  (`run`'s interval is for the success
+rate, whose law also needs the chance of a wrong decode; it is checked
+as an interval only.)
+
 The tracker plants c false pairs among the 2 n0 slots of one session.
 With H ~ Bin(2 n0 - c, 1 - eps) clean honest slots and C ~ Bin(c, eps)
 clean corrupt ones, Bob has enough exactly when H + C >= n0; the slots
@@ -38,6 +45,7 @@ the standard error inside the normal bound of the same tails around the
 law's variance.  The seeds were fixed before the first run.
 """
 
+import functools
 import itertools
 import math
 
@@ -45,7 +53,7 @@ import pytest
 
 from otlab.adversary import (detection_campaign, detection_sweep,
                              tracker_advantage_p0)
-from otlab.analysis import detection_rule
+from otlab.analysis import detection_rule, wilson_interval
 from otlab.channels import BscParams, derive_rng
 from otlab.cli import cmd_run
 from otlab.codes import LinearCode, code_to_json
@@ -166,15 +174,25 @@ def test_p0q_law_matches_enumerated_session_statuses():
             (law["abort"], law["decode_failure"]), rel=1e-12)
 
 
-@pytest.mark.parametrize("protocol, generator, phi, trials, seed", [
-    ("p0", ((1, 1, 1, 1),), 0.3, 3000, 101),
-    ("p0", EXTENDED_HAMMING_8_4, 0.15, 2000, 102),
-    ("p0q", ((1, 1, 1, 1),), 0.3, 1000, 103),
-    ("p0q", EXTENDED_HAMMING_8_4, 0.15, 700, 104),
-], ids=["repetition-4-1", "extended-hamming-8-4", "p0q-repetition-4-1",
-        "p0q-extended-hamming-8-4"])
-def test_run_rates_follow_the_exact_law(protocol, generator, phi, trials,
-                                        seed):
+def exact_count(rate, trials):
+    """The count behind a reported rate, checked to be rate * trials
+    exactly."""
+    count = round(rate * trials)
+    assert count / trials == rate, (rate, trials)
+    return count
+
+
+RUN_CASES = {
+    "repetition-4-1": ("p0", ((1, 1, 1, 1),), 0.3, 3000, 101),
+    "extended-hamming-8-4": ("p0", EXTENDED_HAMMING_8_4, 0.15, 2000, 102),
+    "p0q-repetition-4-1": ("p0q", ((1, 1, 1, 1),), 0.3, 1000, 103),
+    "p0q-extended-hamming-8-4": ("p0q", EXTENDED_HAMMING_8_4, 0.15, 700, 104),
+}
+
+
+@functools.cache
+def run_case(protocol, generator, phi, trials, seed):
+    """`run`'s aggregates and the exact (P(abort), P(decode_failure))."""
     code = LinearCode(Matrix(GF(1), generator))
     config = {"protocol": protocol, "phi": phi, "trials": trials,
               "code": code_to_json(code)}
@@ -183,10 +201,16 @@ def test_run_rates_follow_the_exact_law(protocol, generator, phi, trials,
         law = p0q_outcome_law(generator, phi, P0Q_SECRETS)
     else:
         law = p0_outcome_law(generator, phi)
-    agg = cmd_run(config, seed)["aggregates"]
+    return cmd_run(config, seed)["aggregates"], law
+
+
+@pytest.mark.parametrize("case", RUN_CASES.values(), ids=RUN_CASES.keys())
+def test_run_rates_follow_the_exact_law(case):
+    agg, law = run_case(*case)
+    trials = agg["trials"]
     for rate, prob in zip((agg["abort_rate"], agg["decode_failure_rate"]),
                           law):
-        count = round(rate * trials)
+        count = exact_count(rate, trials)
         low, high = binomial_tails(count, trials, prob)
         assert min(low, high) > TAIL, (count, trials, prob)
 
@@ -213,9 +237,13 @@ DETECTION_TRIALS = 4000
 CORRUPTED_GRID = (0, 120, 225)
 
 
-@pytest.mark.parametrize("phi, n0, seed", [
-    (0.198, 8, 121), (0.198, 15, 122), (0.1, 8, 123), (0.1, 15, 124)])
-def test_detection_campaigns_follow_the_exact_law(phi, n0, seed):
+DETECTION_CASES = ((0.198, 8, 121), (0.198, 15, 122), (0.1, 8, 123),
+                   (0.1, 15, 124))
+
+
+@functools.cache
+def detection_reports(phi, n0, seed):
+    """One campaign per corruption count, then one sweep over them."""
     campaigns = [detection_campaign(DETECTION_ROUNDS, n0, phi, corrupted,
                                     DETECTION_TRIALS,
                                     derive_rng(seed, 0, i).numpy_generator())
@@ -223,11 +251,38 @@ def test_detection_campaigns_follow_the_exact_law(phi, n0, seed):
     sweep = detection_sweep(DETECTION_ROUNDS, n0, phi, CORRUPTED_GRID,
                             DETECTION_TRIALS,
                             derive_rng(seed, 1).numpy_generator())
-    for rep in (*campaigns, *sweep.points):
+    return (*campaigns, *sweep.points)
+
+
+@pytest.mark.parametrize("phi, n0, seed", DETECTION_CASES)
+def test_detection_campaigns_follow_the_exact_law(phi, n0, seed):
+    for rep in detection_reports(phi, n0, seed):
         prob = accusation_law(rep.rule, rep.corrupted)
-        count = round(rep.accusation_rate * rep.trials)
+        count = exact_count(rep.accusation_rate, rep.trials)
         low, high = binomial_tails(count, rep.trials, prob)
         assert min(low, high) > TAIL, (rep.corrupted, count, prob)
+
+
+def test_reported_intervals_are_wilson_and_cover_the_exact_law():
+    """Each detection report's ci_95 and `run`'s ci_95 (for the success
+    rate) is wilson_interval of the report's own count; the detection
+    intervals that hold the accusation law number inside both 1e-6 tails
+    of Bin(intervals, 0.95)."""
+    for case in RUN_CASES.values():
+        agg, _ = run_case(*case)
+        count = exact_count(agg["success_rate"], agg["trials"])
+        assert agg["ci_95"] == list(wilson_interval(count, agg["trials"]))
+    covered = cases = 0
+    for phi, n0, seed in DETECTION_CASES:
+        for rep in detection_reports(phi, n0, seed):
+            count = exact_count(rep.accusation_rate, rep.trials)
+            assert rep.ci_95 == wilson_interval(count, rep.trials)
+            lo, hi = rep.ci_95
+            covered += lo <= accusation_law(rep.rule, rep.corrupted) <= hi
+            cases += 1
+    assert cases == 4 * 6
+    low, high = binomial_tails(covered, cases, 0.95)
+    assert min(low, high) > TAIL, (covered, cases)
 
 
 def test_tracker_law_against_enumeration():

@@ -1,10 +1,11 @@
 """Seeded cross-checks of the packed row layer against dense references.
 
-`rref`, `rank`, `rank_and_kernel` and `solve_affine` run on packed rows
-over every field GF(2^e); here each is compared, over GF(2), GF(4),
-GF(8), GF(16) and GF(256), with the dense reduction loop (`dense_rref`)
-and the dense kernel/sampling code kept below as the reference, the
-stream position included.  Both paths of the ML decoder (the Python
+`rref`, `rank`, `rank_and_kernel`, `solve_columns` and the square-dual
+mask draw run on packed rows over every field GF(2^e); here each is
+compared, over GF(2), GF(4), GF(8), GF(16) and GF(256), with the dense
+reduction loop (`dense_rref`) and the dense kernel/sampling code kept
+below as the reference, the stream position included.  `span` is
+compared with the Gray walk of iter_codewords.  Both paths of the ML decoder (the Python
 scan of small codes and the numpy limb search of larger ones) are
 compared with brute force over iter_codewords.  Both minimum-distance
 sides, the enumeration of small codes and the Brouwer-Zimmermann search,
@@ -27,12 +28,11 @@ import pytest
 from otlab.adversary import audit_bob_strategies
 from otlab.channels import BscParams, derive_rng
 from otlab.codes import (LinearCode, OrthonormalCode, cyclic_code,
-                         orthonormalize, random_code)
+                         orthonormalize, random_code, square_dual_sample)
 from otlab.gf import GF
 from otlab.linalg import (InconsistentSystem, Matrix, full_rank_matrix,
-                          pack, random_matrix, rank,
-                          rank_and_kernel, rref, solve_affine, solve_columns,
-                          span_words, unpack)
+                          pack, random_matrix, rank, rank_and_kernel, rref,
+                          solve_columns, span, span_words, unpack)
 from otlab.proto_outer import cheat_matrix_V
 from otlab import codes, proto_p0
 from otlab.proto_p0 import DECODER_WORD_CAP, MLDecoder, P0Params
@@ -150,6 +150,11 @@ def test_packed_reduction_matches_dense(nrows, ncols, cap):
             assert (r, kernel.rows) == dense_rank_and_kernel(m)
 
 
+def column(field, values):
+    """values as a one-column matrix."""
+    return Matrix(field, tuple((a,) for a in values), ncols=1)
+
+
 @pytest.mark.parametrize("nrows,ncols,cap", SHAPES)
 def test_packed_solve_affine_matches_dense(nrows, ncols, cap):
     for degree in DEGREES:
@@ -171,9 +176,9 @@ def test_packed_solve_affine_matches_dense(nrows, ncols, cap):
             except InconsistentSystem:
                 inconsistent += 1
                 with pytest.raises(InconsistentSystem):
-                    solve_affine(m, b, ours)
+                    solve_columns(m, column(f, b), ours)
             else:
-                assert solve_affine(m, b, ours) == want
+                assert solve_columns(m, column(f, b), ours) == column(f, want)
             assert position(ours) == position(ref)
         if nrows > ncols or (cap is not None and cap < nrows):
             assert inconsistent > 0
@@ -181,7 +186,8 @@ def test_packed_solve_affine_matches_dense(nrows, ncols, cap):
 
 def test_session_coset_matches_dense_solve_of_stacked_system():
     """One elimination of the hash rows into the reduced parity check
-    samples what solve_affine on the stacked system samples, rng and all."""
+    samples what the dense solve of the stacked system samples, rng and
+    all."""
     rng = derive_rng(3000)
     for n, k, m in ((15, 5, 3), (15, 1, 1), (20, 16, 1), (20, 16, 5),
                     (12, 12, 4), (70, 6, 2)):
@@ -237,6 +243,53 @@ def test_span_words_match_direct_products():
         assert got == packed
 
 
+@pytest.mark.parametrize("degree", (1, 2, 3))
+def test_span_lists_the_codewords_in_message_order(degree):
+    """span equals the Gray walk of iter_codewords word for word: word j
+    sums each row times digit i of j in base q."""
+    f = GF(degree)
+    rng = derive_rng(3150 + degree)
+    assert span(f, []) == [0]
+    for n, k in ((1, 1), (5, 1), (6, 3), (9, 4), (4, 4)):
+        if f.order ** k > 5000:
+            continue
+        code = random_code(f, n, k, rng)
+        assert span(f, code.generator.packed) == [
+            pack(f, w) for w in code.iter_codewords()]
+
+
+def toy_outer_code(field):
+    """[I_4 | 1 1 1 1], the toy outer code, over field."""
+    return LinearCode(Matrix(field, tuple(
+        tuple(int(j == i) for j in range(4)) + (1, 1, 1, 1)
+        for i in range(4))))
+
+
+def test_square_dual_sample_matches_the_dense_solve():
+    """The request-mask draw is the dense uniform solve of G v = 0 for the
+    square's generator G, from an identical stream, and leaves both
+    streams at the same position: the toy outer code and random codes
+    whose square is not the whole space, over GF(2) and GF(4)."""
+    rng = derive_rng(3200)
+    for degree in (1, 2):
+        f = GF(degree)
+        outer_codes = [toy_outer_code(f)]
+        while len(outer_codes) < 25:
+            n = int(rng.integers(4, 16))
+            code = random_code(f, n, int(rng.integers(1, min(n, 5))), rng)
+            if code.schur_square().dimension < n:
+                outer_codes.append(code)
+        for i, code in enumerate(outer_codes):
+            sq = code.schur_square()
+            zeros = (0,) * sq.dimension
+            for trial in range(4):
+                ours, ref = derive_rng(i, trial), derive_rng(i, trial)
+                got = square_dual_sample(code, ours)
+                assert got == pack(f, dense_solve_affine(sq.generator, zeros,
+                                                         ref))
+                assert position(ours) == position(ref)
+
+
 # -- packed matrix operations ---------------------------------------------------
 
 OP_SHAPES = [(0, 0), (0, 4), (3, 0), (1, 1), (3, 5), (6, 2), (4, 9)]
@@ -255,10 +308,9 @@ def test_matrix_ops_match_tuple_references(degree):
             rows, brows = a.rows, b.rows
             assert a.packed == tuple(pack(f, r) for r in rows)
             assert Matrix(f, rows, ncols=ncols) == a
-            assert [a.row(i) for i in range(nrows)] == list(rows)
             cols = tuple(tuple(r[j] for r in rows) for j in range(ncols))
-            assert tuple(a.column(j) for j in range(ncols)) == cols
             assert a.transpose() == Matrix(f, cols, ncols=nrows)
+            assert a.transpose().transpose() == a
             assert (a + b).rows == tuple(tuple(x ^ y for x, y in zip(r, s))
                                          for r, s in zip(rows, brows))
             for c in (0, 1, int(rng.integers(f.order))):
@@ -266,7 +318,7 @@ def test_matrix_ops_match_tuple_references(degree):
                     tuple(mul(f, c, x) for x in r) for r in rows), ncols=ncols)
             v = tuple(rng.integers(0, f.order, size=ncols))
             col = Matrix(f, tuple((x,) for x in v), ncols=1)
-            assert (a @ col).column(0) == tuple(dot(f, r, v) for r in rows)
+            assert (a @ col) == column(f, [dot(f, r, v) for r in rows])
             for width in (0, 3):
                 other = random_over(f, rng, ncols, width)
                 got = a @ other
@@ -299,10 +351,10 @@ def loop_full_rank(field, k, n, rng):
 
 
 def loop_solve_columns(m, target, rng):
-    """The per-column solve_affine loop of p2_alice_setup and
-    compress_setup: an m.ncols x target.ncols solution, also when either
-    is zero."""
-    cols = [solve_affine(m, target.column(j), rng)
+    """The per-column solve loop of p2_alice_setup and compress_setup, on
+    the dense solver: an m.ncols x target.ncols solution, also when
+    either is zero."""
+    cols = [dense_solve_affine(m, tuple(r[j] for r in target.rows), rng)
             for j in range(target.ncols)]
     return Matrix(m.field, tuple(zip(*cols)) if cols else ((),) * m.ncols,
                   ncols=target.ncols)
@@ -365,7 +417,7 @@ def test_solve_columns_matches_per_column_solve_affine(degree):
     # a consistent column drawn, then an inconsistent one stops the solve
     m = Matrix(field, ((1, 1, 0), (1, 1, 0)))
     ours, ref = derive_rng(9), derive_rng(9)
-    solve_affine(m, (1, 1), ref)
+    dense_solve_affine(m, (1, 1), ref)
     with pytest.raises(InconsistentSystem):
         solve_columns(m, Matrix(field, ((1, 0), (1, 1))), ours)
     assert position(ours) == position(ref)
@@ -618,11 +670,13 @@ def dense_cheat_matrix(basis, mask):
 def test_cheat_matrix_matches_the_dense_product(basis):
     f = basis.field
     for mask in product(range(f.order), repeat=basis.length):
-        v = cheat_matrix_V(basis.rows, mask)
+        v = cheat_matrix_V(basis.rows, pack(f, mask))
         assert (v.nrows, v.ncols) == (basis.dimension, basis.dimension)
         assert v.rows == dense_cheat_matrix(basis, mask)
-    with pytest.raises(ValueError):
-        cheat_matrix_V(basis.rows, (f.order,) + (0,) * (basis.length - 1))
+    # a symbol past the last round, a negative int, an unpacked mask
+    for bad in (1 << f.degree * basis.length, -1, (0,) * basis.length):
+        with pytest.raises(ValueError):
+            cheat_matrix_V(basis.rows, bad)
 
 
 # -- the request-mask audit -------------------------------------------------------
@@ -667,7 +721,7 @@ def test_rank_audit_matches_bincount_on_random_bases():
         basis, _ = orthonormalize(code)
         r, n = basis.dimension, basis.length
         u_len = 1 if r < 5 else 1 + rng.integers(0, 2)
-        masks = [unpack(F2, rng.integers(0, 1 << n), n) for _ in range(12)]
+        masks = [rng.integers(0, 1 << n) for _ in range(12)]
         assert_audits_agree(basis, 0.5 - u_len / r, masks=masks,
                             pair_samples=4, seed=3400 + case)
         dims.add((r, u_len))

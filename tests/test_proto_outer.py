@@ -53,7 +53,7 @@ def all_square_dual_masks(basis):
             for i, a in enumerate(vec):
                 acc[i] ^= mul(f, c, a)
         masks.add(tuple(acc))
-    return sorted(masks)
+    return [pack(f, m) for m in sorted(masks)]
 
 
 def test_block_bit_serialization_round_trip():
@@ -148,8 +148,10 @@ def test_setup_validation():
 
 def test_request_indices_binary():
     f = GF(1)
-    assert request_indices((0, 1, 1, 0), True, f) == (0, 1, 1, 0)
-    assert request_indices((0, 1, 1, 0), False, f) == (1, 0, 0, 1)
+    assert request_indices(0b0110, 4, True, f) == (0, 1, 1, 0)
+    assert request_indices(0b0110, 4, False, f) == (1, 0, 0, 1)
+    # the rounds past the mask's top set bit still count
+    assert request_indices(0b01, 3, False, f) == (0, 1, 1)
 
 
 def test_request_indices_qary_select_matching_offset():
@@ -157,7 +159,7 @@ def test_request_indices_qary_select_matching_offset():
     f = GF(2)
     for u in range(4):
         for want_first in (True, False):
-            idx = request_indices((u,), want_first, f)[0]
+            idx = request_indices(u, 1, want_first, f)[0]
             mu = u if want_first else u ^ 1
             if mu == 0:
                 assert idx == 0
@@ -173,7 +175,7 @@ def test_cheat_matrix_zero_iff_dual():
         assert not any(any(row) for row in cheat_matrix_V(basis.rows,
                                                           mask).rows)
     nonzero_seen = 0
-    for mask in product((0, 1), repeat=8):
+    for mask in range(1 << 8):
         if mask in duals:
             continue
         v = cheat_matrix_V(basis.rows, mask)
@@ -182,8 +184,9 @@ def test_cheat_matrix_zero_iff_dual():
         # V is symmetric whatever the mask
         assert v.rows == v.transpose().rows
     assert nonzero_seen > 0
-    with pytest.raises(ValueError):
-        cheat_matrix_V(basis.rows, (0, 1))
+    for bad in (1 << 8, -1, (0, 1), (0,) * 8):
+        with pytest.raises(ValueError):
+            cheat_matrix_V(basis.rows, bad)
 
 
 def test_compressed_length_values():
@@ -272,7 +275,7 @@ def test_run_session_every_dual_mask_exact():
             assert session.status == "ok"
             want = s if want_first else t
             assert session.output.rows == want.rows
-            assert session.transcript()["u"] == list(mask)
+            assert session.transcript()["u"] == list(unpack(GF(1), mask, 8))
 
 
 def test_run_session_non_dual_mask_follows_algebra():
@@ -282,7 +285,7 @@ def test_run_session_non_dual_mask_follows_algebra():
     rng = derive_rng(69)
     s = random_matrix(GF(1), 4, 1, rng)
     t = random_matrix(GF(1), 4, 1, rng)
-    mask = (1, 0, 0, 0, 0, 0, 0, 0)
+    mask = 1  # round 0 only
     v = cheat_matrix_V(basis.rows, mask)
     assert any(any(row) for row in v.rows)
     session = run_session(params, s, t, True, derive_rng(70),
@@ -342,8 +345,9 @@ def test_run_session_validation():
     t = random_matrix(GF(1), 4, 1, rng)
     with pytest.raises(ValueError):
         run_session(params, random_matrix(GF(1), 4, 2, rng), t, True, rng)
-    with pytest.raises(ValueError):
-        run_session(params, s, t, True, rng, request_mask=(0, 1))
+    for bad in (1 << 8, -1, (0, 1)):
+        with pytest.raises(ValueError):
+            run_session(params, s, t, True, rng, request_mask=bad)
     # with a margin the secrets are the compressed ones, u = 1 row here
     compressed = OuterParams(basis=basis, inner=binary_inner(), margin=0.25)
     with pytest.raises(ValueError):
